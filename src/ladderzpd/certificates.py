@@ -15,12 +15,12 @@ from __future__ import annotations
 
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
-from .elim import IncrementalEchelon, kernel_of_rows
+from .elim import IncrementalEchelon, integer_coords
 from .fields import Field, QQ
 from .ladders import Ladder, ladder_space
-from .matrices import SparseMatrix, mat_product
-from .tensors import (MuMap, RankOneTensor, TensorSpace, build_mu, in_kernel,
-                      tensor_coords)
+from .matrices import SparseMatrix
+from .tensors import (MembershipError, MuMap, RankOneTensor, TensorSpace,
+                      build_mu, in_kernel, tensor_coords)
 
 PROVEN_ZPD = "proven-zpd"
 FAILED_KERNEL_MEMBERSHIP = "failed-kernel-membership"
@@ -160,19 +160,43 @@ def centralizer(u: SparseMatrix, space: TensorSpace) -> List[SparseMatrix]:
     The map v -> [u, v] is restricted to the algebra and its exact null
     space computed; basis vectors come out in free-variable order, each
     normalized with a 1 at its free coordinate.
+
+    ad_u is built by index arithmetic on an integer multiple of u (a
+    positive rational multiple has the same centralizer):
+    u e_pq = sum_i u_ip e_iq and e_pq u = sum_j u_qj e_pj.  The two sums
+    meet only at (p, q) itself, so an image entry outside the position
+    set cannot cancel, and any such entry raises MembershipError.
     """
     space.coords_of(u)
-    zero = space.field.zero
-    d = space.d
-    rows = []
-    for k in range(space.d):
-        img = space.coords_of(mat_product(u, space.basis_matrix(k), "lie"))
-        dense = [zero] * d
-        for a, c in img.items():
-            dense[a] = c
-        rows.append(dense)
-    return [space.from_coords({k: c for k, c in enumerate(vec) if c})
-            for vec in kernel_of_rows(rows, d, space.field)]
+    ucoords = integer_coords(u.entries, space.field)
+    index_of = space.index_of
+    by_row: Dict[int, List[Tuple[int, int]]] = {}
+    by_col: Dict[int, List[Tuple[int, int]]] = {}
+    for k, (p, q) in enumerate(space.positions):
+        by_row.setdefault(p, []).append((q, k))
+        by_col.setdefault(q, []).append((p, k))
+    # ad rows: image coordinate a -> {basis index k: coefficient of b_a
+    # in [u, b_k]}; the null space of this matrix is the centralizer
+    ad: Dict[int, Dict[int, int]] = {}
+
+    def add(pos: Tuple[int, int], k: int, c: int) -> None:
+        a = index_of.get(pos)
+        if a is None:
+            raise MembershipError(
+                f"[u, e_{space.positions[k]}] has support at {pos}, "
+                f"outside the position set")
+        row = ad.setdefault(a, {})
+        row[k] = row.get(k, 0) + c
+
+    for (r, s), c in ucoords.items():
+        for q, k in by_row.get(s, ()):
+            add((r, q), k, c)
+        for p, k in by_col.get(r, ()):
+            add((p, s), k, -c)
+    ech = IncrementalEchelon(space.field)
+    for row in ad.values():
+        ech.insert(row)
+    return [space.from_coords(vec) for vec in ech.reduced(space.d)[1]]
 
 
 def candidate_pool(space: TensorSpace) -> Iterator[SparseMatrix]:
@@ -230,6 +254,9 @@ def search_spanning(space: TensorSpace, mu: MuMap, descriptor: dict,
     Iterates first factors u over candidate_pool; for each u every
     member v of its centralizer basis gives a candidate tensor u (x) v,
     kept iff it strictly increases the rank of the accumulated rows.
+    The rows handed to the elimination engine are outer products of the
+    integer-scaled factor coordinates; the certificate keeps the exact
+    field-valued u and v.
     Returns a certificate as soon as the rank reaches dim Ker mu, or
     None when the pool or the candidate budget runs out first.  The
     budget counts candidate tensors tried.
@@ -237,16 +264,23 @@ def search_spanning(space: TensorSpace, mu: MuMap, descriptor: dict,
     if budget is None:
         budget = default_budget(space)
     target = mu.kernel_dim
-    ech = IncrementalEchelon(space.field)
+    field = space.field
+    d = space.d
+    ech = IncrementalEchelon(field)
     chosen: List[RankOneTensor] = []
     tried = 0
     for u in candidate_pool(space):
+        ucoords = integer_coords(space.coords_of(u), field)
         for v in centralizer(u, space):
             if tried >= budget:
                 return None
             tried += 1
-            t = RankOneTensor(u, v, label)
-            if ech.insert(tensor_coords(t, space)):
+            # an integer multiple of tensor_coords(u (x) v): same span
+            vcoords = integer_coords(space.coords_of(v), field)
+            row = {s * d + k: a * b for s, a in ucoords.items()
+                   for k, b in vcoords.items()}
+            if ech.insert(row):
+                t = RankOneTensor(u, v, label)
                 chosen.append(t)
                 if ech.rank == target:
                     return Certificate(descriptor, space.field, target,

@@ -16,7 +16,7 @@ from .certificates import (Certificate, VerificationReport, gl_certificate,
                            verify_certificate)
 from .certio import (CertificateFormatError, read_certificate,
                      write_certificate)
-from .fields import Field, PrimeField, QQ
+from .fields import DEFAULT_PRIME, Field, PrimeField, QQ
 from .ladders import (Ladder, enumerate_ladders, is_closed,
                       is_upper_triangular, ladder_space)
 from .onestep import SearchExhaustedError, assemble_one_step_certificate
@@ -46,8 +46,8 @@ def _add_field_options(sub) -> None:
                      default="rational",
                      help="scalar field: exact rationals (default) or the "
                           "prime-field cross-check backend")
-    sub.add_argument("--prime", type=int, default=101,
-                     help="modulus for --field fp (default 101)")
+    sub.add_argument("--prime", type=int, default=DEFAULT_PRIME,
+                     help=f"modulus for --field fp (default {DEFAULT_PRIME})")
 
 
 def _report_json(report: VerificationReport) -> dict:

@@ -1,59 +1,231 @@
-"""Exact Gaussian elimination: rank, echelon forms, null spaces.
+"""Exact elimination on integers: rank, echelon forms, null spaces.
 
-Two complementary representations are used.  Dense rows (plain lists of
-scalars) feed the reduced-row-echelon routine used for small systems
-such as centralizer computations and explicit kernel bases.  Sparse rows
-(column -> scalar dicts) feed an incremental echelon accumulator used
-where the column count is large but rows are mostly empty: tensor
-coordinate rows and the mu matrix.  Both are deterministic: pivoting is
-always first nonzero row/column, pivots normalized to 1.
+One engine, `IncrementalEchelon`, does all elimination.  Rows are sparse
+column -> scalar maps, and the engine reduces them on plain Python ints:
+
+- over Q, each incoming row is scaled by the lcm of its denominators
+  and eliminated fraction-free: the candidate becomes b*row - a*pivot
+  with a, b the two leading entries divided by their gcd, and each
+  stored pivot row is kept primitive (divided by its content gcd);
+- over F_p, rows hold the residues in [0, p), pivot rows are monic, and
+  every combination is reduced with % p.
+
+This is exact, not a modular shortcut.  Scaling a row by a nonzero
+rational and adding multiples of other rows leave its row space over Q
+unchanged, so every rank decision, every "reduces to zero" answer and
+the reduced echelon form are the ones Gaussian elimination over Q would
+give.  Field scalars (`Fraction` or `Fp`) are produced only at the end,
+by `IncrementalEchelon.reduced`, which back-substitutes to the reduced
+row echelon form and reads off the null space.  `rref` and
+`kernel_of_rows` are thin dense-list wrappers over it.  Pivoting is
+deterministic: a row's leading column is its smallest column index.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence, Tuple
+from fractions import Fraction
+from math import gcd, lcm
+from typing import Dict, List, Sequence, Tuple, TypeVar
 
-from .fields import Field, Scalar
+from .fields import Field, Fp, PrimeField, Scalar
+
+K = TypeVar("K")
+
+SparseRow = Dict[int, Scalar]
+IntRow = Dict[int, int]
+
+
+def integer_coords(coords: Dict[K, Scalar], field: Field) -> Dict[K, int]:
+    """Nonzero entries of a sparse vector as plain ints.
+
+    Over Q: the vector times the lcm of its denominators, a positive
+    rational multiple of it.  Over F_p: the residues.  Entries that are
+    already ints pass through unchanged up to that scaling.
+    """
+    if isinstance(field, PrimeField):
+        p = field.p
+        out = {}
+        for key, v in coords.items():
+            r = (v.value if type(v) is Fp else v) % p
+            if r:
+                out[key] = r
+        return out
+    den = 1
+    for v in coords.values():
+        if v.denominator != 1:
+            den = lcm(den, v.denominator)
+    if den == 1:
+        return {key: v.numerator for key, v in coords.items() if v}
+    return {key: v.numerator * (den // v.denominator)
+            for key, v in coords.items() if v}
+
+
+def _clear(work: IntRow, prow: IntRow, col: int, p: int) -> IntRow:
+    """work with its entry at col cleared by the pivot row prow.
+
+    Over F_p (p > 0, prow monic): work - a*prow mod p.  Over Z (p == 0):
+    b*work - a*prow, with a/b = work[col]/prow[col] in lowest terms, so
+    the result is an integer row with the same span over Q as work and
+    prow together.  Returns work, updated in place unless rescaled.
+    """
+    a = work[col]
+    if p:
+        for c, v in prow.items():
+            t = (work.get(c, 0) - a * v) % p
+            if t:
+                work[c] = t
+            else:
+                del work[c]
+        return work
+    b = prow[col]
+    g = gcd(a, b)
+    if g != 1:
+        a //= g
+        b //= g
+    if b != 1:
+        work = {c: b * v for c, v in work.items()}
+    for c, v in prow.items():
+        t = work.get(c, 0) - a * v
+        if t:
+            work[c] = t
+        else:
+            del work[c]
+    return work
+
+
+def _normalize(row: IntRow, lead: int, p: int) -> IntRow:
+    """The pivot-row form of a nonzero row: monic at lead over F_p,
+    primitive (content gcd 1) over Z."""
+    if p:
+        inv = pow(row[lead], -1, p)
+        return row if inv == 1 else {c: v * inv % p for c, v in row.items()}
+    g = gcd(*row.values())
+    return row if g == 1 else {c: v // g for c, v in row.items()}
+
+
+class IncrementalEchelon:
+    """Row echelon form over the integers, grown one row at a time.
+
+    Rows are sparse column -> scalar maps over a fixed (implicit) column
+    range; ints are accepted as well as field scalars.  `pivot_rows`
+    maps each pivot column to its stored integer row: primitive over Q,
+    monic over F_p.  Insertion reduces the candidate's leading column
+    against stored pivots until it either vanishes (dependent) or lands
+    on a fresh column (rank grows by one).  This is plain echelon, not
+    reduced echelon: stored rows may have entries at other pivot
+    columns, which is harmless for rank tracking and keeps fill-in down.
+    """
+
+    def __init__(self, field: Field):
+        self.field = field
+        self.p = field.p if isinstance(field, PrimeField) else 0
+        self.pivot_rows: Dict[int, IntRow] = {}
+
+    @property
+    def rank(self) -> int:
+        return len(self.pivot_rows)
+
+    def _reduce(self, row: SparseRow) -> IntRow:
+        """Integer remainder of row against the stored pivots: empty
+        exactly when row lies in their span, otherwise a multiple of a
+        row whose leading column carries no pivot."""
+        work = integer_coords(row, self.field)
+        pivots, p = self.pivot_rows, self.p
+        while work:
+            lead = min(work)
+            prow = pivots.get(lead)
+            if prow is None:
+                break
+            work = _clear(work, prow, lead, p)
+        return work
+
+    def insert(self, row: SparseRow) -> bool:
+        """Reduce a copy of row against the accumulated rows; keep it if
+        independent.  Returns True when the rank increased."""
+        work = self._reduce(row)
+        if not work:
+            return False
+        lead = min(work)
+        self.pivot_rows[lead] = _normalize(work, lead, self.p)
+        return True
+
+    def reduces_to_zero(self, row: SparseRow) -> bool:
+        """True when row is already in the accumulated row space."""
+        return not self._reduce(row)
+
+    def reduced(self, ncols: int) -> Tuple[Dict[int, SparseRow],
+                                            List[SparseRow]]:
+        """Reduced row echelon form and null space of the accumulated rows.
+
+        Back-substitutes on integer copies of the pivot rows (the engine
+        itself is left as it is), from the last pivot column to the
+        first, so each row is cleared at every later pivot column, then
+        converts to field scalars once: entry c of the row with pivot
+        entry L becomes c/L.  Returns the reduced rows in pivot order,
+        keyed by pivot column, each with leading entry 1; and a null
+        space basis over columns range(ncols), one vector per free
+        column in ascending order, with a 1 at its free column.
+        """
+        p = self.p
+        rows: Dict[int, IntRow] = {}
+        for piv in sorted(self.pivot_rows, reverse=True):
+            row = dict(self.pivot_rows[piv])
+            # rows[q] is already reduced, so clearing column q adds
+            # entries only at free columns
+            for q in [c for c in row if c in rows]:
+                row = _clear(row, rows[q], q, p)
+            rows[piv] = _normalize(row, piv, p)
+
+        if p:
+            def scalar(num: int, piv: int) -> Scalar:
+                return Fp(num, p)
+        else:
+            def scalar(num: int, piv: int) -> Scalar:
+                return Fraction(num, rows[piv][piv])
+        reduced = {piv: {c: scalar(v, piv) for c, v in row.items()}
+                   for piv, row in sorted(rows.items())}
+        one = self.field.one
+        kernel: List[SparseRow] = [{f: one} for f in range(ncols)]
+        for piv, row in rows.items():
+            for f, v in row.items():
+                if f != piv:
+                    kernel[f][piv] = scalar(-v, piv)
+        return reduced, [vec for f, vec in enumerate(kernel)
+                         if f not in rows]
+
+
+def _dense_check(rows: Sequence[Sequence[Scalar]]) -> int:
+    """Common column count of dense rows; ValueError when ragged."""
+    ncols = len(rows[0]) if rows else 0
+    if any(len(r) != ncols for r in rows):
+        raise ValueError("ragged rows")
+    return ncols
+
+
+def _dense(row: SparseRow, ncols: int, zero: Scalar) -> List[Scalar]:
+    out = [zero] * ncols
+    for c, v in row.items():
+        out[c] = v
+    return out
 
 
 def rref(rows: Sequence[Sequence[Scalar]], field: Field
          ) -> Tuple[List[List[Scalar]], List[int]]:
-    """Reduced row echelon form and 0-based pivot columns.
+    """Reduced row echelon form and 0-based pivot columns of dense rows.
 
-    First-nonzero pivoting with immediate normalization; input rows are
-    not modified.  Ragged rows are rejected.
+    The output has as many rows as the input: the reduced pivot rows
+    first, each with leading entry 1, then explicit zero rows.  Input
+    rows are not modified.  Ragged rows are rejected.
     """
-    work = [list(r) for r in rows]
-    if work:
-        ncols = len(work[0])
-        if any(len(r) != ncols for r in work):
-            raise ValueError("ragged rows")
-    else:
-        ncols = 0
+    ncols = _dense_check(rows)
+    ech = IncrementalEchelon(field)
+    for r in rows:
+        ech.insert({c: v for c, v in enumerate(r) if v})
+    reduced, _ = ech.reduced(ncols)
     zero = field.zero
-    pivots: List[int] = []
-    pr = 0
-    for col in range(ncols):
-        src = next((r for r in range(pr, len(work)) if work[r][col]), None)
-        if src is None:
-            continue
-        work[pr], work[src] = work[src], work[pr]
-        inv = field.one / work[pr][col]
-        if inv != field.one:
-            work[pr] = [inv * x for x in work[pr]]
-        for r in range(len(work)):
-            if r != pr and work[r][col]:
-                c = work[r][col]
-                row, prow = work[r], work[pr]
-                work[r] = [a - c * b for a, b in zip(row, prow)]
-        pivots.append(col)
-        pr += 1
-        if pr == len(work):
-            break
-    # echelon: pivot rows first, then explicit zero rows
-    for r in range(pr, len(work)):
-        work[r] = [zero] * ncols
-    return work, pivots
+    out = [_dense(row, ncols, zero) for row in reduced.values()]
+    out.extend([zero] * ncols for _ in range(len(rows) - len(reduced)))
+    return out, list(reduced)
 
 
 def rank_of_rows(rows: Sequence[Sequence[Scalar]], field: Field) -> int:
@@ -66,13 +238,7 @@ class RowSpace:
     def __init__(self, rows: Sequence[Sequence[Scalar]], field: Field):
         self.rows = [list(r) for r in rows]
         self.field = field
-        if self.rows:
-            ncols = len(self.rows[0])
-            if any(len(r) != ncols for r in self.rows):
-                raise ValueError("ragged rows")
-            self.ncols = ncols
-        else:
-            self.ncols = 0
+        self.ncols = _dense_check(self.rows)
         self._echelon: List[List[Scalar]] | None = None
         self._pivots: List[int] | None = None
 
@@ -109,95 +275,9 @@ def kernel_of_rows(map_rows: Sequence[Sequence[Scalar]], domain_dim: int,
         raise ValueError(
             f"expected {domain_dim} rows (one per domain basis vector), "
             f"got {len(map_rows)}")
-    zero, one = field.zero, field.one
-    if domain_dim == 0:
-        return []
-    codim = len(map_rows[0])
-    if any(len(r) != codim for r in map_rows):
-        raise ValueError("ragged rows")
-    transposed = [[map_rows[r][c] for r in range(domain_dim)]
-                  for c in range(codim)]
-    reduced, pivots = rref(transposed, field)
-    pivot_set = set(pivots)
-    basis: List[List[Scalar]] = []
-    for free in range(domain_dim):
-        if free in pivot_set:
-            continue
-        vec = [zero] * domain_dim
-        vec[free] = one
-        for prow, pcol in enumerate(pivots):
-            c = reduced[prow][free]
-            if c:
-                vec[pcol] = -c
-        basis.append(vec)
-    return basis
-
-
-SparseRow = Dict[int, Scalar]
-
-
-class IncrementalEchelon:
-    """Row echelon form maintained under one-row-at-a-time insertion.
-
-    Rows are sparse column -> scalar maps over a fixed (implicit) column
-    range.  Each stored pivot row is normalized so its leading entry is
-    1; insertion reduces the candidate's leading column against stored
-    pivots until it either vanishes (dependent) or lands on a fresh
-    column (rank grows by one).  This is plain echelon, not reduced
-    echelon: stored rows may have entries at other pivot columns, which
-    is harmless for rank tracking and keeps fill-in down.
-    """
-
-    def __init__(self, field: Field):
-        self.field = field
-        self.pivot_rows: Dict[int, SparseRow] = {}
-
-    @property
-    def rank(self) -> int:
-        return len(self.pivot_rows)
-
-    def insert(self, row: SparseRow) -> bool:
-        """Reduce a copy of row against the accumulated rows; keep it if
-        independent.  Returns True when the rank increased."""
-        work = {c: v for c, v in row.items() if v}
-        while work:
-            lead = min(work)
-            prow = self.pivot_rows.get(lead)
-            if prow is None:
-                coeff = work[lead]
-                inv = self.field.one / coeff
-                if inv != self.field.one:
-                    work = {c: inv * v for c, v in work.items()}
-                self.pivot_rows[lead] = work
-                return True
-            factor = work[lead]
-            for c, v in prow.items():
-                s = work.get(c)
-                t = -factor * v if s is None else s - factor * v
-                if t:
-                    work[c] = t
-                elif s is not None:
-                    del work[c]
-        return False
-
-    def reduces_to_zero(self, row: SparseRow) -> bool:
-        """True when row is already in the accumulated row space.
-
-        Read-only companion to insert: performs the same reduction on a
-        copy and reports whether anything is left.
-        """
-        work = {c: v for c, v in row.items() if v}
-        while work:
-            lead = min(work)
-            prow = self.pivot_rows.get(lead)
-            if prow is None:
-                return False
-            factor = work[lead]
-            for c, v in prow.items():
-                s = work.get(c)
-                t = -factor * v if s is None else s - factor * v
-                if t:
-                    work[c] = t
-                elif s is not None:
-                    del work[c]
-        return True
+    codim = _dense_check(map_rows)
+    ech = IncrementalEchelon(field)
+    for c in range(codim):
+        ech.insert({r: row[c] for r, row in enumerate(map_rows) if row[c]})
+    return [_dense(vec, domain_dim, field.zero)
+            for vec in ech.reduced(domain_dim)[1]]

@@ -1,8 +1,8 @@
-"""Exact field scalars: arbitrary-precision rationals and small prime fields.
+"""Exact field scalars: arbitrary-precision rationals and prime fields.
 
 Every computation in this package is exact, so scalars are either
 `fractions.Fraction` values (the rationals, the default field) or `Fp`
-values (integers mod a small prime, a fast cross-check backend).  Both
+values (integers mod a prime, a cross-check backend).  Both
 kinds are immutable, support the usual arithmetic operators, and are
 falsy exactly when zero, which is what the elimination code relies on.
 
@@ -141,17 +141,56 @@ class RationalField:
         return "QQ"
 
 
-class PrimeField:
-    """Descriptor and element factory for Z/pZ, p a small prime.
+# Miller-Rabin with these bases decides primality exactly for every
+# n < MILLER_RABIN_BOUND (Sorenson and Webster, 2015).
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+MILLER_RABIN_BOUND = 3317044064679887385961981
 
-    Primality is checked by trial division at construction; this backend
-    exists to cross-check rational linear algebra, not for large moduli.
+
+def is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin; exact for n < MILLER_RABIN_BOUND.
+
+    Larger n raise ValueError rather than get a probabilistic answer.
+    """
+    if n >= MILLER_RABIN_BOUND:
+        raise ValueError(
+            f"modulus {n} is too large to prove prime (the limit is "
+            f"{MILLER_RABIN_BOUND})")
+    if n < 2:
+        return False
+    for q in _MR_BASES:
+        if n % q == 0:
+            return n == q
+    d, r = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        r += 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(r - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+class PrimeField:
+    """Descriptor and element factory for Z/pZ, p a prime.
+
+    Primality is proved at construction by deterministic Miller-Rabin,
+    so p is limited to below MILLER_RABIN_BOUND (about 3.3e24).  The
+    elimination engine reduces plain ints mod p, so large p costs little
+    more than small p.
     """
 
     kind = "prime-field"
 
     def __init__(self, p: int):
-        if p < 2 or any(p % d == 0 for d in range(2, int(p**0.5) + 1)):
+        if not is_prime(p):
             raise ValueError(f"modulus {p} is not prime")
         self.p = p
         self.zero = Fp(0, p)

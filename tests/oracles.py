@@ -3,14 +3,16 @@
 Everything here is deliberately naive: dense lists of Fractions,
 textbook triple-loop products, and plain Gaussian elimination written
 from scratch.  Tests use these as oracles to pin down expected ranks,
-kernel dimensions, and products without trusting the package's sparse
-machinery.
+kernel dimensions, products, reduced echelon forms, null spaces and
+centralizers without trusting the package's sparse integer machinery.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from typing import List, Sequence, Tuple
+
+from ladderzpd.fields import QQ
 
 Dense = List[List[Fraction]]
 
@@ -120,3 +122,113 @@ def naive_mu_kernel_dim(n: int, positions: Sequence[Tuple[int, int]],
                         row[k] = prod[i][j]
             rows.append(row)
     return d * d - naive_rank(rows)
+
+
+def dense_rref(rows: Sequence[Sequence], field) -> Tuple[List[list], List[int]]:
+    """Reduced row echelon form and 0-based pivot columns, by dense
+    Gauss-Jordan over the field's own scalars.
+
+    First-nonzero pivoting with immediate normalization; input rows are
+    not modified.  Ragged rows are rejected.
+    """
+    work = [list(r) for r in rows]
+    if work:
+        ncols = len(work[0])
+        if any(len(r) != ncols for r in work):
+            raise ValueError("ragged rows")
+    else:
+        ncols = 0
+    zero = field.zero
+    pivots: List[int] = []
+    pr = 0
+    for col in range(ncols):
+        src = next((r for r in range(pr, len(work)) if work[r][col]), None)
+        if src is None:
+            continue
+        work[pr], work[src] = work[src], work[pr]
+        inv = field.one / work[pr][col]
+        if inv != field.one:
+            work[pr] = [inv * x for x in work[pr]]
+        for r in range(len(work)):
+            if r != pr and work[r][col]:
+                c = work[r][col]
+                row, prow = work[r], work[pr]
+                work[r] = [a - c * b for a, b in zip(row, prow)]
+        pivots.append(col)
+        pr += 1
+        if pr == len(work):
+            break
+    # echelon: pivot rows first, then explicit zero rows
+    for r in range(pr, len(work)):
+        work[r] = [zero] * ncols
+    return work, pivots
+
+
+def dense_kernel_of_rows(map_rows: Sequence[Sequence], domain_dim: int,
+                         field) -> List[list]:
+    """Null space of the map whose r-th row is the image of the r-th
+    domain basis vector, read off dense_rref of the transpose: one
+    vector per free column in ascending order, with a 1 there."""
+    if len(map_rows) != domain_dim:
+        raise ValueError("one row per domain basis vector expected")
+    if domain_dim == 0:
+        return []
+    codim = len(map_rows[0])
+    transposed = [[map_rows[r][c] for r in range(domain_dim)]
+                  for c in range(codim)]
+    reduced, pivots = dense_rref(transposed, field)
+    basis = []
+    for free in range(domain_dim):
+        if free in pivots:
+            continue
+        vec = [field.zero] * domain_dim
+        vec[free] = field.one
+        for prow, pcol in enumerate(pivots):
+            if reduced[prow][free]:
+                vec[pcol] = -reduced[prow][free]
+        basis.append(vec)
+    return basis
+
+
+def naive_rank_mod_p(rows: Sequence[Sequence[int]], p: int) -> int:
+    """Rank over F_p of integer rows, by dense elimination on residues."""
+    work = [[x % p for x in r] for r in rows]
+    if not work:
+        return 0
+    rank = 0
+    for col in range(len(work[0])):
+        pivot = next((r for r in range(rank, len(work)) if work[r][col]),
+                     None)
+        if pivot is None:
+            continue
+        work[rank], work[pivot] = work[pivot], work[rank]
+        inv = pow(work[rank][col], p - 2, p)
+        prow = [x * inv % p for x in work[rank]]
+        work[rank] = prow
+        for r in range(len(work)):
+            if r != rank and work[r][col]:
+                f = work[r][col]
+                work[r] = [(x - f * y) % p for x, y in zip(work[r], prow)]
+        rank += 1
+    return rank
+
+
+def dense_centralizer(u, positions: Sequence[Tuple[int, int]],
+                      n: int) -> Dense:
+    """Centralizer of a rational matrix inside the span of elementary
+    matrices at the given positions: coordinate vectors (basis in sorted
+    position order) of the canonical null space basis of v -> [u, v],
+    built from dense brackets."""
+    pos = sorted(positions)
+    index = {p: k for k, p in enumerate(pos)}
+    dense_u = dense_from_sparse(u)
+    rows = []
+    for i, j in pos:
+        br = dense_bracket(dense_u, dense_elementary(n, i, j))
+        row = [Fraction(0)] * len(pos)
+        for a in range(n):
+            for b in range(n):
+                if br[a][b]:
+                    row[index[(a + 1, b + 1)]] = br[a][b]
+        rows.append(row)
+    return dense_kernel_of_rows(rows, len(pos), QQ)

@@ -210,3 +210,17 @@ def test_unknown_subcommand(capsys):
         main(["frobnicate"])
     assert exc.value.code == 2
     capsys.readouterr()
+
+
+def test_large_prime_modulus(capsys):
+    code, out, _ = run(capsys, "zpd-gl", "--m", "2", "--field", "fp",
+                       "--prime", "1000000000000000003", "--json")
+    assert code == 0
+    assert json.loads(out)["verdict"] == "proven-zpd"
+
+
+def test_unprovable_prime_modulus_exits_2(capsys):
+    code, _, err = run(capsys, "zpd-gl", "--m", "2", "--field", "fp",
+                       "--prime", str(2**89 - 1))
+    assert code == 2
+    assert "too large" in err

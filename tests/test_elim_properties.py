@@ -1,0 +1,151 @@
+"""Property tests for the integer elimination engine against dense oracles.
+
+The greedy search only ever feeds the engine rows with entries in
+{0, +-1}, so these tests draw what it never produces: rational entries
+with denominators up to 7 (non-unit pivots, lcm scaling, content gcds)
+and residues over F_2, F_3 and F_101.  Every answer is compared with
+dense elimination from tests/oracles.py.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+
+from hypothesis import given, settings, strategies as st
+
+from ladderzpd.certificates import centralizer
+from ladderzpd.elim import IncrementalEchelon, kernel_of_rows, rref
+from ladderzpd.fields import PrimeField, QQ
+from ladderzpd.ladders import Ladder, ladder_space
+from ladderzpd.matrices import SparseMatrix
+from ladderzpd.tensors import TensorSpace
+
+from oracles import (dense_centralizer, dense_kernel_of_rows, dense_rref,
+                     naive_rank, naive_rank_mod_p)
+
+RATIONALS = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 7))
+PRIMES = st.sampled_from([2, 3, 101])
+SETTINGS = settings(max_examples=50, deadline=None)
+
+
+@st.composite
+def sparse_rows(draw, values, max_cols=9, max_rows=10):
+    """(ncols, rows): sparse column -> value rows, zeros included."""
+    ncols = draw(st.integers(1, max_cols))
+    rows = draw(st.lists(
+        st.dictionaries(st.integers(0, ncols - 1), values, max_size=4),
+        max_size=max_rows))
+    return ncols, rows
+
+
+@st.composite
+def dense_rows(draw, values, max_dim=7):
+    nrows = draw(st.integers(1, max_dim))
+    ncols = draw(st.integers(1, max_dim))
+    return draw(st.lists(st.lists(values, min_size=ncols, max_size=ncols),
+                         min_size=nrows, max_size=nrows))
+
+
+def densify(row, ncols, zero):
+    out = [zero] * ncols
+    for c, v in row.items():
+        out[c] = v
+    return out
+
+
+def fp_values(p):
+    f = PrimeField(p)
+    return st.integers(-2 * p, 2 * p).map(f.from_int)
+
+
+@SETTINGS
+@given(sparse_rows(RATIONALS))
+def test_insert_matches_naive_rank_over_q(case):
+    ncols, rows = case
+    ech = IncrementalEchelon(QQ)
+    prefix = []
+    for row in rows:
+        before = dict(row)
+        inserted = ech.insert(row)
+        assert row == before, "insert must not modify its argument"
+        prefix.append(densify(row, ncols, Fraction(0)))
+        rank = naive_rank(prefix)
+        assert ech.rank == rank
+        assert inserted == (rank == naive_rank(prefix[:-1]) + 1)
+
+
+@SETTINGS
+@given(sparse_rows(RATIONALS), st.data())
+def test_reduces_to_zero_over_q(case, data):
+    ncols, rows = case
+    ech = IncrementalEchelon(QQ)
+    for row in rows:
+        ech.insert(row)
+    combo = {}
+    for row in rows:
+        coeff = data.draw(RATIONALS)
+        for c, v in row.items():
+            combo[c] = combo.get(c, Fraction(0)) + coeff * v
+    assert ech.reduces_to_zero(combo)
+    probe = data.draw(st.dictionaries(st.integers(0, ncols - 1), RATIONALS,
+                                      max_size=4))
+    dense = [densify(r, ncols, Fraction(0)) for r in rows]
+    in_span = naive_rank(dense + [densify(probe, ncols, Fraction(0))]) \
+        == naive_rank(dense)
+    assert ech.reduces_to_zero(probe) == in_span
+    assert ech.rank == naive_rank(dense)
+
+
+@SETTINGS
+@given(PRIMES.flatmap(lambda p: st.tuples(st.just(p),
+                                          sparse_rows(fp_values(p)))))
+def test_insert_matches_mod_p_oracle(case):
+    p, (ncols, rows) = case
+    ech = IncrementalEchelon(PrimeField(p))
+    prefix = []
+    for row in rows:
+        inserted = ech.insert(row)
+        prefix.append(densify({c: v.value for c, v in row.items()}, ncols, 0))
+        rank = naive_rank_mod_p(prefix, p)
+        assert ech.rank == rank
+        assert inserted == (rank == naive_rank_mod_p(prefix[:-1], p) + 1)
+        assert ech.reduces_to_zero(row)
+
+
+@SETTINGS
+@given(dense_rows(RATIONALS))
+def test_rref_and_kernel_match_dense_oracle_over_q(rows):
+    assert rref(rows, QQ) == dense_rref(rows, QQ)
+    assert (kernel_of_rows(rows, len(rows), QQ)
+            == dense_kernel_of_rows(rows, len(rows), QQ))
+
+
+@SETTINGS
+@given(PRIMES.flatmap(lambda p: st.tuples(st.just(p),
+                                          dense_rows(fp_values(p)))))
+def test_rref_and_kernel_match_dense_oracle_over_fp(case):
+    p, rows = case
+    f = PrimeField(p)
+    assert rref(rows, f) == dense_rref(rows, f)
+    assert (kernel_of_rows(rows, len(rows), f)
+            == dense_kernel_of_rows(rows, len(rows), f))
+
+
+def random_member(space):
+    """Strategy: a member of the space with up to four fractional terms."""
+    return st.dictionaries(st.sampled_from(space.positions), RATIONALS,
+                           max_size=4).map(
+        lambda entries: SparseMatrix(space.n, QQ, entries))
+
+
+GL3 = TensorSpace.gl(3)
+ONE_STEP = TensorSpace.from_ladder(ladder_space(Ladder(5, [(4, 2)])))
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from([GL3, ONE_STEP]).flatmap(
+    lambda space: st.tuples(st.just(space), random_member(space))))
+def test_centralizer_matches_dense_oracle(case):
+    space, u = case
+    got = [[v[pos] for pos in space.positions] for v in centralizer(u, space)]
+    assert got == dense_centralizer(u, space.positions, space.n)

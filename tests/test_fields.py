@@ -148,3 +148,37 @@ def test_fp_int_coercion():
     assert 2 * f.from_int(4) == f.one
     assert 1 - f.from_int(3) == f.from_int(5)
     assert 1 / f.from_int(3) == f.from_int(5)
+
+
+def test_large_primes_accepted_quickly():
+    import time
+    start = time.perf_counter()
+    for p in (1000000000000000003, 2**61 - 1):
+        f = PrimeField(p)
+        x = f.from_int(123456789)
+        assert x * (f.one / x) == f.one
+    assert time.perf_counter() - start < 1.0
+
+
+def test_composites_and_pseudoprimes_rejected():
+    # 561 is a Carmichael number; 3215031751 is a strong pseudoprime to
+    # the bases 2, 3, 5 and 7; 3825123056546413051 to every prime base
+    # up to 23
+    for bad in (561, 2**61 + 1, 3215031751, 3825123056546413051,
+                (2**31 - 1) * 1000000007):
+        with pytest.raises(ValueError, match="not prime"):
+            PrimeField(bad)
+
+
+def test_miller_rabin_matches_trial_division():
+    from ladderzpd.fields import is_prime
+    for n in range(-3, 5000):
+        trial = n >= 2 and all(n % d for d in range(2, int(n**0.5) + 1))
+        assert is_prime(n) == trial, n
+
+
+def test_modulus_beyond_the_deterministic_bound_rejected():
+    from ladderzpd.fields import MILLER_RABIN_BOUND
+    for p in (MILLER_RABIN_BOUND, 2**89 - 1):
+        with pytest.raises(ValueError, match="too large"):
+            PrimeField(p)

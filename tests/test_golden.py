@@ -1,0 +1,62 @@
+"""Golden-hash gate: certificates stay the same byte for byte.
+
+The SHA-256 of the canonical bytes of every gl_m certificate with
+m <= 6, and of every one-step certificate (n, i1, j1) with n <= 6, over
+QQ and F_101, is pinned in golden_hashes.json.  Any change to the
+search, the families or the serializer that moves a single byte of a
+certificate fails here.  The table was recorded before the elimination
+engine was rewritten on exact integers; regenerate it only for a
+deliberate change of format, with
+
+    PYTHONPATH=src python tests/test_golden.py --record
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+import os
+import sys
+from itertools import product
+
+from ladderzpd.certificates import gl_certificate
+from ladderzpd.certio import certificate_bytes
+from ladderzpd.fields import PrimeField, QQ
+from ladderzpd.onestep import assemble_one_step_certificate
+
+GOLDEN_PATH = os.path.join(os.path.dirname(__file__), "golden_hashes.json")
+FIELDS = {"QQ": QQ, "F101": PrimeField(101)}
+
+
+def _sha(cert) -> str:
+    return hashlib.sha256(certificate_bytes(cert)).hexdigest()
+
+
+def current_hashes() -> dict:
+    """Certificate name -> SHA-256 of its canonical bytes."""
+    out = {}
+    for fname, field in FIELDS.items():
+        for m in range(1, 7):
+            out[f"{fname} gl {m}"] = _sha(gl_certificate(m, field))
+        for n in range(1, 7):
+            for i1, j1 in product(range(1, n + 1), repeat=2):
+                cert = assemble_one_step_certificate(n, i1, j1, field)
+                out[f"{fname} one-step {n} {i1} {j1}"] = _sha(cert)
+    return out
+
+
+def test_certificate_bytes_match_golden_hashes():
+    with open(GOLDEN_PATH, encoding="utf-8") as fh:
+        golden = json.load(fh)
+    got = current_hashes()
+    assert sorted(got) == sorted(golden)
+    moved = [name for name in golden if got[name] != golden[name]]
+    assert not moved, f"{len(moved)} certificates changed, first {moved[:5]}"
+
+
+if __name__ == "__main__":
+    if sys.argv[1:] != ["--record"]:
+        sys.exit("usage: python tests/test_golden.py --record")
+    with open(GOLDEN_PATH, "w", encoding="utf-8") as fh:
+        json.dump(current_hashes(), fh, indent=1, sort_keys=True)
+        fh.write("\n")
