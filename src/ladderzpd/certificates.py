@@ -17,7 +17,7 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .elim import IncrementalEchelon, integer_coords
 from .fields import Field, QQ
-from .ladders import Ladder, ladder_space
+from .ladders import Ladder
 from .matrices import SparseMatrix
 from .tensors import (MembershipError, MuMap, RankOneTensor, TensorSpace,
                       build_mu, in_kernel, tensor_coords)
@@ -26,8 +26,6 @@ PROVEN_ZPD = "proven-zpd"
 FAILED_KERNEL_MEMBERSHIP = "failed-kernel-membership"
 FAILED_SPAN = "failed-span"
 COUNT_MISMATCH = "count-mismatch"
-
-VERDICTS = (PROVEN_ZPD, FAILED_KERNEL_MEMBERSHIP, FAILED_SPAN, COUNT_MISMATCH)
 
 
 class Certificate:
@@ -115,7 +113,7 @@ def algebra_space(descriptor: dict, field: Field) -> TensorSpace:
     if kind == "ladder-lie":
         ladder = Ladder(descriptor["n"],
                         [tuple(s) for s in descriptor["steps"]])
-        return TensorSpace.from_ladder(ladder_space(ladder), field)
+        return TensorSpace(ladder.n, ladder.positions(), field)
     if kind == "gl-lie":
         return TensorSpace.gl(descriptor["m"], field)
     raise ValueError(f"unknown algebra descriptor kind: {kind!r}")
@@ -131,6 +129,10 @@ def verify_certificate(cert: Certificate) -> VerificationReport:
       - the tensors are independent (count = rank), so the list is a
         basis, not a multiset.
     All three hold iff the verdict is proven-zpd.
+
+    A factor outside the algebra makes the certificate a claim about
+    some other algebra, not a failed one about this algebra: it raises
+    MembershipError naming the tensor index and the factor (u or v).
     """
     space = algebra_space(cert.algebra, cert.field)
     mu = build_mu(space, "lie")
@@ -138,7 +140,17 @@ def verify_certificate(cert: Certificate) -> VerificationReport:
     first_bad: Optional[int] = None
     ech = IncrementalEchelon(space.field)
     for idx, t in enumerate(cert.tensors):
-        if not in_kernel(t, mu) and first_bad is None:
+        try:
+            member = in_kernel(t, mu)
+        except MembershipError:
+            for name, factor in (("u", t.u), ("v", t.v)):
+                try:
+                    space.coords_of(factor)
+                except MembershipError as exc:
+                    raise MembershipError(
+                        f"tensor {idx} factor {name}: {exc}") from None
+            raise
+        if not member and first_bad is None:
             first_bad = idx
         ech.insert(tensor_coords(t, space))
     span_rank = ech.rank

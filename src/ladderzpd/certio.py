@@ -219,4 +219,7 @@ def read_certificate(path: str) -> Certificate:
         obj = json.loads(raw.decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise CertificateFormatError(f"not valid JSON: {exc}") from None
+    except RecursionError:
+        raise CertificateFormatError(
+            "not valid JSON: nested too deeply to parse") from None
     return certificate_from_json(obj)

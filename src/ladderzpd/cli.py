@@ -2,7 +2,8 @@
 search, and re-verification.
 
 Exit codes: 0 verified/ok, 1 verification failed, 2 usage error or bad
-input file, 3 search budget exhausted.
+input file (a tensor factor outside the named algebra included), 3 search
+budget exhausted.
 """
 
 from __future__ import annotations
@@ -18,8 +19,9 @@ from .certio import (CertificateFormatError, read_certificate,
                      write_certificate)
 from .fields import DEFAULT_PRIME, Field, PrimeField, QQ
 from .ladders import (Ladder, enumerate_ladders, is_closed,
-                      is_upper_triangular, ladder_space)
+                      is_upper_triangular)
 from .onestep import SearchExhaustedError, assemble_one_step_certificate
+from .tensors import TensorSpace
 
 
 def _step(text: str) -> Tuple[int, int]:
@@ -82,23 +84,22 @@ def _parse_ladder(args) -> Ladder:
 
 def _cmd_ladder_check(args) -> int:
     ladder = _parse_ladder(args)
-    space = ladder_space(ladder)
-    field = _field_from_args(args)
+    space = TensorSpace(ladder.n, ladder.positions(), _field_from_args(args))
     ut = is_upper_triangular(ladder)
-    closed_assoc = is_closed(space, "associative", field)
-    closed_lie = is_closed(space, "lie", field)
+    closed_assoc = is_closed(space, "associative")
+    closed_lie = is_closed(space, "lie")
     if args.json:
         print(json.dumps({
             "n": ladder.n,
             "steps": [list(s) for s in ladder.steps],
-            "dim": space.dim,
+            "dim": space.d,
             "upper_triangular": ut,
             "closed_associative": closed_assoc,
             "closed_lie": closed_lie,
         }, sort_keys=True))
     else:
         steps = ", ".join(f"({i},{j})" for i, j in ladder.steps)
-        print(f"ladder n={ladder.n} steps=[{steps}] dim={space.dim}")
+        print(f"ladder n={ladder.n} steps=[{steps}] dim={space.d}")
         print(f"upper-triangular: {_yesno(ut)}; "
               f"closed (associative): {_yesno(closed_assoc)}; "
               f"closed (lie): {_yesno(closed_lie)}")
@@ -118,7 +119,8 @@ def _cmd_ladder_enumerate(args) -> int:
             }
             if args.closure:
                 entry[f"closed_{args.closure}"] = is_closed(
-                    ladder_space(ladder), args.closure, field)
+                    TensorSpace(ladder.n, ladder.positions(), field),
+                    args.closure)
             rows.append(entry)
     if args.json:
         print(json.dumps(rows, sort_keys=True))

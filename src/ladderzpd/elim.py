@@ -16,16 +16,16 @@ unchanged, so every rank decision, every "reduces to zero" answer and
 the reduced echelon form are the ones Gaussian elimination over Q would
 give.  Field scalars (`Fraction` or `Fp`) are produced only at the end,
 by `IncrementalEchelon.reduced`, which back-substitutes to the reduced
-row echelon form and reads off the null space.  `rref` and
-`kernel_of_rows` are thin dense-list wrappers over it.  Pivoting is
-deterministic: a row's leading column is its smallest column index.
+row echelon form and reads off the null space: to get the kernel of a
+linear map, insert the rows of its matrix (one per image coordinate,
+keyed by domain index).  Pivoting is deterministic: a row's leading column is its smallest column index.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Dict, List, Sequence, Tuple, TypeVar
+from typing import Dict, List, Tuple, TypeVar
 
 from .fields import Field, Fp, PrimeField, Scalar
 
@@ -193,91 +193,3 @@ class IncrementalEchelon:
         return reduced, [vec for f, vec in enumerate(kernel)
                          if f not in rows]
 
-
-def _dense_check(rows: Sequence[Sequence[Scalar]]) -> int:
-    """Common column count of dense rows; ValueError when ragged."""
-    ncols = len(rows[0]) if rows else 0
-    if any(len(r) != ncols for r in rows):
-        raise ValueError("ragged rows")
-    return ncols
-
-
-def _dense(row: SparseRow, ncols: int, zero: Scalar) -> List[Scalar]:
-    out = [zero] * ncols
-    for c, v in row.items():
-        out[c] = v
-    return out
-
-
-def rref(rows: Sequence[Sequence[Scalar]], field: Field
-         ) -> Tuple[List[List[Scalar]], List[int]]:
-    """Reduced row echelon form and 0-based pivot columns of dense rows.
-
-    The output has as many rows as the input: the reduced pivot rows
-    first, each with leading entry 1, then explicit zero rows.  Input
-    rows are not modified.  Ragged rows are rejected.
-    """
-    ncols = _dense_check(rows)
-    ech = IncrementalEchelon(field)
-    for r in rows:
-        ech.insert({c: v for c, v in enumerate(r) if v})
-    reduced, _ = ech.reduced(ncols)
-    zero = field.zero
-    out = [_dense(row, ncols, zero) for row in reduced.values()]
-    out.extend([zero] * ncols for _ in range(len(rows) - len(reduced)))
-    return out, list(reduced)
-
-
-def rank_of_rows(rows: Sequence[Sequence[Scalar]], field: Field) -> int:
-    return len(rref(rows, field)[1])
-
-
-class RowSpace:
-    """A list of equal-length dense rows with cached echelon data."""
-
-    def __init__(self, rows: Sequence[Sequence[Scalar]], field: Field):
-        self.rows = [list(r) for r in rows]
-        self.field = field
-        self.ncols = _dense_check(self.rows)
-        self._echelon: List[List[Scalar]] | None = None
-        self._pivots: List[int] | None = None
-
-    def _eliminate(self) -> None:
-        if self._echelon is None:
-            self._echelon, self._pivots = rref(self.rows, self.field)
-
-    @property
-    def echelon(self) -> List[List[Scalar]]:
-        self._eliminate()
-        return self._echelon
-
-    @property
-    def pivots(self) -> List[int]:
-        self._eliminate()
-        return self._pivots
-
-    @property
-    def rank(self) -> int:
-        return len(self.pivots)
-
-
-def kernel_of_rows(map_rows: Sequence[Sequence[Scalar]], domain_dim: int,
-                   field: Field) -> List[List[Scalar]]:
-    """Null space basis of the linear map whose r-th row is the image of
-    the r-th domain basis vector.
-
-    The kernel consists of the coefficient vectors c with
-    sum_r c_r * row_r = 0, i.e. the null space of the transposed matrix.
-    Returns domain_dim - rank vectors, one per free column in ascending
-    order, each carrying a 1 at its free coordinate.
-    """
-    if len(map_rows) != domain_dim:
-        raise ValueError(
-            f"expected {domain_dim} rows (one per domain basis vector), "
-            f"got {len(map_rows)}")
-    codim = _dense_check(map_rows)
-    ech = IncrementalEchelon(field)
-    for c in range(codim):
-        ech.insert({r: row[c] for r, row in enumerate(map_rows) if row[c]})
-    return [_dense(vec, domain_dim, field.zero)
-            for vec in ech.reduced(domain_dim)[1]]

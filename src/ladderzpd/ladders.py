@@ -1,9 +1,10 @@
-"""Ladders, ladder matrix spaces, upper-triangularity, and closure.
+"""Ladders, their position sets, upper-triangularity, and closure.
 
 A ladder is a set of steps (i_t, j_t) with strictly increasing rows and
 strictly increasing columns.  Each step contributes every position with
 row <= i_t and column >= j_t; the ladder matrix space M_L is the span of
-the elementary matrices at the union of those positions.  A ladder is
+the elementary matrices at the union of those positions, built as a
+`tensors.TensorSpace` from `Ladder.positions()`.  A ladder is
 upper triangular when consecutive steps satisfy i_t < j_{t+1}; these are
 exactly the ladders whose space is closed under matrix multiplication,
 and closure under the bracket follows.  One-step ladders with i1 >= j1
@@ -17,8 +18,8 @@ from __future__ import annotations
 from itertools import combinations
 from typing import List, NamedTuple, Optional, Sequence, Tuple
 
-from .fields import Field, QQ
-from .matrices import Position, SparseMatrix, elementary, mat_product
+from .matrices import Position, mat_product
+from .tensors import TensorSpace
 
 
 class Ladder:
@@ -43,6 +44,16 @@ class Ladder:
         self.n = n
         self.steps = ordered
 
+    def positions(self) -> Tuple[Position, ...]:
+        """The positions of M_L, sorted row-major: (i, j) with
+        i <= i_t and j_t <= j <= n for some step (i_t, j_t)."""
+        allowed = set()
+        for i_t, j_t in self.steps:
+            for i in range(1, i_t + 1):
+                for j in range(j_t, self.n + 1):
+                    allowed.add((i, j))
+        return tuple(sorted(allowed))
+
     def __eq__(self, other):
         if not isinstance(other, Ladder):
             return NotImplemented
@@ -61,73 +72,16 @@ def is_upper_triangular(ladder: Ladder) -> bool:
                for t in range(len(ladder.steps) - 1))
 
 
-class LadderSpace:
-    """The span of elementary matrices at a ladder's position set.
-
-    Positions: (i, j) is allowed iff some step (i_t, j_t) has i <= i_t
-    and j_t <= j <= n.  The basis is ordered row-major over the position
-    set, fixing coordinates shared by every other module.
-    """
-
-    __slots__ = ("ladder", "n", "positions", "index_of")
-
-    def __init__(self, ladder: Ladder):
-        self.ladder = ladder
-        self.n = ladder.n
-        allowed = set()
-        for i_t, j_t in ladder.steps:
-            for i in range(1, i_t + 1):
-                for j in range(j_t, ladder.n + 1):
-                    allowed.add((i, j))
-        self.positions: Tuple[Position, ...] = tuple(sorted(allowed))
-        self.index_of = {pos: k for k, pos in enumerate(self.positions)}
-
-    @property
-    def dim(self) -> int:
-        return len(self.positions)
-
-    def basis_matrices(self, field: Field = QQ) -> List[SparseMatrix]:
-        return [elementary(self.n, i, j, field) for i, j in self.positions]
-
-    def __repr__(self):
-        return f"LadderSpace({self.ladder!r}, dim={self.dim})"
-
-
-def ladder_space(ladder: Ladder) -> LadderSpace:
-    return LadderSpace(ladder)
-
-
-def is_closed(space: LadderSpace, kind: str, field: Field = QQ) -> bool:
+def is_closed(space: TensorSpace, kind: str) -> bool:
     """True iff every product of two basis elements stays in the space."""
-    allowed = set(space.positions)
-    basis = space.basis_matrices(field)
+    allowed = space.index_of
+    basis = space.basis_matrices()
     for x in basis:
         for y in basis:
             prod = mat_product(x, y, kind)
             if any(pos not in allowed for pos in prod.entries):
                 return False
     return True
-
-
-def partition_to_ladder(partition: Sequence[int]) -> Ladder:
-    """The upper triangular ladder whose space is the block upper
-    triangular algebra of the partition.
-
-    Step t sits at (sum of the first t parts, 1 + sum of the first t-1
-    parts).
-    """
-    parts = list(partition)
-    if not parts:
-        raise ValueError("empty partition")
-    if any(p < 1 for p in parts):
-        raise ValueError(f"nonpositive part in partition {parts}")
-    n = sum(parts)
-    steps = []
-    running = 0
-    for p in parts:
-        steps.append((running + p, running + 1))
-        running += p
-    return Ladder(n, steps)
 
 
 def enumerate_ladders(n: int, k: int) -> List[Ladder]:

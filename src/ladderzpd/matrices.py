@@ -44,10 +44,6 @@ class SparseMatrix:
     def is_zero(self) -> bool:
         return not self.entries
 
-    def support(self) -> Tuple[Position, ...]:
-        """Positions of nonzero entries, row-major order."""
-        return tuple(sorted(self.entries))
-
     def copy(self) -> "SparseMatrix":
         out = SparseMatrix(self.n, self.field)
         out.entries = dict(self.entries)
@@ -85,12 +81,6 @@ class SparseMatrix:
     def __sub__(self, other: "SparseMatrix") -> "SparseMatrix":
         return self + (-other)
 
-    def scale(self, c: Scalar) -> "SparseMatrix":
-        out = SparseMatrix(self.n, self.field)
-        if c:
-            out.entries = {pos: c * v for pos, v in self.entries.items()}
-        return out
-
     def shifted(self, offset: int, new_n: int) -> "SparseMatrix":
         """Translate every entry by (offset, offset) into an ambient of size new_n."""
         out = SparseMatrix(new_n, self.field)
@@ -122,10 +112,6 @@ def elementary(n: int, i: int, j: int, field: Field = QQ) -> SparseMatrix:
     if not (1 <= i <= n and 1 <= j <= n):
         raise ValueError(f"elementary index ({i},{j}) out of range for n={n}")
     return SparseMatrix(n, field, {(i, j): field.one})
-
-
-def identity(n: int, field: Field = QQ) -> SparseMatrix:
-    return SparseMatrix(n, field, {(i, i): field.one for i in range(1, n + 1)})
 
 
 def diagonal_unit(n: int, positions: Iterable[Position],
@@ -167,6 +153,3 @@ def mat_product(x: SparseMatrix, y: SparseMatrix,
         return _assoc(x, y) - _assoc(y, x)
     raise ValueError(f"unknown product kind: {kind!r}")
 
-
-def bracket(x: SparseMatrix, y: SparseMatrix) -> SparseMatrix:
-    return mat_product(x, y, "lie")

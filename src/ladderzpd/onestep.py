@@ -13,9 +13,11 @@ kills every other block pairing.  Ker mu then has a dimension given by
 a closed-form polynomial in (n1, n2, n3), and is spanned by rank-one
 tensors drawn from: the nine zero-bracket block pairings, a searched
 certificate for the gl block, and the explicit two- and three-block
-families built here (T/S/R between h and r, their mirrors between h and
-l, and U/V/W between l and r).  Assembly concatenates them all and the
-result is checked by the generic certificate verifier, never trusted.
+families (T/S/R between h and r, their mirrors between h and l, and
+U/V/W between l and r).  Those three groups share one template and are
+generated from a three-row table.  Assembly concatenates them all and
+the result is checked by the generic certificate verifier, never
+trusted.
 """
 
 from __future__ import annotations
@@ -24,9 +26,9 @@ from typing import Dict, List, Optional, Tuple
 
 from .certificates import (Certificate, abelian_certificate, gl_certificate,
                            ladder_algebra_descriptor)
-from .fields import Field, QQ
-from .ladders import BlockProfile, Ladder, block_profile, ladder_space
-from .matrices import Position, SparseMatrix, elementary, mat_product
+from .fields import Field, QQ, Scalar
+from .ladders import BlockProfile, Ladder, block_profile
+from .matrices import Position, SparseMatrix, elementary
 from .tensors import RankOneTensor, TensorSpace
 
 FAMILY_ORDER = (
@@ -78,43 +80,6 @@ def block_positions(p: BlockProfile) -> Dict[str, List[Position]]:
     }
 
 
-# bracket containment: ordered block pair -> block the result must lie
-# in (pairs absent from the map must bracket to zero)
-_BRACKET_TARGET = {
-    ("h", "h"): "h",
-    ("h", "l"): "l", ("l", "h"): "l",
-    ("h", "r"): "r", ("r", "h"): "r",
-    ("l", "r"): "a", ("r", "l"): "a",
-}
-
-
-def multiplication_table_check(p: BlockProfile, space,
-                               field: Field = QQ) -> bool:
-    """Brute-force check of the block containment table against every
-    elementary pair, plus the block partition itself: the four blocks
-    must be disjoint and cover the ladder position set exactly."""
-    blocks = block_positions(p)
-    union: set = set()
-    total = 0
-    for posns in blocks.values():
-        union.update(posns)
-        total += len(posns)
-    if total != len(union) or union != set(space.positions):
-        return False
-    n = p.n
-    for name1, pos1 in blocks.items():
-        for name2, pos2 in blocks.items():
-            target = _BRACKET_TARGET.get((name1, name2))
-            allowed = set(blocks[target]) if target is not None else set()
-            for i, j in pos1:
-                e1 = elementary(n, i, j, field)
-                for k, l in pos2:
-                    prod = mat_product(e1, elementary(n, k, l, field), "lie")
-                    if any(pos not in allowed for pos in prod.entries):
-                        return False
-    return True
-
-
 def pairing_families(p: BlockProfile, field: Field = QQ) -> List[RankOneTensor]:
     """All elementary tensors for the nine zero-bracket block pairings.
 
@@ -144,110 +109,68 @@ def pairing_families(p: BlockProfile, field: Field = QQ) -> List[RankOneTensor]:
     return out
 
 
-def families_h_r(p: BlockProfile, field: Field = QQ) -> List[RankOneTensor]:
-    """The T, S, R families between the gl block and the right block.
+# One row per explicit family group, from the paper's construction:
+# the labels of its T-, S- and R-type families; the blocks giving the
+# row range of the first factor and the column range of the second;
+# the sign s of the S-type pair; whether the T-type pair leads with its
+# second factor; and the hinge k of the R-type sum e(r,k) + e(k,c).
+_EXPLICIT_FAMILIES = (
+    (("T", "S", "R"), "mid", "right", -1, False, "row"),
+    (("T-mirror", "S-mirror", "R-mirror"), "top", "mid", 1, True, "col"),
+    (("U", "V", "W"), "top", "right", -1, False, "corner"),
+)
 
-    T: e_{i,j} (x) e_{l,q} and its swap, i,j,l in the middle range with
-    j != l, q in the right range.  S: (e_{i,j} - e_{i,j+1}) (x)
-    (e_{j,q} + e_{j+1,q}) and its swap, j below the top of the middle
-    range.  R: (e_{i,i} + e_{i,q}) (x) itself.
+
+def explicit_families(p: BlockProfile,
+                      field: Field = QQ) -> List[RankOneTensor]:
+    """The T/S/R, mirror and U/V/W families, in that order.
+
+    For each group, with r in its row range, c in its column range and
+    a, b in the middle range:
+      T-type: e(r,a) (x) e(b,c) for a != b, and its swap;
+      S-type: (e(r,a) + s e(r,a+1)) (x) (e(a,c) - s e(a+1,c)) for a
+        below the top of the middle range, and its swap;
+      R-type: (e(r,k) + e(k,c)) (x) itself, k = r, c or n1 + n2.
+    Every pair commutes: the brackets telescope or vanish blockwise.
     """
-    n = p.n
-    mid, right = _mid_range(p), _right_range(p)
+    n, one = p.n, field.one
+    ranges = {"top": _top_range(p), "mid": _mid_range(p),
+              "right": _right_range(p)}
+    mid = ranges["mid"]
+
+    def mat(*terms: Tuple[int, int, Scalar]) -> SparseMatrix:
+        return SparseMatrix(n, field, {(i, j): c for i, j, c in terms})
+
     out: List[RankOneTensor] = []
-    for i in mid:
-        for j in mid:
-            for l in mid:
-                if j == l:
-                    continue
-                for q in right:
-                    x = elementary(n, i, j, field)
-                    y = elementary(n, l, q, field)
-                    out.append(RankOneTensor(x, y, "T"))
-                    out.append(RankOneTensor(y, x, "T"))
-    for i in mid:
-        for j in range(p.n1 + 1, p.n1 + p.n2):
-            for q in right:
-                x = elementary(n, i, j, field) - elementary(n, i, j + 1, field)
-                y = elementary(n, j, q, field) + elementary(n, j + 1, q, field)
-                out.append(RankOneTensor(x, y, "S"))
-                out.append(RankOneTensor(y, x, "S"))
-    for i in mid:
-        for q in right:
-            x = elementary(n, i, i, field) + elementary(n, i, q, field)
-            out.append(RankOneTensor(x, x, "R"))
-    return out
-
-
-def families_h_l(p: BlockProfile, field: Field = QQ) -> List[RankOneTensor]:
-    """The mirror families between the gl block and the left block.
-
-    T-mirror: e_{j,k} (x) e_{p,i} and its swap, row p in the top range,
-    i,j,k in the middle range with i != j (the bracket is
-    -delta_{i,j} e_{p,k}, so it vanishes exactly when i != j).
-    S-mirror: (e_{p,j} + e_{p,j+1}) (x) (e_{j,k} - e_{j+1,k}) and its
-    swap.  R-mirror: (e_{p,i} + e_{i,i}) (x) itself.
-    """
-    n = p.n
-    top, mid = _top_range(p), _mid_range(p)
-    out: List[RankOneTensor] = []
-    for prow in top:
-        for i in mid:
-            for j in mid:
-                if i == j:
-                    continue
-                for k in mid:
-                    x = elementary(n, j, k, field)
-                    y = elementary(n, prow, i, field)
-                    out.append(RankOneTensor(x, y, "T-mirror"))
-                    out.append(RankOneTensor(y, x, "T-mirror"))
-    for prow in top:
-        for j in range(p.n1 + 1, p.n1 + p.n2):
-            for k in mid:
-                x = elementary(n, prow, j, field) + elementary(n, prow, j + 1, field)
-                y = elementary(n, j, k, field) - elementary(n, j + 1, k, field)
-                out.append(RankOneTensor(x, y, "S-mirror"))
-                out.append(RankOneTensor(y, x, "S-mirror"))
-    for prow in top:
-        for i in mid:
-            x = elementary(n, prow, i, field) + elementary(n, i, i, field)
-            out.append(RankOneTensor(x, x, "R-mirror"))
-    return out
-
-
-def families_l_r(p: BlockProfile, field: Field = QQ) -> List[RankOneTensor]:
-    """The U, V, W families between the left and right blocks.
-
-    U: e_{i,j} (x) e_{l,q} and its swap, row i in the top range, j,l in
-    the middle range with j != l, q in the right range.  V: like S with
-    the first factor moved to the left block.  W: (e_{i,n1+n2} +
-    e_{n1+n2,q}) (x) itself.
-    """
-    n = p.n
-    top, mid, right = _top_range(p), _mid_range(p), _right_range(p)
-    corner = p.n1 + p.n2
-    out: List[RankOneTensor] = []
-    for i in top:
-        for j in mid:
-            for l in mid:
-                if j == l:
-                    continue
-                for q in right:
-                    x = elementary(n, i, j, field)
-                    y = elementary(n, l, q, field)
-                    out.append(RankOneTensor(x, y, "U"))
-                    out.append(RankOneTensor(y, x, "U"))
-    for i in top:
-        for j in range(p.n1 + 1, p.n1 + p.n2):
-            for q in right:
-                x = elementary(n, i, j, field) - elementary(n, i, j + 1, field)
-                y = elementary(n, j, q, field) + elementary(n, j + 1, q, field)
-                out.append(RankOneTensor(x, y, "V"))
-                out.append(RankOneTensor(y, x, "V"))
-    for i in top:
-        for q in right:
-            x = elementary(n, i, corner, field) + elementary(n, corner, q, field)
-            out.append(RankOneTensor(x, x, "W"))
+    for labels, row_block, col_block, sign, swap, hinge in _EXPLICIT_FAMILIES:
+        t_label, s_label, r_label = labels
+        rows, cols = ranges[row_block], ranges[col_block]
+        s = field.from_int(sign)
+        for r in rows:
+            for a in mid:
+                for b in mid:
+                    if a == b:
+                        continue
+                    for c in cols:
+                        x = elementary(n, r, a, field)
+                        y = elementary(n, b, c, field)
+                        if swap:
+                            x, y = y, x
+                        out.append(RankOneTensor(x, y, t_label))
+                        out.append(RankOneTensor(y, x, t_label))
+        for r in rows:
+            for a in mid[:-1]:
+                for c in cols:
+                    x = mat((r, a, one), (r, a + 1, s))
+                    y = mat((a, c, one), (a + 1, c, -s))
+                    out.append(RankOneTensor(x, y, s_label))
+                    out.append(RankOneTensor(y, x, s_label))
+        for r in rows:
+            for c in cols:
+                k = r if hinge == "row" else c if hinge == "col" \
+                    else p.n1 + p.n2
+                x = mat((r, k, one), (k, c, one))
+                out.append(RankOneTensor(x, x, r_label))
     return out
 
 
@@ -288,14 +211,6 @@ def expected_counts(p: BlockProfile) -> List[Tuple[str, int]]:
     ]
 
 
-def remainder_count(p: BlockProfile) -> int:
-    """Tensors left to construct after the block pairings and the gl
-    block: the explicit T/S/R, mirror, and U/V/W families combined."""
-    n1, n2, n3 = p
-    return (2 * n1 * n2**3 + 2 * n2**3 * n3 + 2 * n1 * n2**2 * n3
-            - n1 * n2 - n1 * n3 - n2 * n3)
-
-
 def assemble_one_step_certificate(n: int, i1: int, j1: int,
                                   field: Field = QQ,
                                   budget: Optional[int] = None) -> Certificate:
@@ -309,7 +224,7 @@ def assemble_one_step_certificate(n: int, i1: int, j1: int,
     """
     ladder = Ladder(n, [(i1, j1)])
     descriptor = ladder_algebra_descriptor(ladder)
-    space = TensorSpace.from_ladder(ladder_space(ladder), field)
+    space = TensorSpace(n, ladder.positions(), field)
     profile = block_profile(ladder)
     if profile is None:
         return abelian_certificate(space, descriptor)
@@ -317,9 +232,7 @@ def assemble_one_step_certificate(n: int, i1: int, j1: int,
     tensors: List[RankOneTensor] = []
     tensors.extend(pairing_families(profile, field))
     tensors.extend(gl_block_tensors(profile, field, budget))
-    tensors.extend(families_h_r(profile, field))
-    tensors.extend(families_h_l(profile, field))
-    tensors.extend(families_l_r(profile, field))
+    tensors.extend(explicit_families(profile, field))
 
     kdim = kernel_dim_polynomial(profile)
     if len(tensors) != kdim:

@@ -11,11 +11,10 @@ quantity every certificate is measured against.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
-from .elim import IncrementalEchelon, kernel_of_rows
+from .elim import IncrementalEchelon
 from .fields import Field, QQ, Scalar
-from .ladders import LadderSpace
 from .matrices import (Position, PRODUCT_KINDS, SparseMatrix, diagonal_unit,
                        elementary, mat_product)
 
@@ -31,8 +30,11 @@ class ClosureError(ValueError):
 class TensorSpace:
     """Tensor square of the span of elementary matrices at given positions.
 
-    The algebra basis is e_{i,j} for (i, j) in the sorted position set;
-    coordinates of members are read off entry-by-entry.
+    This is the one position-set type: a ladder's space is
+    TensorSpace(ladder.n, ladder.positions(), field), gl_m is
+    TensorSpace.gl(m, field).  The algebra basis is e_{i,j} for (i, j)
+    in the sorted position set; coordinates of members are read off
+    entry-by-entry.
     """
 
     __slots__ = ("n", "field", "positions", "index_of", "d")
@@ -52,10 +54,6 @@ class TensorSpace:
         self.d = len(pos)
 
     @classmethod
-    def from_ladder(cls, space: LadderSpace, field: Field = QQ) -> "TensorSpace":
-        return cls(space.n, space.positions, field)
-
-    @classmethod
     def gl(cls, m: int, field: Field = QQ) -> "TensorSpace":
         if m < 1:
             raise ValueError(f"gl size must be positive, got {m}")
@@ -72,9 +70,6 @@ class TensorSpace:
     def diagonal_unit(self) -> SparseMatrix:
         """Sum of e_{i,i} over diagonal positions of the set (may be zero)."""
         return diagonal_unit(self.n, self.positions, self.field)
-
-    def contains(self, mat: SparseMatrix) -> bool:
-        return all(pos in self.index_of for pos in mat.entries)
 
     def coords_of(self, mat: SparseMatrix) -> Dict[int, Scalar]:
         """Sparse coordinates of a member against the elementary basis."""
@@ -95,28 +90,6 @@ class TensorSpace:
         entries = {self.positions[k]: c for k, c in coords.items() if c}
         return SparseMatrix(self.n, self.field, entries)
 
-    def column_index(self, s: int, t: int) -> int:
-        """Column of the basis tensor b_s (x) b_t: s*d + t, 0-based."""
-        return s * self.d + t
-
-    def rank_one(self, u: SparseMatrix, v: SparseMatrix,
-                 label: str) -> "RankOneTensor":
-        """Validated constructor: both factors in the span, neither zero."""
-        if u.is_zero() or v.is_zero():
-            raise ValueError("rank-one tensor factors must be nonzero")
-        self.coords_of(u)
-        self.coords_of(v)
-        return RankOneTensor(u, v, label)
-
-    def __eq__(self, other):
-        if not isinstance(other, TensorSpace):
-            return NotImplemented
-        return (self.n == other.n and self.field == other.field
-                and self.positions == other.positions)
-
-    def __hash__(self):
-        return hash((self.n, self.field, self.positions))
-
     def __repr__(self):
         return f"TensorSpace(n={self.n}, d={self.d}, field={self.field!r})"
 
@@ -130,9 +103,6 @@ class RankOneTensor:
         self.u = u
         self.v = v
         self.label = label
-
-    def swapped(self, label: Optional[str] = None) -> "RankOneTensor":
-        return RankOneTensor(self.v, self.u, label or self.label)
 
     def __eq__(self, other):
         if not isinstance(other, RankOneTensor):
@@ -162,11 +132,10 @@ class MuMap:
 
     Column s*d + t holds the coordinates of the product of b_s and b_t
     in the algebra basis.  Rank (hence kernel dimension) is computed on
-    demand by sparse elimination and cached; the explicit kernel basis
-    is assembled only when asked for.
+    demand by sparse elimination and cached.
     """
 
-    __slots__ = ("space", "kind", "columns", "_rank", "_kernel")
+    __slots__ = ("space", "kind", "columns", "_rank")
 
     def __init__(self, space: TensorSpace, kind: str,
                  columns: List[Dict[int, Scalar]]):
@@ -174,7 +143,6 @@ class MuMap:
         self.kind = kind
         self.columns = columns
         self._rank: Optional[int] = None
-        self._kernel: Optional[List[List[Scalar]]] = None
 
     @property
     def domain_dim(self) -> int:
@@ -207,24 +175,6 @@ class MuMap:
                 elif s is not None:
                     del acc[k]
         return acc
-
-    def kernel_basis(self) -> List[List[Scalar]]:
-        """Dense null space basis, deterministic free-variable order.
-
-        Quadratic in the domain dimension; intended for small algebras.
-        """
-        if self._kernel is None:
-            zero = self.space.field.zero
-            dd = self.domain_dim
-            ad = self.space.d
-            rows = []
-            for col in self.columns:
-                dense = [zero] * ad
-                for k, v in col.items():
-                    dense[k] = v
-                rows.append(dense)
-            self._kernel = kernel_of_rows(rows, dd, self.space.field)
-        return self._kernel
 
 
 def build_mu(space: TensorSpace, kind: str = "lie") -> MuMap:

@@ -3,8 +3,9 @@
 Everything here is deliberately naive: dense lists of Fractions,
 textbook triple-loop products, and plain Gaussian elimination written
 from scratch.  Tests use these as oracles to pin down expected ranks,
-kernel dimensions, products, reduced echelon forms, null spaces and
-centralizers without trusting the package's sparse integer machinery.
+kernel dimensions, products, reduced echelon forms, null spaces,
+centralizers and the one-step block bracket table without trusting the
+package's sparse integer machinery.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from fractions import Fraction
 from typing import List, Sequence, Tuple
 
 from ladderzpd.fields import QQ
+from ladderzpd.onestep import block_positions
 
 Dense = List[List[Fraction]]
 
@@ -232,3 +234,42 @@ def dense_centralizer(u, positions: Sequence[Tuple[int, int]],
                     row[index[(a + 1, b + 1)]] = br[a][b]
         rows.append(row)
     return dense_kernel_of_rows(rows, len(pos), QQ)
+
+
+# bracket containment of the one-step blocks: ordered block pair ->
+# block the result must lie in (pairs absent from the map must bracket
+# to zero)
+BRACKET_TARGET = {
+    ("h", "h"): "h",
+    ("h", "l"): "l", ("l", "h"): "l",
+    ("h", "r"): "r", ("r", "h"): "r",
+    ("l", "r"): "a", ("r", "l"): "a",
+}
+
+
+def multiplication_table_check(p, space) -> bool:
+    """Brute-force check of the block containment table against every
+    elementary pair, bracketed as dense matrices, plus the block
+    partition itself: the four blocks of block_positions(p) must be
+    disjoint and cover the position set of the space exactly."""
+    blocks = block_positions(p)
+    union: set = set()
+    total = 0
+    for posns in blocks.values():
+        union.update(posns)
+        total += len(posns)
+    if total != len(union) or union != set(space.positions):
+        return False
+    n = p.n
+    for name1, pos1 in blocks.items():
+        for name2, pos2 in blocks.items():
+            target = BRACKET_TARGET.get((name1, name2))
+            allowed = set(blocks[target]) if target is not None else set()
+            for i, j in pos1:
+                e1 = dense_elementary(n, i, j)
+                for k, l in pos2:
+                    br = dense_bracket(e1, dense_elementary(n, k, l))
+                    if any(br[a][b] and (a + 1, b + 1) not in allowed
+                           for a in range(n) for b in range(n)):
+                        return False
+    return True

@@ -15,12 +15,18 @@ from ladderzpd.certificates import (COUNT_MISMATCH, FAILED_KERNEL_MEMBERSHIP,
                                     search_spanning, verify_certificate)
 from ladderzpd.elim import IncrementalEchelon
 from ladderzpd.fields import QQ
-from ladderzpd.ladders import Ladder, ladder_space
-from ladderzpd.matrices import elementary, identity, mat_product
+from ladderzpd.ladders import Ladder
+from ladderzpd.matrices import SparseMatrix, elementary, mat_product
 from ladderzpd.tensors import (MembershipError, RankOneTensor, TensorSpace,
                                build_mu, in_kernel, tensor_coords)
 
 F = Fraction
+
+IDENTITY_2 = SparseMatrix(2, QQ, {(1, 1): QQ.one, (2, 2): QQ.one})
+
+
+def ladder_space(ladder: Ladder) -> TensorSpace:
+    return TensorSpace(ladder.n, ladder.positions())
 
 
 def span_contains(space, basis_mats, target) -> bool:
@@ -32,7 +38,7 @@ def span_contains(space, basis_mats, target) -> bool:
 
 def test_centralizer_of_identity_is_everything():
     space = TensorSpace.gl(2)
-    cent = centralizer(identity(2), space)
+    cent = centralizer(IDENTITY_2, space)
     assert len(cent) == 4
     assert cent == list(space.basis_matrices())
 
@@ -50,7 +56,7 @@ def test_centralizer_of_nilpotent():
     u = elementary(2, 1, 2)
     cent = centralizer(u, space)
     assert len(cent) == 2
-    for want in (identity(2), u):
+    for want in (IDENTITY_2, u):
         assert span_contains(space, cent, want)
 
 
@@ -72,7 +78,7 @@ def test_centralizer_members_commute():
 
 
 def test_centralizer_requires_membership():
-    space = TensorSpace.from_ladder(ladder_space(Ladder(3, [(2, 2)])))
+    space = ladder_space(Ladder(3, [(2, 2)]))
     with pytest.raises(MembershipError):
         centralizer(elementary(3, 3, 3), space)
 
@@ -183,7 +189,7 @@ def test_certificate_count_validation():
 
 def test_abelian_certificate():
     ladder = Ladder(4, [(2, 3)])
-    space = TensorSpace.from_ladder(ladder_space(ladder))
+    space = ladder_space(ladder)
     cert = abelian_certificate(space, ladder_algebra_descriptor(ladder))
     assert len(cert.tensors) == 16
     assert cert.families == [("abelian", 16)]
@@ -193,7 +199,7 @@ def test_abelian_certificate():
 
 def test_abelian_certificate_small():
     ladder = Ladder(3, [(1, 2)])
-    space = TensorSpace.from_ladder(ladder_space(ladder))
+    space = ladder_space(ladder)
     cert = abelian_certificate(space, ladder_algebra_descriptor(ladder))
     assert len(cert.tensors) == 4
     assert verify_certificate(cert).proven
@@ -208,7 +214,7 @@ def test_algebra_space_round_trip():
     ladder = Ladder(4, [(2, 2), (4, 4)])
     desc = ladder_algebra_descriptor(ladder)
     space = algebra_space(desc, QQ)
-    assert space.positions == ladder_space(ladder).positions
+    assert space.positions == ladder.positions()
     assert algebra_space(gl_algebra_descriptor(3), QQ).d == 9
 
 

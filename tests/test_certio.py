@@ -172,10 +172,10 @@ def test_rational_scalars_survive_round_trip(tmp_path):
     from fractions import Fraction
 
     from ladderzpd.certificates import Certificate, gl_algebra_descriptor
-    from ladderzpd.tensors import RankOneTensor, TensorSpace
+    from ladderzpd.matrices import SparseMatrix
+    from ladderzpd.tensors import RankOneTensor
 
-    space = TensorSpace.gl(2)
-    u = space.basis_matrix(0).scale(Fraction(2, 3))
+    u = SparseMatrix(2, QQ, {(1, 1): Fraction(2, 3)})
     cert = Certificate(gl_algebra_descriptor(2), QQ, 1,
                        [("x", 1)], [RankOneTensor(u, u, "x")])
     obj = certificate_to_json(cert)

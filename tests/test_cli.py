@@ -3,9 +3,13 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import ladderzpd
 from ladderzpd.certio import dumps_canonical, read_certificate
 from ladderzpd.cli import main
 
@@ -196,6 +200,37 @@ def test_cert_verify_rejects_malformed_file(capsys, tmp_path):
     assert "error:" in err
     code, _, err = run(capsys, "cert-verify", str(tmp_path / "missing.json"))
     assert code == 2
+
+
+def test_cert_verify_rejects_factor_outside_the_ladder(capsys, tmp_path):
+    # a factor outside the named algebra makes no claim about it: bad
+    # input (exit 2), not a failed verdict, with the tensor named
+    path = tmp_path / "cert.json"
+    assert run(capsys, "zpd-assemble", "--n", "3", "--step", "2,2",
+               "--out", str(path))[0] == 0
+    obj = json.loads(path.read_bytes())
+    obj["tensors"][5]["v"] = [[3, 1, "1"]]
+    path.write_text(dumps_canonical(obj))
+    code, out, err = run(capsys, "cert-verify", str(path))
+    assert code == 2
+    assert out == ""
+    assert err == ("error: tensor 5 factor v: support at (3, 1) is "
+                   "outside the position set\n")
+
+
+def test_cert_verify_rejects_deeply_nested_json(tmp_path):
+    # run as a process, so that an escaping exception would show as a
+    # traceback on stderr
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 2000 + "]" * 2000)
+    src = os.path.dirname(os.path.dirname(ladderzpd.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-m", "ladderzpd.cli", "cert-verify", str(path)],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True,
+        text=True, timeout=60)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: ")
+    assert "Traceback" not in proc.stderr
 
 
 def test_step_syntax_error(capsys):

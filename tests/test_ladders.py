@@ -3,20 +3,46 @@
 from __future__ import annotations
 
 from itertools import product
+from typing import Sequence
 
 import pytest
 
 from ladderzpd.ladders import (BlockProfile, Ladder, block_profile,
                                enumerate_ladders, is_closed,
-                               is_upper_triangular, ladder_space,
-                               partition_to_ladder)
+                               is_upper_triangular)
+from ladderzpd.tensors import TensorSpace
+
+
+def ladder_space(ladder: Ladder) -> TensorSpace:
+    return TensorSpace(ladder.n, ladder.positions())
+
+
+def partition_to_ladder(partition: Sequence[int]) -> Ladder:
+    """The upper triangular ladder whose space is the block upper
+    triangular algebra of the partition.
+
+    Step t sits at (sum of the first t parts, 1 + sum of the first t-1
+    parts).
+    """
+    parts = list(partition)
+    if not parts:
+        raise ValueError("empty partition")
+    if any(p < 1 for p in parts):
+        raise ValueError(f"nonpositive part in partition {parts}")
+    n = sum(parts)
+    steps = []
+    running = 0
+    for p in parts:
+        steps.append((running + p, running + 1))
+        running += p
+    return Ladder(n, steps)
 
 
 def test_two_step_example_positions():
     # the 6x6 two-step staircase: steps (3,2) and (6,5); the overlap of
     # the two step rectangles is counted once, giving 21 positions
     space = ladder_space(Ladder(6, [(3, 2), (6, 5)]))
-    assert space.dim == 21
+    assert space.d == 21
     expected = {(i, j) for i in range(1, 4) for j in range(2, 7)} | \
                {(i, j) for i in range(1, 7) for j in range(5, 7)}
     assert set(space.positions) == expected
@@ -25,24 +51,25 @@ def test_two_step_example_positions():
 
 
 def test_one_step_positions_small():
+    assert Ladder(3, [(2, 2)]).positions() == ((1, 2), (1, 3), (2, 2), (2, 3))
     space = ladder_space(Ladder(3, [(2, 2)]))
     assert space.positions == ((1, 2), (1, 3), (2, 2), (2, 3))
-    assert space.dim == 4
+    assert space.d == 4
 
 
 def test_full_matrix_space():
     space = ladder_space(Ladder(2, [(2, 1)]))
-    assert space.dim == 4
+    assert space.d == 4
     assert space.positions == ((1, 1), (1, 2), (2, 1), (2, 2))
 
 
 def test_basis_row_major_and_distinct():
     space = ladder_space(Ladder(4, [(2, 2), (4, 3)]))
     mats = space.basis_matrices()
-    assert len(mats) == space.dim == len(set(space.positions))
+    assert len(mats) == space.d == len(set(space.positions))
     assert space.positions == tuple(sorted(space.positions))
     for pos, mat in zip(space.positions, mats):
-        assert mat.support() == (pos,)
+        assert list(mat.entries) == [pos]
 
 
 def test_ladder_validation():
@@ -149,7 +176,7 @@ def test_one_step_dimension_formula():
             n1, n2, n3 = profile
             assert n1 + n2 + n3 == n
             space = ladder_space(Ladder(n, [(i1, j1)]))
-            assert space.dim == (n1 + n2) * (n2 + n3)
+            assert space.d == (n1 + n2) * (n2 + n3)
 
 
 def test_closure_iff_upper_triangular_small():

@@ -8,8 +8,8 @@ from fractions import Fraction
 import pytest
 
 from ladderzpd.fields import FieldMismatchError, PrimeField, QQ
-from ladderzpd.matrices import (SparseMatrix, bracket, diagonal_unit,
-                                elementary, identity, mat_product)
+from ladderzpd.matrices import (SparseMatrix, diagonal_unit, elementary,
+                                mat_product)
 
 from oracles import (dense_bracket, dense_from_sparse, dense_is_zero,
                      dense_mult)
@@ -26,8 +26,8 @@ def random_sparse(rng: random.Random, n: int, nnz: int) -> SparseMatrix:
 def test_elementary_single_entry():
     e = elementary(3, 1, 2)
     assert e[(1, 2)] == 1
-    assert e.support() == ((1, 2),)
-    assert elementary(1, 1, 1).support() == ((1, 1),)
+    assert list(e.entries) == [(1, 2)]
+    assert list(elementary(1, 1, 1).entries) == [(1, 1)]
 
 
 def test_elementary_out_of_range():
@@ -95,8 +95,9 @@ def test_jacobi_identity_random():
         x = random_sparse(rng, 4, 5)
         y = random_sparse(rng, 4, 5)
         z = random_sparse(rng, 4, 5)
-        total = (bracket(x, bracket(y, z)) + bracket(y, bracket(z, x))
-                 + bracket(z, bracket(x, y)))
+        total = (mat_product(x, mat_product(y, z, "lie"), "lie")
+                 + mat_product(y, mat_product(z, x, "lie"), "lie")
+                 + mat_product(z, mat_product(x, y, "lie"), "lie"))
         assert total.is_zero()
 
 
@@ -104,14 +105,13 @@ def test_no_zero_entries_stored():
     x = elementary(3, 1, 2)
     assert (x - x).entries == {}
     y = SparseMatrix(3, QQ, {(1, 2): Fraction(0), (2, 2): Fraction(3)})
-    assert y.support() == ((2, 2),)
+    assert list(y.entries) == [(2, 2)]
     # cancellation inside a product
     a = elementary(3, 1, 2) + elementary(3, 1, 3)
     b = elementary(3, 2, 1) - elementary(3, 3, 1)
     prod = mat_product(a, b, "associative")
     assert prod.is_zero()
     assert prod.entries == {}
-    assert x.scale(Fraction(0)).entries == {}
 
 
 def test_size_and_field_mismatch():
@@ -126,7 +126,7 @@ def test_size_and_field_mismatch():
 
 def test_identity_and_diagonal_unit():
     n = 3
-    ident = identity(n)
+    ident = SparseMatrix(n, QQ, {(i, i): QQ.one for i in range(1, n + 1)})
     rng = random.Random(5)
     for _ in range(10):
         x = random_sparse(rng, n, 4)
@@ -139,7 +139,7 @@ def test_identity_and_diagonal_unit():
 
 
 def test_shifted():
-    x = elementary(2, 1, 2) + elementary(2, 2, 2).scale(Fraction(3))
+    x = SparseMatrix(2, QQ, {(1, 2): Fraction(1), (2, 2): Fraction(3)})
     s = x.shifted(2, 5)
     assert s.entries == {(3, 4): Fraction(1), (4, 4): Fraction(3)}
     with pytest.raises(ValueError):

@@ -5,26 +5,33 @@ from __future__ import annotations
 import pytest
 
 from ladderzpd.certificates import verify_certificate
-from ladderzpd.ladders import BlockProfile, Ladder, ladder_space
+from ladderzpd.ladders import BlockProfile, Ladder
 from ladderzpd.matrices import elementary, mat_product
 from ladderzpd.onestep import (FAMILY_ORDER, SearchExhaustedError,
                                assemble_one_step_certificate, block_positions,
-                               expected_counts, families_h_l, families_h_r,
-                               families_l_r, gl_block_tensors,
-                               kernel_dim_polynomial,
-                               multiplication_table_check, pairing_families,
-                               remainder_count)
+                               expected_counts, explicit_families,
+                               gl_block_tensors, kernel_dim_polynomial,
+                               pairing_families)
 from ladderzpd.tensors import TensorSpace, build_mu, in_kernel
 
-from oracles import naive_mu_kernel_dim
+from oracles import multiplication_table_check, naive_mu_kernel_dim
 
 SMALL_GRID = [BlockProfile(n1, n2, n3)
               for n1 in range(4) for n2 in range(1, 4) for n3 in range(4)]
 
+# the three explicit family groups, by label
+H_R = ("T", "S", "R")
+H_L = ("T-mirror", "S-mirror", "R-mirror")
+L_R = ("U", "V", "W")
+
 
 def one_step_space(p: BlockProfile) -> TensorSpace:
     ladder = Ladder(p.n, [(p.n1 + p.n2, p.n1 + 1)])
-    return TensorSpace.from_ladder(ladder_space(ladder))
+    return TensorSpace(p.n, ladder.positions())
+
+
+def family_group(p: BlockProfile, labels):
+    return [t for t in explicit_families(p) if t.label in labels]
 
 
 def test_polynomial_values():
@@ -58,15 +65,19 @@ def test_expected_counts_sum_to_polynomial():
 
 
 def test_remainder_count_identity():
-    explicit = {"T", "S", "R", "T-mirror", "S-mirror", "R-mirror",
-                "U", "V", "W"}
+    # the tensors left after the block pairings and the gl block, in
+    # closed form, are exactly the explicit families
     for p in SMALL_GRID:
+        n1, n2, n3 = p
+        remainder = (2 * n1 * n2**3 + 2 * n2**3 * n3 + 2 * n1 * n2**2 * n3
+                     - n1 * n2 - n1 * n3 - n2 * n3)
         counts = dict(expected_counts(p))
         pairings = sum(c for label, c in counts.items()
                        if label.startswith("pair-"))
-        assert remainder_count(p) == (kernel_dim_polynomial(p) - pairings
-                                      - counts["gl-h"])
-        assert remainder_count(p) == sum(counts[label] for label in explicit)
+        assert remainder == (kernel_dim_polynomial(p) - pairings
+                             - counts["gl-h"])
+        assert remainder == sum(counts[label] for label in H_R + H_L + L_R)
+        assert remainder == len(explicit_families(p))
 
 
 def test_block_positions_partition_the_ladder():
@@ -111,7 +122,7 @@ def test_pairing_family_counts():
 
 
 def test_families_h_r_minimal_profile():
-    fams = families_h_r(BlockProfile(1, 1, 1))
+    fams = family_group(BlockProfile(1, 1, 1), H_R)
     assert len(fams) == 1
     t = fams[0]
     assert t.label == "R"
@@ -119,7 +130,7 @@ def test_families_h_r_minimal_profile():
 
 
 def test_families_h_r_counts():
-    fams = families_h_r(BlockProfile(1, 2, 1))
+    fams = family_group(BlockProfile(1, 2, 1), H_R)
     by_label = {}
     for t in fams:
         by_label[t.label] = by_label.get(t.label, 0) + 1
@@ -127,7 +138,7 @@ def test_families_h_r_counts():
 
 
 def test_families_h_l_minimal_profile():
-    fams = families_h_l(BlockProfile(1, 1, 1))
+    fams = family_group(BlockProfile(1, 1, 1), H_L)
     assert len(fams) == 1
     t = fams[0]
     assert t.label == "R-mirror"
@@ -135,7 +146,7 @@ def test_families_h_l_minimal_profile():
 
 
 def test_families_l_r_minimal_profile():
-    fams = families_l_r(BlockProfile(1, 1, 1))
+    fams = family_group(BlockProfile(1, 1, 1), L_R)
     assert len(fams) == 1
     t = fams[0]
     assert t.label == "W"
@@ -143,7 +154,7 @@ def test_families_l_r_minimal_profile():
 
 
 def test_families_l_r_counts():
-    fams = families_l_r(BlockProfile(1, 2, 1))
+    fams = family_group(BlockProfile(1, 2, 1), L_R)
     by_label = {}
     for t in fams:
         by_label[t.label] = by_label.get(t.label, 0) + 1
@@ -155,8 +166,7 @@ def test_family_counts_match_closed_forms():
               BlockProfile(1, 3, 2), BlockProfile(0, 2, 2)]:
         want = dict(expected_counts(p))
         got = {label: 0 for label in FAMILY_ORDER}
-        for t in (pairing_families(p) + families_h_r(p)
-                  + families_h_l(p) + families_l_r(p)):
+        for t in pairing_families(p) + explicit_families(p):
             got[t.label] += 1
         for label in FAMILY_ORDER:
             if label == "gl-h":
@@ -170,7 +180,7 @@ def test_all_family_tensors_in_kernel():
         space = one_step_space(p)
         mu = build_mu(space, "lie")
         tensors = (pairing_families(p) + gl_block_tensors(p)
-                   + families_h_r(p) + families_h_l(p) + families_l_r(p))
+                   + explicit_families(p))
         for t in tensors:
             assert in_kernel(t, mu), (p, t)
 
@@ -178,7 +188,7 @@ def test_all_family_tensors_in_kernel():
 def test_families_are_pairwise_distinct():
     p = BlockProfile(1, 2, 1)
     tensors = (pairing_families(p) + gl_block_tensors(p)
-               + families_h_r(p) + families_h_l(p) + families_l_r(p))
+               + explicit_families(p))
     pairs = [(t.u, t.v) for t in tensors]
     assert len(pairs) == len(set(pairs)) == kernel_dim_polynomial(p)
 
