@@ -4,15 +4,16 @@ the generic greedy search that finds them.
 A certificate is a finite claim: this list of rank-one tensors spans the
 kernel of mu on the named algebra.  Verification rebuilds everything
 from the algebra descriptor and trusts nothing in the file: it checks
-that every tensor's factors commute (so the tensor is in Ker mu, both
-computation routes agreeing), that the tensor coordinate rows are
-linearly independent, and that their count equals the independently
-computed kernel dimension.  A certificate that passes proves the
-algebra is zero product determined; a failed search proves nothing.
+that every tensor's factors commute (so it is in Ker mu: the direct
+product and mu, built from the product table, agree), that the tensor
+rows are linearly independent, and that their count equals the
+independently computed kernel dimension.  A passing certificate proves
+the algebra is zero product determined; a failed search proves nothing.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .elim import IncrementalEchelon, integer_coords
@@ -33,9 +34,10 @@ class Certificate:
 
     algebra: {"kind": "ladder-lie", "n": n, "steps": [(i,j), ...]}
              or {"kind": "gl-lie", "m": m}
-    families: (label, expected count) pairs; counts must sum to the
-    number of tensors.  kernel_dim is the writer's claim; verification
-    recomputes it and never trusts this number.
+    families: (label, count) pairs, each label listed once with the
+    number of tensors carrying it; every tensor label is listed, and
+    zero counts are allowed.  kernel_dim is the writer's claim;
+    verification recomputes it and never trusts this number.
     """
 
     __slots__ = ("algebra", "field", "kernel_dim", "families", "tensors")
@@ -45,11 +47,14 @@ class Certificate:
                  tensors: Sequence[RankOneTensor]):
         families = [(str(label), int(count)) for label, count in families]
         tensors = list(tensors)
-        total = sum(count for _, count in families)
-        if total != len(tensors):
-            raise ValueError(
-                f"family counts sum to {total} but there are "
-                f"{len(tensors)} tensors")
+        listed, carried = dict(families), Counter(t.label for t in tensors)
+        if len(listed) != len(families):
+            raise ValueError("a family label is listed more than once")
+        for label in sorted(listed.keys() | carried.keys()):
+            if listed.get(label) != carried[label]:
+                raise ValueError(f"family {label!r}: listed count "
+                                 f"{listed.get(label)}, {carried[label]} "
+                                 f"tensors carry the label")
         self.algebra = dict(algebra)
         self.field = field
         self.kernel_dim = int(kernel_dim)
@@ -124,7 +129,8 @@ def verify_certificate(cert: Certificate) -> VerificationReport:
 
     Checks, in order of the verdict they produce:
       - every tensor is in Ker mu (factors commute; the direct product
-        and the mu-coordinate routes are both computed and must agree);
+        and the mu-coordinate routes are both computed and must agree,
+        which cross-checks the product table mu is built from);
       - the tensor rows span the whole kernel (rank = dim Ker mu);
       - the tensors are independent (count = rank), so the list is a
         basis, not a multiset.
@@ -141,18 +147,12 @@ def verify_certificate(cert: Certificate) -> VerificationReport:
     ech = IncrementalEchelon(space.field)
     for idx, t in enumerate(cert.tensors):
         try:
-            member = in_kernel(t, mu)
-        except MembershipError:
-            for name, factor in (("u", t.u), ("v", t.v)):
-                try:
-                    space.coords_of(factor)
-                except MembershipError as exc:
-                    raise MembershipError(
-                        f"tensor {idx} factor {name}: {exc}") from None
-            raise
-        if not member and first_bad is None:
+            tcoords = tensor_coords(t, space)
+        except MembershipError as exc:
+            raise MembershipError(f"tensor {idx} {exc}") from None
+        if not in_kernel(t, mu, tcoords) and first_bad is None:
             first_bad = idx
-        ech.insert(tensor_coords(t, space))
+        ech.insert(tcoords)
     span_rank = ech.rank
     count = len(cert.tensors)
     if first_bad is not None:
@@ -173,38 +173,18 @@ def centralizer(u: SparseMatrix, space: TensorSpace) -> List[SparseMatrix]:
     space computed; basis vectors come out in free-variable order, each
     normalized with a 1 at its free coordinate.
 
-    ad_u is built by index arithmetic on an integer multiple of u (a
-    positive rational multiple has the same centralizer):
-    u e_pq = sum_i u_ip e_iq and e_pq u = sum_j u_qj e_pj.  The two sums
-    meet only at (p, q) itself, so an image entry outside the position
-    set cannot cancel, and any such entry raises MembershipError.
+    ad_u is read off the space's product table, on an integer multiple
+    of u (a positive rational multiple has the same centralizer): its
+    column k is [u, b_k] = sum_s u_s [b_s, b_k].  u outside the algebra
+    raises MembershipError; a bracket leaving the span, ClosureError.
     """
-    space.coords_of(u)
-    ucoords = integer_coords(u.entries, space.field)
-    index_of = space.index_of
-    by_row: Dict[int, List[Tuple[int, int]]] = {}
-    by_col: Dict[int, List[Tuple[int, int]]] = {}
-    for k, (p, q) in enumerate(space.positions):
-        by_row.setdefault(p, []).append((q, k))
-        by_col.setdefault(q, []).append((p, k))
     # ad rows: image coordinate a -> {basis index k: coefficient of b_a
     # in [u, b_k]}; the null space of this matrix is the centralizer
     ad: Dict[int, Dict[int, int]] = {}
-
-    def add(pos: Tuple[int, int], k: int, c: int) -> None:
-        a = index_of.get(pos)
-        if a is None:
-            raise MembershipError(
-                f"[u, e_{space.positions[k]}] has support at {pos}, "
-                f"outside the position set")
-        row = ad.setdefault(a, {})
-        row[k] = row.get(k, 0) + c
-
-    for (r, s), c in ucoords.items():
-        for q, k in by_row.get(s, ()):
-            add((r, q), k, c)
-        for p, k in by_col.get(r, ()):
-            add((p, s), k, -c)
+    for s, us in integer_coords(space.coords_of(u), space.field).items():
+        for k, a, c in space.products(s, "lie"):
+            row = ad.setdefault(a, {})
+            row[k] = row.get(k, 0) + us * c
     ech = IncrementalEchelon(space.field)
     for row in ad.values():
         ech.insert(row)

@@ -76,14 +76,10 @@ def _print_report(report: VerificationReport, as_json: bool,
         print(report.summary())
 
 
-def _parse_ladder(args) -> Ladder:
+def _cmd_ladder_check(args) -> int:
     if not args.step:
         raise ValueError("at least one --step i,j is required")
-    return Ladder(args.n, args.step)
-
-
-def _cmd_ladder_check(args) -> int:
-    ladder = _parse_ladder(args)
+    ladder = Ladder(args.n, args.step)
     space = TensorSpace(ladder.n, ladder.positions(), _field_from_args(args))
     ut = is_upper_triangular(ladder)
     closed_assoc = is_closed(space, "associative")

@@ -110,7 +110,6 @@ _INT_RE = re.compile(r"[+-]?\d+\Z")
 class RationalField:
     """Descriptor and element factory for the field of rationals."""
 
-    kind = "rational"
     zero = Fraction(0)
     one = Fraction(1)
 
@@ -186,8 +185,6 @@ class PrimeField:
     elimination engine reduces plain ints mod p, so large p costs little
     more than small p.
     """
-
-    kind = "prime-field"
 
     def __init__(self, p: int):
         if not is_prime(p):

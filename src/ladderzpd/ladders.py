@@ -4,13 +4,13 @@ A ladder is a set of steps (i_t, j_t) with strictly increasing rows and
 strictly increasing columns.  Each step contributes every position with
 row <= i_t and column >= j_t; the ladder matrix space M_L is the span of
 the elementary matrices at the union of those positions, built as a
-`tensors.TensorSpace` from `Ladder.positions()`.  A ladder is
-upper triangular when consecutive steps satisfy i_t < j_{t+1}; these are
-exactly the ladders whose space is closed under matrix multiplication,
-and closure under the bracket follows.  One-step ladders with i1 >= j1
-carry the block profile (n1, n2, n3) = (j1 - 1, i1 - j1 + 1, n - i1)
-that drives the certificate construction; i1 < j1 gives an abelian
-space.
+`tensors.TensorSpace` from `Ladder.positions()`; `is_closed` reads its
+product table.  A ladder is upper triangular when i_t < j_{t+1} for
+consecutive steps: exactly when its space is closed under matrix
+multiplication, and closure under the bracket follows.  One-step
+ladders with i1 >= j1 carry the block profile (n1, n2, n3) =
+(j1 - 1, i1 - j1 + 1, n - i1) that drives the certificate
+construction; i1 < j1 gives an abelian space.
 """
 
 from __future__ import annotations
@@ -18,8 +18,8 @@ from __future__ import annotations
 from itertools import combinations
 from typing import List, NamedTuple, Optional, Sequence, Tuple
 
-from .matrices import Position, mat_product
-from .tensors import TensorSpace
+from .matrices import Position
+from .tensors import ClosureError, TensorSpace
 
 
 class Ladder:
@@ -73,14 +73,14 @@ def is_upper_triangular(ladder: Ladder) -> bool:
 
 
 def is_closed(space: TensorSpace, kind: str) -> bool:
-    """True iff every product of two basis elements stays in the space."""
-    allowed = space.index_of
-    basis = space.basis_matrices()
-    for x in basis:
-        for y in basis:
-            prod = mat_product(x, y, kind)
-            if any(pos not in allowed for pos in prod.entries):
-                return False
+    """True iff every product of two basis elements stays in the space:
+    reads the space's product table up to the first product that
+    leaves it."""
+    try:
+        for s in range(space.d):
+            list(space.products(s, kind))
+    except ClosureError:
+        return False
     return True
 
 

@@ -10,7 +10,7 @@ single 1 in row i, column j.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Tuple
+from typing import Dict, Tuple
 
 from .fields import Field, FieldMismatchError, QQ, Scalar
 
@@ -112,17 +112,6 @@ def elementary(n: int, i: int, j: int, field: Field = QQ) -> SparseMatrix:
     if not (1 <= i <= n and 1 <= j <= n):
         raise ValueError(f"elementary index ({i},{j}) out of range for n={n}")
     return SparseMatrix(n, field, {(i, j): field.one})
-
-
-def diagonal_unit(n: int, positions: Iterable[Position],
-                  field: Field = QQ) -> SparseMatrix:
-    """Sum of e_{i,i} over the diagonal positions present in a position set.
-
-    Acts as the identity on subspaces (like an embedded gl block) whose
-    diagonal is fully contained in the set; may be zero.
-    """
-    diag = {(i, j): field.one for (i, j) in positions if i == j}
-    return SparseMatrix(n, field, diag)
 
 
 def _assoc(x: SparseMatrix, y: SparseMatrix) -> SparseMatrix:

@@ -22,6 +22,7 @@ trusted.
 
 from __future__ import annotations
 
+from collections import Counter
 from typing import Dict, List, Optional, Tuple
 
 from .certificates import (Certificate, abelian_certificate, gl_certificate,
@@ -57,21 +58,15 @@ def kernel_dim_polynomial(p: BlockProfile) -> int:
             - n2**2 - n2 * n3 + 1)
 
 
-def _mid_range(p: BlockProfile) -> range:
-    return range(p.n1 + 1, p.n1 + p.n2 + 1)
-
-
-def _top_range(p: BlockProfile) -> range:
-    return range(1, p.n1 + 1)
-
-
-def _right_range(p: BlockProfile) -> range:
-    return range(p.n1 + p.n2 + 1, p.n + 1)
+def _ranges(p: BlockProfile) -> Tuple[range, range, range]:
+    """The top, middle and right index ranges of the profile."""
+    return (range(1, p.n1 + 1), range(p.n1 + 1, p.n1 + p.n2 + 1),
+            range(p.n1 + p.n2 + 1, p.n + 1))
 
 
 def block_positions(p: BlockProfile) -> Dict[str, List[Position]]:
     """The four disjoint position blocks, row-major within each block."""
-    top, mid, right = _top_range(p), _mid_range(p), _right_range(p)
+    top, mid, right = _ranges(p)
     return {
         "h": [(i, j) for i in mid for j in mid],
         "l": [(i, j) for i in top for j in mid],
@@ -134,8 +129,7 @@ def explicit_families(p: BlockProfile,
     Every pair commutes: the brackets telescope or vanish blockwise.
     """
     n, one = p.n, field.one
-    ranges = {"top": _top_range(p), "mid": _mid_range(p),
-              "right": _right_range(p)}
+    ranges = dict(zip(("top", "mid", "right"), _ranges(p)))
     mid = ranges["mid"]
 
     def mat(*terms: Tuple[int, int, Scalar]) -> SparseMatrix:
@@ -239,7 +233,6 @@ def assemble_one_step_certificate(n: int, i1: int, j1: int,
         raise AssertionError(
             f"assembled {len(tensors)} tensors but the kernel dimension "
             f"polynomial gives {kdim} at {tuple(profile)}")
-    counts: List[Tuple[str, int]] = []
-    for label in FAMILY_ORDER:
-        counts.append((label, sum(1 for t in tensors if t.label == label)))
+    carried = Counter(t.label for t in tensors)
+    counts = [(label, carried[label]) for label in FAMILY_ORDER]
     return Certificate(descriptor, field, kdim, counts, tensors)

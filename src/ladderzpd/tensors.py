@@ -1,22 +1,25 @@
-"""The tensor square of a matrix algebra and the multiplication map mu.
+"""The tensor square of a matrix algebra, its product table, and the
+multiplication map mu.
 
 An algebra here is a span of elementary matrices at a fixed position
-set, with the basis ordered row-major.  The tensor square gets the
-ordered basis b_s (x) b_t indexed by the global column rule
-column(s, t) = s*d + t with s, t 0-based; certificates depend on this
-rule, so it is fixed here and nowhere else.  mu sends a tensor to the
-product of its factors, extended linearly; its kernel dimension is the
-quantity every certificate is measured against.
+set, with the basis ordered row-major.  How two basis elements multiply
+is worked out in one place, the product table `TensorSpace.products`:
+`build_mu`, `ladders.is_closed` and `certificates.centralizer` read it.
+The tensor square gets the ordered basis b_s (x) b_t indexed by the
+global column rule column(s, t) = s*d + t with s, t 0-based;
+certificates depend on this rule, so it is fixed here and nowhere else.
+mu sends a tensor to the product of its factors, extended linearly; its
+kernel dimension is the quantity every certificate is measured against.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .elim import IncrementalEchelon
 from .fields import Field, QQ, Scalar
-from .matrices import (Position, PRODUCT_KINDS, SparseMatrix, diagonal_unit,
-                       elementary, mat_product)
+from .matrices import (Position, PRODUCT_KINDS, SparseMatrix, elementary,
+                       mat_product)
 
 
 class MembershipError(ValueError):
@@ -69,7 +72,37 @@ class TensorSpace:
 
     def diagonal_unit(self) -> SparseMatrix:
         """Sum of e_{i,i} over diagonal positions of the set (may be zero)."""
-        return diagonal_unit(self.n, self.positions, self.field)
+        return SparseMatrix(self.n, self.field, {
+            (i, j): self.field.one for i, j in self.positions if i == j})
+
+    def products(self, s: int, kind: str) -> Iterator[Tuple[int, int, int]]:
+        """The product table: the nonzero structure constants of b_s
+        times each basis element, as triples (k, a, c): b_a has
+        coefficient c = +-1 in b_s b_k ("associative") or [b_s, b_k].
+
+        With b_s = e_ij: e_ij e_jq = e_iq, and the bracket adds -e_pj
+        for each e_pi.  Its two terms meet only in [b_s, b_s], where
+        they cancel; that pair is skipped, so no two triples share
+        (k, a).  A term outside the position set raises ClosureError.
+        """
+        if kind not in PRODUCT_KINDS:
+            raise ValueError(f"unknown product kind: {kind!r}")
+        i, j = self.positions[s]
+        span = range(1, self.n + 1)
+        terms = [((j, q), (i, q), 1) for q in span]
+        if kind == "lie":
+            terms += [((p, i), (p, j), -1) for p in span]
+        for factor, image, c in terms:
+            k = self.index_of.get(factor)
+            if k is None or (k == s and kind == "lie"):
+                continue
+            a = self.index_of.get(image)
+            if a is None:
+                raise ClosureError(
+                    f"product of basis elements e_{self.positions[s]} and "
+                    f"e_{factor} leaves the span: support at {image} is "
+                    f"outside the position set")
+            yield k, a, c
 
     def coords_of(self, mat: SparseMatrix) -> Dict[int, Scalar]:
         """Sparse coordinates of a member against the elementary basis."""
@@ -119,9 +152,15 @@ class RankOneTensor:
 def tensor_coords(t: RankOneTensor, space: TensorSpace) -> Dict[int, Scalar]:
     """Sparse coordinates of u (x) v in the tensor-square basis: the
     outer product of the factor coordinate vectors, entry (s, t) at
-    column s*d + t."""
-    ucoords = space.coords_of(t.u)
-    vcoords = space.coords_of(t.v)
+    column s*d + t.  A factor outside the algebra raises
+    MembershipError naming it (u or v)."""
+    factors = []
+    for name, factor in (("u", t.u), ("v", t.v)):
+        try:
+            factors.append(space.coords_of(factor))
+        except MembershipError as exc:
+            raise MembershipError(f"factor {name}: {exc}") from None
+    ucoords, vcoords = factors
     d = space.d
     return {s * d + tt: us * vt
             for s, us in ucoords.items() for tt, vt in vcoords.items()}
@@ -178,33 +217,28 @@ class MuMap:
 
 
 def build_mu(space: TensorSpace, kind: str = "lie") -> MuMap:
-    """Assemble mu for the given product, verifying closure on the way:
-    every product of two basis elements must stay in the span."""
-    if kind not in PRODUCT_KINDS:
-        raise ValueError(f"unknown product kind: {kind!r}")
-    basis = space.basis_matrices()
-    columns: List[Dict[int, Scalar]] = []
-    for s in range(space.d):
-        for t in range(space.d):
-            prod = mat_product(basis[s], basis[t], kind)
-            try:
-                columns.append(space.coords_of(prod))
-            except MembershipError as exc:
-                bs, bt = space.positions[s], space.positions[t]
-                raise ClosureError(
-                    f"product of basis elements e_{bs} and e_{bt} leaves "
-                    f"the span: {exc}") from None
+    """Assemble mu for the given product from the product table; a
+    product of basis elements that leaves the span raises ClosureError."""
+    d = space.d
+    scalar = {1: space.field.one, -1: -space.field.one}
+    columns: List[Dict[int, Scalar]] = [{} for _ in range(d * d)]
+    for s in range(d):
+        for k, a, c in space.products(s, kind):
+            columns[s * d + k][a] = scalar[c]
     return MuMap(space, kind, columns)
 
 
-def in_kernel(t: RankOneTensor, mu: MuMap) -> bool:
-    """True iff mu kills the tensor.
+def in_kernel(t: RankOneTensor, mu: MuMap,
+              tcoords: Dict[int, Scalar]) -> bool:
+    """True iff mu kills the tensor t, given its coordinates
+    tcoords = tensor_coords(t, mu.space).
 
     Computed twice: directly as the product of the factors, and through
-    the coordinate matrix of mu.  The two routes must agree exactly.
+    the coordinate matrix of mu, whose columns come from the product
+    table.  The two routes share no code and must agree exactly.
     """
     direct = mat_product(t.u, t.v, mu.kind).is_zero()
-    via_mu = not mu.apply_to_coords(tensor_coords(t, mu.space))
+    via_mu = not mu.apply_to_coords(tcoords)
     if direct != via_mu:
         raise AssertionError(
             "mu routes disagree: direct product and coordinate image "

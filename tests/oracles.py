@@ -5,7 +5,9 @@ textbook triple-loop products, and plain Gaussian elimination written
 from scratch.  Tests use these as oracles to pin down expected ranks,
 kernel dimensions, products, reduced echelon forms, null spaces,
 centralizers and the one-step block bracket table without trusting the
-package's sparse integer machinery.
+package's sparse integer machinery.  The one exception,
+mu_columns_by_products, multiplies the package's sparse basis matrices
+with mat_product: that shares no code with the product table it checks.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ from fractions import Fraction
 from typing import List, Sequence, Tuple
 
 from ladderzpd.fields import QQ
+from ladderzpd.matrices import mat_product
 from ladderzpd.onestep import block_positions
 
 Dense = List[List[Fraction]]
@@ -124,6 +127,16 @@ def naive_mu_kernel_dim(n: int, positions: Sequence[Tuple[int, int]],
                         row[k] = prod[i][j]
             rows.append(row)
     return d * d - naive_rank(rows)
+
+
+def mu_columns_by_products(space, kind: str) -> list:
+    """The columns of mu built without the product table: every pair of
+    basis matrices multiplied by mat_product and read back with
+    coords_of, column s*d + t for b_s times b_t.  A product that leaves
+    the span raises MembershipError."""
+    basis = space.basis_matrices()
+    return [space.coords_of(mat_product(x, y, kind))
+            for x in basis for y in basis]
 
 
 def dense_rref(rows: Sequence[Sequence], field) -> Tuple[List[list], List[int]]:

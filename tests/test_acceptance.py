@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import time
+from collections import Counter
 from contextlib import contextmanager
 from itertools import product
 
@@ -28,7 +29,8 @@ from ladderzpd.ladders import (BlockProfile, Ladder, block_profile,
 from ladderzpd.matrices import elementary, mat_product
 from ladderzpd.onestep import (assemble_one_step_certificate,
                                expected_counts, kernel_dim_polynomial)
-from ladderzpd.tensors import RankOneTensor, TensorSpace, build_mu, in_kernel
+from ladderzpd.tensors import (RankOneTensor, TensorSpace, build_mu, in_kernel,
+                               tensor_coords)
 
 from oracles import naive_mu_kernel_dim
 
@@ -178,7 +180,12 @@ def test_criterion_6_kernel_membership_both_routes(criterion):
                     for t in cert.tensors:
                         assert mat_product(t.u, t.v, "lie").is_zero(), \
                             (n, i1, j1, t)
-                        assert in_kernel(t, mu)
+                        assert in_kernel(t, mu, tensor_coords(t, space))
+
+
+def label_counts(tensors):
+    """The families list that matches the tensor labels."""
+    return sorted(Counter(t.label for t in tensors).items())
 
 
 def test_criterion_7_tamper_suite(criterion):
@@ -194,7 +201,7 @@ def test_criterion_7_tamper_suite(criterion):
         for idx in range(size):
             dropped = base.tensors[:idx] + base.tensors[idx + 1:]
             cert = Certificate(base.algebra, base.field, base.kernel_dim,
-                               [("tampered", size - 1)], dropped)
+                               label_counts(dropped), dropped)
             report = verify_certificate(cert)
             assert report.verdict == FAILED_SPAN, idx
             assert report.span_rank == size - 1
@@ -202,7 +209,7 @@ def test_criterion_7_tamper_suite(criterion):
             replaced = list(base.tensors)
             replaced[idx] = bad
             cert = Certificate(base.algebra, base.field, base.kernel_dim,
-                               [("tampered", size)], replaced)
+                               label_counts(replaced), replaced)
             report = verify_certificate(cert)
             assert report.verdict == FAILED_KERNEL_MEMBERSHIP, idx
             assert report.first_noncommuting == idx
@@ -210,7 +217,7 @@ def test_criterion_7_tamper_suite(criterion):
             doubled = list(base.tensors)
             doubled.insert(idx, base.tensors[idx])
             cert = Certificate(base.algebra, base.field, base.kernel_dim,
-                               [("tampered", size + 1)], doubled)
+                               label_counts(doubled), doubled)
             report = verify_certificate(cert)
             assert report.verdict == COUNT_MISMATCH, idx
             assert report.span_rank < report.tensor_count

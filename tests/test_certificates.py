@@ -17,8 +17,9 @@ from ladderzpd.elim import IncrementalEchelon
 from ladderzpd.fields import QQ
 from ladderzpd.ladders import Ladder
 from ladderzpd.matrices import SparseMatrix, elementary, mat_product
-from ladderzpd.tensors import (MembershipError, RankOneTensor, TensorSpace,
-                               build_mu, in_kernel, tensor_coords)
+from ladderzpd.tensors import (ClosureError, MembershipError, RankOneTensor,
+                               TensorSpace, build_mu, in_kernel,
+                               tensor_coords)
 
 F = Fraction
 
@@ -83,6 +84,13 @@ def test_centralizer_requires_membership():
         centralizer(elementary(3, 3, 3), space)
 
 
+def test_centralizer_rejects_open_space():
+    # not upper triangular: [e_{2,1}, e_{3,2}] = -e_{3,1} leaves the span
+    space = ladder_space(Ladder(3, [(2, 1), (3, 2)]))
+    with pytest.raises(ClosureError):
+        centralizer(elementary(3, 2, 1), space)
+
+
 def test_gl1_certificate():
     cert = gl_certificate(1)
     assert cert is not None
@@ -109,7 +117,7 @@ def test_gl3_certificate():
     assert len(cert.tensors) == 73
     mu = build_mu(TensorSpace.gl(3), "lie")
     for t in cert.tensors:
-        assert in_kernel(t, mu)
+        assert in_kernel(t, mu, tensor_coords(t, mu.space))
     assert verify_certificate(cert).proven
 
 

@@ -184,12 +184,36 @@ def test_cert_verify_rejects_tampered_file(capsys, tmp_path):
     assert "failed-kernel-membership" in out
 
     obj = json.loads(path.read_bytes())
-    del obj["tensors"][0]
-    obj["families"] = [{"label": "dropped", "count": len(obj["tensors"])}]
+    dropped = obj["tensors"].pop(0)["family"]
+    for fam in obj["families"]:
+        if fam["label"] == dropped:
+            fam["count"] -= 1
     path.write_text(dumps_canonical(obj))
     code, out, _ = run(capsys, "cert-verify", str(path))
     assert code == 1
     assert "failed-span" in out
+
+
+def test_cert_verify_rejects_family_label_mismatch(capsys, tmp_path):
+    # the families list must match the tensor labels label by label,
+    # not only in total
+    path = tmp_path / "cert.json"
+    assert run(capsys, "zpd-gl", "--m", "2", "--out", str(path))[0] == 0
+    good = json.loads(path.read_bytes())
+    assert good["families"] == [{"label": "gl", "count": 13}]
+
+    relabelled = json.loads(path.read_bytes())
+    for t in relabelled["tensors"]:
+        t["family"] = "bogus"
+    duplicated = json.loads(path.read_bytes())
+    duplicated["families"] = [{"label": "gl", "count": 13},
+                              {"label": "gl", "count": 0}]
+    for obj, why in ((relabelled, "'bogus'"), (duplicated, "more than once")):
+        path.write_text(dumps_canonical(obj))
+        code, out, err = run(capsys, "cert-verify", str(path))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and why in err
 
 
 def test_cert_verify_rejects_malformed_file(capsys, tmp_path):

@@ -163,10 +163,17 @@ def random_member(space):
 
 GL3 = TensorSpace.gl(3)
 ONE_STEP = TensorSpace(5, Ladder(5, [(4, 2)]).positions())
+# beyond gl_3 and a one-step ladder: gl_2, a two-step upper-triangular
+# ladder, and an abelian one (every bracket zero, the centralizer is
+# everything)
+CENTRALIZER_SPACES = [
+    GL3, ONE_STEP, TensorSpace.gl(2),
+    TensorSpace(5, Ladder(5, [(2, 1), (4, 3)]).positions()),
+    TensorSpace(4, Ladder(4, [(2, 3)]).positions())]
 
 
 @settings(max_examples=30, deadline=None)
-@given(st.sampled_from([GL3, ONE_STEP]).flatmap(
+@given(st.sampled_from(CENTRALIZER_SPACES).flatmap(
     lambda space: st.tuples(st.just(space), random_member(space))))
 def test_centralizer_matches_dense_oracle(case):
     space, u = case

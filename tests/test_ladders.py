@@ -10,7 +10,9 @@ import pytest
 from ladderzpd.ladders import (BlockProfile, Ladder, block_profile,
                                enumerate_ladders, is_closed,
                                is_upper_triangular)
-from ladderzpd.tensors import TensorSpace
+from ladderzpd.tensors import MembershipError, TensorSpace
+
+from oracles import mu_columns_by_products
 
 
 def ladder_space(ladder: Ladder) -> TensorSpace:
@@ -190,3 +192,19 @@ def test_closure_iff_upper_triangular_small():
                 assert is_closed(space, "associative") == ut
                 if ut:
                     assert is_closed(space, "lie")
+
+
+def test_is_closed_matches_mat_product_reference():
+    # every ladder with n <= 5, upper triangular or not: closed exactly
+    # when multiplying every pair of basis matrices never leaves the span
+    for n in range(1, 6):
+        for k in range(1, n + 1):
+            for ladder in enumerate_ladders(n, k):
+                space = ladder_space(ladder)
+                for kind in ("associative", "lie"):
+                    try:
+                        mu_columns_by_products(space, kind)
+                        want = True
+                    except MembershipError:
+                        want = False
+                    assert is_closed(space, kind) == want, (ladder, kind)

@@ -8,8 +8,8 @@ from fractions import Fraction
 import pytest
 
 from ladderzpd.fields import FieldMismatchError, PrimeField, QQ
-from ladderzpd.matrices import (SparseMatrix, diagonal_unit, elementary,
-                                mat_product)
+from ladderzpd.matrices import SparseMatrix, elementary, mat_product
+from ladderzpd.tensors import TensorSpace
 
 from oracles import (dense_bracket, dense_from_sparse, dense_is_zero,
                      dense_mult)
@@ -133,9 +133,9 @@ def test_identity_and_diagonal_unit():
         assert mat_product(ident, x, "associative") == x
         assert mat_product(x, ident, "associative") == x
         assert mat_product(ident, x, "lie").is_zero()
-    assert diagonal_unit(3, [(1, 1), (1, 2), (2, 2)]) == \
+    assert TensorSpace(3, [(1, 1), (1, 2), (2, 2)]).diagonal_unit() == \
         SparseMatrix(3, QQ, {(1, 1): QQ.one, (2, 2): QQ.one})
-    assert diagonal_unit(3, [(1, 2), (1, 3)]).is_zero()
+    assert TensorSpace(3, [(1, 2), (1, 3)]).diagonal_unit().is_zero()
 
 
 def test_shifted():

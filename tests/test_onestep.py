@@ -12,7 +12,7 @@ from ladderzpd.onestep import (FAMILY_ORDER, SearchExhaustedError,
                                expected_counts, explicit_families,
                                gl_block_tensors, kernel_dim_polynomial,
                                pairing_families)
-from ladderzpd.tensors import TensorSpace, build_mu, in_kernel
+from ladderzpd.tensors import TensorSpace, build_mu, in_kernel, tensor_coords
 
 from oracles import multiplication_table_check, naive_mu_kernel_dim
 
@@ -182,7 +182,7 @@ def test_all_family_tensors_in_kernel():
         tensors = (pairing_families(p) + gl_block_tensors(p)
                    + explicit_families(p))
         for t in tensors:
-            assert in_kernel(t, mu), (p, t)
+            assert in_kernel(t, mu, tensor_coords(t, space)), (p, t)
 
 
 def test_families_are_pairwise_distinct():

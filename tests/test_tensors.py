@@ -9,13 +9,13 @@ import pytest
 
 from ladderzpd.elim import IncrementalEchelon
 from ladderzpd.fields import PrimeField, QQ
-from ladderzpd.ladders import Ladder
+from ladderzpd.ladders import Ladder, enumerate_ladders
 from ladderzpd.matrices import SparseMatrix, elementary
 from ladderzpd.tensors import (ClosureError, MembershipError, RankOneTensor,
                                TensorSpace, build_mu, in_kernel,
                                tensor_coords)
 
-from oracles import naive_mu_kernel_dim
+from oracles import mu_columns_by_products, naive_mu_kernel_dim
 
 F = Fraction
 
@@ -52,6 +52,31 @@ def test_build_mu_rejects_open_space():
         build_mu(space, "associative")
     with pytest.raises(ValueError):
         build_mu(TensorSpace.gl(2), "jordan")
+
+
+REFERENCE_SPACES = (
+    [pytest.param(TensorSpace.gl(m, field), id=f"gl{m}-{name}")
+     for m in range(1, 5)
+     for name, field in (("QQ", QQ), ("F2", PrimeField(2)),
+                         ("F101", PrimeField(101)))]
+    + [pytest.param(TensorSpace(n, ladder.positions()),
+                    id=f"n{n}-{list(ladder.steps)}")
+       for n in range(1, 5) for k in range(1, n + 1)
+       for ladder in enumerate_ladders(n, k)])
+
+
+@pytest.mark.parametrize("space", REFERENCE_SPACES)
+def test_build_mu_matches_mat_product_reference(space):
+    # the product table against products of basis matrices; a space
+    # that is not closed must fail in both
+    for kind in ("associative", "lie"):
+        try:
+            want = mu_columns_by_products(space, kind)
+        except MembershipError:
+            with pytest.raises(ClosureError):
+                build_mu(space, kind)
+            continue
+        assert build_mu(space, kind).columns == want
 
 
 def test_tensor_coords_elementary_pair():
@@ -99,14 +124,15 @@ def test_in_kernel_self_tensor():
         if not coords:
             continue
         x = space.from_coords(coords)
-        assert in_kernel(RankOneTensor(x, x, "x"), mu)
+        t = RankOneTensor(x, x, "x")
+        assert in_kernel(t, mu, tensor_coords(t, space))
 
 
 def test_in_kernel_noncommuting_pair():
     space = space_for(3, 2, 2)
     mu = build_mu(space, "lie")
     t = RankOneTensor(elementary(3, 2, 2), elementary(3, 2, 3), "x")
-    assert not in_kernel(t, mu)
+    assert not in_kernel(t, mu, tensor_coords(t, space))
 
 
 def test_in_kernel_telescoping_pair():
@@ -115,7 +141,8 @@ def test_in_kernel_telescoping_pair():
     mu = build_mu(space, "lie")
     u = elementary(3, 1, 1) - elementary(3, 1, 2)
     v = elementary(3, 1, 3) + elementary(3, 2, 3)
-    assert in_kernel(RankOneTensor(u, v, "x"), mu)
+    t = RankOneTensor(u, v, "x")
+    assert in_kernel(t, mu, tensor_coords(t, space))
 
 
 def test_mu_columns_antisymmetric():
