@@ -14,14 +14,15 @@ the algebra is zero product determined; a failed search proves nothing.
 from __future__ import annotations
 
 from collections import Counter
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import (Dict, Iterator, List, NamedTuple, Optional, Sequence,
+                    Tuple)
 
-from .elim import IncrementalEchelon, integer_coords
+from .elim import IncrementalEchelon, IntRow, field_row, integer_coords
 from .fields import Field, QQ
 from .ladders import Ladder
-from .matrices import SparseMatrix
+from .matrices import SparseMatrix, entry_product
 from .tensors import (MembershipError, MuMap, RankOneTensor, TensorSpace,
-                      build_mu, in_kernel, tensor_coords)
+                      build_mu)
 
 PROVEN_ZPD = "proven-zpd"
 FAILED_KERNEL_MEMBERSHIP = "failed-kernel-membership"
@@ -74,19 +75,14 @@ class Certificate:
                 f"kernel_dim={self.kernel_dim}, tensors={len(self.tensors)})")
 
 
-class VerificationReport:
+class VerificationReport(NamedTuple):
     """Outcome of verifying one certificate, all quantities recomputed."""
 
-    __slots__ = ("kernel_dim", "tensor_count", "span_rank",
-                 "first_noncommuting", "verdict")
-
-    def __init__(self, kernel_dim: int, tensor_count: int, span_rank: int,
-                 first_noncommuting: Optional[int], verdict: str):
-        self.kernel_dim = kernel_dim
-        self.tensor_count = tensor_count
-        self.span_rank = span_rank
-        self.first_noncommuting = first_noncommuting
-        self.verdict = verdict
+    kernel_dim: int
+    tensor_count: int
+    span_rank: int
+    first_noncommuting: Optional[int]
+    verdict: str
 
     @property
     def proven(self) -> bool:
@@ -112,16 +108,33 @@ def gl_algebra_descriptor(m: int) -> dict:
     return {"kind": "gl-lie", "m": m}
 
 
+# Verification takes algebras with n and d up to this size: mu has d^2
+# columns, built before any tensor is read, so a short file naming a huge
+# algebra would cost ~d^2.  At the cap (gl_32) that is 0.5 s and 100 MiB.
+MAX_ALGEBRA_SIZE = 1024
+
+
 def algebra_space(descriptor: dict, field: Field) -> TensorSpace:
-    """Reconstruct the tensor square named by an algebra descriptor."""
+    """Reconstruct the tensor square named by an algebra descriptor,
+    after checking n and d against MAX_ALGEBRA_SIZE (ValueError)."""
     kind = descriptor.get("kind")
     if kind == "ladder-lie":
         ladder = Ladder(descriptor["n"],
                         [tuple(s) for s in descriptor["steps"]])
-        return TensorSpace(ladder.n, ladder.positions(), field)
+        n, steps = ladder.n, ladder.steps
+        # rows i_{t-1} < i <= i_t hold exactly the columns j_t..n
+        d = sum((i - prev) * (n - j + 1)
+                for (i, j), (prev, _) in zip(steps, ((0, 0),) + steps))
+    elif kind == "gl-lie":
+        n, d = descriptor["m"], descriptor["m"] ** 2
+    else:
+        raise ValueError(f"unknown algebra descriptor kind: {kind!r}")
+    if max(n, d) > MAX_ALGEBRA_SIZE:
+        raise ValueError(f"algebra too large to verify: n = {n}, d = {d} "
+                         f"(the limit for each is {MAX_ALGEBRA_SIZE})")
     if kind == "gl-lie":
-        return TensorSpace.gl(descriptor["m"], field)
-    raise ValueError(f"unknown algebra descriptor kind: {kind!r}")
+        return TensorSpace.gl(n, field)
+    return TensorSpace(n, ladder.positions(), field)
 
 
 def verify_certificate(cert: Certificate) -> VerificationReport:
@@ -136,6 +149,16 @@ def verify_certificate(cert: Certificate) -> VerificationReport:
         basis, not a multiset.
     All three hold iff the verdict is proven-zpd.
 
+    All of it runs on plain ints.  Each factor's coordinates are scaled
+    once by integer_coords: over Q by the lcm of their denominators,
+    over F_p not at all (the residues).  Scaling u by a > 0 and v by
+    b > 0 scales u (x) v and [u, v] by ab != 0, so kernel membership,
+    the span rank and the count are unchanged.  One integer row, the
+    outer product at column s*d + t, serves the mu route (mu's +-1
+    columns applied to it) and the span echelon; the direct route
+    brackets the two integer entry maps by matrix-entry products and
+    never reads the product table.  Over F_p each zero test is mod p.
+
     A factor outside the algebra makes the certificate a claim about
     some other algebra, not a failed one about this algebra: it raises
     MembershipError naming the tensor index and the factor (u or v).
@@ -143,16 +166,40 @@ def verify_certificate(cert: Certificate) -> VerificationReport:
     space = algebra_space(cert.algebra, cert.field)
     mu = build_mu(space, "lie")
     kdim = mu.kernel_dim
+    field, d, positions = space.field, space.d, space.positions
+    ech = IncrementalEchelon(field)
+
+    def is_zero(values) -> bool:
+        p = ech.p
+        return not any(c % p for c in values) if p else not any(values)
+
     first_bad: Optional[int] = None
-    ech = IncrementalEchelon(space.field)
     for idx, t in enumerate(cert.tensors):
-        try:
-            tcoords = tensor_coords(t, space)
-        except MembershipError as exc:
-            raise MembershipError(f"tensor {idx} {exc}") from None
-        if not in_kernel(t, mu, tcoords) and first_bad is None:
+        coords = []
+        for name, factor in (("u", t.u), ("v", t.v)):
+            try:
+                coords.append(integer_coords(space.coords_of(factor), field))
+            except MembershipError as exc:
+                raise MembershipError(
+                    f"tensor {idx} factor {name}: {exc}") from None
+        ucoords, vcoords = coords
+        row = {s * d + k: a * b for s, a in ucoords.items()
+               for k, b in vcoords.items()}
+        image: Dict[int, int] = {}
+        for col, c in row.items():
+            for a, e in mu.columns[col].items():
+                image[a] = image.get(a, 0) + c * e
+        x, y = ({positions[k]: c for k, c in xc.items()} for xc in coords)
+        xy, yx = entry_product(x, y), entry_product(y, x)
+        direct = is_zero(xy.get(pos, 0) - yx.get(pos, 0)
+                         for pos in xy.keys() | yx.keys())
+        if direct != is_zero(image.values()):
+            raise AssertionError(
+                "mu routes disagree: direct product and coordinate image "
+                f"differ for {t!r}")
+        if not direct and first_bad is None:
             first_bad = idx
-        ech.insert(tcoords)
+        ech.insert(row)
     span_rank = ech.rank
     count = len(cert.tensors)
     if first_bad is not None:
@@ -166,29 +213,36 @@ def verify_certificate(cert: Certificate) -> VerificationReport:
     return VerificationReport(kdim, count, span_rank, first_bad, verdict)
 
 
-def centralizer(u: SparseMatrix, space: TensorSpace) -> List[SparseMatrix]:
-    """Basis of {v in the algebra : [u, v] = 0}.
-
-    The map v -> [u, v] is restricted to the algebra and its exact null
-    space computed; basis vectors come out in free-variable order, each
-    normalized with a 1 at its free coordinate.
-
-    ad_u is read off the space's product table, on an integer multiple
-    of u (a positive rational multiple has the same centralizer): its
-    column k is [u, b_k] = sum_s u_s [b_s, b_k].  u outside the algebra
-    raises MembershipError; a bracket leaving the span, ClosureError.
-    """
-    # ad rows: image coordinate a -> {basis index k: coefficient of b_a
-    # in [u, b_k]}; the null space of this matrix is the centralizer
+def integer_centralizer(ucoords: IntRow,
+                        space: TensorSpace) -> List[Tuple[IntRow, int]]:
+    """The centralizer of u, from the integer coordinates of a positive
+    multiple of u (same centralizer): the pairs (w, m) of the integer
+    null space of ad_u, whose column k is [u, b_k] = sum_s u_s [b_s, b_k]
+    read off the product table."""
+    # image coordinate a -> {basis index k: coefficient of b_a in [u, b_k]}
     ad: Dict[int, Dict[int, int]] = {}
-    for s, us in integer_coords(space.coords_of(u), space.field).items():
+    for s, us in ucoords.items():
         for k, a, c in space.products(s, "lie"):
             row = ad.setdefault(a, {})
             row[k] = row.get(k, 0) + us * c
     ech = IncrementalEchelon(space.field)
     for row in ad.values():
         ech.insert(row)
-    return [space.from_coords(vec) for vec in ech.reduced(space.d)[1]]
+    return ech.null_space(space.d)
+
+
+def centralizer(u: SparseMatrix, space: TensorSpace) -> List[SparseMatrix]:
+    """Basis of {v in the algebra : [u, v] = 0}.
+
+    The map v -> [u, v] is restricted to the algebra and its exact null
+    space computed; basis vectors come out in free-variable order, each
+    normalized with a 1 at its free coordinate.  u outside the algebra
+    raises MembershipError; a bracket leaving the span, ClosureError.
+    """
+    field = space.field
+    ucoords = integer_coords(space.coords_of(u), field)
+    return [space.from_coords(field_row(w, m, field))
+            for w, m in integer_centralizer(ucoords, space)]
 
 
 def candidate_pool(space: TensorSpace) -> Iterator[SparseMatrix]:
@@ -246,9 +300,9 @@ def search_spanning(space: TensorSpace, mu: MuMap, descriptor: dict,
     Iterates first factors u over candidate_pool; for each u every
     member v of its centralizer basis gives a candidate tensor u (x) v,
     kept iff it strictly increases the rank of the accumulated rows.
-    The rows handed to the elimination engine are outer products of the
-    integer-scaled factor coordinates; the certificate keeps the exact
-    field-valued u and v.
+    The engine gets the outer products of the integer coordinates of u
+    and of the integer null vectors of ad_u; the field-valued v (what
+    centralizer returns) is built only for a kept candidate.
     Returns a certificate as soon as the rank reaches dim Ker mu, or
     None when the pool or the candidate budget runs out first.  The
     budget counts candidate tensors tried.
@@ -263,15 +317,15 @@ def search_spanning(space: TensorSpace, mu: MuMap, descriptor: dict,
     tried = 0
     for u in candidate_pool(space):
         ucoords = integer_coords(space.coords_of(u), field)
-        for v in centralizer(u, space):
+        for w, m in integer_centralizer(ucoords, space):
             if tried >= budget:
                 return None
             tried += 1
-            # an integer multiple of tensor_coords(u (x) v): same span
-            vcoords = integer_coords(space.coords_of(v), field)
+            # w = m v with m > 0, so the row spans what u (x) v does
             row = {s * d + k: a * b for s, a in ucoords.items()
-                   for k, b in vcoords.items()}
+                   for k, b in w.items()}
             if ech.insert(row):
+                v = space.from_coords(field_row(w, m, field))
                 t = RankOneTensor(u, v, label)
                 chosen.append(t)
                 if ech.rank == target:

@@ -11,10 +11,10 @@ every reader re-verifies from scratch.
 from __future__ import annotations
 
 import json
-from typing import List, Tuple
+from typing import Dict, List, Tuple
 
 from .certificates import Certificate
-from .fields import Field, PrimeField, QQ, RationalField
+from .fields import Field, PrimeField, QQ, RationalField, Scalar
 from .matrices import SparseMatrix
 from .tensors import RankOneTensor
 
@@ -67,8 +67,11 @@ def _matrix_to_entries(mat: SparseMatrix, field: Field) -> List[list]:
             for (i, j), c in sorted(mat.entries.items())]
 
 
-def _matrix_from_entries(obj, n: int, field: Field,
-                         what: str) -> SparseMatrix:
+def _matrix_from_entries(obj, n: int, field: Field, what: str,
+                         scalars: Dict[str, Scalar]) -> SparseMatrix:
+    """One factor, every entry checked.  scalars maps each text parsed
+    so far in the file to its value, so field.parse runs once per
+    distinct text; a text that fails to parse is never stored."""
     if not isinstance(obj, list) or not obj:
         raise CertificateFormatError(f"{what}: entry list must be nonempty")
     entries = {}
@@ -85,15 +88,19 @@ def _matrix_from_entries(obj, n: int, field: Field,
         if (i, j) in entries:
             raise CertificateFormatError(
                 f"{what}: duplicate entry at ({i},{j})")
-        try:
-            c = field.parse(text)
-        except ValueError as exc:
-            raise CertificateFormatError(f"{what}: {exc}") from None
+        c = scalars.get(text)
+        if c is None:
+            try:
+                c = scalars[text] = field.parse(text)
+            except ValueError as exc:
+                raise CertificateFormatError(f"{what}: {exc}") from None
         if not c:
             raise CertificateFormatError(
                 f"{what}: stored entry at ({i},{j}) is zero")
         entries[(i, j)] = c
-    return SparseMatrix(n, field, entries)
+    mat = SparseMatrix(n, field)
+    mat.entries = entries  # every entry already checked, as __init__ would
+    return mat
 
 
 def _algebra_to_json(descriptor: dict) -> dict:
@@ -178,13 +185,15 @@ def certificate_from_json(obj) -> Certificate:
     if not isinstance(tensors_json, list):
         raise CertificateFormatError("tensors must be a list")
     tensors = []
+    scalars: Dict[str, Scalar] = {}
     for idx, tj in enumerate(tensors_json):
         if (not isinstance(tj, dict) or set(tj) != {"family", "u", "v"}
                 or not isinstance(tj["family"], str)):
             raise CertificateFormatError(
                 f"tensor {idx}: must be {{family: str, u: ..., v: ...}}")
-        u = _matrix_from_entries(tj["u"], n, field, f"tensor {idx} factor u")
-        v = _matrix_from_entries(tj["v"], n, field, f"tensor {idx} factor v")
+        u, v = (_matrix_from_entries(tj[name], n, field,
+                                     f"tensor {idx} factor {name}", scalars)
+                for name in "uv")
         tensors.append(RankOneTensor(u, v, tj["family"]))
     try:
         return Certificate(algebra, field, obj["kernel_dim"], families,

@@ -52,20 +52,10 @@ def _add_field_options(sub) -> None:
                      help=f"modulus for --field fp (default {DEFAULT_PRIME})")
 
 
-def _report_json(report: VerificationReport) -> dict:
-    return {
-        "kernel_dim": report.kernel_dim,
-        "tensor_count": report.tensor_count,
-        "span_rank": report.span_rank,
-        "first_noncommuting": report.first_noncommuting,
-        "verdict": report.verdict,
-    }
-
-
 def _print_report(report: VerificationReport, as_json: bool,
                   extra: Optional[dict] = None) -> None:
     if as_json:
-        obj = _report_json(report)
+        obj = report._asdict()
         if extra:
             obj.update(extra)
         print(json.dumps(obj, sort_keys=True))
@@ -132,17 +122,6 @@ def _cmd_ladder_enumerate(args) -> int:
     return 0
 
 
-def _assemble(args) -> Tuple[Certificate, VerificationReport]:
-    if len(args.step) != 1:
-        raise ValueError("certificate assembly takes exactly one --step "
-                         "(one-step ladders only)")
-    (i1, j1), = args.step
-    cert = assemble_one_step_certificate(args.n, i1, j1,
-                                         field=_field_from_args(args),
-                                         budget=args.budget)
-    return cert, verify_certificate(cert)
-
-
 def _finish_certificate(cert: Certificate, report: VerificationReport,
                         args, out_required: bool) -> int:
     out = getattr(args, "out", None)
@@ -159,14 +138,17 @@ def _finish_certificate(cert: Certificate, report: VerificationReport,
     return 0 if report.proven else 1
 
 
-def _cmd_zpd_assemble(args) -> int:
-    cert, report = _assemble(args)
-    return _finish_certificate(cert, report, args, out_required=True)
-
-
-def _cmd_zpd_verify(args) -> int:
-    cert, report = _assemble(args)
-    return _finish_certificate(cert, report, args, out_required=False)
+def _cmd_one_step(args) -> int:
+    """zpd-assemble (--out required) and zpd-verify (--out optional)."""
+    if len(args.step) != 1:
+        raise ValueError("certificate assembly takes exactly one --step "
+                         "(one-step ladders only)")
+    (i1, j1), = args.step
+    cert = assemble_one_step_certificate(args.n, i1, j1,
+                                         field=_field_from_args(args),
+                                         budget=args.budget)
+    return _finish_certificate(cert, verify_certificate(cert), args,
+                               args.command == "zpd-assemble")
 
 
 def _cmd_zpd_gl(args) -> int:
@@ -200,7 +182,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--step", type=_step, action="append", default=[],
                    metavar="i,j", help="ladder step (repeatable)")
     _add_field_options(p)
-    p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_ladder_check)
 
     p = subs.add_parser("ladder-enumerate",
@@ -211,14 +192,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--closure", choices=("associative", "lie"), default=None,
                    help="also report closure under this product")
     _add_field_options(p)
-    p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_ladder_enumerate)
 
-    for name, fn, out_help in (
-            ("zpd-assemble", _cmd_zpd_assemble,
-             "write the verified certificate here (required)"),
-            ("zpd-verify", _cmd_zpd_verify,
-             "write the verified certificate here (optional)")):
+    for name, out_help in (
+            ("zpd-assemble", "write the verified certificate here (required)"),
+            ("zpd-verify", "write the verified certificate here (optional)")):
         p = subs.add_parser(
             name,
             help="build and verify the rank-one spanning certificate for a "
@@ -231,8 +209,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--budget", type=int, default=None,
                        help="candidate limit for the gl block search")
         p.add_argument("--out", default=None, help=out_help)
-        p.add_argument("--json", action="store_true")
-        p.set_defaults(func=fn)
+        p.set_defaults(func=_cmd_one_step)
 
     p = subs.add_parser("zpd-gl",
                         help="search a rank-one spanning certificate for "
@@ -241,16 +218,16 @@ def build_parser() -> argparse.ArgumentParser:
     _add_field_options(p)
     p.add_argument("--budget", type=int, default=None)
     p.add_argument("--out", default=None)
-    p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_zpd_gl)
 
     p = subs.add_parser("cert-verify",
                         help="read a certificate file and re-verify it "
                              "from scratch")
     p.add_argument("path")
-    p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_cert_verify)
 
+    for sub in subs.choices.values():
+        sub.add_argument("--json", action="store_true")
     return parser
 
 

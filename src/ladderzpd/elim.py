@@ -14,11 +14,13 @@ This is exact, not a modular shortcut.  Scaling a row by a nonzero
 rational and adding multiples of other rows leave its row space over Q
 unchanged, so every rank decision, every "reduces to zero" answer and
 the reduced echelon form are the ones Gaussian elimination over Q would
-give.  Field scalars (`Fraction` or `Fp`) are produced only at the end,
-by `IncrementalEchelon.reduced`, which back-substitutes to the reduced
-row echelon form and reads off the null space: to get the kernel of a
-linear map, insert the rows of its matrix (one per image coordinate,
-keyed by domain index).  Pivoting is deterministic: a row's leading column is its smallest column index.
+give.  `IncrementalEchelon.null_space` back-substitutes to the reduced
+row echelon form and reads off the null space on integers: to get the
+kernel of a linear map, insert the rows of its matrix (one per image
+coordinate, keyed by domain index).  Field scalars (`Fraction` or `Fp`)
+are made only at the end, by `field_row`, for the vectors a caller
+keeps.  Pivoting is deterministic: a row's leading column is its
+smallest column index.
 """
 
 from __future__ import annotations
@@ -55,9 +57,9 @@ def integer_coords(coords: Dict[K, Scalar], field: Field) -> Dict[K, int]:
         if v.denominator != 1:
             den = lcm(den, v.denominator)
     if den == 1:
-        return {key: v.numerator for key, v in coords.items() if v}
-    return {key: v.numerator * (den // v.denominator)
-            for key, v in coords.items() if v}
+        return {key: c for key, v in coords.items() if (c := v.numerator)}
+    return {key: c * (den // v.denominator)
+            for key, v in coords.items() if (c := v.numerator)}
 
 
 def _clear(work: IntRow, prow: IntRow, col: int, p: int) -> IntRow:
@@ -153,18 +155,14 @@ class IncrementalEchelon:
         """True when row is already in the accumulated row space."""
         return not self._reduce(row)
 
-    def reduced(self, ncols: int) -> Tuple[Dict[int, SparseRow],
-                                            List[SparseRow]]:
-        """Reduced row echelon form and null space of the accumulated rows.
+    def null_space(self, ncols: int) -> List[Tuple[IntRow, int]]:
+        """The null space over columns range(ncols), on integers.
 
-        Back-substitutes on integer copies of the pivot rows (the engine
-        itself is left as it is), from the last pivot column to the
-        first, so each row is cleared at every later pivot column, then
-        converts to field scalars once: entry c of the row with pivot
-        entry L becomes c/L.  Returns the reduced rows in pivot order,
-        keyed by pivot column, each with leading entry 1; and a null
-        space basis over columns range(ncols), one vector per free
-        column in ascending order, with a 1 at its free column.
+        Back-substitutes integer copies of the pivot rows (the engine is
+        left as it is), then gives one pair (w, m) per free column f, in
+        ascending order: w / m is the basis vector with 1 at f and 0 at
+        the other free columns, and m > 0 is the lcm of the pivot
+        entries it divides by (1 over F_p, with monic pivot rows).
         """
         p = self.p
         rows: Dict[int, IntRow] = {}
@@ -175,21 +173,25 @@ class IncrementalEchelon:
             for q in [c for c in row if c in rows]:
                 row = _clear(row, rows[q], q, p)
             rows[piv] = _normalize(row, piv, p)
-
-        if p:
-            def scalar(num: int, piv: int) -> Scalar:
-                return Fp(num, p)
-        else:
-            def scalar(num: int, piv: int) -> Scalar:
-                return Fraction(num, rows[piv][piv])
-        reduced = {piv: {c: scalar(v, piv) for c, v in row.items()}
-                   for piv, row in sorted(rows.items())}
-        one = self.field.one
-        kernel: List[SparseRow] = [{f: one} for f in range(ncols)]
+        cols: Dict[int, IntRow] = {f: {} for f in range(ncols)
+                                   if f not in rows}
         for piv, row in rows.items():
             for f, v in row.items():
                 if f != piv:
-                    kernel[f][piv] = scalar(-v, piv)
-        return reduced, [vec for f, vec in enumerate(kernel)
-                         if f not in rows]
+                    cols[f][piv] = v
+        out = []
+        for f, col in cols.items():
+            m = lcm(*(rows[piv][piv] for piv in col))
+            w = {f: m}
+            for piv, v in col.items():
+                w[piv] = -v * (m // rows[piv][piv])
+            out.append((w, m))
+        return out
 
+
+def field_row(row: IntRow, den: int, field: Field) -> SparseRow:
+    """The integer row divided by den, as field scalars."""
+    if isinstance(field, PrimeField):
+        inv = pow(den, -1, field.p)
+        return {c: Fp(v * inv, field.p) for c, v in row.items()}
+    return {c: Fraction(v, den) for c, v in row.items()}

@@ -10,11 +10,12 @@ single 1 in row i, column j.
 
 from __future__ import annotations
 
-from typing import Dict, Tuple
+from typing import Any, Dict, Tuple
 
 from .fields import Field, FieldMismatchError, QQ, Scalar
 
 Position = Tuple[int, int]
+Entries = Dict[Position, Any]
 
 PRODUCT_KINDS = ("associative", "lie")
 
@@ -114,13 +115,15 @@ def elementary(n: int, i: int, j: int, field: Field = QQ) -> SparseMatrix:
     return SparseMatrix(n, field, {(i, j): field.one})
 
 
-def _assoc(x: SparseMatrix, y: SparseMatrix) -> SparseMatrix:
+def entry_product(x: Entries, y: Entries) -> Entries:
+    """The product xy of two matrices given as entry maps.  The scalars
+    may be field elements or plain ints; ints are multiplied exactly,
+    with no reduction mod p.  No zero entry is kept."""
     rows_of_y: Dict[int, list] = {}
-    for (k, j), c in y.entries.items():
+    for (k, j), c in y.items():
         rows_of_y.setdefault(k, []).append((j, c))
-    out = SparseMatrix(x.n, x.field)
-    acc = out.entries
-    for (i, k), a in x.entries.items():
+    acc: Entries = {}
+    for (i, k), a in x.items():
         for j, b in rows_of_y.get(k, ()):
             pos = (i, j)
             s = acc.get(pos)
@@ -129,6 +132,12 @@ def _assoc(x: SparseMatrix, y: SparseMatrix) -> SparseMatrix:
                 acc[pos] = v
             elif s is not None:
                 del acc[pos]
+    return acc
+
+
+def _assoc(x: SparseMatrix, y: SparseMatrix) -> SparseMatrix:
+    out = SparseMatrix(x.n, x.field)
+    out.entries = entry_product(x.entries, y.entries)
     return out
 
 
@@ -141,4 +150,3 @@ def mat_product(x: SparseMatrix, y: SparseMatrix,
     if kind == "lie":
         return _assoc(x, y) - _assoc(y, x)
     raise ValueError(f"unknown product kind: {kind!r}")
-

@@ -18,8 +18,7 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .elim import IncrementalEchelon
 from .fields import Field, QQ, Scalar
-from .matrices import (Position, PRODUCT_KINDS, SparseMatrix, elementary,
-                       mat_product)
+from .matrices import Position, PRODUCT_KINDS, SparseMatrix, elementary
 
 
 class MembershipError(ValueError):
@@ -149,35 +148,19 @@ class RankOneTensor:
         return f"RankOneTensor({self.u!r}, {self.v!r}, label={self.label!r})"
 
 
-def tensor_coords(t: RankOneTensor, space: TensorSpace) -> Dict[int, Scalar]:
-    """Sparse coordinates of u (x) v in the tensor-square basis: the
-    outer product of the factor coordinate vectors, entry (s, t) at
-    column s*d + t.  A factor outside the algebra raises
-    MembershipError naming it (u or v)."""
-    factors = []
-    for name, factor in (("u", t.u), ("v", t.v)):
-        try:
-            factors.append(space.coords_of(factor))
-        except MembershipError as exc:
-            raise MembershipError(f"factor {name}: {exc}") from None
-    ucoords, vcoords = factors
-    d = space.d
-    return {s * d + tt: us * vt
-            for s, us in ucoords.items() for tt, vt in vcoords.items()}
-
-
 class MuMap:
     """The multiplication map on the tensor square, as an explicit matrix.
 
     Column s*d + t holds the coordinates of the product of b_s and b_t
-    in the algebra basis.  Rank (hence kernel dimension) is computed on
-    demand by sparse elimination and cached.
+    in the algebra basis: structure constants +-1, stored as plain ints
+    and read in the space's field.  Rank (hence kernel dimension) is
+    computed on demand by sparse elimination and cached.
     """
 
     __slots__ = ("space", "kind", "columns", "_rank")
 
     def __init__(self, space: TensorSpace, kind: str,
-                 columns: List[Dict[int, Scalar]]):
+                 columns: List[Dict[int, int]]):
         self.space = space
         self.kind = kind
         self.columns = columns
@@ -201,46 +184,13 @@ class MuMap:
     def kernel_dim(self) -> int:
         return self.domain_dim - self.rank
 
-    def apply_to_coords(self, tcoords: Dict[int, Scalar]) -> Dict[int, Scalar]:
-        """Image of a tensor (given in sparse tensor coordinates) in the
-        algebra basis."""
-        acc: Dict[int, Scalar] = {}
-        for col, c in tcoords.items():
-            for k, v in self.columns[col].items():
-                s = acc.get(k)
-                t = c * v if s is None else s + c * v
-                if t:
-                    acc[k] = t
-                elif s is not None:
-                    del acc[k]
-        return acc
-
 
 def build_mu(space: TensorSpace, kind: str = "lie") -> MuMap:
     """Assemble mu for the given product from the product table; a
     product of basis elements that leaves the span raises ClosureError."""
     d = space.d
-    scalar = {1: space.field.one, -1: -space.field.one}
-    columns: List[Dict[int, Scalar]] = [{} for _ in range(d * d)]
+    columns: List[Dict[int, int]] = [{} for _ in range(d * d)]
     for s in range(d):
         for k, a, c in space.products(s, kind):
-            columns[s * d + k][a] = scalar[c]
+            columns[s * d + k][a] = c
     return MuMap(space, kind, columns)
-
-
-def in_kernel(t: RankOneTensor, mu: MuMap,
-              tcoords: Dict[int, Scalar]) -> bool:
-    """True iff mu kills the tensor t, given its coordinates
-    tcoords = tensor_coords(t, mu.space).
-
-    Computed twice: directly as the product of the factors, and through
-    the coordinate matrix of mu, whose columns come from the product
-    table.  The two routes share no code and must agree exactly.
-    """
-    direct = mat_product(t.u, t.v, mu.kind).is_zero()
-    via_mu = not mu.apply_to_coords(tcoords)
-    if direct != via_mu:
-        raise AssertionError(
-            "mu routes disagree: direct product and coordinate image "
-            f"differ for {t!r}")
-    return direct

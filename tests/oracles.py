@@ -5,9 +5,13 @@ textbook triple-loop products, and plain Gaussian elimination written
 from scratch.  Tests use these as oracles to pin down expected ranks,
 kernel dimensions, products, reduced echelon forms, null spaces,
 centralizers and the one-step block bracket table without trusting the
-package's sparse integer machinery.  The one exception,
-mu_columns_by_products, multiplies the package's sparse basis matrices
-with mat_product: that shares no code with the product table it checks.
+package's sparse integer machinery.  The exceptions reuse package
+pieces that share no code with what they check: mu_columns_by_products
+multiplies the package's sparse basis matrices with mat_product, not
+the product table; and the field-scalar verification route
+(tensor_coords, apply_to_coords, in_kernel, verify_by_field_coords)
+checks certificates on the field's own scalars, where the package
+verifier works on integer multiples of them.
 """
 
 from __future__ import annotations
@@ -15,9 +19,14 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import List, Sequence, Tuple
 
+from ladderzpd.certificates import (COUNT_MISMATCH, FAILED_KERNEL_MEMBERSHIP,
+                                    FAILED_SPAN, PROVEN_ZPD,
+                                    VerificationReport, algebra_space)
+from ladderzpd.elim import IncrementalEchelon, field_row
 from ladderzpd.fields import QQ
 from ladderzpd.matrices import mat_product
 from ladderzpd.onestep import block_positions
+from ladderzpd.tensors import MembershipError, build_mu
 
 Dense = List[List[Fraction]]
 
@@ -205,6 +214,24 @@ def dense_kernel_of_rows(map_rows: Sequence[Sequence], domain_dim: int,
     return basis
 
 
+def reduced(ech, ncols: int) -> Tuple[dict, List[dict]]:
+    """The engine's reduced row echelon form and null space over columns
+    range(ncols), in field scalars, both read off
+    IncrementalEchelon.null_space.  The reduced row of pivot column piv
+    holds 1 at piv and, at each free column f, minus the entry at piv of
+    the null vector of f.  Returns the rows keyed by pivot column, in
+    pivot order, and the null vectors in free-column order."""
+    field = ech.field
+    free = [f for f in range(ncols) if f not in ech.pivot_rows]
+    kernel = [field_row(w, m, field) for w, m in ech.null_space(ncols)]
+    rows = {piv: {piv: field.one} for piv in sorted(ech.pivot_rows)}
+    for f, vec in zip(free, kernel):
+        for piv, c in vec.items():
+            if piv != f:
+                rows[piv][f] = -c
+    return rows, kernel
+
+
 def naive_rank_mod_p(rows: Sequence[Sequence[int]], p: int) -> int:
     """Rank over F_p of integer rows, by dense elimination on residues."""
     work = [[x % p for x in r] for r in rows]
@@ -286,3 +313,81 @@ def multiplication_table_check(p, space) -> bool:
                            for a in range(n) for b in range(n)):
                         return False
     return True
+
+
+# The field-scalar verification route: tensor coordinates and the image
+# under mu in the field's own scalars (Fraction or Fp), with no integer
+# scaling, and the direct product by mat_product.
+
+def tensor_coords(t, space) -> dict:
+    """Sparse coordinates of u (x) v in the tensor-square basis: the
+    outer product of the factor coordinate vectors, entry (s, t) at
+    column s*d + t.  A factor outside the algebra raises
+    MembershipError naming it (u or v)."""
+    factors = []
+    for name, factor in (("u", t.u), ("v", t.v)):
+        try:
+            factors.append(space.coords_of(factor))
+        except MembershipError as exc:
+            raise MembershipError(f"factor {name}: {exc}") from None
+    ucoords, vcoords = factors
+    d = space.d
+    return {s * d + tt: us * vt
+            for s, us in ucoords.items() for tt, vt in vcoords.items()}
+
+
+def apply_to_coords(mu, tcoords: dict) -> dict:
+    """Image of a tensor (given in sparse tensor coordinates) in the
+    algebra basis, in the field's scalars."""
+    acc: dict = {}
+    for col, c in tcoords.items():
+        for k, v in mu.columns[col].items():
+            s = acc.get(k)
+            t = c * v if s is None else s + c * v
+            if t:
+                acc[k] = t
+            elif s is not None:
+                del acc[k]
+    return acc
+
+
+def in_kernel(t, mu, tcoords: dict) -> bool:
+    """True iff mu kills t, given tcoords = tensor_coords(t, mu.space):
+    computed directly as the product of the factors and through the
+    coordinate matrix of mu; the two routes must agree."""
+    direct = mat_product(t.u, t.v, mu.kind).is_zero()
+    via_mu = not apply_to_coords(mu, tcoords)
+    if direct != via_mu:
+        raise AssertionError(
+            "mu routes disagree: direct product and coordinate image "
+            f"differ for {t!r}")
+    return direct
+
+
+def verify_by_field_coords(cert) -> VerificationReport:
+    """verify_certificate on field scalars: the same checks and verdict
+    order, with each tensor's coordinates taken unscaled."""
+    space = algebra_space(cert.algebra, cert.field)
+    mu = build_mu(space, "lie")
+    kdim = mu.kernel_dim
+    first_bad = None
+    ech = IncrementalEchelon(space.field)
+    for idx, t in enumerate(cert.tensors):
+        try:
+            tcoords = tensor_coords(t, space)
+        except MembershipError as exc:
+            raise MembershipError(f"tensor {idx} {exc}") from None
+        if not in_kernel(t, mu, tcoords) and first_bad is None:
+            first_bad = idx
+        ech.insert(tcoords)
+    span_rank = ech.rank
+    count = len(cert.tensors)
+    if first_bad is not None:
+        verdict = FAILED_KERNEL_MEMBERSHIP
+    elif span_rank < kdim:
+        verdict = FAILED_SPAN
+    elif count != span_rank:
+        verdict = COUNT_MISMATCH
+    else:
+        verdict = PROVEN_ZPD
+    return VerificationReport(kdim, count, span_rank, first_bad, verdict)

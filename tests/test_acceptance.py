@@ -29,10 +29,9 @@ from ladderzpd.ladders import (BlockProfile, Ladder, block_profile,
 from ladderzpd.matrices import elementary, mat_product
 from ladderzpd.onestep import (assemble_one_step_certificate,
                                expected_counts, kernel_dim_polynomial)
-from ladderzpd.tensors import (RankOneTensor, TensorSpace, build_mu, in_kernel,
-                               tensor_coords)
+from ladderzpd.tensors import RankOneTensor, TensorSpace, build_mu
 
-from oracles import naive_mu_kernel_dim
+from oracles import in_kernel, naive_mu_kernel_dim, tensor_coords
 
 
 @pytest.fixture

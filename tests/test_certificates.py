@@ -8,18 +8,20 @@ from fractions import Fraction
 import pytest
 
 from ladderzpd.certificates import (COUNT_MISMATCH, FAILED_KERNEL_MEMBERSHIP,
-                                    FAILED_SPAN, PROVEN_ZPD, Certificate,
-                                    abelian_certificate, algebra_space,
-                                    centralizer, gl_algebra_descriptor,
-                                    gl_certificate, ladder_algebra_descriptor,
+                                    FAILED_SPAN, MAX_ALGEBRA_SIZE, PROVEN_ZPD,
+                                    Certificate, abelian_certificate,
+                                    algebra_space, centralizer,
+                                    gl_algebra_descriptor, gl_certificate,
+                                    ladder_algebra_descriptor,
                                     search_spanning, verify_certificate)
 from ladderzpd.elim import IncrementalEchelon
 from ladderzpd.fields import QQ
-from ladderzpd.ladders import Ladder
+from ladderzpd.ladders import Ladder, enumerate_ladders
 from ladderzpd.matrices import SparseMatrix, elementary, mat_product
 from ladderzpd.tensors import (ClosureError, MembershipError, RankOneTensor,
-                               TensorSpace, build_mu, in_kernel,
-                               tensor_coords)
+                               TensorSpace, build_mu)
+
+from oracles import in_kernel, tensor_coords
 
 F = Fraction
 
@@ -235,3 +237,27 @@ def test_report_summary_text():
     report = verify_certificate(gl_certificate(2))
     assert report.summary() == ("13 tensors, span rank 13, kernel dim 13: "
                                 "proven-zpd")
+
+
+def test_algebra_space_size_cap():
+    # n and d are capped at MAX_ALGEBRA_SIZE before any position is
+    # listed; for a ladder d comes from its steps in closed form
+    assert MAX_ALGEBRA_SIZE == 1024
+    assert algebra_space(gl_algebra_descriptor(32), QQ).d == 1024
+    with pytest.raises(ValueError, match="too large"):
+        algebra_space(gl_algebra_descriptor(33), QQ)
+    # two steps on n = 40: 20*40 + 7*32 = 1024 and 20*40 + 9*25 = 1025
+    at_cap = ladder_algebra_descriptor(Ladder(40, [(20, 1), (27, 9)]))
+    assert algebra_space(at_cap, QQ).d == 1024
+    with pytest.raises(ValueError, match="d = 1025"):
+        algebra_space(
+            ladder_algebra_descriptor(Ladder(40, [(20, 1), (29, 16)])), QQ)
+    with pytest.raises(ValueError, match="n = 1025"):
+        algebra_space(ladder_algebra_descriptor(Ladder(1025, [(1, 1025)])),
+                      QQ)
+    # the closed form agrees with the position set on small ladders
+    for n in range(1, 6):
+        for k in range(1, n + 1):
+            for ladder in enumerate_ladders(n, k):
+                space = algebra_space(ladder_algebra_descriptor(ladder), QQ)
+                assert space.d == len(ladder.positions())

@@ -3,16 +3,20 @@
 from __future__ import annotations
 
 import json
+from fractions import Fraction
 
 import pytest
 
-from ladderzpd.certificates import gl_certificate, verify_certificate
+from ladderzpd.certificates import (Certificate, gl_certificate,
+                                    verify_certificate)
 from ladderzpd.certio import (CertificateFormatError, certificate_bytes,
                               certificate_from_json, certificate_to_json,
                               dumps_canonical, field_from_json, field_to_json,
                               read_certificate, write_certificate)
 from ladderzpd.fields import PrimeField, QQ
+from ladderzpd.matrices import SparseMatrix
 from ladderzpd.onestep import assemble_one_step_certificate
+from ladderzpd.tensors import RankOneTensor
 
 
 def write_verified(cert, path):
@@ -183,3 +187,65 @@ def test_rational_scalars_survive_round_trip(tmp_path):
     path = tmp_path / "frac.json"
     write_certificate(cert, str(path), mark_unverified=True)
     assert read_certificate(str(path)) == cert
+
+
+def format_error(obj) -> str:
+    with pytest.raises(CertificateFormatError) as exc:
+        certificate_from_json(obj)
+    return str(exc.value)
+
+
+@pytest.mark.parametrize("text, message", [
+    ("1/0", "zero denominator in scalar: '1/0'"),
+    ("1.5", "malformed rational scalar: '1.5'"),
+])
+def test_repeated_bad_scalar_is_reported_at_first_use(text, message):
+    # the reader parses each distinct text once; a text that fails is
+    # reported at the first tensor and factor carrying it, wherever it
+    # repeats later
+    obj = certificate_to_json(gl_certificate(2))
+    obj["tensors"][4]["u"] = [[1, 1, text]]
+    obj["tensors"][1]["v"] = [[2, 1, text]]
+    obj["tensors"][1]["u"] = [[1, 2, "1"], [2, 2, text]]
+    assert format_error(obj) == f"tensor 1 factor u: {message}"
+
+
+def test_stored_zero_is_rejected_in_every_spelling():
+    obj = certificate_to_json(gl_certificate(2))
+    obj["tensors"][3]["v"] = [[1, 2, "0/3"]]
+    assert format_error(obj) == ("tensor 3 factor v: stored entry at (1,2) "
+                                 "is zero")
+    # a text already parsed (and so remembered) is still checked at
+    # every entry: "0/3" after "-0" and a zero residue mod 101
+    obj = certificate_to_json(gl_certificate(2))
+    obj["tensors"][0]["u"] = [[1, 1, "-1"], [1, 2, "-0"]]
+    assert format_error(obj) == ("tensor 0 factor u: stored entry at (1,2) "
+                                 "is zero")
+    obj = certificate_to_json(gl_certificate(2, PrimeField(101)))
+    obj["tensors"][2]["v"] = [[2, 2, "101"]]
+    assert format_error(obj) == ("tensor 2 factor v: stored entry at (2,2) "
+                                 "is zero")
+
+
+@pytest.mark.parametrize("field, scalars", [
+    (QQ, (Fraction(2, 3), Fraction(-1), Fraction(-7, 4))),
+    (PrimeField(101), (PrimeField(101).from_int(100),
+                       PrimeField(101).from_int(57))),
+])
+def test_repeated_scalars_round_trip_byte_for_byte(tmp_path, field,
+                                                   scalars):
+    # factors scaled so that a few non-unit scalar texts repeat across
+    # the file: the values the reader shares between entries must write
+    # back the same bytes
+    cert = assemble_one_step_certificate(4, 3, 2, field=field)
+    tensors = [RankOneTensor(
+        SparseMatrix(t.u.n, field, {pos: scalars[k % len(scalars)] * c
+                                    for pos, c in t.u.entries.items()}),
+        t.v, t.label) for k, t in enumerate(cert.tensors)]
+    cert = Certificate(cert.algebra, field, cert.kernel_dim, cert.families,
+                       tensors)
+    path = tmp_path / "cert.json"
+    write_verified(cert, path)
+    reread = read_certificate(str(path))
+    assert reread == cert
+    assert certificate_bytes(reread) == path.read_bytes()

@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -254,6 +255,34 @@ def test_cert_verify_rejects_deeply_nested_json(tmp_path):
         text=True, timeout=60)
     assert proc.returncode == 2
     assert proc.stderr.startswith("error: ")
+    assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("algebra", [
+    {"kind": "gl-lie", "m": 3000},
+    {"kind": "ladder-lie", "n": 3000, "steps": [[3000, 1]]},
+    {"kind": "ladder-lie", "n": 10**9, "steps": [[1, 10**9]]},
+])
+def test_cert_verify_rejects_algebra_over_size_cap(tmp_path, algebra):
+    # a one-tensor file naming a huge algebra: the size cap is checked
+    # before mu (d^2 columns) or even the position set is built
+    path = tmp_path / "huge.json"
+    path.write_text(dumps_canonical({
+        "format_version": 1, "algebra": algebra,
+        "field": {"kind": "rational"}, "kernel_dim": 0,
+        "families": [{"label": "x", "count": 1}],
+        "tensors": [{"family": "x", "u": [[1, 1, "1"]],
+                     "v": [[1, 1, "1"]]}]}))
+    src = os.path.dirname(os.path.dirname(ladderzpd.__file__))
+    start = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "ladderzpd.cli", "cert-verify", str(path)],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True,
+        text=True, timeout=60)
+    assert time.perf_counter() - start < 1.0
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: algebra too large to verify: ")
     assert "Traceback" not in proc.stderr
 
 

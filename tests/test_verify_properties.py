@@ -1,0 +1,157 @@
+"""Property tests for the integer verifier against the field-scalar route.
+
+`verify_certificate` checks every tensor on integer multiples of its
+factor coordinates; `oracles.verify_by_field_coords` runs the same
+checks on the field's own scalars (Fraction or Fp), with the direct
+product from mat_product.  Small certificates (gl_2, gl_3 and every
+one-step ladder with n <= 5, over Q, F_2 and F_101) get their factors
+scaled by random nonzero scalars, and then either stay valid or lose a
+tensor, gain a duplicate, or have one replaced.  Both routes must give
+the same report, and no scaling may change it.
+"""
+
+from __future__ import annotations
+
+from collections import Counter
+from fractions import Fraction
+from functools import lru_cache
+
+from hypothesis import given, settings, strategies as st
+
+from ladderzpd.certificates import (COUNT_MISMATCH, FAILED_KERNEL_MEMBERSHIP,
+                                    FAILED_SPAN, PROVEN_ZPD, Certificate,
+                                    algebra_space, gl_certificate,
+                                    verify_certificate)
+from ladderzpd.elim import integer_coords
+from ladderzpd.fields import PrimeField, QQ
+from ladderzpd.matrices import SparseMatrix, elementary, entry_product
+from ladderzpd.onestep import assemble_one_step_certificate
+from ladderzpd.tensors import RankOneTensor, build_mu
+
+from oracles import verify_by_field_coords
+
+FIELDS = {"QQ": QQ, "F2": PrimeField(2), "F101": PrimeField(101)}
+ALGEBRAS = ([("gl", 2), ("gl", 3)]
+            + [("one-step", n, i1, j1) for n in range(1, 6)
+               for i1 in range(1, n + 1) for j1 in range(1, n + 1)])
+DEFECTS = ("none", "deleted", "duplicated", "noncommuting", "random")
+
+
+@lru_cache(maxsize=None)
+def base_certificate(algebra, field_name):
+    field = FIELDS[field_name]
+    if algebra[0] == "gl":
+        return gl_certificate(algebra[1], field)
+    return assemble_one_step_certificate(*algebra[1:], field=field)
+
+
+@lru_cache(maxsize=None)
+def noncommuting_pair(algebra, field_name):
+    """Basis elements (b_s, b_t) with a nonzero product, or None when
+    the algebra is abelian."""
+    cert = base_certificate(algebra, field_name)
+    space = algebra_space(cert.algebra, cert.field)
+    for col, image in enumerate(build_mu(space, "lie").columns):
+        if image:
+            s, t = divmod(col, space.d)
+            return space.basis_matrix(s), space.basis_matrix(t)
+    return None
+
+
+def nonzero_scalar(rng, field):
+    if field == QQ:
+        return (Fraction(rng.randint(1, 9), rng.randint(1, 9))
+                * rng.choice((1, -1)))
+    return field.from_int(rng.randrange(1, field.p))
+
+
+def scaled(mat, c):
+    return SparseMatrix(mat.n, mat.field,
+                        {pos: c * v for pos, v in mat.entries.items()})
+
+
+def random_member(rng, space):
+    terms = rng.sample(space.positions, rng.randint(1, min(3, space.d)))
+    return SparseMatrix(space.n, space.field, {
+        pos: nonzero_scalar(rng, space.field) for pos in terms})
+
+
+def rebuilt(cert, tensors):
+    """The certificate with a new tensor list and matching family counts."""
+    counts = Counter(t.label for t in tensors)
+    return Certificate(cert.algebra, cert.field, cert.kernel_dim,
+                       [(label, counts[label]) for label, _ in cert.families],
+                       tensors)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(ALGEBRAS), st.sampled_from(sorted(FIELDS)),
+       st.sampled_from(DEFECTS), st.randoms(use_true_random=False))
+def test_integer_verifier_matches_field_route(algebra, field_name, defect,
+                                              rng):
+    cert = base_certificate(algebra, field_name)
+    field = cert.field
+    tensors = list(cert.tensors)
+    idx = rng.randrange(len(tensors))
+    label = tensors[idx].label
+    pair = noncommuting_pair(algebra, field_name)
+    if defect == "deleted":
+        del tensors[idx]
+    elif defect == "duplicated":
+        tensors.insert(idx + 1, tensors[idx])
+    elif defect == "noncommuting" and pair is not None:
+        tensors[idx] = RankOneTensor(*pair, label)
+    elif defect == "random":
+        space = algebra_space(cert.algebra, field)
+        tensors[idx] = RankOneTensor(random_member(rng, space),
+                                     random_member(rng, space), label)
+    else:
+        defect = "none"
+    plain = rebuilt(cert, tensors)
+    scaled_cert = rebuilt(cert, [
+        RankOneTensor(scaled(t.u, nonzero_scalar(rng, field)),
+                      scaled(t.v, nonzero_scalar(rng, field)), t.label)
+        for t in tensors])
+
+    report = verify_certificate(scaled_cert)
+    assert report == verify_by_field_coords(scaled_cert)
+    assert report == verify_certificate(plain)
+    expected = {"none": PROVEN_ZPD, "deleted": FAILED_SPAN,
+                "duplicated": COUNT_MISMATCH,
+                "noncommuting": FAILED_KERNEL_MEMBERSHIP}
+    if defect in expected:
+        assert report.verdict == expected[defect]
+        if defect == "noncommuting":
+            assert report.first_noncommuting == idx
+
+
+def test_f2_zero_test_is_mod_p():
+    # u = e11 + e12 and v = e12 + e22: the integer bracket is 2 e12, and
+    # so is the integer mu image of u (x) v.  Both are nonzero as ints,
+    # zero over F_2 and nonzero over Q.
+    for field, commutes in ((PrimeField(2), True), (QQ, False)):
+        u = elementary(2, 1, 1, field) + elementary(2, 1, 2, field)
+        v = elementary(2, 1, 2, field) + elementary(2, 2, 2, field)
+        ints = [integer_coords(x.entries, field) for x in (u, v)]
+        xy, yx = entry_product(*ints), entry_product(*reversed(ints))
+        assert {pos: xy.get(pos, 0) - yx.get(pos, 0)
+                for pos in xy.keys() | yx.keys()} == {(1, 2): 2}
+        space = algebra_space({"kind": "gl-lie", "m": 2}, field)
+        columns = build_mu(space, "lie").columns
+        uc, vc = (integer_coords(space.coords_of(x), field) for x in (u, v))
+        image = Counter()
+        for s, a in uc.items():
+            for t, b in vc.items():
+                for k, e in columns[s * space.d + t].items():
+                    image[k] += a * b * e
+        assert {k: c for k, c in image.items() if c} == {
+            space.index_of[(1, 2)]: 2}
+
+        cert = gl_certificate(2, field)
+        for idx in (0, 7, len(cert.tensors) - 1):
+            tensors = list(cert.tensors)
+            tensors[idx] = RankOneTensor(u, v, tensors[idx].label)
+            tampered = rebuilt(cert, tensors)
+            report = verify_certificate(tampered)
+            assert report == verify_by_field_coords(tampered)
+            assert (report.first_noncommuting is None) == commutes
