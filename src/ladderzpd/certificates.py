@@ -20,7 +20,7 @@ from typing import (Dict, Iterator, List, NamedTuple, Optional, Sequence,
 from .elim import IncrementalEchelon, IntRow, field_row, integer_coords
 from .fields import Field, QQ
 from .ladders import Ladder
-from .matrices import SparseMatrix, entry_product
+from .matrices import entry_product
 from .tensors import (MembershipError, MuMap, RankOneTensor, TensorSpace,
                       build_mu)
 
@@ -149,15 +149,17 @@ def verify_certificate(cert: Certificate) -> VerificationReport:
         basis, not a multiset.
     All three hold iff the verdict is proven-zpd.
 
-    All of it runs on plain ints.  Each factor's coordinates are scaled
+    All of it runs on plain ints.  Each factor's entries are scaled
     once by integer_coords: over Q by the lcm of their denominators,
     over F_p not at all (the residues).  Scaling u by a > 0 and v by
     b > 0 scales u (x) v and [u, v] by ab != 0, so kernel membership,
-    the span rank and the count are unchanged.  One integer row, the
-    outer product at column s*d + t, serves the mu route (mu's +-1
-    columns applied to it) and the span echelon; the direct route
-    brackets the two integer entry maps by matrix-entry products and
-    never reads the product table.  Over F_p each zero test is mod p.
+    the span rank and the count are unchanged.  The scaled entries,
+    keyed by position, go to the direct route, which brackets them by
+    matrix-entry products and never reads the product table; their
+    basis indices give the coordinates.  One integer row, the outer
+    product of the coordinates at column s*d + t, serves the mu route
+    (mu's +-1 columns applied to it) and the span echelon.  Over F_p
+    each zero test is mod p.
 
     A factor outside the algebra makes the certificate a claim about
     some other algebra, not a failed one about this algebra: it raises
@@ -166,7 +168,7 @@ def verify_certificate(cert: Certificate) -> VerificationReport:
     space = algebra_space(cert.algebra, cert.field)
     mu = build_mu(space, "lie")
     kdim = mu.kernel_dim
-    field, d, positions = space.field, space.d, space.positions
+    field, d = space.field, space.d
     ech = IncrementalEchelon(field)
 
     def is_zero(values) -> bool:
@@ -175,13 +177,17 @@ def verify_certificate(cert: Certificate) -> VerificationReport:
 
     first_bad: Optional[int] = None
     for idx, t in enumerate(cert.tensors):
-        coords = []
+        entries, coords = [], []
         for name, factor in (("u", t.u), ("v", t.v)):
+            # the factor's own field: a factor over another field then
+            # meets coords_of's MembershipError, not a scalar error
+            x = integer_coords(factor.entries, factor.field)
             try:
-                coords.append(integer_coords(space.coords_of(factor), field))
+                coords.append(space.coords_of(factor, x))
             except MembershipError as exc:
                 raise MembershipError(
                     f"tensor {idx} factor {name}: {exc}") from None
+            entries.append(x)
         ucoords, vcoords = coords
         row = {s * d + k: a * b for s, a in ucoords.items()
                for k, b in vcoords.items()}
@@ -189,7 +195,7 @@ def verify_certificate(cert: Certificate) -> VerificationReport:
         for col, c in row.items():
             for a, e in mu.columns[col].items():
                 image[a] = image.get(a, 0) + c * e
-        x, y = ({positions[k]: c for k, c in xc.items()} for xc in coords)
+        x, y = entries
         xy, yx = entry_product(x, y), entry_product(y, x)
         direct = is_zero(xy.get(pos, 0) - yx.get(pos, 0)
                          for pos in xy.keys() | yx.keys())
@@ -231,22 +237,10 @@ def integer_centralizer(ucoords: IntRow,
     return ech.null_space(space.d)
 
 
-def centralizer(u: SparseMatrix, space: TensorSpace) -> List[SparseMatrix]:
-    """Basis of {v in the algebra : [u, v] = 0}.
-
-    The map v -> [u, v] is restricted to the algebra and its exact null
-    space computed; basis vectors come out in free-variable order, each
-    normalized with a 1 at its free coordinate.  u outside the algebra
-    raises MembershipError; a bracket leaving the span, ClosureError.
-    """
-    field = space.field
-    ucoords = integer_coords(space.coords_of(u), field)
-    return [space.from_coords(field_row(w, m, field))
-            for w, m in integer_centralizer(ucoords, space)]
-
-
-def candidate_pool(space: TensorSpace) -> Iterator[SparseMatrix]:
-    """Deterministic first factors for the greedy search.
+def candidate_pool(space: TensorSpace) -> Iterator[Dict[int, int]]:
+    """Deterministic first factors for the greedy search, as integer
+    coordinate maps (entries +-1; the search reduces them mod p over
+    F_p, so over F_2 each b_s - b_t repeats b_s + b_t).
 
     In order: the basis elements; two-term sums and differences
     b_s + b_t / b_s - b_t in lexicographic (s, t, sign) order; directed
@@ -263,33 +257,27 @@ def candidate_pool(space: TensorSpace) -> Iterator[SparseMatrix]:
     two-term factors stalls strictly below the kernel dimension on gl_m
     for m >= 3.
     """
-    basis = space.basis_matrices()
-    yield from basis
-    for s in range(space.d):
-        for t in range(s + 1, space.d):
-            yield basis[s] + basis[t]
-            yield basis[s] - basis[t]
-    present = set(space.positions)
+    d = space.d
+    for s in range(d):
+        yield {s: 1}
+    for s in range(d):
+        for t in range(s + 1, d):
+            yield {s: 1, t: 1}
+            yield {s: 1, t: -1}
+    index_of = space.index_of
     indices = sorted({i for i, _ in space.positions}
                      | {j for _, j in space.positions})
-    field = space.field
     for a in range(len(indices)):
         for b in range(a + 1, len(indices)):
             for c in range(b + 1, len(indices)):
                 i, j, k = indices[a], indices[b], indices[c]
                 for cycle in (((i, j), (j, k), (k, i)),
                               ((i, k), (k, j), (j, i))):
-                    if all(pos in present for pos in cycle):
-                        yield SparseMatrix(
-                            space.n, field,
-                            {pos: field.one for pos in cycle})
-    ident = space.diagonal_unit()
-    if not ident.is_zero():
-        yield ident
-
-
-def default_budget(space: TensorSpace) -> int:
-    return 50 * space.d * space.d
+                    if all(pos in index_of for pos in cycle):
+                        yield {index_of[pos]: 1 for pos in cycle}
+    diagonal = {k: 1 for k, (i, j) in enumerate(space.positions) if i == j}
+    if diagonal:
+        yield diagonal
 
 
 def search_spanning(space: TensorSpace, mu: MuMap, descriptor: dict,
@@ -301,33 +289,34 @@ def search_spanning(space: TensorSpace, mu: MuMap, descriptor: dict,
     member v of its centralizer basis gives a candidate tensor u (x) v,
     kept iff it strictly increases the rank of the accumulated rows.
     The engine gets the outer products of the integer coordinates of u
-    and of the integer null vectors of ad_u; the field-valued v (what
-    centralizer returns) is built only for a kept candidate.
+    and of the integer null vectors of ad_u; the field-valued u and v
+    are built only for a kept candidate.
     Returns a certificate as soon as the rank reaches dim Ker mu, or
-    None when the pool or the candidate budget runs out first.  The
-    budget counts candidate tensors tried.
+    None when the pool runs out first.  The pool is finite and each u
+    gives at most d candidates, so the search always ends; budget, when
+    given, cuts it after that many candidate tensors tried.
     """
-    if budget is None:
-        budget = default_budget(space)
     target = mu.kernel_dim
     field = space.field
     d = space.d
     ech = IncrementalEchelon(field)
     chosen: List[RankOneTensor] = []
     tried = 0
-    for u in candidate_pool(space):
-        ucoords = integer_coords(space.coords_of(u), field)
+    for pool_coords in candidate_pool(space):
+        ucoords = integer_coords(pool_coords, field)
+        u = None  # built at u's first kept tensor, shared by the rest
         for w, m in integer_centralizer(ucoords, space):
-            if tried >= budget:
+            if budget is not None and tried >= budget:
                 return None
             tried += 1
             # w = m v with m > 0, so the row spans what u (x) v does
             row = {s * d + k: a * b for s, a in ucoords.items()
                    for k, b in w.items()}
             if ech.insert(row):
+                if u is None:
+                    u = space.from_coords(field_row(ucoords, 1, field))
                 v = space.from_coords(field_row(w, m, field))
-                t = RankOneTensor(u, v, label)
-                chosen.append(t)
+                chosen.append(RankOneTensor(u, v, label))
                 if ech.rank == target:
                     return Certificate(descriptor, space.field, target,
                                        [(label, len(chosen))], chosen)
@@ -348,25 +337,25 @@ def abelian_certificate(space: TensorSpace, descriptor: dict) -> Certificate:
                        [("abelian", d * d)], tensors)
 
 
-_GL_CACHE: Dict[Tuple[int, Field, int], Certificate] = {}
+_GL_CACHE: Dict[Tuple[int, Field, Optional[int]], Certificate] = {}
 
 
 def gl_certificate(m: int, field: Field = QQ,
                    budget: Optional[int] = None) -> Optional[Certificate]:
     """Searched-and-verified certificate for gl_m under the bracket.
 
-    Results are memoized per (m, field, effective budget); the same
+    gl_m is checked against MAX_ALGEBRA_SIZE (ValueError) before any
+    search.  Results are memoized per (m, field, budget); the same
     certificate object is returned on repeat calls, which the block
     construction relies on to avoid re-searching identical gl blocks.
     """
-    space = TensorSpace.gl(m, field)
-    if budget is None:
-        budget = default_budget(space)
     key = (m, field, budget)
     if key not in _GL_CACHE:
+        descriptor = gl_algebra_descriptor(m)
+        space = algebra_space(descriptor, field)
         mu = build_mu(space, "lie")
-        cert = search_spanning(space, mu, gl_algebra_descriptor(m),
-                               budget=budget, label="gl")
+        cert = search_spanning(space, mu, descriptor, budget=budget,
+                               label="gl")
         if cert is None:
             return None
         _GL_CACHE[key] = cert

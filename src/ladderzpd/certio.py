@@ -162,7 +162,9 @@ def certificate_from_json(obj) -> Certificate:
         raise CertificateFormatError(
             f"certificate keys wrong: missing {sorted(missing)}, "
             f"unexpected {sorted(extra)}")
-    if obj["format_version"] != FORMAT_VERSION:
+    # True and 1.0 equal 1 in Python; the version must be the int
+    if (not _is_int(obj["format_version"])
+            or obj["format_version"] != FORMAT_VERSION):
         raise CertificateFormatError(
             f"unsupported format_version: {obj['format_version']!r} "
             f"(expected {FORMAT_VERSION})")

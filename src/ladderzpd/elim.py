@@ -12,9 +12,8 @@ column -> scalar maps, and the engine reduces them on plain Python ints:
 
 This is exact, not a modular shortcut.  Scaling a row by a nonzero
 rational and adding multiples of other rows leave its row space over Q
-unchanged, so every rank decision, every "reduces to zero" answer and
-the reduced echelon form are the ones Gaussian elimination over Q would
-give.  `IncrementalEchelon.null_space` back-substitutes to the reduced
+unchanged, so every rank decision and the reduced echelon form are the
+ones Gaussian elimination over Q would give.  `IncrementalEchelon.null_space` back-substitutes to the reduced
 row echelon form and reads off the null space on integers: to get the
 kernel of a linear map, insert the rows of its matrix (one per image
 coordinate, keyed by domain index).  Field scalars (`Fraction` or `Fp`)
@@ -127,33 +126,19 @@ class IncrementalEchelon:
     def rank(self) -> int:
         return len(self.pivot_rows)
 
-    def _reduce(self, row: SparseRow) -> IntRow:
-        """Integer remainder of row against the stored pivots: empty
-        exactly when row lies in their span, otherwise a multiple of a
-        row whose leading column carries no pivot."""
+    def insert(self, row: SparseRow) -> bool:
+        """Reduce a copy of row against the accumulated rows; keep it if
+        independent.  Returns True when the rank increased."""
         work = integer_coords(row, self.field)
         pivots, p = self.pivot_rows, self.p
         while work:
             lead = min(work)
             prow = pivots.get(lead)
             if prow is None:
-                break
+                pivots[lead] = _normalize(work, lead, p)
+                return True
             work = _clear(work, prow, lead, p)
-        return work
-
-    def insert(self, row: SparseRow) -> bool:
-        """Reduce a copy of row against the accumulated rows; keep it if
-        independent.  Returns True when the rank increased."""
-        work = self._reduce(row)
-        if not work:
-            return False
-        lead = min(work)
-        self.pivot_rows[lead] = _normalize(work, lead, self.p)
-        return True
-
-    def reduces_to_zero(self, row: SparseRow) -> bool:
-        """True when row is already in the accumulated row space."""
-        return not self._reduce(row)
+        return False
 
     def null_space(self, ncols: int) -> List[Tuple[IntRow, int]]:
         """The null space over columns range(ncols), on integers.

@@ -1,18 +1,20 @@
-"""Sparse exact matrices and the two products (associative, Lie bracket).
+"""Sparse exact matrices and the matrix product of two entry maps.
 
 Matrices are n-by-n over an exact field, stored as a map from 1-based
-(row, col) pairs to nonzero scalars.  Everything downstream (ladder
-spaces, the mu map, certificates) manipulates these, so the invariants
-are strict: no stored zero entries, one field per matrix, indices in
-range.  They follow the e_{i,j} convention: elementary(n, i, j) has a
-single 1 in row i, column j.
+(row, col) pairs to nonzero scalars.  They are the factors of
+certificate tensors, so the invariants are strict: no stored zero
+entries, one field per matrix, indices in range.  They follow the
+e_{i,j} convention: elementary(n, i, j) has a single 1 in row i,
+column j.  The package does no arithmetic on whole matrices: it works
+on coordinates, and `entry_product` multiplies two entry maps for the
+verifier's direct route.
 """
 
 from __future__ import annotations
 
 from typing import Any, Dict, Tuple
 
-from .fields import Field, FieldMismatchError, QQ, Scalar
+from .fields import Field, QQ, Scalar
 
 Position = Tuple[int, int]
 Entries = Dict[Position, Any]
@@ -39,48 +41,8 @@ class SparseMatrix:
                 if c:
                     self.entries[(i, j)] = c
 
-    def __getitem__(self, pos: Position) -> Scalar:
-        return self.entries.get(pos, self.field.zero)
-
     def is_zero(self) -> bool:
         return not self.entries
-
-    def copy(self) -> "SparseMatrix":
-        out = SparseMatrix(self.n, self.field)
-        out.entries = dict(self.entries)
-        return out
-
-    def _check_compatible(self, other: "SparseMatrix") -> None:
-        if not isinstance(other, SparseMatrix):
-            raise TypeError(f"expected SparseMatrix, got {type(other).__name__}")
-        if other.n != self.n:
-            raise ValueError(f"size mismatch: {self.n} vs {other.n}")
-        if other.field != self.field:
-            raise FieldMismatchError(
-                f"matrices over {self.field!r} and {other.field!r} do not mix")
-
-    def __add__(self, other: "SparseMatrix") -> "SparseMatrix":
-        self._check_compatible(other)
-        out = self.copy()
-        for pos, c in other.entries.items():
-            s = out.entries.get(pos)
-            if s is None:
-                out.entries[pos] = c
-            else:
-                s = s + c
-                if s:
-                    out.entries[pos] = s
-                else:
-                    del out.entries[pos]
-        return out
-
-    def __neg__(self) -> "SparseMatrix":
-        out = SparseMatrix(self.n, self.field)
-        out.entries = {pos: -c for pos, c in self.entries.items()}
-        return out
-
-    def __sub__(self, other: "SparseMatrix") -> "SparseMatrix":
-        return self + (-other)
 
     def shifted(self, offset: int, new_n: int) -> "SparseMatrix":
         """Translate every entry by (offset, offset) into an ambient of size new_n."""
@@ -134,19 +96,3 @@ def entry_product(x: Entries, y: Entries) -> Entries:
                 del acc[pos]
     return acc
 
-
-def _assoc(x: SparseMatrix, y: SparseMatrix) -> SparseMatrix:
-    out = SparseMatrix(x.n, x.field)
-    out.entries = entry_product(x.entries, y.entries)
-    return out
-
-
-def mat_product(x: SparseMatrix, y: SparseMatrix,
-                kind: str = "lie") -> SparseMatrix:
-    """xy for kind "associative"; the bracket xy - yx for kind "lie"."""
-    x._check_compatible(y)
-    if kind == "associative":
-        return _assoc(x, y)
-    if kind == "lie":
-        return _assoc(x, y) - _assoc(y, x)
-    raise ValueError(f"unknown product kind: {kind!r}")

@@ -25,12 +25,12 @@ from __future__ import annotations
 from collections import Counter
 from typing import Dict, List, Optional, Tuple
 
-from .certificates import (Certificate, abelian_certificate, gl_certificate,
-                           ladder_algebra_descriptor)
+from .certificates import (Certificate, abelian_certificate, algebra_space,
+                           gl_certificate, ladder_algebra_descriptor)
 from .fields import Field, QQ, Scalar
 from .ladders import BlockProfile, Ladder, block_profile
 from .matrices import Position, SparseMatrix, elementary
-from .tensors import RankOneTensor, TensorSpace
+from .tensors import RankOneTensor
 
 FAMILY_ORDER = (
     "pair-h-a", "pair-l-a", "pair-r-a", "pair-a-a", "pair-l-l", "pair-r-r",
@@ -181,30 +181,6 @@ def gl_block_tensors(p: BlockProfile, field: Field = QQ,
             for t in cert.tensors]
 
 
-def expected_counts(p: BlockProfile) -> List[Tuple[str, int]]:
-    """Closed-form tensor count for every family, in assembly order;
-    the counts sum to kernel_dim_polynomial(p)."""
-    n1, n2, n3 = p
-    return [
-        ("pair-h-a", 2 * n1 * n2**2 * n3),
-        ("pair-l-a", 2 * n1**2 * n2 * n3),
-        ("pair-r-a", 2 * n1 * n2 * n3**2),
-        ("pair-a-a", n1**2 * n3**2),
-        ("pair-l-l", n1**2 * n2**2),
-        ("pair-r-r", n2**2 * n3**2),
-        ("gl-h", n2**4 - n2**2 + 1),
-        ("T", 2 * n2**3 * n3 - 2 * n2**2 * n3),
-        ("S", 2 * n2**2 * n3 - 2 * n2 * n3),
-        ("R", n2 * n3),
-        ("T-mirror", 2 * n1 * n2**3 - 2 * n1 * n2**2),
-        ("S-mirror", 2 * n1 * n2**2 - 2 * n1 * n2),
-        ("R-mirror", n1 * n2),
-        ("U", 2 * n1 * n2**2 * n3 - 2 * n1 * n2 * n3),
-        ("V", 2 * n1 * n2 * n3 - 2 * n1 * n3),
-        ("W", n1 * n3),
-    ]
-
-
 def assemble_one_step_certificate(n: int, i1: int, j1: int,
                                   field: Field = QQ,
                                   budget: Optional[int] = None) -> Certificate:
@@ -215,10 +191,12 @@ def assemble_one_step_certificate(n: int, i1: int, j1: int,
     Otherwise: block pairings, the searched gl block, and the explicit
     families, concatenated in a fixed order.  The claimed kernel
     dimension is the closed-form polynomial; verification recomputes it.
+    The ladder is checked against MAX_ALGEBRA_SIZE (ValueError) before
+    anything is built or searched.
     """
     ladder = Ladder(n, [(i1, j1)])
     descriptor = ladder_algebra_descriptor(ladder)
-    space = TensorSpace(n, ladder.positions(), field)
+    space = algebra_space(descriptor, field)
     profile = block_profile(ladder)
     if profile is None:
         return abelian_certificate(space, descriptor)

@@ -4,9 +4,9 @@ multiplication map mu.
 An algebra here is a span of elementary matrices at a fixed position
 set, with the basis ordered row-major.  How two basis elements multiply
 is worked out in one place, the product table `TensorSpace.products`:
-`build_mu`, `ladders.is_closed` and `certificates.centralizer` read it.
-The tensor square gets the ordered basis b_s (x) b_t indexed by the
-global column rule column(s, t) = s*d + t with s, t 0-based;
+`build_mu`, `ladders.is_closed` and `certificates.integer_centralizer`
+read it.  The tensor square gets the ordered basis b_s (x) b_t indexed
+by the global column rule column(s, t) = s*d + t with s, t 0-based;
 certificates depend on this rule, so it is fixed here and nowhere else.
 mu sends a tensor to the product of its factors, extended linearly; its
 kernel dimension is the quantity every certificate is measured against.
@@ -14,11 +14,12 @@ kernel dimension is the quantity every certificate is measured against.
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .elim import IncrementalEchelon
 from .fields import Field, QQ, Scalar
-from .matrices import Position, PRODUCT_KINDS, SparseMatrix, elementary
+from .matrices import (Entries, Position, PRODUCT_KINDS, SparseMatrix,
+                       elementary)
 
 
 class MembershipError(ValueError):
@@ -66,14 +67,6 @@ class TensorSpace:
         i, j = self.positions[k]
         return elementary(self.n, i, j, self.field)
 
-    def basis_matrices(self) -> List[SparseMatrix]:
-        return [self.basis_matrix(k) for k in range(self.d)]
-
-    def diagonal_unit(self) -> SparseMatrix:
-        """Sum of e_{i,i} over diagonal positions of the set (may be zero)."""
-        return SparseMatrix(self.n, self.field, {
-            (i, j): self.field.one for i, j in self.positions if i == j})
-
     def products(self, s: int, kind: str) -> Iterator[Tuple[int, int, int]]:
         """The product table: the nonzero structure constants of b_s
         times each basis element, as triples (k, a, c): b_a has
@@ -103,14 +96,17 @@ class TensorSpace:
                     f"outside the position set")
             yield k, a, c
 
-    def coords_of(self, mat: SparseMatrix) -> Dict[int, Scalar]:
-        """Sparse coordinates of a member against the elementary basis."""
+    def coords_of(self, mat: SparseMatrix,
+                  entries: Optional[Entries] = None) -> Dict[int, Any]:
+        """Sparse coordinates of a member against the elementary basis:
+        of its entries, or of entries given in their place, keyed by the
+        same positions (the verifier passes an integer multiple)."""
         if mat.n != self.n or mat.field != self.field:
             raise MembershipError(
                 f"matrix over n={mat.n}, {mat.field!r} does not live in "
                 f"this space (n={self.n}, {self.field!r})")
-        coords: Dict[int, Scalar] = {}
-        for pos, c in mat.entries.items():
+        coords: Dict[int, Any] = {}
+        for pos, c in (mat.entries if entries is None else entries).items():
             k = self.index_of.get(pos)
             if k is None:
                 raise MembershipError(

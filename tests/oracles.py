@@ -4,14 +4,16 @@ Everything here is deliberately naive: dense lists of Fractions,
 textbook triple-loop products, and plain Gaussian elimination written
 from scratch.  Tests use these as oracles to pin down expected ranks,
 kernel dimensions, products, reduced echelon forms, null spaces,
-centralizers and the one-step block bracket table without trusting the
-package's sparse integer machinery.  The exceptions reuse package
-pieces that share no code with what they check: mu_columns_by_products
-multiplies the package's sparse basis matrices with mat_product, not
-the product table; and the field-scalar verification route
-(tensor_coords, apply_to_coords, in_kernel, verify_by_field_coords)
-checks certificates on the field's own scalars, where the package
-verifier works on integer multiples of them.
+centralizers, family counts and the one-step block bracket table
+without trusting the package's sparse integer machinery.  The
+exceptions reuse package pieces that share no code with what they
+check: product and bracket multiply package matrices with
+entry_product, and mu_columns_by_products multiplies basis matrices
+with them, not with the product table; the field-scalar verification route (tensor_coords,
+apply_to_coords, in_kernel, verify_by_field_coords) checks
+certificates on the field's own scalars, where the package verifier
+works on integer multiples of them; and reduced and centralizer read
+the engine's integer null space back as field scalars.
 """
 
 from __future__ import annotations
@@ -21,10 +23,11 @@ from typing import List, Sequence, Tuple
 
 from ladderzpd.certificates import (COUNT_MISMATCH, FAILED_KERNEL_MEMBERSHIP,
                                     FAILED_SPAN, PROVEN_ZPD,
-                                    VerificationReport, algebra_space)
-from ladderzpd.elim import IncrementalEchelon, field_row
+                                    VerificationReport, algebra_space,
+                                    integer_centralizer)
+from ladderzpd.elim import IncrementalEchelon, field_row, integer_coords
 from ladderzpd.fields import QQ
-from ladderzpd.matrices import mat_product
+from ladderzpd.matrices import SparseMatrix, elementary, entry_product
 from ladderzpd.onestep import block_positions
 from ladderzpd.tensors import MembershipError, build_mu
 
@@ -79,6 +82,19 @@ def dense_bracket(a: Dense, b: Dense) -> Dense:
 
 def dense_is_zero(a: Dense) -> bool:
     return all(not x for row in a for x in row)
+
+
+def product(x: SparseMatrix, y: SparseMatrix) -> SparseMatrix:
+    """xy of two package matrices, from entry_product."""
+    return SparseMatrix(x.n, x.field, entry_product(x.entries, y.entries))
+
+
+def bracket(x: SparseMatrix, y: SparseMatrix) -> SparseMatrix:
+    """[x, y] = xy - yx of two package matrices, from entry_product."""
+    entries = entry_product(x.entries, y.entries)
+    for pos, c in entry_product(y.entries, x.entries).items():
+        entries[pos] = entries.get(pos, 0) - c
+    return SparseMatrix(x.n, x.field, entries)  # drops the zeros
 
 
 def naive_rank(rows: Sequence[Sequence]) -> int:
@@ -140,12 +156,13 @@ def naive_mu_kernel_dim(n: int, positions: Sequence[Tuple[int, int]],
 
 def mu_columns_by_products(space, kind: str) -> list:
     """The columns of mu built without the product table: every pair of
-    basis matrices multiplied by mat_product and read back with
-    coords_of, column s*d + t for b_s times b_t.  A product that leaves
-    the span raises MembershipError."""
-    basis = space.basis_matrices()
-    return [space.coords_of(mat_product(x, y, kind))
-            for x in basis for y in basis]
+    basis matrices multiplied (product, or bracket for kind "lie") and
+    read back with coords_of, column s*d + t for b_s times b_t.  A
+    product that leaves the span raises MembershipError."""
+    multiply = bracket if kind == "lie" else product
+    basis = [elementary(space.n, i, j, space.field)
+             for i, j in space.positions]
+    return [space.coords_of(multiply(x, y)) for x in basis for y in basis]
 
 
 def dense_rref(rows: Sequence[Sequence], field) -> Tuple[List[list], List[int]]:
@@ -276,6 +293,41 @@ def dense_centralizer(u, positions: Sequence[Tuple[int, int]],
     return dense_kernel_of_rows(rows, len(pos), QQ)
 
 
+def centralizer(u, space) -> list:
+    """Basis of the centralizer of u in the space as package matrices:
+    integer_centralizer on u's coordinates, divided back into field
+    scalars (1 at each free coordinate, in free-variable order)."""
+    field = space.field
+    ucoords = integer_coords(space.coords_of(u), field)
+    return [space.from_coords(field_row(w, m, field))
+            for w, m in integer_centralizer(ucoords, space)]
+
+
+def expected_counts(p) -> List[Tuple[str, int]]:
+    """Closed-form tensor count of every one-step family for the block
+    profile p = (n1, n2, n3), in assembly order; the counts sum to
+    d^2 - d + 1 for d = (n1+n2)(n2+n3)."""
+    n1, n2, n3 = p
+    return [
+        ("pair-h-a", 2 * n1 * n2**2 * n3),
+        ("pair-l-a", 2 * n1**2 * n2 * n3),
+        ("pair-r-a", 2 * n1 * n2 * n3**2),
+        ("pair-a-a", n1**2 * n3**2),
+        ("pair-l-l", n1**2 * n2**2),
+        ("pair-r-r", n2**2 * n3**2),
+        ("gl-h", n2**4 - n2**2 + 1),
+        ("T", 2 * n2**3 * n3 - 2 * n2**2 * n3),
+        ("S", 2 * n2**2 * n3 - 2 * n2 * n3),
+        ("R", n2 * n3),
+        ("T-mirror", 2 * n1 * n2**3 - 2 * n1 * n2**2),
+        ("S-mirror", 2 * n1 * n2**2 - 2 * n1 * n2),
+        ("R-mirror", n1 * n2),
+        ("U", 2 * n1 * n2**2 * n3 - 2 * n1 * n2 * n3),
+        ("V", 2 * n1 * n2 * n3 - 2 * n1 * n3),
+        ("W", n1 * n3),
+    ]
+
+
 # bracket containment of the one-step blocks: ordered block pair ->
 # block the result must lie in (pairs absent from the map must bracket
 # to zero)
@@ -317,7 +369,7 @@ def multiplication_table_check(p, space) -> bool:
 
 # The field-scalar verification route: tensor coordinates and the image
 # under mu in the field's own scalars (Fraction or Fp), with no integer
-# scaling, and the direct product by mat_product.
+# scaling, and the direct product by entry_product.
 
 def tensor_coords(t, space) -> dict:
     """Sparse coordinates of u (x) v in the tensor-square basis: the
@@ -352,10 +404,11 @@ def apply_to_coords(mu, tcoords: dict) -> dict:
 
 
 def in_kernel(t, mu, tcoords: dict) -> bool:
-    """True iff mu kills t, given tcoords = tensor_coords(t, mu.space):
-    computed directly as the product of the factors and through the
-    coordinate matrix of mu; the two routes must agree."""
-    direct = mat_product(t.u, t.v, mu.kind).is_zero()
+    """True iff the Lie-bracket map mu kills t, given tcoords =
+    tensor_coords(t, mu.space): computed directly as the bracket of the
+    factors and through the coordinate matrix of mu; the two routes
+    must agree."""
+    direct = bracket(t.u, t.v).is_zero()
     via_mu = not apply_to_coords(mu, tcoords)
     if direct != via_mu:
         raise AssertionError(

@@ -4,24 +4,25 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
 from ladderzpd.certificates import (COUNT_MISMATCH, FAILED_KERNEL_MEMBERSHIP,
                                     FAILED_SPAN, MAX_ALGEBRA_SIZE, PROVEN_ZPD,
                                     Certificate, abelian_certificate,
-                                    algebra_space, centralizer,
+                                    algebra_space, candidate_pool,
                                     gl_algebra_descriptor, gl_certificate,
                                     ladder_algebra_descriptor,
                                     search_spanning, verify_certificate)
-from ladderzpd.elim import IncrementalEchelon
-from ladderzpd.fields import QQ
+from ladderzpd.elim import IncrementalEchelon, integer_coords
+from ladderzpd.fields import PrimeField, QQ
 from ladderzpd.ladders import Ladder, enumerate_ladders
-from ladderzpd.matrices import SparseMatrix, elementary, mat_product
+from ladderzpd.matrices import SparseMatrix, elementary
 from ladderzpd.tensors import (ClosureError, MembershipError, RankOneTensor,
                                TensorSpace, build_mu)
 
-from oracles import in_kernel, tensor_coords
+from oracles import bracket, centralizer, in_kernel, tensor_coords
 
 F = Fraction
 
@@ -36,14 +37,14 @@ def span_contains(space, basis_mats, target) -> bool:
     ech = IncrementalEchelon(space.field)
     for m in basis_mats:
         ech.insert(space.coords_of(m))
-    return ech.reduces_to_zero(space.coords_of(target))
+    return not ech.insert(space.coords_of(target))
 
 
 def test_centralizer_of_identity_is_everything():
     space = TensorSpace.gl(2)
     cent = centralizer(IDENTITY_2, space)
     assert len(cent) == 4
-    assert cent == list(space.basis_matrices())
+    assert cent == [space.basis_matrix(k) for k in range(space.d)]
 
 
 def test_centralizer_of_diagonal_unit():
@@ -75,7 +76,7 @@ def test_centralizer_members_commute():
         u = space.from_coords(coords)
         cent = centralizer(u, space)
         for v in cent:
-            assert mat_product(u, v, "lie").is_zero()
+            assert bracket(u, v).is_zero()
         # u always commutes with itself, so it lies in its own centralizer
         assert span_contains(space, cent, u)
 
@@ -91,6 +92,55 @@ def test_centralizer_rejects_open_space():
     space = ladder_space(Ladder(3, [(2, 1), (3, 2)]))
     with pytest.raises(ClosureError):
         centralizer(elementary(3, 2, 1), space)
+
+
+def pool_by_docstring(space) -> list:
+    """candidate_pool's order, built from its docstring and the sorted
+    position list: the basis, b_s + b_t and b_s - b_t for s < t, the
+    two orientations of every three-cycle, then the diagonal unit."""
+    pos, one = space.positions, space.field.one
+
+    def mat(*terms):
+        return SparseMatrix(space.n, space.field, dict(terms))
+
+    out = [mat((p, one)) for p in pos]
+    for s, t in combinations(range(len(pos)), 2):
+        out.append(mat((pos[s], one), (pos[t], one)))
+        out.append(mat((pos[s], one), (pos[t], -one)))
+    for i, j, k in combinations(sorted({i for p in pos for i in p}), 3):
+        for cycle in (((i, j), (j, k), (k, i)), ((i, k), (k, j), (j, i))):
+            if all(p in pos for p in cycle):
+                out.append(mat(*((p, one) for p in cycle)))
+    diagonal = [(p, one) for p in pos if p[0] == p[1]]
+    if diagonal:
+        out.append(mat(*diagonal))
+    return out
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(2), PrimeField(101)])
+@pytest.mark.parametrize("space_of", [
+    lambda field: TensorSpace.gl(3, field),
+    lambda field: TensorSpace(4, Ladder(4, [(3, 2)]).positions(), field)],
+    ids=["gl3", "one-step-4-3-2"])
+def test_candidate_pool_order(space_of, field):
+    space = space_of(field)
+    pool = list(candidate_pool(space))
+    assert all(c in (1, -1) for coords in pool for c in coords.values())
+    got = [SparseMatrix(space.n, field, {space.positions[k]: field.from_int(c)
+                                         for k, c in coords.items()})
+           for coords in pool]
+    assert got == pool_by_docstring(space)
+
+
+def test_candidate_pool_over_f2_keeps_repeats():
+    # over F_2, b_s - b_t is b_s + b_t again, and the diagonal unit of
+    # gl_2 is b_0 + b_3: 17 candidates, 10 of them distinct
+    field = PrimeField(2)
+    pool = [integer_coords(c, field)
+            for c in candidate_pool(TensorSpace.gl(2, field))]
+    assert len(pool) == 17
+    assert len({frozenset(c.items()) for c in pool}) == 10
+    assert pool[4] == pool[5] == {0: 1, 1: 1}
 
 
 def test_gl1_certificate():
@@ -189,6 +239,22 @@ def test_tamper_duplicate_fails_count():
     assert report.verdict == COUNT_MISMATCH
     assert report.span_rank == report.kernel_dim == 13
     assert report.tensor_count == 14
+
+
+@pytest.mark.parametrize("factor", [elementary(2, 1, 1, PrimeField(101)),
+                                    elementary(3, 1, 1)])
+def test_verify_rejects_factor_outside_the_space(factor):
+    # a factor over another field or ambient size is named, with the
+    # message coords_of gives, before any of its scalars is read
+    base = gl_certificate(2)
+    tensors = list(base.tensors)
+    tensors[3] = RankOneTensor(factor, tensors[3].v, "gl")
+    cert = Certificate(base.algebra, base.field, base.kernel_dim,
+                       base.families, tensors)
+    with pytest.raises(MembershipError,
+                       match=r"^tensor 3 factor u: matrix over n=\d, "
+                             r".* does not live in this space \(n=2, QQ\)$"):
+        verify_certificate(cert)
 
 
 def test_certificate_count_validation():

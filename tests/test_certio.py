@@ -107,6 +107,12 @@ def test_rejects_structural_damage():
     def set_version(obj):
         obj["format_version"] = 2
 
+    def bool_version(obj):
+        obj["format_version"] = True  # == 1 in Python
+
+    def float_version(obj):
+        obj["format_version"] = 1.0
+
     def drop_key(obj):
         del obj["kernel_dim"]
 
@@ -149,7 +155,8 @@ def test_rejects_structural_damage():
     def bool_kernel_dim(obj):
         obj["kernel_dim"] = True
 
-    for mutate in (set_version, drop_key, extra_key, zero_based_entry,
+    for mutate in (set_version, bool_version, float_version, drop_key,
+                   extra_key, zero_based_entry,
                    out_of_range_entry, duplicate_entry, zero_entry,
                    bad_scalar, empty_factor, count_drift, negative_count,
                    bad_family_shape, bad_steps, bad_algebra_kind,

@@ -286,6 +286,29 @@ def test_cert_verify_rejects_algebra_over_size_cap(tmp_path, algebra):
     assert "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize("argv", [
+    ["zpd-gl", "--m", "33"],
+    ["zpd-verify", "--n", "40", "--step", "33,1"],
+    # d = 33 * 33 = 1089 with a gl_2 block: about a million family
+    # tensors would be built before the verifier's own check
+    ["zpd-verify", "--n", "64", "--step", "33,32"],
+])
+def test_search_rejects_algebra_over_size_cap(argv):
+    # the cap is checked before any search or assembly; with no default
+    # budget, a search this large would otherwise run for hours
+    src = os.path.dirname(os.path.dirname(ladderzpd.__file__))
+    start = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "ladderzpd.cli", *argv],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True,
+        text=True, timeout=60)
+    assert time.perf_counter() - start < 1.0
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: algebra too large to verify: ")
+    assert "Traceback" not in proc.stderr
+
+
 def test_step_syntax_error(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["ladder-check", "--n", "3", "--step", "2;2"])

@@ -7,9 +7,9 @@ from fractions import Fraction
 
 from ladderzpd.elim import IncrementalEchelon
 from ladderzpd.fields import PrimeField, QQ
-from ladderzpd.matrices import elementary, mat_product
+from ladderzpd.matrices import elementary
 
-from oracles import naive_rank, reduced
+from oracles import bracket, naive_rank, reduced
 
 F = Fraction
 
@@ -63,7 +63,7 @@ def test_gl2_bracket_image_rank_three():
     rows = []
     for i, j in positions:
         for k, l in positions:
-            br = mat_product(elementary(n, i, j), elementary(n, k, l), "lie")
+            br = bracket(elementary(n, i, j), elementary(n, k, l))
             row = [F(0)] * 4
             for pos, c in br.entries.items():
                 row[index[pos]] = c
@@ -93,7 +93,7 @@ def test_kernel_mu_gl2_has_13_vectors():
     rows = []
     for i, j in positions:
         for k, l in positions:
-            br = mat_product(elementary(n, i, j), elementary(n, k, l), "lie")
+            br = bracket(elementary(n, i, j), elementary(n, k, l))
             row = [F(0)] * 4
             for pos, c in br.entries.items():
                 row[index[pos]] = c
@@ -162,13 +162,15 @@ def test_incremental_echelon_membership():
     ech = IncrementalEchelon(QQ)
     ech.insert({0: F(1), 1: F(2)})
     ech.insert({1: F(1), 2: F(1)})
-    # (1, 0, -2) = row1 - 2*row2
-    assert ech.reduces_to_zero({0: F(1), 2: F(-2)})
-    assert not ech.reduces_to_zero({0: F(1), 2: F(1)})
-    assert ech.reduces_to_zero({})
-    # inserting a dependent row leaves the rank unchanged
+    # (1, 0, -2) = row1 - 2*row2 and the zero row reduce to zero, so
+    # inserting them leaves the rank unchanged
+    assert not ech.insert({0: F(1), 2: F(-2)})
+    assert not ech.insert({})
     assert not ech.insert({0: F(2), 1: F(4)})
     assert ech.rank == 2
+    # (1, 0, 1) does not
+    assert ech.insert({0: F(1), 2: F(1)})
+    assert ech.rank == 3
 
 
 def test_incremental_echelon_prime_field():

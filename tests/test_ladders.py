@@ -67,7 +67,7 @@ def test_full_matrix_space():
 
 def test_basis_row_major_and_distinct():
     space = ladder_space(Ladder(4, [(2, 2), (4, 3)]))
-    mats = space.basis_matrices()
+    mats = [space.basis_matrix(k) for k in range(space.d)]
     assert len(mats) == space.d == len(set(space.positions))
     assert space.positions == tuple(sorted(space.positions))
     for pos, mat in zip(space.positions, mats):

@@ -1,4 +1,5 @@
-"""Sparse matrices and the two products, checked against dense oracles."""
+"""Sparse matrices and entry_product, through the oracles' product and
+bracket built on it, checked against dense oracles."""
 
 from __future__ import annotations
 
@@ -7,12 +8,13 @@ from fractions import Fraction
 
 import pytest
 
-from ladderzpd.fields import FieldMismatchError, PrimeField, QQ
-from ladderzpd.matrices import SparseMatrix, elementary, mat_product
+from ladderzpd.certificates import candidate_pool
+from ladderzpd.fields import PrimeField, QQ
+from ladderzpd.matrices import SparseMatrix, elementary
 from ladderzpd.tensors import TensorSpace
 
-from oracles import (dense_bracket, dense_from_sparse, dense_is_zero,
-                     dense_mult)
+from oracles import (bracket, dense_add, dense_bracket, dense_from_sparse,
+                     dense_is_zero, dense_mult, product)
 
 
 def random_sparse(rng: random.Random, n: int, nnz: int) -> SparseMatrix:
@@ -25,7 +27,7 @@ def random_sparse(rng: random.Random, n: int, nnz: int) -> SparseMatrix:
 
 def test_elementary_single_entry():
     e = elementary(3, 1, 2)
-    assert e[(1, 2)] == 1
+    assert e.entries[(1, 2)] == 1
     assert list(e.entries) == [(1, 2)]
     assert list(elementary(1, 1, 1).entries) == [(1, 1)]
 
@@ -43,8 +45,8 @@ def test_elementary_defining_relation_exhaustive_n3():
         for j in range(1, n + 1):
             for k in range(1, n + 1):
                 for l in range(1, n + 1):
-                    prod = mat_product(elementary(n, i, j),
-                                       elementary(n, k, l), "associative")
+                    prod = product(elementary(n, i, j),
+                                   elementary(n, k, l))
                     if j == k:
                         assert prod == elementary(n, i, l)
                     else:
@@ -53,7 +55,7 @@ def test_elementary_defining_relation_exhaustive_n3():
 
 def test_bracket_hand_example():
     # [e_{1,2}, e_{2,1}] = e_{1,1} - e_{2,2} at n = 2
-    got = mat_product(elementary(2, 1, 2), elementary(2, 2, 1), "lie")
+    got = bracket(elementary(2, 1, 2), elementary(2, 2, 1))
     want = SparseMatrix(2, QQ, {(1, 1): Fraction(1), (2, 2): Fraction(-1)})
     assert got == want
 
@@ -62,12 +64,11 @@ def test_bracket_self_is_zero():
     rng = random.Random(41)
     for _ in range(20):
         x = random_sparse(rng, 4, 5)
-        assert mat_product(x, x, "lie").is_zero()
+        assert bracket(x, x).is_zero()
 
 
 def test_associative_orthogonal_elementaries():
-    assert mat_product(elementary(2, 1, 2), elementary(2, 1, 2),
-                       "associative").is_zero()
+    assert product(elementary(2, 1, 2), elementary(2, 1, 2)).is_zero()
 
 
 def test_products_match_dense_oracle():
@@ -75,9 +76,9 @@ def test_products_match_dense_oracle():
     for _ in range(30):
         x = random_sparse(rng, 4, 6)
         y = random_sparse(rng, 4, 6)
-        assert dense_from_sparse(mat_product(x, y, "associative")) == \
+        assert dense_from_sparse(product(x, y)) == \
             dense_mult(dense_from_sparse(x), dense_from_sparse(y))
-        assert dense_from_sparse(mat_product(x, y, "lie")) == \
+        assert dense_from_sparse(bracket(x, y)) == \
             dense_bracket(dense_from_sparse(x), dense_from_sparse(y))
 
 
@@ -86,7 +87,8 @@ def test_antisymmetry_random():
     for _ in range(25):
         x = random_sparse(rng, 5, 6)
         y = random_sparse(rng, 5, 6)
-        assert (mat_product(x, y, "lie") + mat_product(y, x, "lie")).is_zero()
+        assert dense_is_zero(dense_add(dense_from_sparse(bracket(x, y)),
+                                       dense_from_sparse(bracket(y, x))))
 
 
 def test_jacobi_identity_random():
@@ -95,33 +97,22 @@ def test_jacobi_identity_random():
         x = random_sparse(rng, 4, 5)
         y = random_sparse(rng, 4, 5)
         z = random_sparse(rng, 4, 5)
-        total = (mat_product(x, mat_product(y, z, "lie"), "lie")
-                 + mat_product(y, mat_product(z, x, "lie"), "lie")
-                 + mat_product(z, mat_product(x, y, "lie"), "lie"))
-        assert total.is_zero()
+        total = dense_add(
+            dense_add(dense_from_sparse(bracket(x, bracket(y, z))),
+                      dense_from_sparse(bracket(y, bracket(z, x)))),
+            dense_from_sparse(bracket(z, bracket(x, y))))
+        assert dense_is_zero(total)
 
 
 def test_no_zero_entries_stored():
-    x = elementary(3, 1, 2)
-    assert (x - x).entries == {}
     y = SparseMatrix(3, QQ, {(1, 2): Fraction(0), (2, 2): Fraction(3)})
     assert list(y.entries) == [(2, 2)]
     # cancellation inside a product
-    a = elementary(3, 1, 2) + elementary(3, 1, 3)
-    b = elementary(3, 2, 1) - elementary(3, 3, 1)
-    prod = mat_product(a, b, "associative")
+    a = SparseMatrix(3, QQ, {(1, 2): Fraction(1), (1, 3): Fraction(1)})
+    b = SparseMatrix(3, QQ, {(2, 1): Fraction(1), (3, 1): Fraction(-1)})
+    prod = product(a, b)
     assert prod.is_zero()
     assert prod.entries == {}
-
-
-def test_size_and_field_mismatch():
-    with pytest.raises(ValueError):
-        mat_product(elementary(2, 1, 1), elementary(3, 1, 1))
-    f = PrimeField(101)
-    with pytest.raises(FieldMismatchError):
-        elementary(2, 1, 1, QQ) + elementary(2, 1, 1, f)
-    with pytest.raises(ValueError):
-        mat_product(elementary(2, 1, 1), elementary(2, 1, 1), "jordan")
 
 
 def test_identity_and_diagonal_unit():
@@ -130,12 +121,14 @@ def test_identity_and_diagonal_unit():
     rng = random.Random(5)
     for _ in range(10):
         x = random_sparse(rng, n, 4)
-        assert mat_product(ident, x, "associative") == x
-        assert mat_product(x, ident, "associative") == x
-        assert mat_product(ident, x, "lie").is_zero()
-    assert TensorSpace(3, [(1, 1), (1, 2), (2, 2)]).diagonal_unit() == \
-        SparseMatrix(3, QQ, {(1, 1): QQ.one, (2, 2): QQ.one})
-    assert TensorSpace(3, [(1, 2), (1, 3)]).diagonal_unit().is_zero()
+        assert product(ident, x) == x
+        assert product(x, ident) == x
+        assert bracket(ident, x).is_zero()
+    # the search pool ends with the diagonal unit of the position set,
+    # and has none when no position is diagonal
+    assert list(candidate_pool(TensorSpace(3, [(1, 1), (1, 2), (2, 2)])))[-1] \
+        == {0: 1, 2: 1}
+    assert len(list(candidate_pool(TensorSpace(3, [(1, 2), (1, 3)])))) == 4
 
 
 def test_shifted():
@@ -150,15 +143,15 @@ def test_prime_field_matrices():
     f = PrimeField(101)
     x = elementary(2, 1, 2, f)
     y = elementary(2, 2, 1, f)
-    br = mat_product(x, y, "lie")
-    assert br[(1, 1)] == f.one
-    assert br[(2, 2)] == f.from_int(100)
-    assert (br + mat_product(y, x, "lie")).is_zero()
+    br = bracket(x, y)
+    assert br.entries[(1, 1)] == f.one
+    assert br.entries[(2, 2)] == f.from_int(100)
+    assert bracket(y, x).entries == {pos: -c for pos, c in br.entries.items()}
 
 
-def test_getitem_default_and_eq():
+def test_absent_entry_and_eq():
     x = elementary(3, 2, 3)
-    assert x[(1, 1)] == QQ.zero
+    assert (1, 1) not in x.entries
     assert x == elementary(3, 2, 3)
     assert x != elementary(3, 3, 2)
     assert hash(x) == hash(elementary(3, 2, 3))

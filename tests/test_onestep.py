@@ -4,18 +4,19 @@ from __future__ import annotations
 
 import pytest
 
-from ladderzpd.certificates import verify_certificate
+from ladderzpd.certificates import PROVEN_ZPD, verify_certificate
+from ladderzpd.fields import QQ
 from ladderzpd.ladders import BlockProfile, Ladder
-from ladderzpd.matrices import elementary, mat_product
+from ladderzpd.matrices import SparseMatrix, elementary
 from ladderzpd.onestep import (FAMILY_ORDER, SearchExhaustedError,
                                assemble_one_step_certificate, block_positions,
-                               expected_counts, explicit_families,
-                               gl_block_tensors, kernel_dim_polynomial,
-                               pairing_families)
+                               explicit_families, gl_block_tensors,
+                               kernel_dim_polynomial, pairing_families)
 from ladderzpd.tensors import TensorSpace, build_mu
 
-from oracles import (in_kernel, multiplication_table_check,
-                     naive_mu_kernel_dim, tensor_coords)
+from oracles import (bracket, expected_counts, in_kernel,
+                     multiplication_table_check, naive_mu_kernel_dim,
+                     tensor_coords)
 
 SMALL_GRID = [BlockProfile(n1, n2, n3)
               for n1 in range(4) for n2 in range(1, 4) for n3 in range(4)]
@@ -24,6 +25,11 @@ SMALL_GRID = [BlockProfile(n1, n2, n3)
 H_R = ("T", "S", "R")
 H_L = ("T-mirror", "S-mirror", "R-mirror")
 L_R = ("U", "V", "W")
+
+
+def unit_sum(n: int, *positions) -> SparseMatrix:
+    """The sum of e_{i,j} over the given positions, over QQ."""
+    return SparseMatrix(n, QQ, {pos: QQ.one for pos in positions})
 
 
 def one_step_space(p: BlockProfile) -> TensorSpace:
@@ -106,8 +112,8 @@ def test_multiplication_table():
 def test_bracket_h_l_lands_in_l():
     # at profile (1,1,1): e_{2,2} sits in h, e_{1,2} in l, and
     # [e_{2,2}, e_{1,2}] = -e_{1,2}
-    got = mat_product(elementary(3, 2, 2), elementary(3, 1, 2), "lie")
-    assert got == -elementary(3, 1, 2)
+    got = bracket(elementary(3, 2, 2), elementary(3, 1, 2))
+    assert got == SparseMatrix(3, QQ, {(1, 2): -QQ.one})
 
 
 def test_pairing_family_counts():
@@ -127,7 +133,7 @@ def test_families_h_r_minimal_profile():
     assert len(fams) == 1
     t = fams[0]
     assert t.label == "R"
-    assert t.u == t.v == elementary(3, 2, 2) + elementary(3, 2, 3)
+    assert t.u == t.v == unit_sum(3, (2, 2), (2, 3))
 
 
 def test_families_h_r_counts():
@@ -143,7 +149,7 @@ def test_families_h_l_minimal_profile():
     assert len(fams) == 1
     t = fams[0]
     assert t.label == "R-mirror"
-    assert t.u == t.v == elementary(3, 1, 2) + elementary(3, 2, 2)
+    assert t.u == t.v == unit_sum(3, (1, 2), (2, 2))
 
 
 def test_families_l_r_minimal_profile():
@@ -151,7 +157,7 @@ def test_families_l_r_minimal_profile():
     assert len(fams) == 1
     t = fams[0]
     assert t.label == "W"
-    assert t.u == t.v == elementary(3, 1, 2) + elementary(3, 2, 3)
+    assert t.u == t.v == unit_sum(3, (1, 2), (2, 3))
 
 
 def test_families_l_r_counts():
@@ -252,3 +258,13 @@ def test_assemble_abelian_case():
 def test_assemble_exhausted_budget():
     with pytest.raises(SearchExhaustedError):
         assemble_one_step_certificate(4, 3, 2, budget=0)
+
+
+def test_assemble_middle_block_nine():
+    # n2 = 9: the gl_9 block needs 362,153 candidate tensors, more than
+    # the old default budget of 50 d^2 = 328,050; exhausting the pool is
+    # the bound now
+    cert = assemble_one_step_certificate(10, 9, 1)
+    report = verify_certificate(cert)
+    assert report.verdict == PROVEN_ZPD
+    assert report.tensor_count == report.kernel_dim == 8011

@@ -89,7 +89,8 @@ def test_tensor_coords_elementary_pair():
 def test_tensor_coords_bilinearity():
     space = TensorSpace.gl(2)
     d = space.d
-    u = space.basis_matrix(0) + space.basis_matrix(1)
+    u = SparseMatrix(2, QQ, {space.positions[0]: F(1),
+                             space.positions[1]: F(1)})
     t = RankOneTensor(u, space.basis_matrix(0), "x")
     assert tensor_coords(t, space) == {0: F(1), d: F(1)}
 
@@ -97,7 +98,7 @@ def test_tensor_coords_bilinearity():
 def test_tensor_coords_outer_product():
     space = space_for(3, 2, 2)
     # positions ((1,2),(1,3),(2,2),(2,3)); e_{2,2}+e_{2,3} has coords at 2,3
-    u = elementary(3, 2, 2) + elementary(3, 2, 3)
+    u = SparseMatrix(3, QQ, {(2, 2): F(1), (2, 3): F(1)})
     t = RankOneTensor(u, u, "x")
     d = space.d
     got = tensor_coords(t, space)
@@ -139,8 +140,8 @@ def test_in_kernel_telescoping_pair():
     # (e_{i,j} - e_{i,j+1}) (x) (e_{j,q} + e_{j+1,q}) brackets to zero
     space = TensorSpace.gl(3)
     mu = build_mu(space, "lie")
-    u = elementary(3, 1, 1) - elementary(3, 1, 2)
-    v = elementary(3, 1, 3) + elementary(3, 2, 3)
+    u = SparseMatrix(3, QQ, {(1, 1): F(1), (1, 2): F(-1)})
+    v = SparseMatrix(3, QQ, {(1, 3): F(1), (2, 3): F(1)})
     t = RankOneTensor(u, v, "x")
     assert in_kernel(t, mu, tensor_coords(t, space))
 

@@ -3,7 +3,7 @@
 `verify_certificate` checks every tensor on integer multiples of its
 factor coordinates; `oracles.verify_by_field_coords` runs the same
 checks on the field's own scalars (Fraction or Fp), with the direct
-product from mat_product.  Small certificates (gl_2, gl_3 and every
+bracket from entry_product.  Small certificates (gl_2, gl_3 and every
 one-step ladder with n <= 5, over Q, F_2 and F_101) get their factors
 scaled by random nonzero scalars, and then either stay valid or lose a
 tensor, gain a duplicate, or have one replaced.  Both routes must give
@@ -24,7 +24,7 @@ from ladderzpd.certificates import (COUNT_MISMATCH, FAILED_KERNEL_MEMBERSHIP,
                                     verify_certificate)
 from ladderzpd.elim import integer_coords
 from ladderzpd.fields import PrimeField, QQ
-from ladderzpd.matrices import SparseMatrix, elementary, entry_product
+from ladderzpd.matrices import SparseMatrix, entry_product
 from ladderzpd.onestep import assemble_one_step_certificate
 from ladderzpd.tensors import RankOneTensor, build_mu
 
@@ -130,8 +130,8 @@ def test_f2_zero_test_is_mod_p():
     # so is the integer mu image of u (x) v.  Both are nonzero as ints,
     # zero over F_2 and nonzero over Q.
     for field, commutes in ((PrimeField(2), True), (QQ, False)):
-        u = elementary(2, 1, 1, field) + elementary(2, 1, 2, field)
-        v = elementary(2, 1, 2, field) + elementary(2, 2, 2, field)
+        u = SparseMatrix(2, field, {(1, 1): field.one, (1, 2): field.one})
+        v = SparseMatrix(2, field, {(1, 2): field.one, (2, 2): field.one})
         ints = [integer_coords(x.entries, field) for x in (u, v)]
         xy, yx = entry_product(*ints), entry_product(*reversed(ints))
         assert {pos: xy.get(pos, 0) - yx.get(pos, 0)
