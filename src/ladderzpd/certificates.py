@@ -13,9 +13,10 @@ the algebra is zero product determined; a failed search proves nothing.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import Counter
 from typing import (Dict, Iterator, List, NamedTuple, Optional, Sequence,
-                    Tuple)
+                    Set, Tuple)
 
 from .elim import IncrementalEchelon, IntRow, field_row, integer_coords
 from .fields import Field, QQ
@@ -219,12 +220,17 @@ def verify_certificate(cert: Certificate) -> VerificationReport:
     return VerificationReport(kdim, count, span_rank, first_bad, verdict)
 
 
-def integer_centralizer(ucoords: IntRow,
-                        space: TensorSpace) -> List[Tuple[IntRow, int]]:
-    """The centralizer of u, from the integer coordinates of a positive
-    multiple of u (same centralizer): the pairs (w, m) of the integer
-    null space of ad_u, whose column k is [u, b_k] = sum_s u_s [b_s, b_k]
-    read off the product table."""
+def ad_echelon(ucoords: IntRow,
+               space: TensorSpace) -> Tuple[IncrementalEchelon, Set[int]]:
+    """ad_u in echelon form, from the integer coordinates of a positive
+    multiple of u (same centralizer), and the set A(u) of its columns.
+
+    Column k of ad_u is [u, b_k] = sum_s u_s [b_s, b_k], read off the
+    product table; the echelon's null space is the centralizer of u.
+    A(u) is every k with [b_s, b_k] != 0 for some s in u's support: the
+    keys of the ad rows, kept even where the terms of [u, b_k] cancel.
+    A column outside A(u) is free, with null vector the unit b_k.
+    """
     # image coordinate a -> {basis index k: coefficient of b_a in [u, b_k]}
     ad: Dict[int, Dict[int, int]] = {}
     for s, us in ucoords.items():
@@ -232,9 +238,11 @@ def integer_centralizer(ucoords: IntRow,
             row = ad.setdefault(a, {})
             row[k] = row.get(k, 0) + us * c
     ech = IncrementalEchelon(space.field)
+    active: Set[int] = set()
     for row in ad.values():
+        active.update(row)
         ech.insert(row)
-    return ech.null_space(space.d)
+    return ech, active
 
 
 def candidate_pool(space: TensorSpace) -> Iterator[Dict[int, int]]:
@@ -295,6 +303,26 @@ def search_spanning(space: TensorSpace, mu: MuMap, descriptor: dict,
     None when the pool runs out first.  The pool is finite and each u
     gives at most d candidates, so the search always ends; budget, when
     given, cuts it after that many candidate tensors tried.
+
+    Past the basis stage (the pool's first d members, u = b_s), most
+    candidates are skipped unbuilt, because the rows already span them:
+      - Lemma: after the basis stage the span holds b_s (x) C(b_s) for
+        every s.  Each b_s (x) w over C(b_s)'s null basis was tried, and
+        was kept or already in the span; the span only grows.
+      - So for a later u and a column f outside A(u) (see ad_echelon),
+        f is free in ad_u with null vector b_f, and b_f commutes with
+        every b_s in u's support: u (x) b_f = sum_s u_s b_s (x) b_f is in
+        the span.  Only the free columns in A(u) are built and tried.
+        A(u) must keep the columns whose terms cancel: there [u, b_f] = 0
+        while [b_s, b_f] != 0, and u (x) b_f may well be new.
+      - Over F_p, a u whose reduced coordinates repeat an earlier u
+        (over F_2, b_s - b_t is b_s + b_t) is skipped whole: its
+        candidates were all tried.
+    Skipped candidates would have been rejected, so the kept tensors,
+    and the certificate, are those of trying every candidate in turn.
+    Each still counts as tried, at its place in pool order (free column
+    f of ad_u is candidate f - #{pivots < f} of u, and u has
+    d - rank(ad_u) of them), so a budget cuts where it would anyway.
     """
     target = mu.kernel_dim
     field = space.field
@@ -302,13 +330,25 @@ def search_spanning(space: TensorSpace, mu: MuMap, descriptor: dict,
     ech = IncrementalEchelon(field)
     chosen: List[RankOneTensor] = []
     tried = 0
-    for pool_coords in candidate_pool(space):
+    # u -> its number of candidates, kept over F_p only, where reduction
+    # makes pool members equal (over Q only a diagonal unit of one or
+    # two positions repeats one)
+    counts: Dict[frozenset, int] = {}
+    for index, pool_coords in enumerate(candidate_pool(space)):
         ucoords = integer_coords(pool_coords, field)
+        key = frozenset(ucoords.items())
+        if key in counts:
+            tried += counts[key]
+            continue
+        ad, active = ad_echelon(ucoords, space)
+        pivots = sorted(ad.pivot_rows)
+        cols = range(d) if index < d else sorted(active)
+        free = [f for f in cols if f not in ad.pivot_rows]
         u = None  # built at u's first kept tensor, shared by the rest
-        for w, m in integer_centralizer(ucoords, space):
-            if budget is not None and tried >= budget:
+        for f, (w, m) in zip(free, ad.null_space(free)):
+            if budget is not None and \
+                    tried + f - bisect_left(pivots, f) >= budget:
                 return None
-            tried += 1
             # w = m v with m > 0, so the row spans what u (x) v does
             row = {s * d + k: a * b for s, a in ucoords.items()
                    for k, b in w.items()}
@@ -320,6 +360,9 @@ def search_spanning(space: TensorSpace, mu: MuMap, descriptor: dict,
                 if ech.rank == target:
                     return Certificate(descriptor, space.field, target,
                                        [(label, len(chosen))], chosen)
+        if ech.p:
+            counts[key] = d - ad.rank
+        tried += d - ad.rank
     return None
 
 
@@ -342,7 +385,10 @@ _GL_CACHE: Dict[Tuple[int, Field, Optional[int]], Certificate] = {}
 
 def gl_certificate(m: int, field: Field = QQ,
                    budget: Optional[int] = None) -> Optional[Certificate]:
-    """Searched-and-verified certificate for gl_m under the bracket.
+    """Searched certificate for gl_m under the bracket, or None when the
+    budget runs out first.  It is not verified here: the search only
+    claims a spanning set.  The CLI runs verify_certificate on every
+    certificate, a gl block's included, before it reports or writes it.
 
     gl_m is checked against MAX_ALGEBRA_SIZE (ValueError) before any
     search.  Results are memoized per (m, field, budget); the same

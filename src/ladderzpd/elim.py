@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Dict, List, Tuple, TypeVar
+from typing import Dict, Iterable, List, Tuple, TypeVar
 
 from .fields import Field, Fp, PrimeField, Scalar
 
@@ -140,14 +140,16 @@ class IncrementalEchelon:
             work = _clear(work, prow, lead, p)
         return False
 
-    def null_space(self, ncols: int) -> List[Tuple[IntRow, int]]:
-        """The null space over columns range(ncols), on integers.
+    def null_space(self, cols: Iterable[int]) -> List[Tuple[IntRow, int]]:
+        """Null space vectors on integers, for the free columns in cols.
 
         Back-substitutes integer copies of the pivot rows (the engine is
-        left as it is), then gives one pair (w, m) per free column f, in
-        ascending order: w / m is the basis vector with 1 at f and 0 at
-        the other free columns, and m > 0 is the lcm of the pivot
-        entries it divides by (1 over F_p, with monic pivot rows).
+        left as it is), then gives one pair (w, m) per column f of cols
+        that is not a pivot, in the order of cols: w / m is the basis
+        vector with 1 at f and 0 at the other free columns, and m > 0 is
+        the lcm of the pivot entries it divides by (1 over F_p, with
+        monic pivot rows).  cols = range(ncols) gives the whole null
+        space over ncols columns.
         """
         p = self.p
         rows: Dict[int, IntRow] = {}
@@ -158,14 +160,13 @@ class IncrementalEchelon:
             for q in [c for c in row if c in rows]:
                 row = _clear(row, rows[q], q, p)
             rows[piv] = _normalize(row, piv, p)
-        cols: Dict[int, IntRow] = {f: {} for f in range(ncols)
-                                   if f not in rows}
+        wanted: Dict[int, IntRow] = {f: {} for f in cols if f not in rows}
         for piv, row in rows.items():
             for f, v in row.items():
-                if f != piv:
-                    cols[f][piv] = v
+                if f in wanted:
+                    wanted[f][piv] = v
         out = []
-        for f, col in cols.items():
+        for f, col in wanted.items():
             m = lcm(*(rows[piv][piv] for piv in col))
             w = {f: m}
             for piv, v in col.items():

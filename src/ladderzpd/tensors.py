@@ -4,8 +4,8 @@ multiplication map mu.
 An algebra here is a span of elementary matrices at a fixed position
 set, with the basis ordered row-major.  How two basis elements multiply
 is worked out in one place, the product table `TensorSpace.products`:
-`build_mu`, `ladders.is_closed` and `certificates.integer_centralizer`
-read it.  The tensor square gets the ordered basis b_s (x) b_t indexed
+`build_mu`, `ladders.is_closed` and `certificates.ad_echelon` read
+it.  The tensor square gets the ordered basis b_s (x) b_t indexed
 by the global column rule column(s, t) = s*d + t with s, t 0-based;
 certificates depend on this rule, so it is fixed here and nowhere else.
 mu sends a tensor to the product of its factors, extended linearly; its

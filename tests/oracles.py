@@ -12,8 +12,10 @@ entry_product, and mu_columns_by_products multiplies basis matrices
 with them, not with the product table; the field-scalar verification route (tensor_coords,
 apply_to_coords, in_kernel, verify_by_field_coords) checks
 certificates on the field's own scalars, where the package verifier
-works on integer multiples of them; and reduced and centralizer read
-the engine's integer null space back as field scalars.
+works on integer multiples of them; reduced and centralizer read the
+engine's integer null space back as field scalars; and reference_search
+is the package's greedy search with nothing skipped, the reference for
+the candidates search_spanning skips.
 """
 
 from __future__ import annotations
@@ -22,14 +24,14 @@ from fractions import Fraction
 from typing import List, Sequence, Tuple
 
 from ladderzpd.certificates import (COUNT_MISMATCH, FAILED_KERNEL_MEMBERSHIP,
-                                    FAILED_SPAN, PROVEN_ZPD,
-                                    VerificationReport, algebra_space,
-                                    integer_centralizer)
+                                    FAILED_SPAN, PROVEN_ZPD, Certificate,
+                                    VerificationReport, ad_echelon,
+                                    algebra_space, candidate_pool)
 from ladderzpd.elim import IncrementalEchelon, field_row, integer_coords
 from ladderzpd.fields import QQ
 from ladderzpd.matrices import SparseMatrix, elementary, entry_product
 from ladderzpd.onestep import block_positions
-from ladderzpd.tensors import MembershipError, build_mu
+from ladderzpd.tensors import MembershipError, RankOneTensor, build_mu
 
 Dense = List[List[Fraction]]
 
@@ -240,7 +242,8 @@ def reduced(ech, ncols: int) -> Tuple[dict, List[dict]]:
     pivot order, and the null vectors in free-column order."""
     field = ech.field
     free = [f for f in range(ncols) if f not in ech.pivot_rows]
-    kernel = [field_row(w, m, field) for w, m in ech.null_space(ncols)]
+    kernel = [field_row(w, m, field)
+              for w, m in ech.null_space(range(ncols))]
     rows = {piv: {piv: field.one} for piv in sorted(ech.pivot_rows)}
     for f, vec in zip(free, kernel):
         for piv, c in vec.items():
@@ -295,12 +298,47 @@ def dense_centralizer(u, positions: Sequence[Tuple[int, int]],
 
 def centralizer(u, space) -> list:
     """Basis of the centralizer of u in the space as package matrices:
-    integer_centralizer on u's coordinates, divided back into field
-    scalars (1 at each free coordinate, in free-variable order)."""
+    the null space of ad_echelon on u's coordinates, divided back into
+    field scalars (1 at each free coordinate, in free-variable order)."""
     field = space.field
     ucoords = integer_coords(space.coords_of(u), field)
+    ad, _ = ad_echelon(ucoords, space)
     return [space.from_coords(field_row(w, m, field))
-            for w, m in integer_centralizer(ucoords, space)]
+            for w, m in ad.null_space(range(space.d))]
+
+
+def reference_search(space, mu, descriptor: dict, budget=None,
+                     label: str = "gl", observe=None):
+    """The greedy search with nothing skipped: every u of candidate_pool,
+    every null vector of ad_u, each tried against the span in turn, the
+    budget counted one candidate at a time.  search_spanning must give
+    the same result.  observe(index, ucoords, f, w, kept), when given,
+    sees every candidate: pool index, u, free column, null vector, and
+    whether the row was kept (False: it reduced to zero)."""
+    field, d = space.field, space.d
+    ech = IncrementalEchelon(field)
+    chosen = []
+    tried = 0
+    for index, pool_coords in enumerate(candidate_pool(space)):
+        ucoords = integer_coords(pool_coords, field)
+        ad, _ = ad_echelon(ucoords, space)
+        free = [f for f in range(d) if f not in ad.pivot_rows]
+        for f, (w, m) in zip(free, ad.null_space(range(d))):
+            if budget is not None and tried >= budget:
+                return None
+            tried += 1
+            kept = ech.insert({s * d + k: a * b for s, a in ucoords.items()
+                               for k, b in w.items()})
+            if observe is not None:
+                observe(index, ucoords, f, w, kept)
+            if kept:
+                chosen.append(RankOneTensor(
+                    space.from_coords(field_row(ucoords, 1, field)),
+                    space.from_coords(field_row(w, m, field)), label))
+                if ech.rank == mu.kernel_dim:
+                    return Certificate(descriptor, field, mu.kernel_dim,
+                                       [(label, len(chosen))], chosen)
+    return None
 
 
 def expected_counts(p) -> List[Tuple[str, int]]:

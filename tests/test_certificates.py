@@ -22,7 +22,8 @@ from ladderzpd.matrices import SparseMatrix, elementary
 from ladderzpd.tensors import (ClosureError, MembershipError, RankOneTensor,
                                TensorSpace, build_mu)
 
-from oracles import bracket, centralizer, in_kernel, tensor_coords
+from oracles import (bracket, centralizer, in_kernel, reference_search,
+                     tensor_coords)
 
 F = Fraction
 
@@ -194,6 +195,63 @@ def test_search_budget_exhaustion():
     assert gl_certificate(2, budget=3) is None
     # a failed tiny-budget run must not poison the cache
     assert gl_certificate(2) is not None
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(2), PrimeField(101)])
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
+def test_pruned_search_matches_reference(m, field):
+    space = TensorSpace.gl(m, field)
+    mu = build_mu(space, "lie")
+    desc = gl_algebra_descriptor(m)
+    found = search_spanning(space, mu, desc)
+    assert found is not None
+    assert found == reference_search(space, mu, desc)
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(2)])
+@pytest.mark.parametrize("m", [3, 4])
+def test_skipped_candidates_reduce_to_zero(m, field):
+    # every candidate the search skips, by the rule in its docstring
+    # with A(u) taken from dense brackets, is rejected by the reference
+    # search at the moment it is tried
+    space = TensorSpace.gl(m, field)
+    d = space.d
+    basis = [space.basis_matrix(k) for k in range(d)]
+    moves = [{k for k in range(d) if bracket(basis[s], basis[k]).entries}
+             for s in range(d)]
+    seen, skipped = {}, []
+
+    def observe(index, ucoords, f, w, kept):
+        key = frozenset(ucoords.items())
+        first = seen.setdefault(key, index)
+        active = set().union(*(moves[s] for s in ucoords))
+        if index >= d and (first != index or f not in active):
+            assert not kept, (index, ucoords, f)
+            if f not in active:
+                assert w == {f: 1}
+            skipped.append((index, f))
+
+    mu = build_mu(space, "lie")
+    assert reference_search(space, mu, gl_algebra_descriptor(m),
+                            observe=observe) is not None
+    assert len(skipped) > 0
+
+
+# the smallest budget that succeeds, measured before the search skipped
+# candidates: a skipped candidate still counts as tried
+@pytest.mark.parametrize("m, field, budget", [
+    (2, QQ, 23), (2, PrimeField(2), 25), (2, PrimeField(101), 23),
+    (3, QQ, 341), (3, PrimeField(2), 347), (3, PrimeField(101), 341),
+    (4, QQ, 2063), (4, PrimeField(2), 2075), (4, PrimeField(101), 2063)])
+def test_budget_cuts_at_the_same_candidate(m, field, budget):
+    space = TensorSpace.gl(m, field)
+    mu = build_mu(space, "lie")
+    desc = gl_algebra_descriptor(m)
+    full = search_spanning(space, mu, desc)
+    assert search_spanning(space, mu, desc, budget=budget) == full
+    assert search_spanning(space, mu, desc, budget=budget - 1) is None
+    assert reference_search(space, mu, desc, budget=budget) == full
+    assert reference_search(space, mu, desc, budget=budget - 1) is None
 
 
 def test_verification_recomputes_kernel_dim():

@@ -158,6 +158,16 @@ def test_gl_search_budget_exhausted(capsys):
     assert "budget exhausted" in err
 
 
+def test_gl_search_smallest_budget(capsys):
+    # gl_3 needs 341 candidate tensors tried, skipped ones included
+    code, _, err = run(capsys, "zpd-gl", "--m", "3", "--budget", "340")
+    assert code == 3
+    assert "budget exhausted" in err
+    code, out, _ = run(capsys, "zpd-gl", "--m", "3", "--budget", "341")
+    assert code == 0
+    assert "proven-zpd" in out
+
+
 def test_gl_search_rejects_bad_size(capsys):
     code, _, err = run(capsys, "zpd-gl", "--m", "0")
     assert code == 2

@@ -13,14 +13,16 @@ from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
 
-from ladderzpd.elim import IncrementalEchelon
+from ladderzpd.certificates import ad_echelon
+from ladderzpd.elim import IncrementalEchelon, integer_coords
 from ladderzpd.fields import PrimeField, QQ
 from ladderzpd.ladders import Ladder
 from ladderzpd.matrices import SparseMatrix
 from ladderzpd.tensors import TensorSpace
 
-from oracles import (centralizer, dense_centralizer, dense_kernel_of_rows,
-                     dense_rref, naive_rank, naive_rank_mod_p, reduced)
+from oracles import (bracket, centralizer, dense_centralizer,
+                     dense_kernel_of_rows, dense_rref, naive_rank,
+                     naive_rank_mod_p, reduced)
 
 RATIONALS = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 7))
 PRIMES = st.sampled_from([2, 3, 101])
@@ -180,3 +182,40 @@ def test_centralizer_matches_dense_oracle(case):
     got = [[v.entries.get(pos, 0) for pos in space.positions]
            for v in centralizer(u, space)]
     assert got == dense_centralizer(u, space.positions, space.n)
+
+
+@SETTINGS
+@given(PRIMES.flatmap(lambda p: st.tuples(
+    st.sampled_from([QQ, PrimeField(p)]),
+    sparse_rows(st.integers(-3, 3)), st.sets(st.integers(0, 8)))))
+def test_null_space_of_chosen_columns(case):
+    # asking for some columns gives exactly their vectors from the whole
+    # null space, in the order asked; pivot columns give nothing
+    field, (ncols, rows), chosen = case
+    ech = IncrementalEchelon(field)
+    for row in rows:
+        ech.insert(row)
+    free = [f for f in range(ncols) if f not in ech.pivot_rows]
+    whole = dict(zip(free, ech.null_space(range(ncols))))
+    cols = sorted(c for c in chosen if c < ncols)
+    assert (ech.null_space(cols)
+            == [whole[f] for f in cols if f in whole])
+    assert ech.null_space(reversed(cols)) \
+        == list(reversed(ech.null_space(cols)))
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from(CENTRALIZER_SPACES).flatmap(
+    lambda space: st.tuples(st.just(space), random_member(space))))
+def test_ad_echelon_active_columns(case):
+    # A(u) is the set of k with [b_s, b_k] != 0 for some s in u's
+    # support (dense brackets), and every column outside it is free with
+    # the unit null vector
+    space, u = case
+    ucoords = integer_coords(space.coords_of(u), QQ)
+    ad, active = ad_echelon(ucoords, space)
+    basis = [space.basis_matrix(k) for k in range(space.d)]
+    assert active == {k for s in ucoords for k in range(space.d)
+                      if bracket(basis[s], basis[k]).entries}
+    outside = [k for k in range(space.d) if k not in active]
+    assert ad.null_space(outside) == [({k: 1}, 1) for k in outside]

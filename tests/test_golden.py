@@ -2,11 +2,13 @@
 
 The SHA-256 of the canonical bytes of every gl_m certificate with
 m <= 6, and of every one-step certificate (n, i1, j1) with n <= 6, over
-QQ and F_101, is pinned in golden_hashes.json.  Any change to the
-search, the families or the serializer that moves a single byte of a
-certificate fails here.  The table was recorded before the elimination
-engine was rewritten on exact integers; regenerate it only for a
-deliberate change of format, with
+QQ and F_101, is pinned in golden_hashes.json, and so are gl_7 and gl_8
+over QQ and gl_1..gl_5 over F_2, where the search skips the most
+candidates.  Any change to the search, the families or the serializer
+that moves a single byte of a certificate fails here.  The table was
+recorded before the elimination engine was rewritten on exact integers
+(the QQ gl_7, gl_8 and F_2 rows before the search was pruned);
+regenerate it only for a deliberate change of format, with
 
     PYTHONPATH=src python tests/test_golden.py --record
 """
@@ -25,7 +27,9 @@ from ladderzpd.fields import PrimeField, QQ
 from ladderzpd.onestep import assemble_one_step_certificate
 
 GOLDEN_PATH = os.path.join(os.path.dirname(__file__), "golden_hashes.json")
-FIELDS = {"QQ": QQ, "F101": PrimeField(101)}
+FIELDS = {"QQ": QQ, "F101": PrimeField(101), "F2": PrimeField(2)}
+GL_SIZES = {"QQ": range(1, 9), "F101": range(1, 7), "F2": range(1, 6)}
+ONE_STEP_FIELDS = ("QQ", "F101")
 
 
 def _sha(cert) -> str:
@@ -36,8 +40,10 @@ def current_hashes() -> dict:
     """Certificate name -> SHA-256 of its canonical bytes."""
     out = {}
     for fname, field in FIELDS.items():
-        for m in range(1, 7):
+        for m in GL_SIZES[fname]:
             out[f"{fname} gl {m}"] = _sha(gl_certificate(m, field))
+        if fname not in ONE_STEP_FIELDS:
+            continue
         for n in range(1, 7):
             for i1, j1 in product(range(1, n + 1), repeat=2):
                 cert = assemble_one_step_certificate(n, i1, j1, field)
