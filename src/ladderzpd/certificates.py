@@ -315,9 +315,12 @@ def search_spanning(space: TensorSpace, mu: MuMap, descriptor: dict,
         the span.  Only the free columns in A(u) are built and tried.
         A(u) must keep the columns whose terms cancel: there [u, b_f] = 0
         while [b_s, b_f] != 0, and u (x) b_f may well be new.
-      - Over F_p, a u whose reduced coordinates repeat an earlier u
-        (over F_2, b_s - b_t is b_s + b_t) is skipped whole: its
-        candidates were all tried.
+      - A u whose reduced coordinates equal those of the pool member
+        just before it is skipped whole: its candidates were all tried.
+        This is each b_s - b_t over F_2 (it reduces to b_s + b_t) and
+        the diagonal unit of gl_1.  The rarer repeats further apart
+        (the diagonal unit of gl_2 is b_0 + b_3) run the loop again,
+        where each candidate is already in the span.
     Skipped candidates would have been rejected, so the kept tensors,
     and the certificate, are those of trying every candidate in turn.
     Each still counts as tried, at its place in pool order (free column
@@ -330,16 +333,14 @@ def search_spanning(space: TensorSpace, mu: MuMap, descriptor: dict,
     ech = IncrementalEchelon(field)
     chosen: List[RankOneTensor] = []
     tried = 0
-    # u -> its number of candidates, kept over F_p only, where reduction
-    # makes pool members equal (over Q only a diagonal unit of one or
-    # two positions repeats one)
-    counts: Dict[frozenset, int] = {}
+    prev: Optional[IntRow] = None
+    count = 0  # prev's number of candidates
     for index, pool_coords in enumerate(candidate_pool(space)):
         ucoords = integer_coords(pool_coords, field)
-        key = frozenset(ucoords.items())
-        if key in counts:
-            tried += counts[key]
+        if ucoords == prev:
+            tried += count
             continue
+        prev = ucoords
         ad, active = ad_echelon(ucoords, space)
         pivots = sorted(ad.pivot_rows)
         cols = range(d) if index < d else sorted(active)
@@ -360,9 +361,8 @@ def search_spanning(space: TensorSpace, mu: MuMap, descriptor: dict,
                 if ech.rank == target:
                     return Certificate(descriptor, space.field, target,
                                        [(label, len(chosen))], chosen)
-        if ech.p:
-            counts[key] = d - ad.rank
-        tried += d - ad.rank
+        count = d - ad.rank
+        tried += count
     return None
 
 

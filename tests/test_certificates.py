@@ -8,10 +8,11 @@ from itertools import combinations
 
 import pytest
 
+from ladderzpd import certificates
 from ladderzpd.certificates import (COUNT_MISMATCH, FAILED_KERNEL_MEMBERSHIP,
                                     FAILED_SPAN, MAX_ALGEBRA_SIZE, PROVEN_ZPD,
                                     Certificate, abelian_certificate,
-                                    algebra_space, candidate_pool,
+                                    ad_echelon, algebra_space, candidate_pool,
                                     gl_algebra_descriptor, gl_certificate,
                                     ladder_algebra_descriptor,
                                     search_spanning, verify_certificate)
@@ -219,13 +220,12 @@ def test_skipped_candidates_reduce_to_zero(m, field):
     basis = [space.basis_matrix(k) for k in range(d)]
     moves = [{k for k in range(d) if bracket(basis[s], basis[k]).entries}
              for s in range(d)]
-    seen, skipped = {}, []
+    pool = [integer_coords(c, field) for c in candidate_pool(space)]
+    skipped = []
 
     def observe(index, ucoords, f, w, kept):
-        key = frozenset(ucoords.items())
-        first = seen.setdefault(key, index)
         active = set().union(*(moves[s] for s in ucoords))
-        if index >= d and (first != index or f not in active):
+        if index >= d and (ucoords == pool[index - 1] or f not in active):
             assert not kept, (index, ucoords, f)
             if f not in active:
                 assert w == {f: 1}
@@ -235,6 +235,27 @@ def test_skipped_candidates_reduce_to_zero(m, field):
     assert reference_search(space, mu, gl_algebra_descriptor(m),
                             observe=observe) is not None
     assert len(skipped) > 0
+
+
+def test_search_skips_a_u_equal_to_the_one_before(monkeypatch):
+    # over F_2 each b_s - b_t follows the b_s + b_t it reduces to; the
+    # search builds ad_u for neither twice in a row
+    field = PrimeField(2)
+    space = TensorSpace.gl(3, field)
+    pool = [integer_coords(c, field) for c in candidate_pool(space)]
+    built = []
+
+    def counting(ucoords, space):
+        built.append(ucoords)
+        return ad_echelon(ucoords, space)
+
+    monkeypatch.setattr(certificates, "ad_echelon", counting)
+    cert = search_spanning(space, build_mu(space, "lie"),
+                           gl_algebra_descriptor(3))
+    assert cert is not None
+    assert len(built) > space.d + 1
+    distinct = [u for i, u in enumerate(pool) if i == 0 or u != pool[i - 1]]
+    assert built == distinct[:len(built)]
 
 
 # the smallest budget that succeeds, measured before the search skipped
