@@ -21,7 +21,7 @@ from typing import (Dict, Iterator, List, NamedTuple, Optional, Sequence,
 from .elim import IncrementalEchelon, IntRow, field_row, integer_coords
 from .fields import Field, QQ
 from .ladders import Ladder
-from .matrices import entry_product
+from .matrices import Entries, Rows, SparseMatrix, entry_product, rows_of
 from .tensors import (MembershipError, MuMap, RankOneTensor, TensorSpace,
                       build_mu)
 
@@ -40,6 +40,10 @@ class Certificate:
     number of tensors carrying it; every tensor label is listed, and
     zero counts are allowed.  kernel_dim is the writer's claim;
     verification recomputes it and never trusts this number.
+
+    Tensors may share factor objects, and read or assembled
+    certificates do: one SparseMatrix per distinct factor.  Factors
+    must never be mutated (see SparseMatrix).
     """
 
     __slots__ = ("algebra", "field", "kernel_dim", "families", "tensors")
@@ -150,17 +154,19 @@ def verify_certificate(cert: Certificate) -> VerificationReport:
         basis, not a multiset.
     All three hold iff the verdict is proven-zpd.
 
-    All of it runs on plain ints.  Each factor's entries are scaled
-    once by integer_coords: over Q by the lcm of their denominators,
-    over F_p not at all (the residues).  Scaling u by a > 0 and v by
+    All of it runs on plain ints.  Each factor object's entries are
+    scaled once by integer_coords, however many tensors share it: over
+    Q by the lcm of their denominators, over F_p not at all (the
+    residues).  Scaling u by a > 0 and v by
     b > 0 scales u (x) v and [u, v] by ab != 0, so kernel membership,
     the span rank and the count are unchanged.  The scaled entries,
     keyed by position, go to the direct route, which brackets them by
     matrix-entry products and never reads the product table; their
     basis indices give the coordinates.  One integer row, the outer
     product of the coordinates at column s*d + t, serves the mu route
-    (mu's +-1 columns applied to it) and the span echelon.  Over F_p
-    each zero test is mod p.
+    (mu's +-1 columns applied to it) and the span echelon, which
+    reduces its unreduced products of residues mod p.  Over F_p each
+    zero test is mod p.
 
     A factor outside the algebra makes the certificate a claim about
     some other algebra, not a failed one about this algebra: it raises
@@ -169,37 +175,46 @@ def verify_certificate(cert: Certificate) -> VerificationReport:
     space = algebra_space(cert.algebra, cert.field)
     mu = build_mu(space, "lie")
     kdim = mu.kernel_dim
-    field, d = space.field, space.d
-    ech = IncrementalEchelon(field)
+    d = space.d
+    ech = IncrementalEchelon(space.field)
 
     def is_zero(values) -> bool:
         p = ech.p
         return not any(c % p for c in values) if p else not any(values)
 
+    # id of a factor -> its integer entries, grouped by row as well,
+    # and its coordinates.  A factor object shared by many tensors is
+    # scaled and indexed once; the tensors keep every factor alive, so
+    # no id is reused meanwhile.
+    scaled: Dict[int, Tuple[Entries, Rows, IntRow]] = {}
+
+    def scale(factor: SparseMatrix, idx: int,
+              name: str) -> Tuple[Entries, Rows, IntRow]:
+        # the factor's own field: a factor over another field then
+        # meets coords_of's MembershipError, not a scalar error
+        x = integer_coords(factor.entries, factor.field)
+        try:
+            coords = space.coords_of(factor, x)
+        except MembershipError as exc:
+            raise MembershipError(
+                f"tensor {idx} factor {name}: {exc}") from None
+        got = scaled[id(factor)] = x, rows_of(x), coords
+        return got
+
     first_bad: Optional[int] = None
     for idx, t in enumerate(cert.tensors):
-        entries, coords = [], []
-        for name, factor in (("u", t.u), ("v", t.v)):
-            # the factor's own field: a factor over another field then
-            # meets coords_of's MembershipError, not a scalar error
-            x = integer_coords(factor.entries, factor.field)
-            try:
-                coords.append(space.coords_of(factor, x))
-            except MembershipError as exc:
-                raise MembershipError(
-                    f"tensor {idx} factor {name}: {exc}") from None
-            entries.append(x)
-        ucoords, vcoords = coords
+        x, x_rows, ucoords = scaled.get(id(t.u)) or scale(t.u, idx, "u")
+        y, y_rows, vcoords = scaled.get(id(t.v)) or scale(t.v, idx, "v")
         row = {s * d + k: a * b for s, a in ucoords.items()
                for k, b in vcoords.items()}
         image: Dict[int, int] = {}
         for col, c in row.items():
             for a, e in mu.columns[col].items():
                 image[a] = image.get(a, 0) + c * e
-        x, y = entries
-        xy, yx = entry_product(x, y), entry_product(y, x)
-        direct = is_zero(xy.get(pos, 0) - yx.get(pos, 0)
-                         for pos in xy.keys() | yx.keys())
+        bracket = entry_product(x, y_rows)
+        for pos, c in entry_product(y, x_rows).items():
+            bracket[pos] = bracket.get(pos, 0) - c
+        direct = is_zero(bracket.values())
         if direct != is_zero(image.values()):
             raise AssertionError(
                 "mu routes disagree: direct product and coordinate image "
@@ -220,24 +235,31 @@ def verify_certificate(cert: Certificate) -> VerificationReport:
     return VerificationReport(kdim, count, span_rank, first_bad, verdict)
 
 
-def ad_echelon(ucoords: IntRow,
-               space: TensorSpace) -> Tuple[IncrementalEchelon, Set[int]]:
+def lie_table(space: TensorSpace) -> List[List[Tuple[int, int, int]]]:
+    """The space's product table under the bracket, one list per basis
+    index s: the triples (k, a, c) of space.products(s, "lie")."""
+    return [list(space.products(s, "lie")) for s in range(space.d)]
+
+
+def ad_echelon(ucoords: IntRow, table: Sequence[List[Tuple[int, int, int]]],
+               field: Field) -> Tuple[IncrementalEchelon, Set[int]]:
     """ad_u in echelon form, from the integer coordinates of a positive
     multiple of u (same centralizer), and the set A(u) of its columns.
 
     Column k of ad_u is [u, b_k] = sum_s u_s [b_s, b_k], read off the
-    product table; the echelon's null space is the centralizer of u.
-    A(u) is every k with [b_s, b_k] != 0 for some s in u's support: the
-    keys of the ad rows, kept even where the terms of [u, b_k] cancel.
-    A column outside A(u) is free, with null vector the unit b_k.
+    space's lie_table; the echelon's null space is the centralizer of
+    u.  A(u) is every k with [b_s, b_k] != 0 for some s in u's support:
+    the keys of the ad rows, kept even where the terms of [u, b_k]
+    cancel (the engine drops those zero entries).  A column outside
+    A(u) is free, with null vector the unit b_k.
     """
     # image coordinate a -> {basis index k: coefficient of b_a in [u, b_k]}
     ad: Dict[int, Dict[int, int]] = {}
     for s, us in ucoords.items():
-        for k, a, c in space.products(s, "lie"):
+        for k, a, c in table[s]:
             row = ad.setdefault(a, {})
             row[k] = row.get(k, 0) + us * c
-    ech = IncrementalEchelon(space.field)
+    ech = IncrementalEchelon(field)
     active: Set[int] = set()
     for row in ad.values():
         active.update(row)
@@ -330,6 +352,7 @@ def search_spanning(space: TensorSpace, mu: MuMap, descriptor: dict,
     target = mu.kernel_dim
     field = space.field
     d = space.d
+    table = lie_table(space)
     ech = IncrementalEchelon(field)
     chosen: List[RankOneTensor] = []
     tried = 0
@@ -341,7 +364,7 @@ def search_spanning(space: TensorSpace, mu: MuMap, descriptor: dict,
             tried += count
             continue
         prev = ucoords
-        ad, active = ad_echelon(ucoords, space)
+        ad, active = ad_echelon(ucoords, table, field)
         pivots = sorted(ad.pivot_rows)
         cols = range(d) if index < d else sorted(active)
         free = [f for f in cols if f not in ad.pivot_rows]

@@ -6,15 +6,24 @@ row-major, scalars in canonical text ("num/den" with the denominator
 omitted when 1; the reduced representative for prime fields).  Files
 carry format_version 1 and no verdicts: a certificate is a claim, and
 every reader re-verifies from scratch.
+
+Factors are shared.  The reader returns one SparseMatrix per distinct
+entry list of a file, carried by every tensor that lists it, so each
+list is checked and parsed once (and the verifier scales and indexes
+each factor object once); the writer formats each factor object once.
+A one-step certificate with about d^2 tensors has only about d
+distinct factors.  So no caller may mutate a factor: the change would
+show in every tensor that shares it.
 """
 
 from __future__ import annotations
 
+import gc
 import json
 from typing import Dict, List, Tuple
 
 from .certificates import Certificate
-from .fields import Field, PrimeField, QQ, RationalField, Scalar
+from .fields import Field, PrimeField, QQ, RationalField
 from .matrices import SparseMatrix
 from .tensors import RankOneTensor
 
@@ -22,6 +31,7 @@ FORMAT_VERSION = 1
 
 _TOP_KEYS = {"format_version", "algebra", "field", "kernel_dim",
              "families", "tensors"}
+_TENSOR_KEYS = {"family", "u", "v"}
 
 
 class CertificateFormatError(ValueError):
@@ -67,11 +77,9 @@ def _matrix_to_entries(mat: SparseMatrix, field: Field) -> List[list]:
             for (i, j), c in sorted(mat.entries.items())]
 
 
-def _matrix_from_entries(obj, n: int, field: Field, what: str,
-                         scalars: Dict[str, Scalar]) -> SparseMatrix:
-    """One factor, every entry checked.  scalars maps each text parsed
-    so far in the file to its value, so field.parse runs once per
-    distinct text; a text that fails to parse is never stored."""
+def _matrix_from_entries(obj, n: int, field: Field,
+                         what: str) -> SparseMatrix:
+    """One factor, every entry checked."""
     if not isinstance(obj, list) or not obj:
         raise CertificateFormatError(f"{what}: entry list must be nonempty")
     entries = {}
@@ -88,12 +96,10 @@ def _matrix_from_entries(obj, n: int, field: Field, what: str,
         if (i, j) in entries:
             raise CertificateFormatError(
                 f"{what}: duplicate entry at ({i},{j})")
-        c = scalars.get(text)
-        if c is None:
-            try:
-                c = scalars[text] = field.parse(text)
-            except ValueError as exc:
-                raise CertificateFormatError(f"{what}: {exc}") from None
+        try:
+            c = field.parse(text)
+        except ValueError as exc:
+            raise CertificateFormatError(f"{what}: {exc}") from None
         if not c:
             raise CertificateFormatError(
                 f"{what}: stored entry at ({i},{j}) is zero")
@@ -139,6 +145,17 @@ def _algebra_from_json(obj) -> Tuple[dict, int]:
 
 
 def certificate_to_json(cert: Certificate) -> dict:
+    """The file's JSON object.  Tensors that share a factor object share
+    its entry list, so each factor is formatted once; replace an entry
+    list rather than edit it in place."""
+    formatted: Dict[int, List[list]] = {}
+
+    def entries(mat: SparseMatrix) -> List[list]:
+        got = formatted.get(id(mat))
+        if got is None:
+            got = formatted[id(mat)] = _matrix_to_entries(mat, cert.field)
+        return got
+
     return {
         "format_version": FORMAT_VERSION,
         "algebra": _algebra_to_json(cert.algebra),
@@ -146,9 +163,8 @@ def certificate_to_json(cert: Certificate) -> dict:
         "kernel_dim": cert.kernel_dim,
         "families": [{"label": label, "count": count}
                      for label, count in cert.families],
-        "tensors": [{"family": t.label,
-                     "u": _matrix_to_entries(t.u, cert.field),
-                     "v": _matrix_to_entries(t.v, cert.field)}
+        "tensors": [{"family": t.label, "u": entries(t.u),
+                     "v": entries(t.v)}
                     for t in cert.tensors],
     }
 
@@ -187,16 +203,33 @@ def certificate_from_json(obj) -> Certificate:
     if not isinstance(tensors_json, list):
         raise CertificateFormatError("tensors must be a list")
     tensors = []
-    scalars: Dict[str, Scalar] = {}
+    # type-exact key of an entry list -> its factor, shared by every
+    # tensor carrying that list.  Every check on an entry list depends
+    # only on the list, n and the field, so a factor that passed once
+    # passes again.  The key holds each row's and column's type: true
+    # and 1.0 equal 1 in Python, but [[true,2,"1"]] is no valid list.
+    factors: Dict[tuple, SparseMatrix] = {}
     for idx, tj in enumerate(tensors_json):
-        if (not isinstance(tj, dict) or set(tj) != {"family", "u", "v"}
+        if (not isinstance(tj, dict) or tj.keys() != _TENSOR_KEYS
                 or not isinstance(tj["family"], str)):
             raise CertificateFormatError(
                 f"tensor {idx}: must be {{family: str, u: ..., v: ...}}")
-        u, v = (_matrix_from_entries(tj[name], n, field,
-                                     f"tensor {idx} factor {name}", scalars)
-                for name in "uv")
-        tensors.append(RankOneTensor(u, v, tj["family"]))
+        pair = []
+        for name in "uv":
+            obj_f = tj[name]
+            try:
+                key = tuple([(type(i), i, type(j), j, text)
+                             for i, j, text in obj_f])
+                mat = factors.get(key)
+            except (TypeError, ValueError):
+                # not a list of triples of hashables, so not a valid
+                # factor: the check below says why
+                key = mat = None
+            if mat is None:
+                mat = factors[key] = _matrix_from_entries(
+                    obj_f, n, field, f"tensor {idx} factor {name}")
+            pair.append(mat)
+        tensors.append(RankOneTensor(*pair, tj["family"]))
     try:
         return Certificate(algebra, field, obj["kernel_dim"], families,
                            tensors)
@@ -224,13 +257,27 @@ def write_certificate(cert: Certificate, path: str, *,
 
 
 def read_certificate(path: str) -> Certificate:
+    """The certificate in a file, every entry checked.
+
+    The decoded JSON and the certificate built from it hold no
+    reference cycles, yet they are about 10^6 new containers at n = 32.
+    While they are built, the cyclic collector would rescan the growing
+    heap several times and free nothing, about 40% of the read at
+    n = 32, so it is paused for the read and then left as it was found.
+    """
     with open(path, "rb") as fh:
         raw = fh.read()
+    collecting = gc.isenabled()
+    gc.disable()
     try:
-        obj = json.loads(raw.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise CertificateFormatError(f"not valid JSON: {exc}") from None
-    except RecursionError:
-        raise CertificateFormatError(
-            "not valid JSON: nested too deeply to parse") from None
-    return certificate_from_json(obj)
+        try:
+            obj = json.loads(raw.decode("utf-8"))
+        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+            raise CertificateFormatError(f"not valid JSON: {exc}") from None
+        except RecursionError:
+            raise CertificateFormatError(
+                "not valid JSON: nested too deeply to parse") from None
+        return certificate_from_json(obj)
+    finally:
+        if collecting:
+            gc.enable()

@@ -1,14 +1,16 @@
 """Exact elimination on integers: rank, echelon forms, null spaces.
 
 One engine, `IncrementalEchelon`, does all elimination.  Rows are sparse
-column -> scalar maps, and the engine reduces them on plain Python ints:
+column -> int maps, and the engine reduces them on plain Python ints
+(`integer_coords` turns a row of field scalars into one):
 
-- over Q, each incoming row is scaled by the lcm of its denominators
-  and eliminated fraction-free: the candidate becomes b*row - a*pivot
-  with a, b the two leading entries divided by their gcd, and each
-  stored pivot row is kept primitive (divided by its content gcd);
-- over F_p, rows hold the residues in [0, p), pivot rows are monic, and
-  every combination is reduced with % p.
+- over Q, a row of rationals enters scaled by the lcm of its
+  denominators and is eliminated fraction-free: the candidate becomes
+  b*row - a*pivot with a, b the two leading entries divided by their
+  gcd, and each stored pivot row is kept primitive (divided by its
+  content gcd);
+- over F_p, rows are reduced to residues in [0, p) as they enter,
+  pivot rows are monic, and every combination is reduced with % p.
 
 This is exact, not a modular shortcut.  Scaling a row by a nonzero
 rational and adding multiples of other rows leave its row space over Q
@@ -107,14 +109,16 @@ def _normalize(row: IntRow, lead: int, p: int) -> IntRow:
 class IncrementalEchelon:
     """Row echelon form over the integers, grown one row at a time.
 
-    Rows are sparse column -> scalar maps over a fixed (implicit) column
-    range; ints are accepted as well as field scalars.  `pivot_rows`
-    maps each pivot column to its stored integer row: primitive over Q,
-    monic over F_p.  Insertion reduces the candidate's leading column
-    against stored pivots until it either vanishes (dependent) or lands
-    on a fresh column (rank grows by one).  This is plain echelon, not
-    reduced echelon: stored rows may have entries at other pivot
-    columns, which is harmless for rank tracking and keeps fill-in down.
+    Rows are sparse column -> int maps over a fixed (implicit) column
+    range.  Over Q a row stands for itself, over F_p for its residues;
+    a row of field scalars goes in as integer_coords(row, field), a
+    nonzero multiple of it.  `pivot_rows` maps each pivot column to its
+    stored integer row: primitive over Q, monic over F_p.  Insertion
+    reduces the candidate's leading column against stored pivots until
+    it either vanishes (dependent) or lands on a fresh column (rank
+    grows by one).  This is plain echelon, not reduced echelon: stored
+    rows may have entries at other pivot columns, which is harmless for
+    rank tracking and keeps fill-in down.
     """
 
     def __init__(self, field: Field):
@@ -126,11 +130,21 @@ class IncrementalEchelon:
     def rank(self) -> int:
         return len(self.pivot_rows)
 
-    def insert(self, row: SparseRow) -> bool:
-        """Reduce a copy of row against the accumulated rows; keep it if
-        independent.  Returns True when the rank increased."""
-        work = integer_coords(row, self.field)
+    def insert(self, row: IntRow) -> bool:
+        """Reduce a copy of the integer row against the accumulated rows;
+        keep it if independent.  Returns True when the rank increased.
+
+        The copy is the only pass over row before elimination: it drops
+        zero entries (a cancelled sum in ad_u's rows, say) and over F_p
+        reduces every entry mod p.  So callers may pass any integer
+        representatives, such as unreduced products of residues or -1,
+        and the stored rows still hold residues in [0, p).
+        """
         pivots, p = self.pivot_rows, self.p
+        if p:
+            work = {c: r for c, v in row.items() if (r := v % p)}
+        else:
+            work = {c: v for c, v in row.items() if v}
         while work:
             lead = min(work)
             prow = pivots.get(lead)

@@ -7,23 +7,31 @@ entries, one field per matrix, indices in range.  They follow the
 e_{i,j} convention: elementary(n, i, j) has a single 1 in row i,
 column j.  The package does no arithmetic on whole matrices: it works
 on coordinates, and `entry_product` multiplies two entry maps for the
-verifier's direct route.
+verifier's direct route, the second one grouped by `rows_of`.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, Tuple
+from typing import Any, Dict, List, Tuple
 
 from .fields import Field, QQ, Scalar
 
 Position = Tuple[int, int]
 Entries = Dict[Position, Any]
+Rows = Dict[int, List[Tuple[int, Any]]]
 
 PRODUCT_KINDS = ("associative", "lie")
 
 
 class SparseMatrix:
-    """n-by-n matrix over an exact field; entries keyed by (row, col), 1-based."""
+    """n-by-n matrix over an exact field; entries keyed by (row, col), 1-based.
+
+    Treat it as immutable once built.  Certificate tensors share their
+    factors (the reader and the assembler give each distinct factor one
+    object), and the verifier and the writer keep per-object results,
+    so mutating entries would change, or silently not change, every
+    tensor that carries the matrix.
+    """
 
     __slots__ = ("n", "field", "entries")
 
@@ -77,13 +85,19 @@ def elementary(n: int, i: int, j: int, field: Field = QQ) -> SparseMatrix:
     return SparseMatrix(n, field, {(i, j): field.one})
 
 
-def entry_product(x: Entries, y: Entries) -> Entries:
-    """The product xy of two matrices given as entry maps.  The scalars
-    may be field elements or plain ints; ints are multiplied exactly,
-    with no reduction mod p.  No zero entry is kept."""
-    rows_of_y: Dict[int, list] = {}
-    for (k, j), c in y.items():
-        rows_of_y.setdefault(k, []).append((j, c))
+def rows_of(x: Entries) -> Rows:
+    """The entries of x by row: i -> [(j, x_ij), ...]."""
+    rows: Rows = {}
+    for (i, j), c in x.items():
+        rows.setdefault(i, []).append((j, c))
+    return rows
+
+
+def entry_product(x: Entries, rows_of_y: Rows) -> Entries:
+    """The product xy of two matrices, x given as its entry map and y as
+    rows_of(y), so a caller multiplying by y again groups it once.  The
+    scalars may be field elements or plain ints; ints are multiplied
+    exactly, with no reduction mod p.  No zero entry is kept."""
     acc: Entries = {}
     for (i, k), a in x.items():
         for j, b in rows_of_y.get(k, ()):

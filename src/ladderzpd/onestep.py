@@ -23,11 +23,12 @@ trusted.
 from __future__ import annotations
 
 from collections import Counter
+from functools import cache
 from typing import Dict, List, Optional, Tuple
 
 from .certificates import (Certificate, abelian_certificate, algebra_space,
                            gl_certificate, ladder_algebra_descriptor)
-from .fields import Field, QQ, Scalar
+from .fields import Field, QQ
 from .ladders import BlockProfile, Ladder, block_profile
 from .matrices import Position, SparseMatrix, elementary
 from .tensors import RankOneTensor
@@ -82,25 +83,24 @@ def pairing_families(p: BlockProfile, field: Field = QQ) -> List[RankOneTensor]:
     a (x) h, and likewise for pair-l-a and pair-r-a; the same-block
     pairings a-a, l-l, r-r already contain every ordered pair once.
     """
-    blocks = block_positions(p)
-    n = p.n
-
-    def elem(pos: Position) -> SparseMatrix:
-        return elementary(n, pos[0], pos[1], field)
+    # the blocks are disjoint: one e_{i,j} per position, shared by
+    # every tensor that carries it
+    blocks = {name: [elementary(p.n, i, j, field) for i, j in posns]
+              for name, posns in block_positions(p).items()}
 
     out: List[RankOneTensor] = []
     for label, b1, b2 in (("pair-h-a", "h", "a"), ("pair-l-a", "l", "a"),
                           ("pair-r-a", "r", "a")):
-        for pos1 in blocks[b1]:
-            for pos2 in blocks[b2]:
-                out.append(RankOneTensor(elem(pos1), elem(pos2), label))
-        for pos2 in blocks[b2]:
-            for pos1 in blocks[b1]:
-                out.append(RankOneTensor(elem(pos2), elem(pos1), label))
+        for x in blocks[b1]:
+            for y in blocks[b2]:
+                out.append(RankOneTensor(x, y, label))
+        for y in blocks[b2]:
+            for x in blocks[b1]:
+                out.append(RankOneTensor(y, x, label))
     for label, b in (("pair-a-a", "a"), ("pair-l-l", "l"), ("pair-r-r", "r")):
-        for pos1 in blocks[b]:
-            for pos2 in blocks[b]:
-                out.append(RankOneTensor(elem(pos1), elem(pos2), label))
+        for x in blocks[b]:
+            for y in blocks[b]:
+                out.append(RankOneTensor(x, y, label))
     return out
 
 
@@ -128,26 +128,26 @@ def explicit_families(p: BlockProfile,
       R-type: (e(r,k) + e(k,c)) (x) itself, k = r, c or n1 + n2.
     Every pair commutes: the brackets telescope or vanish blockwise.
     """
-    n, one = p.n, field.one
     ranges = dict(zip(("top", "mid", "right"), _ranges(p)))
     mid = ranges["mid"]
 
-    def mat(*terms: Tuple[int, int, Scalar]) -> SparseMatrix:
-        return SparseMatrix(n, field, {(i, j): c for i, j, c in terms})
+    # each factor is built once and shared by every tensor carrying it
+    @cache
+    def mat(*terms: Tuple[int, int, int]) -> SparseMatrix:
+        return SparseMatrix(p.n, field, {(i, j): field.from_int(c)
+                                         for i, j, c in terms})
 
     out: List[RankOneTensor] = []
     for labels, row_block, col_block, sign, swap, hinge in _EXPLICIT_FAMILIES:
         t_label, s_label, r_label = labels
         rows, cols = ranges[row_block], ranges[col_block]
-        s = field.from_int(sign)
         for r in rows:
             for a in mid:
                 for b in mid:
                     if a == b:
                         continue
                     for c in cols:
-                        x = elementary(n, r, a, field)
-                        y = elementary(n, b, c, field)
+                        x, y = mat((r, a, 1)), mat((b, c, 1))
                         if swap:
                             x, y = y, x
                         out.append(RankOneTensor(x, y, t_label))
@@ -155,15 +155,15 @@ def explicit_families(p: BlockProfile,
         for r in rows:
             for a in mid[:-1]:
                 for c in cols:
-                    x = mat((r, a, one), (r, a + 1, s))
-                    y = mat((a, c, one), (a + 1, c, -s))
+                    x = mat((r, a, 1), (r, a + 1, sign))
+                    y = mat((a, c, 1), (a + 1, c, -sign))
                     out.append(RankOneTensor(x, y, s_label))
                     out.append(RankOneTensor(y, x, s_label))
         for r in rows:
             for c in cols:
                 k = r if hinge == "row" else c if hinge == "col" \
                     else p.n1 + p.n2
-                x = mat((r, k, one), (k, c, one))
+                x = mat((r, k, 1), (k, c, 1))
                 out.append(RankOneTensor(x, x, r_label))
     return out
 
@@ -176,8 +176,16 @@ def gl_block_tensors(p: BlockProfile, field: Field = QQ,
     if cert is None:
         raise SearchExhaustedError(
             f"search budget exhausted on the gl_{p.n2} block")
-    n = p.n
-    return [RankOneTensor(t.u.shifted(p.n1, n), t.v.shifted(p.n1, n), "gl-h")
+    # the search shares u between tensors; share its shifted copy too
+    shifted: Dict[int, SparseMatrix] = {}
+
+    def shift(factor: SparseMatrix) -> SparseMatrix:
+        got = shifted.get(id(factor))
+        if got is None:
+            got = shifted[id(factor)] = factor.shifted(p.n1, p.n)
+        return got
+
+    return [RankOneTensor(shift(t.u), shift(t.v), "gl-h")
             for t in cert.tensors]
 
 

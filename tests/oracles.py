@@ -26,10 +26,10 @@ from typing import List, Sequence, Tuple
 from ladderzpd.certificates import (COUNT_MISMATCH, FAILED_KERNEL_MEMBERSHIP,
                                     FAILED_SPAN, PROVEN_ZPD, Certificate,
                                     VerificationReport, ad_echelon,
-                                    algebra_space, candidate_pool)
+                                    algebra_space, candidate_pool, lie_table)
 from ladderzpd.elim import IncrementalEchelon, field_row, integer_coords
 from ladderzpd.fields import QQ
-from ladderzpd.matrices import SparseMatrix, elementary, entry_product
+from ladderzpd.matrices import SparseMatrix, elementary, entry_product, rows_of
 from ladderzpd.onestep import block_positions
 from ladderzpd.tensors import MembershipError, RankOneTensor, build_mu
 
@@ -88,13 +88,14 @@ def dense_is_zero(a: Dense) -> bool:
 
 def product(x: SparseMatrix, y: SparseMatrix) -> SparseMatrix:
     """xy of two package matrices, from entry_product."""
-    return SparseMatrix(x.n, x.field, entry_product(x.entries, y.entries))
+    return SparseMatrix(x.n, x.field,
+                        entry_product(x.entries, rows_of(y.entries)))
 
 
 def bracket(x: SparseMatrix, y: SparseMatrix) -> SparseMatrix:
     """[x, y] = xy - yx of two package matrices, from entry_product."""
-    entries = entry_product(x.entries, y.entries)
-    for pos, c in entry_product(y.entries, x.entries).items():
+    entries = entry_product(x.entries, rows_of(y.entries))
+    for pos, c in entry_product(y.entries, rows_of(x.entries)).items():
         entries[pos] = entries.get(pos, 0) - c
     return SparseMatrix(x.n, x.field, entries)  # drops the zeros
 
@@ -302,7 +303,7 @@ def centralizer(u, space) -> list:
     field scalars (1 at each free coordinate, in free-variable order)."""
     field = space.field
     ucoords = integer_coords(space.coords_of(u), field)
-    ad, _ = ad_echelon(ucoords, space)
+    ad, _ = ad_echelon(ucoords, lie_table(space), field)
     return [space.from_coords(field_row(w, m, field))
             for w, m in ad.null_space(range(space.d))]
 
@@ -316,12 +317,13 @@ def reference_search(space, mu, descriptor: dict, budget=None,
     sees every candidate: pool index, u, free column, null vector, and
     whether the row was kept (False: it reduced to zero)."""
     field, d = space.field, space.d
+    table = lie_table(space)
     ech = IncrementalEchelon(field)
     chosen = []
     tried = 0
     for index, pool_coords in enumerate(candidate_pool(space)):
         ucoords = integer_coords(pool_coords, field)
-        ad, _ = ad_echelon(ucoords, space)
+        ad, _ = ad_echelon(ucoords, table, field)
         free = [f for f in range(d) if f not in ad.pivot_rows]
         for f, (w, m) in zip(free, ad.null_space(range(d))):
             if budget is not None and tried >= budget:
@@ -470,7 +472,7 @@ def verify_by_field_coords(cert) -> VerificationReport:
             raise MembershipError(f"tensor {idx} {exc}") from None
         if not in_kernel(t, mu, tcoords) and first_bad is None:
             first_bad = idx
-        ech.insert(tcoords)
+        ech.insert(integer_coords(tcoords, space.field))
     span_rank = ech.rank
     count = len(cert.tensors)
     if first_bad is not None:

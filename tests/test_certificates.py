@@ -38,8 +38,9 @@ def ladder_space(ladder: Ladder) -> TensorSpace:
 def span_contains(space, basis_mats, target) -> bool:
     ech = IncrementalEchelon(space.field)
     for m in basis_mats:
-        ech.insert(space.coords_of(m))
-    return not ech.insert(space.coords_of(target))
+        ech.insert(integer_coords(space.coords_of(m), space.field))
+    return not ech.insert(integer_coords(space.coords_of(target),
+                                         space.field))
 
 
 def test_centralizer_of_identity_is_everything():
@@ -245,9 +246,9 @@ def test_search_skips_a_u_equal_to_the_one_before(monkeypatch):
     pool = [integer_coords(c, field) for c in candidate_pool(space)]
     built = []
 
-    def counting(ucoords, space):
+    def counting(ucoords, table, field):
         built.append(ucoords)
-        return ad_echelon(ucoords, space)
+        return ad_echelon(ucoords, table, field)
 
     monkeypatch.setattr(certificates, "ad_echelon", counting)
     cert = search_spanning(space, build_mu(space, "lie"),

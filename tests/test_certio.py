@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import gc
 import json
 from fractions import Fraction
 
@@ -13,10 +14,11 @@ from ladderzpd.certio import (CertificateFormatError, certificate_bytes,
                               certificate_from_json, certificate_to_json,
                               dumps_canonical, field_from_json, field_to_json,
                               read_certificate, write_certificate)
+from ladderzpd.cli import main
 from ladderzpd.fields import PrimeField, QQ
 from ladderzpd.matrices import SparseMatrix
 from ladderzpd.onestep import assemble_one_step_certificate
-from ladderzpd.tensors import RankOneTensor
+from ladderzpd.tensors import MembershipError, RankOneTensor
 
 
 def write_verified(cert, path):
@@ -207,9 +209,9 @@ def format_error(obj) -> str:
     ("1.5", "malformed rational scalar: '1.5'"),
 ])
 def test_repeated_bad_scalar_is_reported_at_first_use(text, message):
-    # the reader parses each distinct text once; a text that fails is
-    # reported at the first tensor and factor carrying it, wherever it
-    # repeats later
+    # a text that fails to parse is reported at the first tensor and
+    # factor carrying it, wherever it repeats later, in the same entry
+    # list or in another
     obj = certificate_to_json(gl_certificate(2))
     obj["tensors"][4]["u"] = [[1, 1, text]]
     obj["tensors"][1]["v"] = [[2, 1, text]]
@@ -222,8 +224,8 @@ def test_stored_zero_is_rejected_in_every_spelling():
     obj["tensors"][3]["v"] = [[1, 2, "0/3"]]
     assert format_error(obj) == ("tensor 3 factor v: stored entry at (1,2) "
                                  "is zero")
-    # a text already parsed (and so remembered) is still checked at
-    # every entry: "0/3" after "-0" and a zero residue mod 101
+    # a zero is caught in every spelling, also in a list whose other
+    # entries are fine: "-0" after "-1", and a zero residue mod 101
     obj = certificate_to_json(gl_certificate(2))
     obj["tensors"][0]["u"] = [[1, 1, "-1"], [1, 2, "-0"]]
     assert format_error(obj) == ("tensor 0 factor u: stored entry at (1,2) "
@@ -242,8 +244,8 @@ def test_stored_zero_is_rejected_in_every_spelling():
 def test_repeated_scalars_round_trip_byte_for_byte(tmp_path, field,
                                                    scalars):
     # factors scaled so that a few non-unit scalar texts repeat across
-    # the file: the values the reader shares between entries must write
-    # back the same bytes
+    # the file, and the factors the reader shares between tensors, must
+    # write back the same bytes
     cert = assemble_one_step_certificate(4, 3, 2, field=field)
     tensors = [RankOneTensor(
         SparseMatrix(t.u.n, field, {pos: scalars[k % len(scalars)] * c
@@ -256,3 +258,86 @@ def test_repeated_scalars_round_trip_byte_for_byte(tmp_path, field,
     reread = read_certificate(str(path))
     assert reread == cert
     assert certificate_bytes(reread) == path.read_bytes()
+
+
+@pytest.mark.parametrize("entry", [[True, 2, "1"], [1.0, 2, "1"],
+                                   [1, 2.0, "1"]])
+def test_shared_factor_key_keeps_bool_and_float_apart(tmp_path, capsys,
+                                                      entry):
+    # tensor 2 lists [[1,2,"1"]] first, so the reader has shared that
+    # factor by tensor 10; true, 1.0 and 2.0 equal 1 and 2 in Python,
+    # but a list holding them is no valid factor
+    obj = certificate_to_json(gl_certificate(2))
+    assert obj["tensors"][2]["u"] == [[1, 2, "1"]]
+    obj["tensors"][10]["v"] = [entry]
+    path = tmp_path / "cert.json"
+    path.write_text(dumps_canonical(obj))
+    assert main(["cert-verify", str(path), "--json"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: tensor 10 factor v: each entry must be "
+                            "[row, col, scalar-text]\n")
+
+
+@pytest.mark.parametrize("entries, message", [
+    ([[1, 1, "1"], [1, 1, "1"]], "duplicate entry at (1,1)"),
+    ([[1, 3, "1"]], "entry index (1,3) out of range (1-based, n=2)"),
+    ([[2, 2, "0"]], "stored entry at (2,2) is zero"),
+    ([[2, 2, "1/0"]], "zero denominator in scalar: '1/0'"),
+    ([], "entry list must be nonempty"),
+])
+def test_repeated_bad_factor_names_its_first_tensor(entries, message):
+    obj = certificate_to_json(gl_certificate(2))
+    for idx, name in ((9, "u"), (3, "v"), (6, "u"), (3, "u")):
+        obj["tensors"][idx][name] = [list(e) for e in entries]
+    assert format_error(obj) == f"tensor 3 factor u: {message}"
+
+
+def test_repeated_factor_outside_the_algebra_names_its_first_tensor():
+    # (1,1) is not a position of the one-step ladder {(2,2)} on 3
+    obj = certificate_to_json(assemble_one_step_certificate(3, 2, 2))
+    for idx, name in ((5, "u"), (2, "v"), (4, "u")):
+        obj["tensors"][idx][name] = [[1, 1, "1"]]
+    cert = certificate_from_json(obj)
+    with pytest.raises(MembershipError) as exc:
+        verify_certificate(cert)
+    assert str(exc.value) == ("tensor 2 factor v: support at (1, 1) is "
+                              "outside the position set")
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(2), PrimeField(101)])
+def test_identical_entry_lists_share_one_factor(field):
+    obj = json.loads(certificate_bytes(
+        assemble_one_step_certificate(5, 3, 2, field=field)))
+    cert = certificate_from_json(obj)
+    objects_of = {}
+    for tj, t in zip(obj["tensors"], cert.tensors):
+        for name in "uv":
+            key = json.dumps(tj[name])
+            objects_of.setdefault(key, set()).add(id(getattr(t, name)))
+    assert all(len(ids) == 1 for ids in objects_of.values())
+    distinct = {id(x) for t in cert.tensors for x in (t.u, t.v)}
+    assert len(distinct) <= len(objects_of) < len(cert.tensors)
+
+
+@pytest.mark.parametrize("collecting", [True, False])
+def test_read_leaves_the_garbage_collector_as_it_was(tmp_path, collecting):
+    # the reader pauses the cyclic collector while it builds the
+    # certificate; every way out, errors included, restores it
+    good = tmp_path / "good.json"
+    write_certificate(gl_certificate(2), str(good), mark_unverified=True)
+    bad_json = tmp_path / "bad.json"
+    bad_json.write_bytes(b"{not json")
+    bad_format = tmp_path / "format.json"
+    bad_format.write_bytes(b'{"certificate": 1}\n')
+    was = gc.isenabled()
+    try:
+        (gc.enable if collecting else gc.disable)()
+        assert read_certificate(str(good)) == gl_certificate(2)
+        assert gc.isenabled() == collecting
+        for path in (bad_json, bad_format):
+            with pytest.raises(CertificateFormatError):
+                read_certificate(str(path))
+            assert gc.isenabled() == collecting
+    finally:
+        (gc.enable if was else gc.disable)()

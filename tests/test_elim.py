@@ -5,7 +5,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from ladderzpd.elim import IncrementalEchelon
+from ladderzpd.elim import IncrementalEchelon, integer_coords
 from ladderzpd.fields import PrimeField, QQ
 from ladderzpd.matrices import elementary
 
@@ -18,7 +18,7 @@ def echelon(rows, field=QQ) -> IncrementalEchelon:
     """An engine holding the given dense rows."""
     ech = IncrementalEchelon(field)
     for row in rows:
-        ech.insert({c: v for c, v in enumerate(row) if v})
+        ech.insert(integer_coords(dict(enumerate(row)), field))
     return ech
 
 
@@ -150,7 +150,7 @@ def test_incremental_echelon_matches_naive_rank():
                 dense[c] = v
             dense_rows.append(dense)
             before = ech.rank
-            inserted = ech.insert(row)
+            inserted = ech.insert(integer_coords(row, QQ))
             assert inserted == (ech.rank == before + 1)
             if inserted:
                 grew += 1
@@ -160,23 +160,28 @@ def test_incremental_echelon_matches_naive_rank():
 
 def test_incremental_echelon_membership():
     ech = IncrementalEchelon(QQ)
-    ech.insert({0: F(1), 1: F(2)})
-    ech.insert({1: F(1), 2: F(1)})
-    # (1, 0, -2) = row1 - 2*row2 and the zero row reduce to zero, so
-    # inserting them leaves the rank unchanged
-    assert not ech.insert({0: F(1), 2: F(-2)})
+    ech.insert({0: 1, 1: 2})
+    ech.insert({1: 1, 2: 1})
+    # (1, 0, -2) = row1 - 2*row2, the zero row and a row of zero
+    # entries reduce to zero, so inserting them leaves the rank unchanged
+    assert not ech.insert({0: 1, 2: -2})
     assert not ech.insert({})
-    assert not ech.insert({0: F(2), 1: F(4)})
+    assert not ech.insert({0: 0, 3: 0})
+    assert not ech.insert({0: 2, 1: 4})
     assert ech.rank == 2
     # (1, 0, 1) does not
-    assert ech.insert({0: F(1), 2: F(1)})
+    assert ech.insert({0: 1, 2: 1})
     assert ech.rank == 3
 
 
 def test_incremental_echelon_prime_field():
-    f = PrimeField(101)
-    ech = IncrementalEchelon(f)
-    assert ech.insert({0: f.from_int(3), 1: f.one})
-    assert not ech.insert({0: f.from_int(6), 1: f.from_int(2)})
-    assert ech.insert({1: f.from_int(5)})
+    # integer rows stand for their residues: -98 = 3, 208 = 6,
+    # 202 = 0 and 102 = 1 mod 101, and every stored row holds reduced
+    # residues, a row already monic at its lead included
+    ech = IncrementalEchelon(PrimeField(101))
+    assert ech.insert({0: -98, 1: 1})
+    assert not ech.insert({0: 208, 1: 2, 2: 202})
+    assert ech.insert({1: 102, 2: -1})
     assert ech.rank == 2
+    assert all(0 <= v < 101 for row in ech.pivot_rows.values()
+               for v in row.values())

@@ -13,7 +13,7 @@ from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
 
-from ladderzpd.certificates import ad_echelon
+from ladderzpd.certificates import ad_echelon, lie_table
 from ladderzpd.elim import IncrementalEchelon, integer_coords
 from ladderzpd.fields import PrimeField, QQ
 from ladderzpd.ladders import Ladder
@@ -59,6 +59,11 @@ def fp_values(p):
     return st.integers(-2 * p, 2 * p).map(f.from_int)
 
 
+def representatives(p):
+    """Integers standing for residues mod p, reduced or not."""
+    return st.integers(-2 * p, 2 * p)
+
+
 @SETTINGS
 @given(sparse_rows(RATIONALS))
 def test_insert_matches_naive_rank_over_q(case):
@@ -66,9 +71,10 @@ def test_insert_matches_naive_rank_over_q(case):
     ech = IncrementalEchelon(QQ)
     prefix = []
     for row in rows:
-        before = dict(row)
-        inserted = ech.insert(row)
-        assert row == before, "insert must not modify its argument"
+        irow = integer_coords(row, QQ)
+        before = dict(irow)
+        inserted = ech.insert(irow)
+        assert irow == before, "insert must not modify its argument"
         prefix.append(densify(row, ncols, Fraction(0)))
         rank = naive_rank(prefix)
         assert ech.rank == rank
@@ -81,33 +87,34 @@ def test_reduces_to_zero_over_q(case, data):
     ncols, rows = case
     ech = IncrementalEchelon(QQ)
     for row in rows:
-        ech.insert(row)
+        ech.insert(integer_coords(row, QQ))
     combo = {}
     for row in rows:
         coeff = data.draw(RATIONALS)
         for c, v in row.items():
             combo[c] = combo.get(c, Fraction(0)) + coeff * v
     # a row in the span reduces to zero: insert keeps nothing
-    assert not ech.insert(combo)
+    assert not ech.insert(integer_coords(combo, QQ))
     dense = [densify(r, ncols, Fraction(0)) for r in rows]
     assert ech.rank == naive_rank(dense)
     probe = data.draw(st.dictionaries(st.integers(0, ncols - 1), RATIONALS,
                                       max_size=4))
     in_span = naive_rank(dense + [densify(probe, ncols, Fraction(0))]) \
         == naive_rank(dense)
-    assert ech.insert(probe) != in_span
+    assert ech.insert(integer_coords(probe, QQ)) != in_span
 
 
 @SETTINGS
 @given(PRIMES.flatmap(lambda p: st.tuples(st.just(p),
-                                          sparse_rows(fp_values(p)))))
+                                          sparse_rows(representatives(p)))))
 def test_insert_matches_mod_p_oracle(case):
+    # the engine takes any integer representatives and reduces them
     p, (ncols, rows) = case
     ech = IncrementalEchelon(PrimeField(p))
     prefix = []
     for row in rows:
         inserted = ech.insert(row)
-        prefix.append(densify({c: v.value for c, v in row.items()}, ncols, 0))
+        prefix.append(densify(row, ncols, 0))
         rank = naive_rank_mod_p(prefix, p)
         assert ech.rank == rank
         assert inserted == (rank == naive_rank_mod_p(prefix[:-1], p) + 1)
@@ -120,7 +127,7 @@ def engine_rref(rows, field):
     ncols = len(rows[0])
     ech = IncrementalEchelon(field)
     for row in rows:
-        ech.insert({c: v for c, v in enumerate(row) if v})
+        ech.insert(integer_coords(dict(enumerate(row)), field))
     rref, _ = reduced(ech, ncols)
     out = [densify(row, ncols, field.zero) for row in rref.values()]
     out += [[field.zero] * ncols for _ in range(len(rows) - len(rref))]
@@ -133,7 +140,8 @@ def engine_kernel(map_rows, field):
     dom = len(map_rows)
     ech = IncrementalEchelon(field)
     for c in range(len(map_rows[0])):
-        ech.insert({r: row[c] for r, row in enumerate(map_rows) if row[c]})
+        ech.insert(integer_coords({r: row[c] for r, row in enumerate(map_rows)},
+                                  field))
     return [densify(vec, dom, field.zero) for vec in reduced(ech, dom)[1]]
 
 
@@ -213,7 +221,7 @@ def test_ad_echelon_active_columns(case):
     # the unit null vector
     space, u = case
     ucoords = integer_coords(space.coords_of(u), QQ)
-    ad, active = ad_echelon(ucoords, space)
+    ad, active = ad_echelon(ucoords, lie_table(space), QQ)
     basis = [space.basis_matrix(k) for k in range(space.d)]
     assert active == {k for s in ucoords for k in range(space.d)
                       if bracket(basis[s], basis[k]).entries}

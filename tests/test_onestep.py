@@ -4,7 +4,8 @@ from __future__ import annotations
 
 import pytest
 
-from ladderzpd.certificates import PROVEN_ZPD, verify_certificate
+from ladderzpd.certificates import (PROVEN_ZPD, gl_certificate,
+                                    verify_certificate)
 from ladderzpd.fields import QQ
 from ladderzpd.ladders import BlockProfile, Ladder
 from ladderzpd.matrices import SparseMatrix, elementary
@@ -268,3 +269,19 @@ def test_assemble_middle_block_nine():
     report = verify_certificate(cert)
     assert report.verdict == PROVEN_ZPD
     assert report.tensor_count == report.kernel_dim == 8011
+
+
+def test_families_share_one_factor_per_entry_map():
+    # each distinct factor is one object, carried by every tensor that
+    # has it, so the writer and the verifier work once per factor
+    p = BlockProfile(2, 3, 2)
+    for tensors in (pairing_families(p), explicit_families(p)):
+        factors = [x for t in tensors for x in (t.u, t.v)]
+        distinct = {frozenset(x.entries.items()) for x in factors}
+        assert len({id(x) for x in factors}) == len(distinct)
+    # the gl block keeps the search's sharing: one shifted copy per
+    # source factor object
+    sources = [x for t in gl_certificate(p.n2).tensors for x in (t.u, t.v)]
+    shifted = [x for t in gl_block_tensors(p) for x in (t.u, t.v)]
+    assert len({id(x) for x in shifted}) == len({id(x) for x in sources}) \
+        < len(sources)

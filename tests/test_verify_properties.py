@@ -7,24 +7,31 @@ bracket from entry_product.  Small certificates (gl_2, gl_3 and every
 one-step ladder with n <= 5, over Q, F_2 and F_101) get their factors
 scaled by random nonzero scalars, and then either stay valid or lose a
 tensor, gain a duplicate, or have one replaced.  Both routes must give
-the same report, and no scaling may change it.
+the same report, and no scaling may change it.  Read certificates
+share one factor object per distinct entry list: the verifier's
+per-object results must give the report of an unshared copy, and
+neither verifying nor writing may change a factor.
 """
 
 from __future__ import annotations
 
+import json
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from ladderzpd.certificates import (COUNT_MISMATCH, FAILED_KERNEL_MEMBERSHIP,
                                     FAILED_SPAN, PROVEN_ZPD, Certificate,
                                     algebra_space, gl_certificate,
                                     verify_certificate)
+from ladderzpd.certio import (certificate_bytes, certificate_from_json,
+                              certificate_to_json)
 from ladderzpd.elim import integer_coords
 from ladderzpd.fields import PrimeField, QQ
-from ladderzpd.matrices import SparseMatrix, entry_product
+from ladderzpd.matrices import SparseMatrix, entry_product, rows_of
 from ladderzpd.onestep import assemble_one_step_certificate
 from ladderzpd.tensors import RankOneTensor, build_mu
 
@@ -133,7 +140,8 @@ def test_f2_zero_test_is_mod_p():
         u = SparseMatrix(2, field, {(1, 1): field.one, (1, 2): field.one})
         v = SparseMatrix(2, field, {(1, 2): field.one, (2, 2): field.one})
         ints = [integer_coords(x.entries, field) for x in (u, v)]
-        xy, yx = entry_product(*ints), entry_product(*reversed(ints))
+        xy, yx = (entry_product(a, rows_of(b))
+                  for a, b in (ints, reversed(ints)))
         assert {pos: xy.get(pos, 0) - yx.get(pos, 0)
                 for pos in xy.keys() | yx.keys()} == {(1, 2): 2}
         space = algebra_space({"kind": "gl-lie", "m": 2}, field)
@@ -155,3 +163,74 @@ def test_f2_zero_test_is_mod_p():
             report = verify_certificate(tampered)
             assert report == verify_by_field_coords(tampered)
             assert (report.first_noncommuting is None) == commutes
+
+
+def unshared(cert):
+    """A copy of the certificate in which no two tensor slots share a
+    factor object (copy.deepcopy would keep the sharing)."""
+    def fresh(mat):
+        return SparseMatrix(mat.n, mat.field, mat.entries)
+
+    return Certificate(cert.algebra, cert.field, cert.kernel_dim,
+                       cert.families,
+                       [RankOneTensor(fresh(t.u), fresh(t.v), t.label)
+                        for t in cert.tensors])
+
+
+def damaged(obj, defect, idx):
+    """The certificate JSON with one defect at tensor idx, family counts
+    kept in step; replaced puts e_{2,2} (x) e_{2,3}, whose bracket is
+    e_{2,3} != 0, in place of the tensor."""
+    tensors = [dict(t) for t in obj["tensors"]]
+    if defect == "deleted":
+        del tensors[idx]
+    elif defect == "duplicated":
+        tensors.insert(idx + 1, tensors[idx])
+    elif defect == "replaced":
+        tensors[idx] = dict(tensors[idx], u=[[2, 2, "1"]], v=[[2, 3, "1"]])
+    counts = Counter(t["family"] for t in tensors)
+    return dict(obj, tensors=tensors, families=[
+        {"label": f["label"], "count": counts[f["label"]]}
+        for f in obj["families"]])
+
+
+@pytest.mark.parametrize("field_name", sorted(FIELDS))
+@pytest.mark.parametrize("defect", ["none", "deleted", "duplicated",
+                                    "replaced"])
+def test_shared_factors_verify_like_unshared_copies(field_name, defect):
+    # a read certificate shares one factor object per distinct entry
+    # list; the verifier's per-object results must give the report an
+    # unshared copy gets, defects included
+    obj = certificate_to_json(base_certificate(("one-step", 5, 3, 2),
+                                               field_name))
+    cert = certificate_from_json(damaged(obj, defect, 17))
+    slots = [x for t in cert.tensors for x in (t.u, t.v)]
+    assert len({id(x) for x in slots}) < len(slots)
+    copy = unshared(cert)
+    assert len({id(x) for t in copy.tensors for x in (t.u, t.v)}) \
+        == len(slots)
+    report = verify_certificate(cert)
+    assert report == verify_certificate(copy)
+    expected = {"none": PROVEN_ZPD, "deleted": FAILED_SPAN,
+                "duplicated": COUNT_MISMATCH,
+                "replaced": FAILED_KERNEL_MEMBERSHIP}
+    assert report.verdict == expected[defect]
+
+
+@pytest.mark.parametrize("field_name", sorted(FIELDS))
+def test_verify_and_write_leave_factors_unchanged(field_name):
+    # non-unit scalars, so the verifier scales entries to integers
+    cert = base_certificate(("one-step", 5, 3, 2), field_name)
+    field = cert.field
+    c = Fraction(-2, 3) if field == QQ else field.from_int(-1)
+    shared = {}
+    cert = rebuilt(cert, [
+        RankOneTensor(shared.setdefault(id(t.u), scaled(t.u, c)), t.v,
+                      t.label) for t in cert.tensors])
+    before = [[(pos, type(v), v) for pos, v in sorted(x.entries.items())]
+              for t in cert.tensors for x in (t.u, t.v)]
+    assert verify_certificate(cert).proven
+    data = certificate_bytes(cert)
+    assert certificate_from_json(json.loads(data)) == cert
+    assert [[(pos, type(v), v) for pos, v in sorted(x.entries.items())]
+            for t in cert.tensors for x in (t.u, t.v)] == before
