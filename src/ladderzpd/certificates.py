@@ -21,7 +21,7 @@ from typing import (Dict, Iterator, List, NamedTuple, Optional, Sequence,
 from .elim import IncrementalEchelon, IntRow, field_row, integer_coords
 from .fields import Field, QQ
 from .ladders import Ladder
-from .matrices import Entries, Rows, SparseMatrix, entry_product, rows_of
+from .matrices import SparseMatrix
 from .tensors import (MembershipError, MuMap, RankOneTensor, TensorSpace,
                       build_mu)
 
@@ -154,19 +154,23 @@ def verify_certificate(cert: Certificate) -> VerificationReport:
         basis, not a multiset.
     All three hold iff the verdict is proven-zpd.
 
-    All of it runs on plain ints.  Each factor object's entries are
-    scaled once by integer_coords, however many tensors share it: over
-    Q by the lcm of their denominators, over F_p not at all (the
-    residues).  Scaling u by a > 0 and v by
-    b > 0 scales u (x) v and [u, v] by ab != 0, so kernel membership,
-    the span rank and the count are unchanged.  The scaled entries,
-    keyed by position, go to the direct route, which brackets them by
-    matrix-entry products and never reads the product table; their
-    basis indices give the coordinates.  One integer row, the outer
-    product of the coordinates at column s*d + t, serves the mu route
-    (mu's +-1 columns applied to it) and the span echelon, which
-    reduces its unreduced products of residues mod p.  Over F_p each
-    zero test is mod p.
+    All of it runs on plain ints, in one pass over the tensors, with
+    each factor object prepared once however many tensors share it.
+    Its entries are scaled by integer_coords: over Q by the lcm of
+    their denominators, over F_p not at all (the residues).  Scaling u
+    by a > 0 and v by b > 0 scales u (x) v and [u, v] by ab != 0, so
+    kernel membership, the span rank and the count are unchanged.  The
+    scaled entries are kept as a list and grouped by row, and their
+    basis indices give the coordinates, kept as (s, a) pairs.  Per
+    tensor:
+      - the direct route adds each product of xy and subtracts each of
+        yx in one dict, from the entries of one factor and the rows of
+        the other, and never reads the product table;
+      - one integer row, the outer product of the coordinates at
+        column s*d + t, goes to the span echelon, which reduces its
+        unreduced products of residues mod p; as each entry is made,
+        mu's +-1 column s*d + t is added into the mu route's image.
+    Over F_p both zero tests are mod p.
 
     A factor outside the algebra makes the certificate a claim about
     some other algebra, not a failed one about this algebra: it raises
@@ -175,21 +179,19 @@ def verify_certificate(cert: Certificate) -> VerificationReport:
     space = algebra_space(cert.algebra, cert.field)
     mu = build_mu(space, "lie")
     kdim = mu.kernel_dim
-    d = space.d
+    d, columns = space.d, mu.columns
     ech = IncrementalEchelon(space.field)
+    p = ech.p
+    mod_p = p.__rmod__  # c -> c % p, for p > 0
 
-    def is_zero(values) -> bool:
-        p = ech.p
-        return not any(c % p for c in values) if p else not any(values)
+    # id of a factor -> its scaled entries (i, j, x_ij), the same by row
+    # i -> [(j, x_ij)], and its coordinate pairs (s, a).  The tensors
+    # keep every factor alive, so no id is reused meanwhile.
+    Prepared = Tuple[List[Tuple[int, int, int]],
+                     Dict[int, List[Tuple[int, int]]], List[Tuple[int, int]]]
+    prepared: Dict[int, Prepared] = {}
 
-    # id of a factor -> its integer entries, grouped by row as well,
-    # and its coordinates.  A factor object shared by many tensors is
-    # scaled and indexed once; the tensors keep every factor alive, so
-    # no id is reused meanwhile.
-    scaled: Dict[int, Tuple[Entries, Rows, IntRow]] = {}
-
-    def scale(factor: SparseMatrix, idx: int,
-              name: str) -> Tuple[Entries, Rows, IntRow]:
+    def prepare(factor: SparseMatrix, idx: int, name: str) -> Prepared:
         # the factor's own field: a factor over another field then
         # meets coords_of's MembershipError, not a scalar error
         x = integer_coords(factor.entries, factor.field)
@@ -198,24 +200,39 @@ def verify_certificate(cert: Certificate) -> VerificationReport:
         except MembershipError as exc:
             raise MembershipError(
                 f"tensor {idx} factor {name}: {exc}") from None
-        got = scaled[id(factor)] = x, rows_of(x), coords
+        rows: Dict[int, List[Tuple[int, int]]] = {}
+        for (i, j), c in x.items():
+            rows.setdefault(i, []).append((j, c))
+        got = prepared[id(factor)] = (
+            [(i, j, c) for (i, j), c in x.items()], rows,
+            list(coords.items()))
         return got
 
     first_bad: Optional[int] = None
     for idx, t in enumerate(cert.tensors):
-        x, x_rows, ucoords = scaled.get(id(t.u)) or scale(t.u, idx, "u")
-        y, y_rows, vcoords = scaled.get(id(t.v)) or scale(t.v, idx, "v")
-        row = {s * d + k: a * b for s, a in ucoords.items()
-               for k, b in vcoords.items()}
-        image: Dict[int, int] = {}
-        for col, c in row.items():
-            for a, e in mu.columns[col].items():
-                image[a] = image.get(a, 0) + c * e
-        bracket = entry_product(x, y_rows)
-        for pos, c in entry_product(y, x_rows).items():
-            bracket[pos] = bracket.get(pos, 0) - c
-        direct = is_zero(bracket.values())
-        if direct != is_zero(image.values()):
+        x, x_rows, ucoords = prepared.get(id(t.u)) or prepare(t.u, idx, "u")
+        y, y_rows, vcoords = prepared.get(id(t.v)) or prepare(t.v, idx, "v")
+        bracket: Dict[Tuple[int, int], int] = {}
+        for i, k, a in x:
+            for j, b in y_rows.get(k, ()):
+                bracket[i, j] = bracket.get((i, j), 0) + a * b
+        for i, k, b in y:
+            for j, a in x_rows.get(k, ()):
+                bracket[i, j] = bracket.get((i, j), 0) - b * a
+        row: IntRow = {}
+        image: IntRow = {}
+        for s, a in ucoords:
+            sd = s * d
+            for k, b in vcoords:
+                row[sd + k] = c = a * b
+                for r, e in columns[sd + k].items():
+                    image[r] = image.get(r, 0) + c * e
+        if p:
+            direct = not bracket or not any(map(mod_p, bracket.values()))
+            via_mu = not image or not any(map(mod_p, image.values()))
+        else:
+            direct, via_mu = not any(bracket.values()), not any(image.values())
+        if direct != via_mu:
             raise AssertionError(
                 "mu routes disagree: direct product and coordinate image "
                 f"differ for {t!r}")

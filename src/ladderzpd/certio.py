@@ -9,8 +9,9 @@ every reader re-verifies from scratch.
 
 Factors are shared.  The reader returns one SparseMatrix per distinct
 entry list of a file, carried by every tensor that lists it, so each
-list is checked and parsed once (and the verifier scales and indexes
-each factor object once); the writer formats each factor object once.
+list is checked and parsed once (and the verifier prepares each
+factor object once); the writer formats and encodes each factor object
+once and splices the text into every tensor that carries it.
 A one-step certificate with about d^2 tensors has only about d
 distinct factors.  So no caller may mutate a factor: the change would
 show in every tensor that shares it.
@@ -20,7 +21,7 @@ from __future__ import annotations
 
 import gc
 import json
-from typing import Dict, List, Tuple
+from typing import Any, Callable, Dict, List, Tuple
 
 from .certificates import Certificate
 from .fields import Field, PrimeField, QQ, RationalField
@@ -38,8 +39,12 @@ class CertificateFormatError(ValueError):
     """A certificate file violates the canonical format."""
 
 
+def _dumps_compact(obj) -> str:
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+
+
 def dumps_canonical(obj) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
+    return _dumps_compact(obj) + "\n"
 
 
 def field_to_json(field: Field) -> dict:
@@ -144,18 +149,9 @@ def _algebra_from_json(obj) -> Tuple[dict, int]:
     raise CertificateFormatError(f"unknown algebra kind: {kind!r}")
 
 
-def certificate_to_json(cert: Certificate) -> dict:
-    """The file's JSON object.  Tensors that share a factor object share
-    its entry list, so each factor is formatted once; replace an entry
-    list rather than edit it in place."""
-    formatted: Dict[int, List[list]] = {}
-
-    def entries(mat: SparseMatrix) -> List[list]:
-        got = formatted.get(id(mat))
-        if got is None:
-            got = formatted[id(mat)] = _matrix_to_entries(mat, cert.field)
-        return got
-
+def _head_to_json(cert: Certificate) -> dict:
+    """Every top-level field of the file but "tensors", which sorts
+    after all of them."""
     return {
         "format_version": FORMAT_VERSION,
         "algebra": _algebra_to_json(cert.algebra),
@@ -163,10 +159,32 @@ def certificate_to_json(cert: Certificate) -> dict:
         "kernel_dim": cert.kernel_dim,
         "families": [{"label": label, "count": count}
                      for label, count in cert.families],
-        "tensors": [{"family": t.label, "u": entries(t.u),
-                     "v": entries(t.v)}
-                    for t in cert.tensors],
     }
+
+
+def _per_factor(cert: Certificate, encode: Callable[[List[list]], Any]
+                ) -> Callable[[SparseMatrix], Any]:
+    """factor -> encode(its entry list), computed once per factor
+    object however many tensors carry it."""
+    done: Dict[int, Any] = {}
+
+    def get(mat: SparseMatrix):
+        got = done.get(id(mat))
+        if got is None:
+            got = done[id(mat)] = encode(_matrix_to_entries(mat, cert.field))
+        return got
+
+    return get
+
+
+def certificate_to_json(cert: Certificate) -> dict:
+    """The file's JSON object.  Tensors that share a factor object share
+    its entry list, so each factor is formatted once; replace an entry
+    list rather than edit it in place."""
+    entries = _per_factor(cert, lambda entry_list: entry_list)
+    return dict(_head_to_json(cert), tensors=[
+        {"family": t.label, "u": entries(t.u), "v": entries(t.v)}
+        for t in cert.tensors])
 
 
 def certificate_from_json(obj) -> Certificate:
@@ -238,7 +256,19 @@ def certificate_from_json(obj) -> Certificate:
 
 
 def certificate_bytes(cert: Certificate) -> bytes:
-    return dumps_canonical(certificate_to_json(cert)).encode("utf-8")
+    """dumps_canonical(certificate_to_json(cert)), encoded, with each
+    factor object's entry list encoded once and spliced into every
+    tensor that carries it.  A tensor's keys family < u < v are in
+    sorted order, and "tensors" sorts after the other top-level keys,
+    so its list goes in front of the head's closing brace.  Every
+    tensor label is a listed family (Certificate checks it)."""
+    text = _per_factor(cert, _dumps_compact)
+    opening = {label: f'{{"family":{json.dumps(label)},"u":'
+               for label, _ in cert.families}
+    tensors = ",".join([f'{opening[t.label]}{text(t.u)},"v":{text(t.v)}}}'
+                        for t in cert.tensors])
+    head = _dumps_compact(_head_to_json(cert))
+    return f'{head[:-1]},"tensors":[{tensors}]}}\n'.encode("utf-8")
 
 
 def write_certificate(cert: Certificate, path: str, *,

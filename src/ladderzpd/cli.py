@@ -123,10 +123,8 @@ def _cmd_ladder_enumerate(args) -> int:
 
 
 def _finish_certificate(cert: Certificate, report: VerificationReport,
-                        args, out_required: bool) -> int:
-    out = getattr(args, "out", None)
-    if out_required and out is None:
-        raise ValueError("--out is required for this command")
+                        args) -> int:
+    out = args.out
     extra = None
     if out is not None and report.proven:
         write_certificate(cert, out, verified=True)
@@ -143,12 +141,13 @@ def _cmd_one_step(args) -> int:
     if len(args.step) != 1:
         raise ValueError("certificate assembly takes exactly one --step "
                          "(one-step ladders only)")
+    if args.command == "zpd-assemble" and args.out is None:
+        raise ValueError("--out is required for this command")
     (i1, j1), = args.step
     cert = assemble_one_step_certificate(args.n, i1, j1,
                                          field=_field_from_args(args),
                                          budget=args.budget)
-    return _finish_certificate(cert, verify_certificate(cert), args,
-                               args.command == "zpd-assemble")
+    return _finish_certificate(cert, verify_certificate(cert), args)
 
 
 def _cmd_zpd_gl(args) -> int:
@@ -159,7 +158,7 @@ def _cmd_zpd_gl(args) -> int:
         print(f"search budget exhausted on gl_{args.m}", file=sys.stderr)
         return 3
     report = verify_certificate(cert)
-    return _finish_certificate(cert, report, args, out_required=False)
+    return _finish_certificate(cert, report, args)
 
 
 def _cmd_cert_verify(args) -> int:

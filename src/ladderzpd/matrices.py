@@ -1,4 +1,4 @@
-"""Sparse exact matrices and the matrix product of two entry maps.
+"""Sparse exact matrices.
 
 Matrices are n-by-n over an exact field, stored as a map from 1-based
 (row, col) pairs to nonzero scalars.  They are the factors of
@@ -6,19 +6,18 @@ certificate tensors, so the invariants are strict: no stored zero
 entries, one field per matrix, indices in range.  They follow the
 e_{i,j} convention: elementary(n, i, j) has a single 1 in row i,
 column j.  The package does no arithmetic on whole matrices: it works
-on coordinates, and `entry_product` multiplies two entry maps for the
-verifier's direct route, the second one grouped by `rows_of`.
+on coordinates, and the verifier's direct route multiplies the integer
+entries of two factors itself.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Tuple
+from typing import Any, Dict, Tuple
 
 from .fields import Field, QQ, Scalar
 
 Position = Tuple[int, int]
 Entries = Dict[Position, Any]
-Rows = Dict[int, List[Tuple[int, Any]]]
 
 PRODUCT_KINDS = ("associative", "lie")
 
@@ -83,30 +82,3 @@ def elementary(n: int, i: int, j: int, field: Field = QQ) -> SparseMatrix:
     if not (1 <= i <= n and 1 <= j <= n):
         raise ValueError(f"elementary index ({i},{j}) out of range for n={n}")
     return SparseMatrix(n, field, {(i, j): field.one})
-
-
-def rows_of(x: Entries) -> Rows:
-    """The entries of x by row: i -> [(j, x_ij), ...]."""
-    rows: Rows = {}
-    for (i, j), c in x.items():
-        rows.setdefault(i, []).append((j, c))
-    return rows
-
-
-def entry_product(x: Entries, rows_of_y: Rows) -> Entries:
-    """The product xy of two matrices, x given as its entry map and y as
-    rows_of(y), so a caller multiplying by y again groups it once.  The
-    scalars may be field elements or plain ints; ints are multiplied
-    exactly, with no reduction mod p.  No zero entry is kept."""
-    acc: Entries = {}
-    for (i, k), a in x.items():
-        for j, b in rows_of_y.get(k, ()):
-            pos = (i, j)
-            s = acc.get(pos)
-            v = a * b if s is None else s + a * b
-            if v:
-                acc[pos] = v
-            elif s is not None:
-                del acc[pos]
-    return acc
-

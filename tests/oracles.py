@@ -5,11 +5,12 @@ textbook triple-loop products, and plain Gaussian elimination written
 from scratch.  Tests use these as oracles to pin down expected ranks,
 kernel dimensions, products, reduced echelon forms, null spaces,
 centralizers, family counts and the one-step block bracket table
-without trusting the package's sparse integer machinery.  The
-exceptions reuse package pieces that share no code with what they
-check: product and bracket multiply package matrices with
-entry_product, and mu_columns_by_products multiplies basis matrices
-with them, not with the product table; the field-scalar verification route (tensor_coords,
+without trusting the package's sparse integer machinery.  product
+and bracket multiply package matrices with entry_product, a sparse
+product on entry maps, and mu_columns_by_products multiplies basis
+matrices with them, not with the product table.  The exceptions reuse
+package pieces that share no code with what they check: the
+field-scalar verification route (tensor_coords,
 apply_to_coords, in_kernel, verify_by_field_coords) checks
 certificates on the field's own scalars, where the package verifier
 works on integer multiples of them; reduced and centralizer read the
@@ -21,7 +22,7 @@ the candidates search_spanning skips.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import List, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from ladderzpd.certificates import (COUNT_MISMATCH, FAILED_KERNEL_MEMBERSHIP,
                                     FAILED_SPAN, PROVEN_ZPD, Certificate,
@@ -29,7 +30,7 @@ from ladderzpd.certificates import (COUNT_MISMATCH, FAILED_KERNEL_MEMBERSHIP,
                                     algebra_space, candidate_pool, lie_table)
 from ladderzpd.elim import IncrementalEchelon, field_row, integer_coords
 from ladderzpd.fields import QQ
-from ladderzpd.matrices import SparseMatrix, elementary, entry_product, rows_of
+from ladderzpd.matrices import Entries, SparseMatrix, elementary
 from ladderzpd.onestep import block_positions
 from ladderzpd.tensors import MembershipError, RankOneTensor, build_mu
 
@@ -84,6 +85,35 @@ def dense_bracket(a: Dense, b: Dense) -> Dense:
 
 def dense_is_zero(a: Dense) -> bool:
     return all(not x for row in a for x in row)
+
+
+Rows = Dict[int, List[Tuple[int, object]]]
+
+
+def rows_of(x: Entries) -> Rows:
+    """The entries of x by row: i -> [(j, x_ij), ...]."""
+    rows: Rows = {}
+    for (i, j), c in x.items():
+        rows.setdefault(i, []).append((j, c))
+    return rows
+
+
+def entry_product(x: Entries, rows_of_y: Rows) -> Entries:
+    """The product xy of two matrices, x given as its entry map and y as
+    rows_of(y).  The scalars may be field elements or plain ints; ints
+    are multiplied exactly, with no reduction mod p.  No zero entry is
+    kept."""
+    acc: Entries = {}
+    for (i, k), a in x.items():
+        for j, b in rows_of_y.get(k, ()):
+            pos = (i, j)
+            s = acc.get(pos)
+            v = a * b if s is None else s + a * b
+            if v:
+                acc[pos] = v
+            elif s is not None:
+                del acc[pos]
+    return acc
 
 
 def product(x: SparseMatrix, y: SparseMatrix) -> SparseMatrix:

@@ -341,3 +341,55 @@ def test_read_leaves_the_garbage_collector_as_it_was(tmp_path, collecting):
             assert gc.isenabled() == collecting
     finally:
         (gc.enable if was else gc.disable)()
+
+
+def spliced_and_plain(cert):
+    return certificate_bytes(cert), \
+        dumps_canonical(certificate_to_json(cert)).encode("utf-8")
+
+
+FIELDS = [QQ, PrimeField(2), PrimeField(101)]
+
+
+@pytest.mark.parametrize("field", FIELDS)
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+def test_writer_splices_the_canonical_bytes_gl(field, m):
+    spliced, plain = spliced_and_plain(gl_certificate(m, field))
+    assert spliced == plain
+
+
+@pytest.mark.parametrize("field", FIELDS)
+def test_writer_splices_the_canonical_bytes_one_step(field):
+    labels = set()
+    for n in range(1, 6):
+        for i1 in range(1, n + 1):
+            for j1 in range(1, n + 1):
+                cert = assemble_one_step_certificate(n, i1, j1, field=field)
+                labels.update(t.label for t in cert.tensors)
+                spliced, plain = spliced_and_plain(cert)
+                assert spliced == plain, (n, i1, j1)
+    assert "abelian" in labels  # i1 < j1, the abelian certificate
+
+
+def test_writer_splices_shared_factors_and_escaped_labels():
+    # one factor object in several slots, an equal but separate copy,
+    # non-unit scalars, and labels JSON must escape
+    shared = SparseMatrix(3, QQ, {(1, 2): Fraction(-2, 3),
+                                  (2, 1): Fraction(5)})
+    copy = SparseMatrix(3, QQ, shared.entries)
+    other = SparseMatrix(3, QQ, {(3, 3): Fraction(7, 11)})
+    labels = ['quote"d', "back\\slash", "tab\tand\x01", "café ∃"]
+    tensors = [RankOneTensor(u, v, label) for u, v, label in (
+        (shared, shared, labels[0]), (shared, other, labels[1]),
+        (copy, shared, labels[2]), (other, copy, labels[3]),
+        (other, other, labels[0]))]
+    cert = Certificate({"kind": "gl-lie", "m": 3}, QQ, 73,
+                       [(label, sum(t.label == label for t in tensors))
+                        for label in labels] + [("empty", 0)], tensors)
+    spliced, plain = spliced_and_plain(cert)
+    assert spliced == plain
+    assert b'"quote\\"d"' in spliced and b'"caf\\u00e9 \\u2203"' in spliced
+    assert certificate_from_json(json.loads(spliced)) == cert
+    empty = Certificate(cert.algebra, QQ, 73, [("empty", 0)], [])
+    spliced, plain = spliced_and_plain(empty)
+    assert spliced == plain and spliced.endswith(b',"tensors":[]}\n')

@@ -96,6 +96,19 @@ def test_assemble_requires_out(capsys):
     assert "--out is required" in err
 
 
+def test_assemble_without_out_fails_before_any_work(capsys, monkeypatch):
+    def no_assembly(*args, **kwargs):
+        raise AssertionError("assembled a certificate it cannot write")
+
+    monkeypatch.setattr("ladderzpd.cli.assemble_one_step_certificate",
+                        no_assembly)
+    for json_flag in ((), ("--json",)):
+        code, out, err = run(capsys, "zpd-assemble", "--n", "10",
+                             "--step", "9,1", *json_flag)
+        assert (code, out) == (2, "")
+        assert err == "error: --out is required for this command\n"
+
+
 def test_assemble_rejects_multiple_steps(capsys, tmp_path):
     code, _, err = run(capsys, "zpd-assemble", "--n", "6",
                        "--step", "3,2", "--step", "6,5",

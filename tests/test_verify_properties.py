@@ -31,11 +31,11 @@ from ladderzpd.certio import (certificate_bytes, certificate_from_json,
                               certificate_to_json)
 from ladderzpd.elim import integer_coords
 from ladderzpd.fields import PrimeField, QQ
-from ladderzpd.matrices import SparseMatrix, entry_product, rows_of
+from ladderzpd.matrices import SparseMatrix
 from ladderzpd.onestep import assemble_one_step_certificate
 from ladderzpd.tensors import RankOneTensor, build_mu
 
-from oracles import verify_by_field_coords
+from oracles import entry_product, rows_of, verify_by_field_coords
 
 FIELDS = {"QQ": QQ, "F2": PrimeField(2), "F101": PrimeField(101)}
 ALGEBRAS = ([("gl", 2), ("gl", 3)]
@@ -234,3 +234,53 @@ def test_verify_and_write_leave_factors_unchanged(field_name):
     assert certificate_from_json(json.loads(data)) == cert
     assert [[(pos, type(v), v) for pos, v in sorted(x.entries.items())]
             for t in cert.tensors for x in (t.u, t.v)] == before
+
+
+def gl2_member(field, *positions):
+    return SparseMatrix(2, field, {pos: field.one for pos in positions})
+
+
+@pytest.mark.parametrize("field_name", sorted(FIELDS))
+def test_commuting_pair_whose_products_cancel_everywhere(field_name):
+    # u = v = e12 + e21: xy = yx = e11 + e22, so the one bracket dict
+    # holds only cancelled entries, and the pair is in the kernel
+    cert = base_certificate(("gl", 2), field_name)
+    field = cert.field
+    swap = gl2_member(field, (1, 2), (2, 1))
+    ints = integer_coords(swap.entries, field)
+    assert entry_product(ints, rows_of(ints)) == {(1, 1): 1, (2, 2): 1}
+    for idx in (0, 5, len(cert.tensors) - 1):
+        tensors = list(cert.tensors)
+        tensors[idx] = RankOneTensor(swap, swap, tensors[idx].label)
+        tampered = rebuilt(cert, tensors)
+        report = verify_certificate(tampered)
+        assert report == verify_by_field_coords(tampered)
+        assert report.first_noncommuting is None
+    # a kernel member added to a basis of the kernel is dependent
+    extra = rebuilt(cert, list(cert.tensors)
+                    + [RankOneTensor(swap, swap, cert.tensors[0].label)])
+    report = verify_certificate(extra)
+    assert report == verify_by_field_coords(extra)
+    assert report.verdict == COUNT_MISMATCH
+
+
+@pytest.mark.parametrize("field_name", sorted(FIELDS))
+def test_noncommuting_pair_whose_products_cancel_in_part(field_name):
+    # u = e11 + e12 + e22 and v = e21: xy = e11 + e21 and yx = e21 + e22
+    # cancel at (2,1) only, so [u, v] = e11 - e22 != 0
+    cert = base_certificate(("gl", 2), field_name)
+    field = cert.field
+    u = gl2_member(field, (1, 1), (1, 2), (2, 2))
+    v = gl2_member(field, (2, 1))
+    x, y = (integer_coords(f.entries, field) for f in (u, v))
+    assert entry_product(x, rows_of(y)) == {(1, 1): 1, (2, 1): 1}
+    assert entry_product(y, rows_of(x)) == {(2, 1): 1, (2, 2): 1}
+    for idx in (0, 5, len(cert.tensors) - 2):
+        tensors = list(cert.tensors)
+        for at in (idx, idx + 1):
+            tensors[at] = RankOneTensor(u, v, tensors[at].label)
+        tampered = rebuilt(cert, tensors)
+        report = verify_certificate(tampered)
+        assert report == verify_by_field_coords(tampered)
+        assert report.verdict == FAILED_KERNEL_MEMBERSHIP
+        assert report.first_noncommuting == idx
