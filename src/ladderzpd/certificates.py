@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from collections import Counter
+from functools import cache
 from typing import (Dict, Iterator, List, NamedTuple, Optional, Sequence,
                     Set, Tuple)
 
@@ -327,9 +328,13 @@ def candidate_pool(space: TensorSpace) -> Iterator[Dict[int, int]]:
         yield diagonal
 
 
+class SearchExhaustedError(RuntimeError):
+    """The gl search stopped below the kernel dimension, at its budget
+    or at the end of its pool: no certificate, and nothing proven."""
+
+
 def search_spanning(space: TensorSpace, mu: MuMap, descriptor: dict,
-                    budget: Optional[int] = None,
-                    label: str = "gl") -> Optional[Certificate]:
+                    budget: Optional[int] = None) -> Certificate:
     """Greedy deterministic search for a rank-one spanning set of Ker mu.
 
     Iterates first factors u over candidate_pool; for each u every
@@ -338,10 +343,12 @@ def search_spanning(space: TensorSpace, mu: MuMap, descriptor: dict,
     The engine gets the outer products of the integer coordinates of u
     and of the integer null vectors of ad_u; the field-valued u and v
     are built only for a kept candidate.
-    Returns a certificate as soon as the rank reaches dim Ker mu, or
-    None when the pool runs out first.  The pool is finite and each u
-    gives at most d candidates, so the search always ends; budget, when
-    given, cuts it after that many candidate tensors tried.
+    Returns a certificate, every tensor labeled "gl", as soon as the
+    rank reaches dim Ker mu; raises SearchExhaustedError, naming the
+    rank reached, when the pool runs out first.  The pool is finite and
+    each u gives at most d candidates, so the search always ends;
+    budget, when given, cuts it (the same error) after that many
+    candidate tensors tried.
 
     Past the basis stage (the pool's first d members, u = b_s), most
     candidates are skipped unbuilt, because the rows already span them:
@@ -371,6 +378,12 @@ def search_spanning(space: TensorSpace, mu: MuMap, descriptor: dict,
     d = space.d
     table = lie_table(space)
     ech = IncrementalEchelon(field)
+
+    def exhausted() -> SearchExhaustedError:
+        return SearchExhaustedError(
+            f"search budget exhausted on gl_{descriptor['m']} "
+            f"at rank {ech.rank} of {target}")
+
     chosen: List[RankOneTensor] = []
     tried = 0
     prev: Optional[IntRow] = None
@@ -389,7 +402,7 @@ def search_spanning(space: TensorSpace, mu: MuMap, descriptor: dict,
         for f, (w, m) in zip(free, ad.null_space(free)):
             if budget is not None and \
                     tried + f - bisect_left(pivots, f) >= budget:
-                return None
+                raise exhausted()
             # w = m v with m > 0, so the row spans what u (x) v does
             row = {s * d + k: a * b for s, a in ucoords.items()
                    for k, b in w.items()}
@@ -397,13 +410,13 @@ def search_spanning(space: TensorSpace, mu: MuMap, descriptor: dict,
                 if u is None:
                     u = space.from_coords(field_row(ucoords, 1, field))
                 v = space.from_coords(field_row(w, m, field))
-                chosen.append(RankOneTensor(u, v, label))
+                chosen.append(RankOneTensor(u, v, "gl"))
                 if ech.rank == target:
                     return Certificate(descriptor, space.field, target,
-                                       [(label, len(chosen))], chosen)
+                                       [("gl", len(chosen))], chosen)
         count = d - ad.rank
         tried += count
-    return None
+    raise exhausted()
 
 
 def abelian_certificate(space: TensorSpace, descriptor: dict) -> Certificate:
@@ -420,29 +433,20 @@ def abelian_certificate(space: TensorSpace, descriptor: dict) -> Certificate:
                        [("abelian", d * d)], tensors)
 
 
-_GL_CACHE: Dict[Tuple[int, Field, Optional[int]], Certificate] = {}
-
-
+@cache
 def gl_certificate(m: int, field: Field = QQ,
-                   budget: Optional[int] = None) -> Optional[Certificate]:
-    """Searched certificate for gl_m under the bracket, or None when the
-    budget runs out first.  It is not verified here: the search only
-    claims a spanning set.  The CLI runs verify_certificate on every
-    certificate, a gl block's included, before it reports or writes it.
+                   budget: Optional[int] = None) -> Certificate:
+    """Searched certificate for gl_m under the bracket; raises
+    SearchExhaustedError when the budget runs out first.  It is not
+    verified here: the search only claims a spanning set.  The CLI runs
+    verify_certificate on every certificate, a gl block's included,
+    before it reports or writes it.
 
     gl_m is checked against MAX_ALGEBRA_SIZE (ValueError) before any
-    search.  Results are memoized per (m, field, budget); the same
-    certificate object is returned on repeat calls, which the block
-    construction relies on to avoid re-searching identical gl blocks.
+    search.  Results are cached per argument list, so a repeat call
+    returns the same certificate object and identical gl blocks are
+    searched once; a raised error is not cached.
     """
-    key = (m, field, budget)
-    if key not in _GL_CACHE:
-        descriptor = gl_algebra_descriptor(m)
-        space = algebra_space(descriptor, field)
-        mu = build_mu(space, "lie")
-        cert = search_spanning(space, mu, descriptor, budget=budget,
-                               label="gl")
-        if cert is None:
-            return None
-        _GL_CACHE[key] = cert
-    return _GL_CACHE[key]
+    descriptor = gl_algebra_descriptor(m)
+    space = algebra_space(descriptor, field)
+    return search_spanning(space, build_mu(space, "lie"), descriptor, budget)

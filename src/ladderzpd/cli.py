@@ -13,14 +13,15 @@ import json
 import sys
 from typing import List, Optional, Tuple
 
-from .certificates import (Certificate, VerificationReport, gl_certificate,
+from .certificates import (Certificate, SearchExhaustedError,
+                           VerificationReport, gl_certificate,
                            verify_certificate)
 from .certio import (CertificateFormatError, read_certificate,
                      write_certificate)
 from .fields import DEFAULT_PRIME, Field, PrimeField, QQ
 from .ladders import (Ladder, enumerate_ladders, is_closed,
                       is_upper_triangular)
-from .onestep import SearchExhaustedError, assemble_one_step_certificate
+from .onestep import assemble_one_step_certificate
 from .tensors import TensorSpace
 
 
@@ -70,7 +71,7 @@ def _cmd_ladder_check(args) -> int:
     if not args.step:
         raise ValueError("at least one --step i,j is required")
     ladder = Ladder(args.n, args.step)
-    space = TensorSpace(ladder.n, ladder.positions(), _field_from_args(args))
+    space = TensorSpace(ladder.n, ladder.positions())
     ut = is_upper_triangular(ladder)
     closed_assoc = is_closed(space, "associative")
     closed_lie = is_closed(space, "lie")
@@ -94,7 +95,6 @@ def _cmd_ladder_check(args) -> int:
 
 def _cmd_ladder_enumerate(args) -> int:
     ks = [args.k] if args.k is not None else list(range(1, args.n + 1))
-    field = _field_from_args(args)
     rows = []
     for k in ks:
         for ladder in enumerate_ladders(args.n, k):
@@ -105,7 +105,7 @@ def _cmd_ladder_enumerate(args) -> int:
             }
             if args.closure:
                 entry[f"closed_{args.closure}"] = is_closed(
-                    TensorSpace(ladder.n, ladder.positions(), field),
+                    TensorSpace(ladder.n, ladder.positions()),
                     args.closure)
             rows.append(entry)
     if args.json:
@@ -154,11 +154,7 @@ def _cmd_zpd_gl(args) -> int:
     if args.m < 1:
         raise ValueError(f"--m must be positive, got {args.m}")
     cert = gl_certificate(args.m, _field_from_args(args), args.budget)
-    if cert is None:
-        print(f"search budget exhausted on gl_{args.m}", file=sys.stderr)
-        return 3
-    report = verify_certificate(cert)
-    return _finish_certificate(cert, report, args)
+    return _finish_certificate(cert, verify_certificate(cert), args)
 
 
 def _cmd_cert_verify(args) -> int:
@@ -180,7 +176,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True, help="ambient matrix size")
     p.add_argument("--step", type=_step, action="append", default=[],
                    metavar="i,j", help="ladder step (repeatable)")
-    _add_field_options(p)
     p.set_defaults(func=_cmd_ladder_check)
 
     p = subs.add_parser("ladder-enumerate",
@@ -190,7 +185,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, default=None, help="step count filter")
     p.add_argument("--closure", choices=("associative", "lie"), default=None,
                    help="also report closure under this product")
-    _add_field_options(p)
     p.set_defaults(func=_cmd_ladder_enumerate)
 
     for name, out_help in (

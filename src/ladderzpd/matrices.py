@@ -48,9 +48,6 @@ class SparseMatrix:
                 if c:
                     self.entries[(i, j)] = c
 
-    def is_zero(self) -> bool:
-        return not self.entries
-
     def shifted(self, offset: int, new_n: int) -> "SparseMatrix":
         """Translate every entry by (offset, offset) into an ambient of size new_n."""
         out = SparseMatrix(new_n, self.field)

@@ -42,21 +42,13 @@ FAMILY_ORDER = (
 )
 
 
-class SearchExhaustedError(RuntimeError):
-    """The gl block search ran out of budget; the certificate cannot be
-    assembled (this is surfaced, never silently skipped)."""
-
-
 def kernel_dim_polynomial(p: BlockProfile) -> int:
     """Dimension of Ker mu for the profile, as the closed-form
-    polynomial in (n1, n2, n3); equals d^2 - d + 1 for
-    d = (n1+n2)(n2+n3)."""
+    polynomial in (n1, n2, n3): d^2 - d + 1 for d = (n1+n2)(n2+n3),
+    the algebra dimension."""
     n1, n2, n3 = p
-    return (n1**2 * n2**2 + 2 * n1**2 * n2 * n3 + n1**2 * n3**2
-            + 2 * n1 * n2**3 + 4 * n1 * n2**2 * n3 + 2 * n1 * n2 * n3**2
-            - n1 * n2 - n1 * n3
-            + n2**4 + 2 * n2**3 * n3 + n2**2 * n3**2
-            - n2**2 - n2 * n3 + 1)
+    d = (n1 + n2) * (n2 + n3)
+    return d * d - d + 1
 
 
 def _ranges(p: BlockProfile) -> Tuple[range, range, range]:
@@ -171,11 +163,9 @@ def explicit_families(p: BlockProfile,
 def gl_block_tensors(p: BlockProfile, field: Field = QQ,
                      budget: Optional[int] = None) -> List[RankOneTensor]:
     """Rank-one spanning tensors for the gl block: a searched
-    certificate for gl_{n2}, translated into the middle index range."""
+    certificate for gl_{n2}, translated into the middle index range;
+    raises SearchExhaustedError when the budget runs out first."""
     cert = gl_certificate(p.n2, field, budget)
-    if cert is None:
-        raise SearchExhaustedError(
-            f"search budget exhausted on the gl_{p.n2} block")
     # the search shares u between tensors; share its shifted copy too
     shifted: Dict[int, SparseMatrix] = {}
 

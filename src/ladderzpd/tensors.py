@@ -153,12 +153,10 @@ class MuMap:
     computed on demand by sparse elimination and cached.
     """
 
-    __slots__ = ("space", "kind", "columns", "_rank")
+    __slots__ = ("space", "columns", "_rank")
 
-    def __init__(self, space: TensorSpace, kind: str,
-                 columns: List[Dict[int, int]]):
+    def __init__(self, space: TensorSpace, columns: List[Dict[int, int]]):
         self.space = space
-        self.kind = kind
         self.columns = columns
         self._rank: Optional[int] = None
 
@@ -189,4 +187,4 @@ def build_mu(space: TensorSpace, kind: str = "lie") -> MuMap:
     for s in range(d):
         for k, a, c in space.products(s, kind):
             columns[s * d + k][a] = c
-    return MuMap(space, kind, columns)
+    return MuMap(space, columns)

@@ -339,11 +339,12 @@ def centralizer(u, space) -> list:
 
 
 def reference_search(space, mu, descriptor: dict, budget=None,
-                     label: str = "gl", observe=None):
+                     observe=None):
     """The greedy search with nothing skipped: every u of candidate_pool,
     every null vector of ad_u, each tried against the span in turn, the
     budget counted one candidate at a time.  search_spanning must give
-    the same result.  observe(index, ucoords, f, w, kept), when given,
+    the same result, or raise SearchExhaustedError where this returns
+    None.  observe(index, ucoords, f, w, kept), when given,
     sees every candidate: pool index, u, free column, null vector, and
     whether the row was kept (False: it reduced to zero)."""
     field, d = space.field, space.d
@@ -366,10 +367,10 @@ def reference_search(space, mu, descriptor: dict, budget=None,
             if kept:
                 chosen.append(RankOneTensor(
                     space.from_coords(field_row(ucoords, 1, field)),
-                    space.from_coords(field_row(w, m, field)), label))
+                    space.from_coords(field_row(w, m, field)), "gl"))
                 if ech.rank == mu.kernel_dim:
                     return Certificate(descriptor, field, mu.kernel_dim,
-                                       [(label, len(chosen))], chosen)
+                                       [("gl", len(chosen))], chosen)
     return None
 
 
@@ -478,7 +479,7 @@ def in_kernel(t, mu, tcoords: dict) -> bool:
     tensor_coords(t, mu.space): computed directly as the bracket of the
     factors and through the coordinate matrix of mu; the two routes
     must agree."""
-    direct = bracket(t.u, t.v).is_zero()
+    direct = not bracket(t.u, t.v).entries
     via_mu = not apply_to_coords(mu, tcoords)
     if direct != via_mu:
         raise AssertionError(

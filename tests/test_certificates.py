@@ -11,8 +11,9 @@ import pytest
 from ladderzpd import certificates
 from ladderzpd.certificates import (COUNT_MISMATCH, FAILED_KERNEL_MEMBERSHIP,
                                     FAILED_SPAN, MAX_ALGEBRA_SIZE, PROVEN_ZPD,
-                                    Certificate, abelian_certificate,
-                                    ad_echelon, algebra_space, candidate_pool,
+                                    Certificate, SearchExhaustedError,
+                                    abelian_certificate, ad_echelon,
+                                    algebra_space, candidate_pool,
                                     gl_algebra_descriptor, gl_certificate,
                                     ladder_algebra_descriptor,
                                     search_spanning, verify_certificate)
@@ -79,7 +80,7 @@ def test_centralizer_members_commute():
         u = space.from_coords(coords)
         cent = centralizer(u, space)
         for v in cent:
-            assert bracket(u, v).is_zero()
+            assert not bracket(u, v).entries
         # u always commutes with itself, so it lies in its own centralizer
         assert span_contains(space, cent, u)
 
@@ -182,7 +183,6 @@ def test_search_is_deterministic():
     desc = gl_algebra_descriptor(2)
     first = search_spanning(space, mu, desc)
     second = search_spanning(space, mu, desc)
-    assert first is not None and second is not None
     assert first == second
 
 
@@ -193,10 +193,28 @@ def test_gl_certificate_is_memoized():
 def test_search_budget_exhaustion():
     space = TensorSpace.gl(2)
     mu = build_mu(space, "lie")
-    assert search_spanning(space, mu, gl_algebra_descriptor(2), budget=3) is None
-    assert gl_certificate(2, budget=3) is None
+    with pytest.raises(SearchExhaustedError,
+                       match=r"^search budget exhausted on gl_2 at rank 3 "
+                             r"of 13$"):
+        search_spanning(space, mu, gl_algebra_descriptor(2), budget=3)
+    with pytest.raises(SearchExhaustedError):
+        gl_certificate(2, budget=3)
     # a failed tiny-budget run must not poison the cache
-    assert gl_certificate(2) is not None
+    assert gl_certificate(2).kernel_dim == 13
+
+
+def test_search_raises_at_the_end_of_the_pool(monkeypatch):
+    # a pool of the basis alone stalls below the kernel dimension on
+    # gl_3; the end of the pool raises the budget cut's error
+    pool = certificates.candidate_pool
+    monkeypatch.setattr(certificates, "candidate_pool",
+                        lambda space: list(pool(space))[:space.d])
+    space = TensorSpace.gl(3)
+    with pytest.raises(SearchExhaustedError,
+                       match=r"^search budget exhausted on gl_3 at rank 45 "
+                             r"of 73$"):
+        search_spanning(space, build_mu(space, "lie"),
+                        gl_algebra_descriptor(3))
 
 
 @pytest.mark.parametrize("field", [QQ, PrimeField(2), PrimeField(101)])
@@ -206,7 +224,6 @@ def test_pruned_search_matches_reference(m, field):
     mu = build_mu(space, "lie")
     desc = gl_algebra_descriptor(m)
     found = search_spanning(space, mu, desc)
-    assert found is not None
     assert found == reference_search(space, mu, desc)
 
 
@@ -253,7 +270,7 @@ def test_search_skips_a_u_equal_to_the_one_before(monkeypatch):
     monkeypatch.setattr(certificates, "ad_echelon", counting)
     cert = search_spanning(space, build_mu(space, "lie"),
                            gl_algebra_descriptor(3))
-    assert cert is not None
+    assert cert.kernel_dim == 73
     assert len(built) > space.d + 1
     distinct = [u for i, u in enumerate(pool) if i == 0 or u != pool[i - 1]]
     assert built == distinct[:len(built)]
@@ -271,7 +288,8 @@ def test_budget_cuts_at_the_same_candidate(m, field, budget):
     desc = gl_algebra_descriptor(m)
     full = search_spanning(space, mu, desc)
     assert search_spanning(space, mu, desc, budget=budget) == full
-    assert search_spanning(space, mu, desc, budget=budget - 1) is None
+    with pytest.raises(SearchExhaustedError):
+        search_spanning(space, mu, desc, budget=budget - 1)
     assert reference_search(space, mu, desc, budget=budget) == full
     assert reference_search(space, mu, desc, budget=budget - 1) is None
 

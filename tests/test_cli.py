@@ -173,9 +173,9 @@ def test_gl_search_budget_exhausted(capsys):
 
 def test_gl_search_smallest_budget(capsys):
     # gl_3 needs 341 candidate tensors tried, skipped ones included
-    code, _, err = run(capsys, "zpd-gl", "--m", "3", "--budget", "340")
-    assert code == 3
-    assert "budget exhausted" in err
+    code, out, err = run(capsys, "zpd-gl", "--m", "3", "--budget", "340")
+    assert (code, out) == (3, "")
+    assert err == "error: search budget exhausted on gl_3 at rank 72 of 73\n"
     code, out, _ = run(capsys, "zpd-gl", "--m", "3", "--budget", "341")
     assert code == 0
     assert "proven-zpd" in out
@@ -188,10 +188,11 @@ def test_gl_search_rejects_bad_size(capsys):
 
 
 def test_assemble_budget_exhausted(capsys, tmp_path):
-    code, _, err = run(capsys, "zpd-assemble", "--n", "4", "--step", "3,2",
-                       "--budget", "0", "--out", str(tmp_path / "c.json"))
-    assert code == 3
-    assert "budget exhausted" in err
+    code, out, err = run(capsys, "zpd-assemble", "--n", "4", "--step", "3,2",
+                         "--budget", "0", "--out", str(tmp_path / "c.json"))
+    assert (code, out) == (3, "")
+    assert err == "error: search budget exhausted on gl_2 at rank 0 of 13\n"
+    assert not (tmp_path / "c.json").exists()
 
 
 def test_cert_verify_rejects_tampered_file(capsys, tmp_path):
@@ -337,6 +338,16 @@ def test_step_syntax_error(capsys):
         main(["ladder-check", "--n", "3", "--step", "2;2"])
     assert exc.value.code == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("argv", [["ladder-check", "--step", "2,2"],
+                                  ["ladder-enumerate", "--closure", "lie"]])
+def test_ladder_commands_take_no_field(capsys, argv):
+    # closure and dim read only the product table, never a field
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--n", "3", "--field", "fp"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --field fp" in capsys.readouterr().err
 
 
 def test_unknown_subcommand(capsys):

@@ -4,15 +4,15 @@ from __future__ import annotations
 
 import pytest
 
-from ladderzpd.certificates import (PROVEN_ZPD, gl_certificate,
-                                    verify_certificate)
+from ladderzpd.certificates import (PROVEN_ZPD, SearchExhaustedError,
+                                    gl_certificate, verify_certificate)
 from ladderzpd.fields import QQ
 from ladderzpd.ladders import BlockProfile, Ladder
 from ladderzpd.matrices import SparseMatrix, elementary
-from ladderzpd.onestep import (FAMILY_ORDER, SearchExhaustedError,
-                               assemble_one_step_certificate, block_positions,
-                               explicit_families, gl_block_tensors,
-                               kernel_dim_polynomial, pairing_families)
+from ladderzpd.onestep import (FAMILY_ORDER, assemble_one_step_certificate,
+                               block_positions, explicit_families,
+                               gl_block_tensors, kernel_dim_polynomial,
+                               pairing_families)
 from ladderzpd.tensors import TensorSpace, build_mu
 
 from oracles import (bracket, expected_counts, in_kernel,
@@ -212,7 +212,6 @@ def test_gl_block_matches_embedded_search():
     mu = build_mu(block, "lie")
     found = search_spanning(block, mu, gl_algebra_descriptor(2))
     translated = gl_block_tensors(p)
-    assert found is not None
     assert [(t.u, t.v) for t in found.tensors] == \
         [(t.u, t.v) for t in translated]
     base = gl_certificate(2)
