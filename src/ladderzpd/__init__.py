@@ -7,11 +7,10 @@ explicit rank-one spanning families for one-step ladders, and verifies the
 resulting certificates with exact rational (or prime-field) arithmetic.
 """
 
-from .fields import QQ, Fp, FieldMismatchError, PrimeField, RationalField
+from .fields import QQ, FieldMismatchError, PrimeField, RationalField
 
 __all__ = [
     "QQ",
-    "Fp",
     "FieldMismatchError",
     "PrimeField",
     "RationalField",

@@ -94,6 +94,8 @@ def _cmd_ladder_check(args) -> int:
 
 
 def _cmd_ladder_enumerate(args) -> int:
+    if args.n < 1:
+        raise ValueError(f"ambient size must be positive, got {args.n}")
     ks = [args.k] if args.k is not None else list(range(1, args.n + 1))
     rows = []
     for k in ks:

@@ -18,10 +18,10 @@ unchanged, so every rank decision and the reduced echelon form are the
 ones Gaussian elimination over Q would give.  `IncrementalEchelon.null_space` back-substitutes to the reduced
 row echelon form and reads off the null space on integers: to get the
 kernel of a linear map, insert the rows of its matrix (one per image
-coordinate, keyed by domain index).  Field scalars (`Fraction` or `Fp`)
-are made only at the end, by `field_row`, for the vectors a caller
-keeps.  Pivoting is deterministic: a row's leading column is its
-smallest column index.
+coordinate, keyed by domain index).  Field scalars (a `Fraction`, or an
+int residue over F_p) are made only at the end, by `field_row`, for the
+vectors a caller keeps.  Pivoting is deterministic: a row's leading
+column is its smallest column index.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Dict, Iterable, List, Tuple, TypeVar
 
-from .fields import Field, Fp, PrimeField, Scalar
+from .fields import Field, PrimeField, Scalar
 
 K = TypeVar("K")
 
@@ -42,17 +42,13 @@ def integer_coords(coords: Dict[K, Scalar], field: Field) -> Dict[K, int]:
     """Nonzero entries of a sparse vector as plain ints.
 
     Over Q: the vector times the lcm of its denominators, a positive
-    rational multiple of it.  Over F_p: the residues.  Entries that are
-    already ints pass through unchanged up to that scaling.
+    rational multiple of it.  Over F_p: the entries reduced mod p, so
+    any integer representatives may come in.  Over Q, entries that are
+    already ints pass through unchanged.
     """
     if isinstance(field, PrimeField):
         p = field.p
-        out = {}
-        for key, v in coords.items():
-            r = (v.value if type(v) is Fp else v) % p
-            if r:
-                out[key] = r
-        return out
+        return {key: r for key, v in coords.items() if (r := v % p)}
     den = 1
     for v in coords.values():
         if v.denominator != 1:
@@ -193,5 +189,5 @@ def field_row(row: IntRow, den: int, field: Field) -> SparseRow:
     """The integer row divided by den, as field scalars."""
     if isinstance(field, PrimeField):
         inv = pow(den, -1, field.p)
-        return {c: Fp(v * inv, field.p) for c, v in row.items()}
+        return {c: v * inv % field.p for c, v in row.items()}
     return {c: Fraction(v, den) for c, v in row.items()}

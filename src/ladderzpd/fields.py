@@ -1,10 +1,11 @@
 """Exact field scalars: arbitrary-precision rationals and prime fields.
 
-Every computation in this package is exact, so scalars are either
-`fractions.Fraction` values (the rationals, the default field) or `Fp`
-values (integers mod a prime, a cross-check backend).  Both
-kinds are immutable, support the usual arithmetic operators, and are
-falsy exactly when zero, which is what the elimination code relies on.
+Every computation in this package is exact.  Over the rationals (the
+default field) a scalar is a `fractions.Fraction`; over F_p, the
+cross-check backend, it is a plain int residue in [0, p), and a matrix
+entry is never 0.  Both kinds are falsy exactly when zero.  The
+package does its arithmetic on integers (see `elim`), so residues need
+no field operators of their own.
 
 A field descriptor (`RationalField` / `PrimeField`) carries the zero and
 one constants and knows how to parse and format canonical scalar text:
@@ -20,88 +21,10 @@ from typing import Union
 
 
 class FieldMismatchError(TypeError):
-    """Scalars from two different fields met in one operation."""
+    """A value given to a field descriptor is not one of its scalars."""
 
 
-class Fp:
-    """An element of the prime field Z/pZ, stored reduced to [0, p).
-
-    Arithmetic accepts another Fp with the same modulus, or a plain int
-    (coerced mod p).  Mixing moduli, or mixing with rationals, raises
-    FieldMismatchError rather than silently coercing.
-    """
-
-    __slots__ = ("value", "p")
-
-    def __init__(self, value: int, p: int):
-        object.__setattr__(self, "value", value % p)
-        object.__setattr__(self, "p", p)
-
-    def __setattr__(self, name, val):
-        raise AttributeError("Fp values are immutable")
-
-    def _lift(self, other) -> "Fp":
-        if isinstance(other, Fp):
-            if other.p != self.p:
-                raise FieldMismatchError(
-                    f"prime fields F_{self.p} and F_{other.p} do not mix")
-            return other
-        if isinstance(other, int):
-            return Fp(other, self.p)
-        raise FieldMismatchError(
-            f"cannot combine F_{self.p} element with {type(other).__name__}")
-
-    def __add__(self, other):
-        return Fp(self.value + self._lift(other).value, self.p)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return Fp(self.value - self._lift(other).value, self.p)
-
-    def __rsub__(self, other):
-        return Fp(self._lift(other).value - self.value, self.p)
-
-    def __mul__(self, other):
-        return Fp(self.value * self._lift(other).value, self.p)
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return Fp(-self.value, self.p)
-
-    def inverse(self) -> "Fp":
-        if self.value == 0:
-            raise ZeroDivisionError(f"division by zero in F_{self.p}")
-        return Fp(pow(self.value, self.p - 2, self.p), self.p)
-
-    def __truediv__(self, other):
-        return self * self._lift(other).inverse()
-
-    def __rtruediv__(self, other):
-        return self._lift(other) * self.inverse()
-
-    def __eq__(self, other):
-        if isinstance(other, Fp):
-            if other.p != self.p:
-                raise FieldMismatchError(
-                    f"prime fields F_{self.p} and F_{other.p} do not mix")
-            return self.value == other.value
-        if isinstance(other, int):
-            return self.value == other % self.p
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((Fp, self.value, self.p))
-
-    def __bool__(self):
-        return self.value != 0
-
-    def __repr__(self):
-        return f"Fp({self.value}, {self.p})"
-
-
-Scalar = Union[Fraction, Fp]
+Scalar = Union[Fraction, int]
 
 _RATIONAL_RE = re.compile(r"[+-]?\d+(/\d+)?\Z")
 _INT_RE = re.compile(r"[+-]?\d+\Z")
@@ -178,7 +101,8 @@ def is_prime(n: int) -> bool:
 
 
 class PrimeField:
-    """Descriptor and element factory for Z/pZ, p a prime.
+    """Descriptor and element factory for Z/pZ, p a prime, whose
+    scalars are int residues in [0, p).
 
     Primality is proved at construction by deterministic Miller-Rabin,
     so p is limited to below MILLER_RABIN_BOUND (about 3.3e24).  The
@@ -186,25 +110,26 @@ class PrimeField:
     more than small p.
     """
 
+    zero = 0
+    one = 1
+
     def __init__(self, p: int):
         if not is_prime(p):
             raise ValueError(f"modulus {p} is not prime")
         self.p = p
-        self.zero = Fp(0, p)
-        self.one = Fp(1, p)
 
-    def from_int(self, k: int) -> Fp:
-        return Fp(k, self.p)
+    def from_int(self, k: int) -> int:
+        return k % self.p
 
-    def parse(self, text: str) -> Fp:
+    def parse(self, text: str) -> int:
         if not _INT_RE.match(text):
             raise ValueError(f"malformed prime-field scalar: {text!r}")
-        return Fp(int(text), self.p)
+        return int(text) % self.p
 
-    def format(self, x: Fp) -> str:
-        if not isinstance(x, Fp) or x.p != self.p:
+    def format(self, x: int) -> str:
+        if type(x) is not int or not 0 <= x < self.p:
             raise FieldMismatchError(f"not an F_{self.p} scalar: {x!r}")
-        return str(x.value)
+        return str(x)
 
     def __eq__(self, other):
         return isinstance(other, PrimeField) and other.p == self.p

@@ -1,7 +1,8 @@
 """Sparse exact matrices.
 
 Matrices are n-by-n over an exact field, stored as a map from 1-based
-(row, col) pairs to nonzero scalars.  They are the factors of
+(row, col) pairs to nonzero scalars: Fractions over Q, int residues in
+[1, p) over F_p.  They are the factors of
 certificate tensors, so the invariants are strict: no stored zero
 entries, one field per matrix, indices in range.  They follow the
 e_{i,j} convention: elementary(n, i, j) has a single 1 in row i,

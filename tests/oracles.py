@@ -17,6 +17,14 @@ works on integer multiples of them; reduced and centralizer read the
 engine's integer null space back as field scalars; and reference_search
 is the package's greedy search with nothing skipped, the reference for
 the candidates search_spanning skips.
+
+Over F_p the package's scalars are plain int residues with no field
+arithmetic of their own.  The field arithmetic here is Fp's, a scalar
+class of this module: lift turns a package scalar into one Fp can
+compute with, and lower turns the result back.  product, bracket,
+scaled, dense_rref, dense_kernel_of_rows, reduced and the field-scalar
+route lift before they compute and lower what they return, so their
+results compare exactly with the package's residues.
 """
 
 from __future__ import annotations
@@ -29,12 +37,101 @@ from ladderzpd.certificates import (COUNT_MISMATCH, FAILED_KERNEL_MEMBERSHIP,
                                     VerificationReport, ad_echelon,
                                     algebra_space, candidate_pool, lie_table)
 from ladderzpd.elim import IncrementalEchelon, field_row, integer_coords
-from ladderzpd.fields import QQ
+from ladderzpd.fields import QQ, FieldMismatchError, PrimeField
 from ladderzpd.matrices import Entries, SparseMatrix, elementary
 from ladderzpd.onestep import block_positions
 from ladderzpd.tensors import MembershipError, RankOneTensor, build_mu
 
 Dense = List[List[Fraction]]
+
+
+class Fp:
+    """An element of the prime field Z/pZ, stored reduced to [0, p).
+
+    Arithmetic accepts another Fp with the same modulus, or a plain int
+    (coerced mod p).  Mixing moduli, or mixing with rationals, raises
+    FieldMismatchError rather than silently coercing.
+    """
+
+    __slots__ = ("value", "p")
+
+    def __init__(self, value: int, p: int):
+        object.__setattr__(self, "value", value % p)
+        object.__setattr__(self, "p", p)
+
+    def __setattr__(self, name, val):
+        raise AttributeError("Fp values are immutable")
+
+    def _lift(self, other) -> "Fp":
+        if isinstance(other, Fp):
+            if other.p != self.p:
+                raise FieldMismatchError(
+                    f"prime fields F_{self.p} and F_{other.p} do not mix")
+            return other
+        if isinstance(other, int):
+            return Fp(other, self.p)
+        raise FieldMismatchError(
+            f"cannot combine F_{self.p} element with {type(other).__name__}")
+
+    def __add__(self, other):
+        return Fp(self.value + self._lift(other).value, self.p)
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        return Fp(self.value - self._lift(other).value, self.p)
+
+    def __rsub__(self, other):
+        return Fp(self._lift(other).value - self.value, self.p)
+
+    def __mul__(self, other):
+        return Fp(self.value * self._lift(other).value, self.p)
+
+    __rmul__ = __mul__
+
+    def __neg__(self):
+        return Fp(-self.value, self.p)
+
+    def inverse(self) -> "Fp":
+        if self.value == 0:
+            raise ZeroDivisionError(f"division by zero in F_{self.p}")
+        return Fp(pow(self.value, self.p - 2, self.p), self.p)
+
+    def __truediv__(self, other):
+        return self * self._lift(other).inverse()
+
+    def __rtruediv__(self, other):
+        return self._lift(other) * self.inverse()
+
+    def __eq__(self, other):
+        if isinstance(other, Fp):
+            if other.p != self.p:
+                raise FieldMismatchError(
+                    f"prime fields F_{self.p} and F_{other.p} do not mix")
+            return self.value == other.value
+        if isinstance(other, int):
+            return self.value == other % self.p
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((Fp, self.value, self.p))
+
+    def __bool__(self):
+        return self.value != 0
+
+    def __repr__(self):
+        return f"Fp({self.value}, {self.p})"
+
+
+def lift(x, field):
+    """A package scalar as one with its field's arithmetic: an F_p
+    residue becomes an Fp, a Fraction stays as it is."""
+    return Fp(x, field.p) if isinstance(field, PrimeField) else x
+
+
+def lower(x):
+    """An oracle scalar as a package scalar: an Fp gives its residue."""
+    return x.value if type(x) is Fp else x
 
 
 def dense_zero(n: int) -> Dense:
@@ -116,18 +213,36 @@ def entry_product(x: Entries, rows_of_y: Rows) -> Entries:
     return acc
 
 
-def product(x: SparseMatrix, y: SparseMatrix) -> SparseMatrix:
-    """xy of two package matrices, from entry_product."""
+def lifted(x: SparseMatrix) -> Entries:
+    """The entries of a package matrix as oracle scalars (see lift)."""
+    return {pos: lift(c, x.field) for pos, c in x.entries.items()}
+
+
+def scaled(x: SparseMatrix, c) -> SparseMatrix:
+    """c x for a package matrix x and package scalar c, multiplied on
+    lifted scalars."""
+    c = lift(c, x.field)
     return SparseMatrix(x.n, x.field,
-                        entry_product(x.entries, rows_of(y.entries)))
+                        {pos: lower(c * v) for pos, v in lifted(x).items()})
+
+
+def product(x: SparseMatrix, y: SparseMatrix) -> SparseMatrix:
+    """xy of two package matrices, from entry_product on lifted
+    entries."""
+    entries = entry_product(lifted(x), rows_of(lifted(y)))
+    return SparseMatrix(x.n, x.field,
+                        {pos: lower(c) for pos, c in entries.items()})
 
 
 def bracket(x: SparseMatrix, y: SparseMatrix) -> SparseMatrix:
-    """[x, y] = xy - yx of two package matrices, from entry_product."""
-    entries = entry_product(x.entries, rows_of(y.entries))
-    for pos, c in entry_product(y.entries, rows_of(x.entries)).items():
+    """[x, y] = xy - yx of two package matrices, from entry_product on
+    lifted entries."""
+    ex, ey = lifted(x), lifted(y)
+    entries = entry_product(ex, rows_of(ey))
+    for pos, c in entry_product(ey, rows_of(ex)).items():
         entries[pos] = entries.get(pos, 0) - c
-    return SparseMatrix(x.n, x.field, entries)  # drops the zeros
+    return SparseMatrix(x.n, x.field,  # drops the zeros
+                        {pos: lower(c) for pos, c in entries.items()})
 
 
 def naive_rank(rows: Sequence[Sequence]) -> int:
@@ -200,19 +315,20 @@ def mu_columns_by_products(space, kind: str) -> list:
 
 def dense_rref(rows: Sequence[Sequence], field) -> Tuple[List[list], List[int]]:
     """Reduced row echelon form and 0-based pivot columns, by dense
-    Gauss-Jordan over the field's own scalars.
+    Gauss-Jordan on the field's own scalars (rows of package scalars
+    lifted, the result lowered back).
 
     First-nonzero pivoting with immediate normalization; input rows are
     not modified.  Ragged rows are rejected.
     """
-    work = [list(r) for r in rows]
+    work = [[lift(x, field) for x in r] for r in rows]
     if work:
         ncols = len(work[0])
         if any(len(r) != ncols for r in work):
             raise ValueError("ragged rows")
     else:
         ncols = 0
-    zero = field.zero
+    zero, one = lift(field.zero, field), lift(field.one, field)
     pivots: List[int] = []
     pr = 0
     for col in range(ncols):
@@ -220,8 +336,8 @@ def dense_rref(rows: Sequence[Sequence], field) -> Tuple[List[list], List[int]]:
         if src is None:
             continue
         work[pr], work[src] = work[src], work[pr]
-        inv = field.one / work[pr][col]
-        if inv != field.one:
+        inv = one / work[pr][col]
+        if inv != one:
             work[pr] = [inv * x for x in work[pr]]
         for r in range(len(work)):
             if r != pr and work[r][col]:
@@ -235,7 +351,7 @@ def dense_rref(rows: Sequence[Sequence], field) -> Tuple[List[list], List[int]]:
     # echelon: pivot rows first, then explicit zero rows
     for r in range(pr, len(work)):
         work[r] = [zero] * ncols
-    return work, pivots
+    return [[lower(x) for x in r] for r in work], pivots
 
 
 def dense_kernel_of_rows(map_rows: Sequence[Sequence], domain_dim: int,
@@ -259,7 +375,7 @@ def dense_kernel_of_rows(map_rows: Sequence[Sequence], domain_dim: int,
         vec[free] = field.one
         for prow, pcol in enumerate(pivots):
             if reduced[prow][free]:
-                vec[pcol] = -reduced[prow][free]
+                vec[pcol] = lower(-lift(reduced[prow][free], field))
         basis.append(vec)
     return basis
 
@@ -279,7 +395,7 @@ def reduced(ech, ncols: int) -> Tuple[dict, List[dict]]:
     for f, vec in zip(free, kernel):
         for piv, c in vec.items():
             if piv != f:
-                rows[piv][f] = -c
+                rows[piv][f] = lower(-lift(c, field))
     return rows, kernel
 
 
@@ -439,8 +555,9 @@ def multiplication_table_check(p, space) -> bool:
 
 
 # The field-scalar verification route: tensor coordinates and the image
-# under mu in the field's own scalars (Fraction or Fp), with no integer
-# scaling, and the direct product by entry_product.
+# under mu computed on the field's own scalars (a Fraction, or an F_p
+# residue lifted to an Fp), with no integer scaling, and the direct
+# product by bracket.  Results are package scalars again.
 
 def tensor_coords(t, space) -> dict:
     """Sparse coordinates of u (x) v in the tensor-square basis: the
@@ -454,16 +571,18 @@ def tensor_coords(t, space) -> dict:
         except MembershipError as exc:
             raise MembershipError(f"factor {name}: {exc}") from None
     ucoords, vcoords = factors
-    d = space.d
-    return {s * d + tt: us * vt
+    d, field = space.d, space.field
+    return {s * d + tt: lower(lift(us, field) * lift(vt, field))
             for s, us in ucoords.items() for tt, vt in vcoords.items()}
 
 
 def apply_to_coords(mu, tcoords: dict) -> dict:
     """Image of a tensor (given in sparse tensor coordinates) in the
     algebra basis, in the field's scalars."""
+    field = mu.space.field
     acc: dict = {}
     for col, c in tcoords.items():
+        c = lift(c, field)
         for k, v in mu.columns[col].items():
             s = acc.get(k)
             t = c * v if s is None else s + c * v
@@ -471,7 +590,7 @@ def apply_to_coords(mu, tcoords: dict) -> dict:
                 acc[k] = t
             elif s is not None:
                 del acc[k]
-    return acc
+    return {k: lower(c) for k, c in acc.items()}
 
 
 def in_kernel(t, mu, tcoords: dict) -> bool:

@@ -103,6 +103,7 @@ def pool_by_docstring(space) -> list:
     position list: the basis, b_s + b_t and b_s - b_t for s < t, the
     two orientations of every three-cycle, then the diagonal unit."""
     pos, one = space.positions, space.field.one
+    minus_one = space.field.from_int(-1)
 
     def mat(*terms):
         return SparseMatrix(space.n, space.field, dict(terms))
@@ -110,7 +111,7 @@ def pool_by_docstring(space) -> list:
     out = [mat((p, one)) for p in pos]
     for s, t in combinations(range(len(pos)), 2):
         out.append(mat((pos[s], one), (pos[t], one)))
-        out.append(mat((pos[s], one), (pos[t], -one)))
+        out.append(mat((pos[s], one), (pos[t], minus_one)))
     for i, j, k in combinations(sorted({i for p in pos for i in p}), 3):
         for cycle in (((i, j), (j, k), (k, i)), ((i, k), (k, j), (j, i))):
             if all(p in pos for p in cycle):

@@ -20,6 +20,8 @@ from ladderzpd.matrices import SparseMatrix
 from ladderzpd.onestep import assemble_one_step_certificate
 from ladderzpd.tensors import MembershipError, RankOneTensor
 
+from oracles import scaled
+
 
 def write_verified(cert, path):
     assert verify_certificate(cert).proven
@@ -247,10 +249,9 @@ def test_repeated_scalars_round_trip_byte_for_byte(tmp_path, field,
     # the file, and the factors the reader shares between tensors, must
     # write back the same bytes
     cert = assemble_one_step_certificate(4, 3, 2, field=field)
-    tensors = [RankOneTensor(
-        SparseMatrix(t.u.n, field, {pos: scalars[k % len(scalars)] * c
-                                    for pos, c in t.u.entries.items()}),
-        t.v, t.label) for k, t in enumerate(cert.tensors)]
+    tensors = [RankOneTensor(scaled(t.u, scalars[k % len(scalars)]),
+                             t.v, t.label)
+               for k, t in enumerate(cert.tensors)]
     cert = Certificate(cert.algebra, field, cert.kernel_dim, cert.families,
                        tensors)
     path = tmp_path / "cert.json"

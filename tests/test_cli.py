@@ -65,6 +65,13 @@ def test_ladder_enumerate_counts(capsys):
     assert len(out.strip().splitlines()) == 9
 
 
+@pytest.mark.parametrize("n", ["0", "-2"])
+def test_ladder_enumerate_rejects_bad_size(capsys, n):
+    code, out, err = run(capsys, "ladder-enumerate", "--n", n)
+    assert (code, out) == (2, "")
+    assert err == f"error: ambient size must be positive, got {n}\n"
+
+
 def test_ladder_enumerate_closure_column(capsys):
     code, out, _ = run(capsys, "ladder-enumerate", "--n", "3", "--k", "2",
                        "--closure", "associative")
@@ -193,6 +200,19 @@ def test_assemble_budget_exhausted(capsys, tmp_path):
     assert (code, out) == (3, "")
     assert err == "error: search budget exhausted on gl_2 at rank 0 of 13\n"
     assert not (tmp_path / "c.json").exists()
+
+
+@pytest.mark.parametrize("argv", [["zpd-gl", "--m", "2"],
+                                  ["zpd-assemble", "--n", "4",
+                                   "--step", "3,2"]])
+def test_negative_budget_is_a_usage_error(capsys, tmp_path, argv):
+    # --budget 0 cuts the search at once (exit 3); -1 is not a budget
+    out_path = tmp_path / "c.json"
+    code, out, err = run(capsys, *argv, "--budget", "-1",
+                         "--out", str(out_path))
+    assert (code, out) == (2, "")
+    assert err == "error: search budget must be nonnegative, got -1\n"
+    assert not out_path.exists()
 
 
 def test_cert_verify_rejects_tampered_file(capsys, tmp_path):

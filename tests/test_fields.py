@@ -1,4 +1,10 @@
-"""Exact scalar arithmetic: rationals and prime fields."""
+"""Field descriptors and scalars: rationals, F_p residues, and the
+oracle's Fp.
+
+Over F_p the package's scalars are plain int residues; field arithmetic
+on them lives only in the test oracle's `Fp`, whose own arithmetic,
+immutability, int coercion and mismatch checks are pinned here too.
+"""
 
 from __future__ import annotations
 
@@ -7,8 +13,16 @@ from fractions import Fraction
 
 import pytest
 
-from ladderzpd.fields import (DEFAULT_PRIME, FieldMismatchError, Fp,
-                              PrimeField, QQ, RationalField)
+from ladderzpd.certificates import gl_certificate
+from ladderzpd.certio import (CertificateFormatError, certificate_to_json,
+                              dumps_canonical, read_certificate)
+from ladderzpd.fields import (DEFAULT_PRIME, FieldMismatchError, PrimeField,
+                              QQ, RationalField)
+from ladderzpd.ladders import BlockProfile
+from ladderzpd.matrices import SparseMatrix, elementary
+from ladderzpd.onestep import assemble_one_step_certificate, explicit_families
+
+from oracles import Fp
 
 
 def test_rational_add_exact():
@@ -18,14 +32,13 @@ def test_rational_add_exact():
 def test_mul_identity():
     for x in (Fraction(7, 3), Fraction(-2), Fraction(0)):
         assert x * QQ.one == x
-    f = PrimeField(101)
     for k in (0, 1, 50, 100):
-        assert f.from_int(k) * f.one == f.from_int(k)
+        assert Fp(k, 101) * Fp(1, 101) == Fp(k, 101)
 
 
 def test_prime_field_add_wraps():
-    f = PrimeField(101)
-    assert f.from_int(50) + f.from_int(52) == f.from_int(1)
+    assert Fp(50, 101) + Fp(52, 101) == Fp(1, 101)
+    assert PrimeField(101).from_int(50 + 52) == 1
 
 
 def test_parse_canonicalizes():
@@ -34,7 +47,8 @@ def test_parse_canonicalizes():
     assert QQ.parse("-3") == Fraction(-3)
     assert QQ.format(Fraction(-3)) == "-3"
     f5 = PrimeField(5)
-    assert f5.parse("7") == f5.from_int(2)
+    assert f5.parse("7") == 2
+    assert type(f5.parse("7")) is int
     assert f5.format(f5.parse("7")) == "2"
 
 
@@ -62,24 +76,24 @@ def test_parse_rejects_malformed():
 def test_division_by_zero():
     with pytest.raises(ZeroDivisionError):
         Fraction(1) / Fraction(0)
-    f = PrimeField(101)
     with pytest.raises(ZeroDivisionError):
-        f.one / f.zero
+        Fp(1, 101) / Fp(0, 101)
 
 
 def test_mixed_fields_rejected():
+    with pytest.raises(FieldMismatchError):
+        Fp(1, 101) + Fp(1, 5)
+    with pytest.raises(FieldMismatchError):
+        Fp(1, 101) * Fp(3, 5)
+    with pytest.raises(FieldMismatchError):
+        Fraction(1, 2) + Fp(1, 101)
     f101 = PrimeField(101)
-    f5 = PrimeField(5)
-    with pytest.raises(FieldMismatchError):
-        f101.one + f5.one
-    with pytest.raises(FieldMismatchError):
-        f101.one * f5.from_int(3)
-    with pytest.raises(FieldMismatchError):
-        Fraction(1, 2) + f101.one
     with pytest.raises(FieldMismatchError):
         f101.format(Fraction(1))
     with pytest.raises(FieldMismatchError):
         QQ.format(f101.one)
+    with pytest.raises(FieldMismatchError):
+        PrimeField(5).format(f101.from_int(100))
 
 
 def test_field_descriptor_equality():
@@ -101,7 +115,7 @@ def test_prime_modulus_checked():
 
 def test_field_axioms_random_triples():
     rng = random.Random(20240817)
-    f = PrimeField(101)
+    one, zero = Fp(1, 101), Fp(0, 101)
     for _ in range(200):
         a = Fraction(rng.randint(-20, 20), rng.randint(1, 12))
         b = Fraction(rng.randint(-20, 20), rng.randint(1, 12))
@@ -113,13 +127,13 @@ def test_field_axioms_random_triples():
         assert a * (b + c) == a * b + a * c
         if a:
             assert a * (QQ.one / a) == QQ.one
-        x, y, z = (f.from_int(rng.randint(0, 100)) for _ in range(3))
+        x, y, z = (Fp(rng.randint(0, 100), 101) for _ in range(3))
         assert (x + y) + z == x + (y + z)
         assert x * y == y * x
         assert x * (y + z) == x * y + x * z
         if x:
-            assert x * (f.one / x) == f.one
-        assert -x + x == f.zero
+            assert x * (one / x) == one
+        assert -x + x == zero
         assert x - y == x + (-y)
 
 
@@ -132,22 +146,24 @@ def test_canonical_form_unique():
 
 
 def test_fp_immutable_and_falsy_when_zero():
-    f = PrimeField(13)
-    x = f.from_int(5)
+    x = Fp(5, 13)
     with pytest.raises(AttributeError):
         x.value = 3
-    assert bool(f.zero) is False
-    assert bool(f.one) is True
+    assert bool(Fp(0, 13)) is False
+    assert bool(Fp(1, 13)) is True
+    assert Fp(13, 13) == 0
+    assert not Fp(26, 13)
+    f = PrimeField(13)
+    assert (f.zero, f.one) == (0, 1)
     assert f.from_int(13) == 0
     assert not f.from_int(26)
 
 
 def test_fp_int_coercion():
-    f = PrimeField(7)
-    assert f.from_int(3) + 5 == f.from_int(1)
-    assert 2 * f.from_int(4) == f.one
-    assert 1 - f.from_int(3) == f.from_int(5)
-    assert 1 / f.from_int(3) == f.from_int(5)
+    assert Fp(3, 7) + 5 == Fp(1, 7)
+    assert 2 * Fp(4, 7) == Fp(1, 7)
+    assert 1 - Fp(3, 7) == Fp(5, 7)
+    assert 1 / Fp(3, 7) == Fp(5, 7)
 
 
 def test_large_primes_accepted_quickly():
@@ -155,8 +171,8 @@ def test_large_primes_accepted_quickly():
     start = time.perf_counter()
     for p in (1000000000000000003, 2**61 - 1):
         f = PrimeField(p)
-        x = f.from_int(123456789)
-        assert x * (f.one / x) == f.one
+        x = Fp(f.from_int(123456789), p)
+        assert x * (Fp(f.one, p) / x) == Fp(1, p)
     assert time.perf_counter() - start < 1.0
 
 
@@ -182,3 +198,55 @@ def test_modulus_beyond_the_deterministic_bound_rejected():
     for p in (MILLER_RABIN_BOUND, 2**89 - 1):
         with pytest.raises(ValueError, match="too large"):
             PrimeField(p)
+
+
+def test_prime_field_factors_hold_residues(tmp_path):
+    # every F_p factor the package makes holds int residues in [1, p):
+    # read from text, elementary, the explicit families (-1 is p - 1),
+    # the searched gl certificates (field_row) and their shifted copies
+    def assert_residues(mats, p):
+        for mat in mats:
+            assert mat.entries
+            for c in mat.entries.values():
+                assert type(c) is int and 0 < c < p, (mat, c)
+
+    def factors(cert):
+        return [x for t in cert.tensors for x in (t.u, t.v)]
+
+    f101 = PrimeField(101)
+    obj = certificate_to_json(gl_certificate(2, f101))
+    texts = {(1, 1): "-1", (1, 2): "102", (2, 1): "+3"}
+    obj["tensors"][0]["u"] = [[i, j, t] for (i, j), t in texts.items()]
+    path = tmp_path / "cert.json"
+    path.write_text(dumps_canonical(obj))
+    read = read_certificate(str(path))
+    assert read.tensors[0].u.entries == {(1, 1): 100, (1, 2): 1, (2, 1): 3}
+    assert_residues(factors(read), 101)
+
+    for text in ("101", "0"):
+        obj["tensors"][2]["v"] = [[2, 2, text]]
+        path.write_text(dumps_canonical(obj))
+        with pytest.raises(CertificateFormatError) as exc:
+            read_certificate(str(path))
+        assert str(exc.value) == ("tensor 2 factor v: stored entry at "
+                                  "(2,2) is zero")
+
+    for p in (2, 3, 101):
+        f = PrimeField(p)
+        assert_residues([elementary(3, 2, 1, f)], p)
+        explicit = [x for t in explicit_families(BlockProfile(1, 2, 1), f)
+                    for x in (t.u, t.v)]
+        assert_residues(explicit, p)
+        assert p - 1 in {c for x in explicit for c in x.entries.values()}
+        gl = factors(gl_certificate(3, f))
+        assert_residues(gl, p)
+        assert_residues([x.shifted(2, 5) for x in gl], p)
+        assert_residues(factors(assemble_one_step_certificate(4, 3, 2,
+                                                              field=f)), p)
+
+    for bad in (True, Fraction(1), 101, -1):
+        with pytest.raises(FieldMismatchError):
+            f101.format(bad)
+    # zero is a scalar of the field, though never a stored entry
+    assert f101.format(0) == "0"
+    assert SparseMatrix(2, f101, {(1, 1): f101.from_int(-101)}).entries == {}

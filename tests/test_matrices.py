@@ -146,7 +146,8 @@ def test_prime_field_matrices():
     br = bracket(x, y)
     assert br.entries[(1, 1)] == f.one
     assert br.entries[(2, 2)] == f.from_int(100)
-    assert bracket(y, x).entries == {pos: -c for pos, c in br.entries.items()}
+    assert bracket(y, x).entries == {pos: f.from_int(-c)
+                                     for pos, c in br.entries.items()}
 
 
 def test_absent_entry_and_eq():

@@ -2,11 +2,12 @@
 
 `verify_certificate` checks every tensor on integer multiples of its
 factor coordinates; `oracles.verify_by_field_coords` runs the same
-checks on the field's own scalars (Fraction or Fp), with the direct
-bracket from entry_product.  Small certificates (gl_2, gl_3 and every
-one-step ladder with n <= 5, over Q, F_2 and F_101) get their factors
-scaled by random nonzero scalars, and then either stay valid or lose a
-tensor, gain a duplicate, or have one replaced.  Both routes must give
+checks on the field's own scalars (a Fraction, or an F_p residue lifted
+to the oracle's Fp), with the direct bracket from entry_product.  Small
+certificates (gl_2, gl_3 and every one-step ladder with n <= 5, over Q,
+F_2 and F_101) get their factors scaled by random nonzero scalars, and
+then either stay valid or lose a tensor, gain a duplicate, or have one
+replaced.  Both routes must give
 the same report, and no scaling may change it.  Read certificates
 share one factor object per distinct entry list: the verifier's
 per-object results must give the report of an unshared copy, and
@@ -35,7 +36,7 @@ from ladderzpd.matrices import SparseMatrix
 from ladderzpd.onestep import assemble_one_step_certificate
 from ladderzpd.tensors import RankOneTensor, build_mu
 
-from oracles import entry_product, rows_of, verify_by_field_coords
+from oracles import entry_product, rows_of, scaled, verify_by_field_coords
 
 FIELDS = {"QQ": QQ, "F2": PrimeField(2), "F101": PrimeField(101)}
 ALGEBRAS = ([("gl", 2), ("gl", 3)]
@@ -70,11 +71,6 @@ def nonzero_scalar(rng, field):
         return (Fraction(rng.randint(1, 9), rng.randint(1, 9))
                 * rng.choice((1, -1)))
     return field.from_int(rng.randrange(1, field.p))
-
-
-def scaled(mat, c):
-    return SparseMatrix(mat.n, mat.field,
-                        {pos: c * v for pos, v in mat.entries.items()})
 
 
 def random_member(rng, space):
