@@ -442,14 +442,11 @@ def gl_certificate(m: int, field: Field = QQ,
     verify_certificate on every certificate, a gl block's included,
     before it reports or writes it.
 
-    gl_m is checked against MAX_ALGEBRA_SIZE, and a given budget must
-    be nonnegative (ValueError for either), before any search.  Results
-    are cached per argument list, so a repeat call returns the same
-    certificate object and identical gl blocks are searched once; a
-    raised error is not cached.
+    gl_m is checked against MAX_ALGEBRA_SIZE (ValueError) before any
+    search.  Results are cached per argument list, so a repeat call
+    returns the same certificate object and identical gl blocks are
+    searched once; a raised error is not cached.
     """
-    if budget is not None and budget < 0:
-        raise ValueError(f"search budget must be nonnegative, got {budget}")
     descriptor = gl_algebra_descriptor(m)
     space = algebra_space(descriptor, field)
     return search_spanning(space, build_mu(space, "lie"), descriptor, budget)

@@ -138,6 +138,13 @@ def _finish_certificate(cert: Certificate, report: VerificationReport,
     return 0 if report.proven else 1
 
 
+def _budget(args) -> Optional[int]:
+    if args.budget is not None and args.budget < 0:
+        raise ValueError(
+            f"search budget must be nonnegative, got {args.budget}")
+    return args.budget
+
+
 def _cmd_one_step(args) -> int:
     """zpd-assemble (--out required) and zpd-verify (--out optional)."""
     if len(args.step) != 1:
@@ -148,14 +155,14 @@ def _cmd_one_step(args) -> int:
     (i1, j1), = args.step
     cert = assemble_one_step_certificate(args.n, i1, j1,
                                          field=_field_from_args(args),
-                                         budget=args.budget)
+                                         budget=_budget(args))
     return _finish_certificate(cert, verify_certificate(cert), args)
 
 
 def _cmd_zpd_gl(args) -> int:
     if args.m < 1:
         raise ValueError(f"--m must be positive, got {args.m}")
-    cert = gl_certificate(args.m, _field_from_args(args), args.budget)
+    cert = gl_certificate(args.m, _field_from_args(args), _budget(args))
     return _finish_certificate(cert, verify_certificate(cert), args)
 
 

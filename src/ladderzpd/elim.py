@@ -48,7 +48,12 @@ def integer_coords(coords: Dict[K, Scalar], field: Field) -> Dict[K, int]:
     """
     if isinstance(field, PrimeField):
         p = field.p
-        return {key: r for key, v in coords.items() if (r := v % p)}
+        out = {}
+        for key, v in coords.items():
+            r = v % p
+            if r:
+                out[key] = r
+        return out
     den = 1
     for v in coords.values():
         if v.denominator != 1:

@@ -2,7 +2,7 @@
 
 Matrices are n-by-n over an exact field, stored as a map from 1-based
 (row, col) pairs to nonzero scalars: Fractions over Q, int residues in
-[1, p) over F_p.  They are the factors of
+[1, p) over F_p (a non-residue: FieldMismatchError).  They are the factors of
 certificate tensors, so the invariants are strict: no stored zero
 entries, one field per matrix, indices in range.  They follow the
 e_{i,j} convention: elementary(n, i, j) has a single 1 in row i,
@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from typing import Any, Dict, Tuple
 
-from .fields import Field, QQ, Scalar
+from .fields import Field, FieldMismatchError, PrimeField, QQ, Scalar
 
 Position = Tuple[int, int]
 Entries = Dict[Position, Any]
@@ -42,6 +42,11 @@ class SparseMatrix:
         self.n = n
         self.field = field
         self.entries: Dict[Position, Scalar] = {}
+        if entries and isinstance(field, PrimeField):
+            for c in entries.values():
+                if type(c) is not int or not 0 <= c < field.p:
+                    raise FieldMismatchError(
+                        f"not an F_{field.p} scalar: {c!r}")
         if entries:
             for (i, j), c in entries.items():
                 if not (1 <= i <= n and 1 <= j <= n):

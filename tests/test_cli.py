@@ -204,7 +204,12 @@ def test_assemble_budget_exhausted(capsys, tmp_path):
 
 @pytest.mark.parametrize("argv", [["zpd-gl", "--m", "2"],
                                   ["zpd-assemble", "--n", "4",
-                                   "--step", "3,2"]])
+                                   "--step", "3,2"],
+                                  # abelian: no gl block is searched
+                                  ["zpd-assemble", "--n", "4",
+                                   "--step", "1,3"],
+                                  ["zpd-verify", "--n", "4",
+                                   "--step", "1,3"]])
 def test_negative_budget_is_a_usage_error(capsys, tmp_path, argv):
     # --budget 0 cuts the search at once (exit 3); -1 is not a budget
     out_path = tmp_path / "c.json"

@@ -247,6 +247,9 @@ def test_prime_field_factors_hold_residues(tmp_path):
     for bad in (True, Fraction(1), 101, -1):
         with pytest.raises(FieldMismatchError):
             f101.format(bad)
+        # a matrix takes no entry that format would refuse
+        with pytest.raises(FieldMismatchError):
+            SparseMatrix(2, f101, {(1, 1): bad})
     # zero is a scalar of the field, though never a stored entry
     assert f101.format(0) == "0"
     assert SparseMatrix(2, f101, {(1, 1): f101.from_int(-101)}).entries == {}
