@@ -114,9 +114,9 @@ def gl_algebra_descriptor(m: int) -> dict:
     return {"kind": "gl-lie", "m": m}
 
 
-# Verification takes algebras with n and d up to this size: mu has d^2
-# columns, built before any tensor is read, so a short file naming a huge
-# algebra would cost ~d^2.  At the cap (gl_32) that is 0.5 s and 100 MiB.
+# Verification takes algebras with n and d up to this size.  mu is built
+# before any tensor is read, with up to 2n nonzero columns per basis
+# element; gl_32 has 64,480, built in 0.3 s (24 MiB peak in a cold run).
 MAX_ALGEBRA_SIZE = 1024
 
 
@@ -223,10 +223,10 @@ def verify_certificate(cert: Certificate) -> VerificationReport:
         row: IntRow = {}
         image: IntRow = {}
         for s, a in ucoords:
-            sd = s * d
+            sd, by_t = s * d, columns[s]
             for k, b in vcoords:
                 row[sd + k] = c = a * b
-                for r, e in columns[sd + k].items():
+                for r, e in by_t.get(k, ()):
                     image[r] = image.get(r, 0) + c * e
         if p:
             direct = not bracket or not any(map(mod_p, bracket.values()))
@@ -253,31 +253,26 @@ def verify_certificate(cert: Certificate) -> VerificationReport:
     return VerificationReport(kdim, count, span_rank, first_bad, verdict)
 
 
-def lie_table(space: TensorSpace) -> List[List[Tuple[int, int, int]]]:
-    """The space's product table under the bracket, one list per basis
-    index s: the triples (k, a, c) of space.products(s, "lie")."""
-    return [list(space.products(s, "lie")) for s in range(space.d)]
-
-
-def ad_echelon(ucoords: IntRow, table: Sequence[List[Tuple[int, int, int]]],
-               field: Field) -> Tuple[IncrementalEchelon, Set[int]]:
+def ad_echelon(ucoords: IntRow,
+               mu: MuMap) -> Tuple[IncrementalEchelon, Set[int]]:
     """ad_u in echelon form, from the integer coordinates of a positive
     multiple of u (same centralizer), and the set A(u) of its columns.
 
-    Column k of ad_u is [u, b_k] = sum_s u_s [b_s, b_k], read off the
-    space's lie_table; the echelon's null space is the centralizer of
-    u.  A(u) is every k with [b_s, b_k] != 0 for some s in u's support:
-    the keys of the ad rows, kept even where the terms of [u, b_k]
-    cancel (the engine drops those zero entries).  A column outside
-    A(u) is free, with null vector the unit b_k.
+    Column k of ad_u is [u, b_k] = sum_s u_s [b_s, b_k], read off mu's
+    columns for the bracket; the echelon's null space is the
+    centralizer of u.  A(u) is every k with [b_s, b_k] != 0 for some s
+    in u's support: the keys of the ad rows, kept even where the terms
+    of [u, b_k] cancel (the engine drops those zero entries).  A column
+    outside A(u) is free, with null vector the unit b_k.
     """
     # image coordinate a -> {basis index k: coefficient of b_a in [u, b_k]}
     ad: Dict[int, Dict[int, int]] = {}
     for s, us in ucoords.items():
-        for k, a, c in table[s]:
-            row = ad.setdefault(a, {})
-            row[k] = row.get(k, 0) + us * c
-    ech = IncrementalEchelon(field)
+        for k, col in mu.columns[s].items():
+            for a, c in col:
+                row = ad.setdefault(a, {})
+                row[k] = row.get(k, 0) + us * c
+    ech = IncrementalEchelon(mu.space.field)
     active: Set[int] = set()
     for row in ad.values():
         active.update(row)
@@ -333,9 +328,10 @@ class SearchExhaustedError(RuntimeError):
     or at the end of its pool: no certificate, and nothing proven."""
 
 
-def search_spanning(space: TensorSpace, mu: MuMap, descriptor: dict,
+def search_spanning(mu: MuMap, descriptor: dict,
                     budget: Optional[int] = None) -> Certificate:
-    """Greedy deterministic search for a rank-one spanning set of Ker mu.
+    """Greedy deterministic search for a rank-one spanning set of Ker mu
+    on mu.space, for mu built for the bracket.
 
     Iterates first factors u over candidate_pool; for each u every
     member v of its centralizer basis gives a candidate tensor u (x) v,
@@ -373,10 +369,10 @@ def search_spanning(space: TensorSpace, mu: MuMap, descriptor: dict,
     f of ad_u is candidate f - #{pivots < f} of u, and u has
     d - rank(ad_u) of them), so a budget cuts where it would anyway.
     """
+    space = mu.space
     target = mu.kernel_dim
     field = space.field
     d = space.d
-    table = lie_table(space)
     ech = IncrementalEchelon(field)
 
     def exhausted() -> SearchExhaustedError:
@@ -394,7 +390,7 @@ def search_spanning(space: TensorSpace, mu: MuMap, descriptor: dict,
             tried += count
             continue
         prev = ucoords
-        ad, active = ad_echelon(ucoords, table, field)
+        ad, active = ad_echelon(ucoords, mu)
         pivots = sorted(ad.pivot_rows)
         cols = range(d) if index < d else sorted(active)
         free = [f for f in cols if f not in ad.pivot_rows]
@@ -423,7 +419,7 @@ def abelian_certificate(space: TensorSpace, descriptor: dict) -> Certificate:
     """The trivial certificate for an algebra with zero product: all d^2
     elementary tensors b_s (x) b_t.  Requires mu to vanish identically."""
     mu = build_mu(space, "lie")
-    if any(col for col in mu.columns):
+    if any(mu.columns):
         raise ValueError("mu is not identically zero on this algebra")
     d = space.d
     tensors = [RankOneTensor(space.basis_matrix(s), space.basis_matrix(t),
@@ -449,4 +445,4 @@ def gl_certificate(m: int, field: Field = QQ,
     """
     descriptor = gl_algebra_descriptor(m)
     space = algebra_space(descriptor, field)
-    return search_spanning(space, build_mu(space, "lie"), descriptor, budget)
+    return search_spanning(build_mu(space, "lie"), descriptor, budget)

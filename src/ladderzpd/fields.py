@@ -48,10 +48,13 @@ class RationalField:
         except ZeroDivisionError:
             raise ValueError(f"zero denominator in scalar: {text!r}") from None
 
-    def format(self, x: Fraction) -> str:
+    def check(self, x: Fraction) -> Fraction:
         if not isinstance(x, Fraction):
             raise FieldMismatchError(f"not a rational scalar: {x!r}")
-        return str(x)
+        return x
+
+    def format(self, x: Fraction) -> str:
+        return str(self.check(x))
 
     def __eq__(self, other):
         return isinstance(other, RationalField)
@@ -126,10 +129,13 @@ class PrimeField:
             raise ValueError(f"malformed prime-field scalar: {text!r}")
         return int(text) % self.p
 
-    def format(self, x: int) -> str:
+    def check(self, x: int) -> int:
         if type(x) is not int or not 0 <= x < self.p:
             raise FieldMismatchError(f"not an F_{self.p} scalar: {x!r}")
-        return str(x)
+        return x
+
+    def format(self, x: int) -> str:
+        return str(self.check(x))
 
     def __eq__(self, other):
         return isinstance(other, PrimeField) and other.p == self.p

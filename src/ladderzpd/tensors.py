@@ -4,8 +4,9 @@ multiplication map mu.
 An algebra here is a span of elementary matrices at a fixed position
 set, with the basis ordered row-major.  How two basis elements multiply
 is worked out in one place, the product table `TensorSpace.products`:
-`build_mu`, `ladders.is_closed` and `certificates.ad_echelon` read
-it.  The tensor square gets the ordered basis b_s (x) b_t indexed
+`ladders.is_closed` reads it and `build_mu` stores it, once, as mu's
+nonzero columns, read by the verifier and `certificates.ad_echelon`.
+The tensor square gets the ordered basis b_s (x) b_t indexed
 by the global column rule column(s, t) = s*d + t with s, t 0-based;
 certificates depend on this rule, so it is fixed here and nowhere else.
 mu sends a tensor to the product of its factors, extended linearly; its
@@ -20,6 +21,9 @@ from .elim import IncrementalEchelon
 from .fields import Field, QQ, Scalar
 from .matrices import (Entries, Position, PRODUCT_KINDS, SparseMatrix,
                        elementary)
+
+# a stored column of mu: (a, c) pairs, c = +-1 the coefficient of b_a
+Column = Tuple[Tuple[int, int], ...]
 
 
 class MembershipError(ValueError):
@@ -149,42 +153,40 @@ class MuMap:
 
     Column s*d + t holds the coordinates of the product of b_s and b_t
     in the algebra basis: structure constants +-1, stored as plain ints
-    and read in the space's field.  Rank (hence kernel dimension) is
-    computed on demand by sparse elimination and cached.
+    and read in the space's field.  Only nonzero columns are stored, as
+    columns[s][t], a tuple of (a, c) pairs.  Rank (hence kernel
+    dimension) is computed on demand by sparse elimination and cached.
     """
 
     __slots__ = ("space", "columns", "_rank")
 
-    def __init__(self, space: TensorSpace, columns: List[Dict[int, int]]):
+    def __init__(self, space: TensorSpace, columns: List[Dict[int, Column]]):
         self.space = space
         self.columns = columns
         self._rank: Optional[int] = None
 
     @property
-    def domain_dim(self) -> int:
-        return self.space.d * self.space.d
-
-    @property
     def rank(self) -> int:
         if self._rank is None:
             ech = IncrementalEchelon(self.space.field)
-            for col in self.columns:
-                if col:
-                    ech.insert(col)
+            for by_t in self.columns:
+                for col in by_t.values():
+                    ech.insert(dict(col))
             self._rank = ech.rank
         return self._rank
 
     @property
     def kernel_dim(self) -> int:
-        return self.domain_dim - self.rank
+        return self.space.d ** 2 - self.rank
 
 
 def build_mu(space: TensorSpace, kind: str = "lie") -> MuMap:
     """Assemble mu for the given product from the product table; a
     product of basis elements that leaves the span raises ClosureError."""
-    d = space.d
-    columns: List[Dict[int, int]] = [{} for _ in range(d * d)]
-    for s in range(d):
+    columns: List[Dict[int, Column]] = []
+    for s in range(space.d):
+        by_t: Dict[int, Column] = {}
         for k, a, c in space.products(s, kind):
-            columns[s * d + k][a] = c
+            by_t[k] = by_t.get(k, ()) + ((a, c),)
+        columns.append(by_t)
     return MuMap(space, columns)

@@ -8,7 +8,8 @@ centralizers, family counts and the one-step block bracket table
 without trusting the package's sparse integer machinery.  product
 and bracket multiply package matrices with entry_product, a sparse
 product on entry maps, and mu_columns_by_products multiplies basis
-matrices with them, not with the product table.  The exceptions reuse
+matrices with them, not with the product table; flat_columns lays the
+package's mu out in the same column order.  The exceptions reuse
 package pieces that share no code with what they check: the
 field-scalar verification route (tensor_coords,
 apply_to_coords, in_kernel, verify_by_field_coords) checks
@@ -35,7 +36,7 @@ from typing import Dict, List, Sequence, Tuple
 from ladderzpd.certificates import (COUNT_MISMATCH, FAILED_KERNEL_MEMBERSHIP,
                                     FAILED_SPAN, PROVEN_ZPD, Certificate,
                                     VerificationReport, ad_echelon,
-                                    algebra_space, candidate_pool, lie_table)
+                                    algebra_space, candidate_pool)
 from ladderzpd.elim import IncrementalEchelon, field_row, integer_coords
 from ladderzpd.fields import QQ, FieldMismatchError, PrimeField
 from ladderzpd.matrices import Entries, SparseMatrix, elementary
@@ -313,6 +314,15 @@ def mu_columns_by_products(space, kind: str) -> list:
     return [space.coords_of(multiply(x, y)) for x in basis for y in basis]
 
 
+def flat_columns(mu) -> List[Dict[int, int]]:
+    """mu's columns in the order of the tensor-square basis, column
+    s*d + t at index s*d + t, as maps a -> c: the stored columns[s][t]
+    pairs, and {} for each zero column mu does not store."""
+    d = mu.space.d
+    return [dict(mu.columns[s].get(t, ())) for s in range(d)
+            for t in range(d)]
+
+
 def dense_rref(rows: Sequence[Sequence], field) -> Tuple[List[list], List[int]]:
     """Reduced row echelon form and 0-based pivot columns, by dense
     Gauss-Jordan on the field's own scalars (rows of package scalars
@@ -449,13 +459,12 @@ def centralizer(u, space) -> list:
     field scalars (1 at each free coordinate, in free-variable order)."""
     field = space.field
     ucoords = integer_coords(space.coords_of(u), field)
-    ad, _ = ad_echelon(ucoords, lie_table(space), field)
+    ad, _ = ad_echelon(ucoords, build_mu(space, "lie"))
     return [space.from_coords(field_row(w, m, field))
             for w, m in ad.null_space(range(space.d))]
 
 
-def reference_search(space, mu, descriptor: dict, budget=None,
-                     observe=None):
+def reference_search(mu, descriptor: dict, budget=None, observe=None):
     """The greedy search with nothing skipped: every u of candidate_pool,
     every null vector of ad_u, each tried against the span in turn, the
     budget counted one candidate at a time.  search_spanning must give
@@ -463,14 +472,14 @@ def reference_search(space, mu, descriptor: dict, budget=None,
     None.  observe(index, ucoords, f, w, kept), when given,
     sees every candidate: pool index, u, free column, null vector, and
     whether the row was kept (False: it reduced to zero)."""
+    space = mu.space
     field, d = space.field, space.d
-    table = lie_table(space)
     ech = IncrementalEchelon(field)
     chosen = []
     tried = 0
     for index, pool_coords in enumerate(candidate_pool(space)):
         ucoords = integer_coords(pool_coords, field)
-        ad, _ = ad_echelon(ucoords, table, field)
+        ad, _ = ad_echelon(ucoords, mu)
         free = [f for f in range(d) if f not in ad.pivot_rows]
         for f, (w, m) in zip(free, ad.null_space(range(d))):
             if budget is not None and tried >= budget:
@@ -579,11 +588,11 @@ def tensor_coords(t, space) -> dict:
 def apply_to_coords(mu, tcoords: dict) -> dict:
     """Image of a tensor (given in sparse tensor coordinates) in the
     algebra basis, in the field's scalars."""
-    field = mu.space.field
+    field, d = mu.space.field, mu.space.d
     acc: dict = {}
     for col, c in tcoords.items():
         c = lift(c, field)
-        for k, v in mu.columns[col].items():
+        for k, v in mu.columns[col // d].get(col % d, ()):
             s = acc.get(k)
             t = c * v if s is None else s + c * v
             if t:

@@ -182,8 +182,8 @@ def test_search_is_deterministic():
     space = TensorSpace.gl(2)
     mu = build_mu(space, "lie")
     desc = gl_algebra_descriptor(2)
-    first = search_spanning(space, mu, desc)
-    second = search_spanning(space, mu, desc)
+    first = search_spanning(mu, desc)
+    second = search_spanning(mu, desc)
     assert first == second
 
 
@@ -197,7 +197,7 @@ def test_search_budget_exhaustion():
     with pytest.raises(SearchExhaustedError,
                        match=r"^search budget exhausted on gl_2 at rank 3 "
                              r"of 13$"):
-        search_spanning(space, mu, gl_algebra_descriptor(2), budget=3)
+        search_spanning(mu, gl_algebra_descriptor(2), budget=3)
     with pytest.raises(SearchExhaustedError):
         gl_certificate(2, budget=3)
     # a failed tiny-budget run must not poison the cache
@@ -214,8 +214,7 @@ def test_search_raises_at_the_end_of_the_pool(monkeypatch):
     with pytest.raises(SearchExhaustedError,
                        match=r"^search budget exhausted on gl_3 at rank 45 "
                              r"of 73$"):
-        search_spanning(space, build_mu(space, "lie"),
-                        gl_algebra_descriptor(3))
+        search_spanning(build_mu(space, "lie"), gl_algebra_descriptor(3))
 
 
 @pytest.mark.parametrize("field", [QQ, PrimeField(2), PrimeField(101)])
@@ -224,8 +223,8 @@ def test_pruned_search_matches_reference(m, field):
     space = TensorSpace.gl(m, field)
     mu = build_mu(space, "lie")
     desc = gl_algebra_descriptor(m)
-    found = search_spanning(space, mu, desc)
-    assert found == reference_search(space, mu, desc)
+    found = search_spanning(mu, desc)
+    assert found == reference_search(mu, desc)
 
 
 @pytest.mark.parametrize("field", [QQ, PrimeField(2)])
@@ -251,7 +250,7 @@ def test_skipped_candidates_reduce_to_zero(m, field):
             skipped.append((index, f))
 
     mu = build_mu(space, "lie")
-    assert reference_search(space, mu, gl_algebra_descriptor(m),
+    assert reference_search(mu, gl_algebra_descriptor(m),
                             observe=observe) is not None
     assert len(skipped) > 0
 
@@ -264,13 +263,12 @@ def test_search_skips_a_u_equal_to_the_one_before(monkeypatch):
     pool = [integer_coords(c, field) for c in candidate_pool(space)]
     built = []
 
-    def counting(ucoords, table, field):
+    def counting(ucoords, mu):
         built.append(ucoords)
-        return ad_echelon(ucoords, table, field)
+        return ad_echelon(ucoords, mu)
 
     monkeypatch.setattr(certificates, "ad_echelon", counting)
-    cert = search_spanning(space, build_mu(space, "lie"),
-                           gl_algebra_descriptor(3))
+    cert = search_spanning(build_mu(space, "lie"), gl_algebra_descriptor(3))
     assert cert.kernel_dim == 73
     assert len(built) > space.d + 1
     distinct = [u for i, u in enumerate(pool) if i == 0 or u != pool[i - 1]]
@@ -287,12 +285,12 @@ def test_budget_cuts_at_the_same_candidate(m, field, budget):
     space = TensorSpace.gl(m, field)
     mu = build_mu(space, "lie")
     desc = gl_algebra_descriptor(m)
-    full = search_spanning(space, mu, desc)
-    assert search_spanning(space, mu, desc, budget=budget) == full
+    full = search_spanning(mu, desc)
+    assert search_spanning(mu, desc, budget=budget) == full
     with pytest.raises(SearchExhaustedError):
-        search_spanning(space, mu, desc, budget=budget - 1)
-    assert reference_search(space, mu, desc, budget=budget) == full
-    assert reference_search(space, mu, desc, budget=budget - 1) is None
+        search_spanning(mu, desc, budget=budget - 1)
+    assert reference_search(mu, desc, budget=budget) == full
+    assert reference_search(mu, desc, budget=budget - 1) is None
 
 
 def test_verification_recomputes_kernel_dim():

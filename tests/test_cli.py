@@ -15,6 +15,20 @@ from ladderzpd.certio import dumps_canonical, read_certificate
 from ladderzpd.cli import main
 
 
+# argv: OUT ERR COMMAND...; runs COMMAND with its stdout and stderr in
+# the files OUT and ERR, then prints its exit code and peak RSS in KiB
+SPAWN_AND_REAP = """
+import os, sys
+out, err, *argv = sys.argv[1:]
+flags = os.O_WRONLY | os.O_CREAT | os.O_TRUNC
+pid = os.posix_spawn(argv[0], argv, os.environ, file_actions=[
+    (os.POSIX_SPAWN_OPEN, 1, out, flags, 0o644),
+    (os.POSIX_SPAWN_OPEN, 2, err, flags, 0o644)])
+_, status, usage = os.wait4(pid, 0)
+print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)
+"""
+
+
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -314,7 +328,8 @@ def test_cert_verify_rejects_deeply_nested_json(tmp_path):
 ])
 def test_cert_verify_rejects_algebra_over_size_cap(tmp_path, algebra):
     # a one-tensor file naming a huge algebra: the size cap is checked
-    # before mu (d^2 columns) or even the position set is built
+    # before mu (its nonzero columns, up to 2n per basis element) or
+    # even the position set is built
     path = tmp_path / "huge.json"
     path.write_text(dumps_canonical({
         "format_version": 1, "algebra": algebra,
@@ -333,6 +348,40 @@ def test_cert_verify_rejects_algebra_over_size_cap(tmp_path, algebra):
     assert proc.stdout == ""
     assert proc.stderr.startswith("error: algebra too large to verify: ")
     assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("algebra, col", [
+    ({"kind": "gl-lie", "m": 32}, 1),
+    ({"kind": "ladder-lie", "n": 62, "steps": [[32, 31]]}, 31),
+])
+def test_cert_verify_at_the_size_cap_ends_cheaply(tmp_path, algebra, col):
+    # d = 1024, the cap, and one tensor e_1,col (x) e_1,col: mu stores
+    # its nonzero columns only, not d^2 = 1,048,576 of them, so the
+    # command's peak RSS stays small.  Linux carries the peak RSS of a
+    # process into the ru_maxrss of a child it starts, so a small
+    # interpreter starts the command and reports its os.wait4 ru_maxrss
+    # (KiB); the peak is the command's own, not this test process's
+    path = tmp_path / "cap.json"
+    path.write_text(dumps_canonical({
+        "format_version": 1, "algebra": algebra,
+        "field": {"kind": "rational"}, "kernel_dim": 0,
+        "families": [{"label": "x", "count": 1}],
+        "tensors": [{"family": "x", "u": [[1, col, "1"]],
+                     "v": [[1, col, "1"]]}]}))
+    src = os.path.dirname(os.path.dirname(ladderzpd.__file__))
+    out, err = tmp_path / "out", tmp_path / "err"
+    proc = subprocess.run(
+        [sys.executable, "-I", "-S", "-c", SPAWN_AND_REAP, str(out),
+         str(err), sys.executable, "-m", "ladderzpd.cli", "cert-verify",
+         str(path)],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True,
+        text=True, timeout=60)
+    code, peak_kib = map(int, proc.stdout.split())
+    assert code == 1
+    assert out.read_text() == ("1 tensors, span rank 1, kernel dim "
+                               "1047553: failed-span\n")
+    assert err.read_text() == ""
+    assert peak_kib < 48 * 1024
 
 
 @pytest.mark.parametrize("argv", [

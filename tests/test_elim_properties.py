@@ -13,12 +13,12 @@ from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
 
-from ladderzpd.certificates import ad_echelon, lie_table
+from ladderzpd.certificates import ad_echelon
 from ladderzpd.elim import IncrementalEchelon, integer_coords
 from ladderzpd.fields import PrimeField, QQ
 from ladderzpd.ladders import Ladder
 from ladderzpd.matrices import SparseMatrix
-from ladderzpd.tensors import TensorSpace
+from ladderzpd.tensors import TensorSpace, build_mu
 
 from oracles import (bracket, centralizer, dense_centralizer,
                      dense_kernel_of_rows, dense_rref, naive_rank,
@@ -221,7 +221,7 @@ def test_ad_echelon_active_columns(case):
     # the unit null vector
     space, u = case
     ucoords = integer_coords(space.coords_of(u), QQ)
-    ad, active = ad_echelon(ucoords, lie_table(space), QQ)
+    ad, active = ad_echelon(ucoords, build_mu(space, "lie"))
     basis = [space.basis_matrix(k) for k in range(space.d)]
     assert active == {k for s in ucoords for k in range(space.d)
                       if bracket(basis[s], basis[k]).entries}

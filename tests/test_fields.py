@@ -244,12 +244,14 @@ def test_prime_field_factors_hold_residues(tmp_path):
         assert_residues(factors(assemble_one_step_certificate(4, 3, 2,
                                                               field=f)), p)
 
-    for bad in (True, Fraction(1), 101, -1):
+    # over Q the scalars are Fractions: not ints, bools or floats
+    for field, bad in ([(f101, x) for x in (True, Fraction(1), 101, -1)]
+                       + [(QQ, x) for x in (1, True, 0.5)]):
         with pytest.raises(FieldMismatchError):
-            f101.format(bad)
+            field.format(bad)
         # a matrix takes no entry that format would refuse
         with pytest.raises(FieldMismatchError):
-            SparseMatrix(2, f101, {(1, 1): bad})
+            SparseMatrix(2, field, {(1, 1): bad})
     # zero is a scalar of the field, though never a stored entry
     assert f101.format(0) == "0"
     assert SparseMatrix(2, f101, {(1, 1): f101.from_int(-101)}).entries == {}

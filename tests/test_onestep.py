@@ -210,7 +210,7 @@ def test_gl_block_matches_embedded_search():
     p = BlockProfile(1, 2, 1)
     block = TensorSpace(p.n, block_positions(p)["h"])
     mu = build_mu(block, "lie")
-    found = search_spanning(block, mu, gl_algebra_descriptor(2))
+    found = search_spanning(mu, gl_algebra_descriptor(2))
     translated = gl_block_tensors(p)
     assert [(t.u, t.v) for t in found.tensors] == \
         [(t.u, t.v) for t in translated]

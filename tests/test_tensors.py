@@ -14,8 +14,9 @@ from ladderzpd.matrices import SparseMatrix, elementary
 from ladderzpd.tensors import (ClosureError, MembershipError, RankOneTensor,
                                TensorSpace, build_mu)
 
-from oracles import (apply_to_coords, in_kernel, mu_columns_by_products,
-                     naive_mu_kernel_dim, reduced, tensor_coords)
+from oracles import (apply_to_coords, flat_columns, in_kernel,
+                     mu_columns_by_products, naive_mu_kernel_dim, reduced,
+                     tensor_coords)
 
 F = Fraction
 
@@ -76,10 +77,16 @@ def test_build_mu_matches_mat_product_reference(space):
             with pytest.raises(ClosureError):
                 build_mu(space, kind)
             continue
-        # mu's +-1 structure constants as field scalars: exact over Q,
-        # residues over F_p
+        # mu stores only its nonzero columns, each a tuple, grouped by
+        # first factor; laid out in s*d + t order, its +-1 structure
+        # constants as field scalars equal the oracle's columns: exact
+        # over Q, residues over F_p
+        mu = build_mu(space, kind)
+        stored = [col for by_t in mu.columns for col in by_t.values()]
+        assert all(type(col) is tuple and col for col in stored)
+        assert len(stored) == sum(1 for col in want if col)
         assert [{a: space.field.from_int(c) for a, c in col.items()}
-                for col in build_mu(space, kind).columns] == want
+                for col in flat_columns(mu)] == want
 
 
 def test_tensor_coords_elementary_pair():
@@ -151,12 +158,12 @@ def test_in_kernel_telescoping_pair():
 
 def test_mu_columns_antisymmetric():
     for space in (TensorSpace.gl(2), space_for(3, 2, 2), space_for(4, 3, 2)):
-        mu = build_mu(space, "lie")
+        columns = flat_columns(build_mu(space, "lie"))
         d = space.d
         for s in range(d):
             for t in range(d):
-                fwd = mu.columns[s * d + t]
-                rev = mu.columns[t * d + s]
+                fwd = columns[s * d + t]
+                rev = columns[t * d + s]
                 assert set(fwd) == set(rev)
                 assert all(fwd[k] == -rev[k] for k in fwd)
 
@@ -188,9 +195,10 @@ def test_kernel_basis_vectors_in_kernel():
     mu = build_mu(space, "lie")
     ech = IncrementalEchelon(space.field)
     for k in range(space.d):
-        ech.insert({col: image[k] for col, image in enumerate(mu.columns)
+        ech.insert({col: image[k]
+                    for col, image in enumerate(flat_columns(mu))
                     if k in image})
-    basis = reduced(ech, mu.domain_dim)[1]
+    basis = reduced(ech, space.d ** 2)[1]
     assert len(basis) == 13 == mu.kernel_dim
     for vec in basis:
         assert not apply_to_coords(mu, vec)

@@ -36,7 +36,8 @@ from ladderzpd.matrices import SparseMatrix
 from ladderzpd.onestep import assemble_one_step_certificate
 from ladderzpd.tensors import RankOneTensor, build_mu
 
-from oracles import entry_product, rows_of, scaled, verify_by_field_coords
+from oracles import (entry_product, flat_columns, rows_of, scaled,
+                     verify_by_field_coords)
 
 FIELDS = {"QQ": QQ, "F2": PrimeField(2), "F101": PrimeField(101)}
 ALGEBRAS = ([("gl", 2), ("gl", 3)]
@@ -59,7 +60,7 @@ def noncommuting_pair(algebra, field_name):
     the algebra is abelian."""
     cert = base_certificate(algebra, field_name)
     space = algebra_space(cert.algebra, cert.field)
-    for col, image in enumerate(build_mu(space, "lie").columns):
+    for col, image in enumerate(flat_columns(build_mu(space, "lie"))):
         if image:
             s, t = divmod(col, space.d)
             return space.basis_matrix(s), space.basis_matrix(t)
@@ -146,7 +147,7 @@ def test_f2_zero_test_is_mod_p():
         image = Counter()
         for s, a in uc.items():
             for t, b in vc.items():
-                for k, e in columns[s * space.d + t].items():
+                for k, e in columns[s].get(t, ()):
                     image[k] += a * b * e
         assert {k: c for k, c in image.items() if c} == {
             space.index_of[(1, 2)]: 2}
