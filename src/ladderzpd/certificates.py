@@ -283,7 +283,10 @@ def ad_echelon(ucoords: IntRow,
 def candidate_pool(space: TensorSpace) -> Iterator[Dict[int, int]]:
     """Deterministic first factors for the greedy search, as integer
     coordinate maps (entries +-1; the search reduces them mod p over
-    F_p, so over F_2 each b_s - b_t repeats b_s + b_t).
+    F_p, so over F_2 each b_s - b_t repeats b_s + b_t).  Each b_s - b_t
+    is the only member with a -1 entry.  It stays in the pool, and
+    tests/oracles.reference_search tries its candidates; search_spanning
+    skips it unbuilt (its Lemma 2) but still counts its candidates.
 
     In order: the basis elements; two-term sums and differences
     b_s + b_t / b_s - b_t in lexicographic (s, t, sign) order; directed
@@ -348,7 +351,7 @@ def search_spanning(mu: MuMap, descriptor: dict,
 
     Past the basis stage (the pool's first d members, u = b_s), most
     candidates are skipped unbuilt, because the rows already span them:
-      - Lemma: after the basis stage the span holds b_s (x) C(b_s) for
+      - Lemma 1: after the basis stage the span holds b_s (x) C(b_s) for
         every s.  Each b_s (x) w over C(b_s)'s null basis was tried, and
         was kept or already in the span; the span only grows.
       - So for a later u and a column f outside A(u) (see ad_echelon),
@@ -357,17 +360,65 @@ def search_spanning(mu: MuMap, descriptor: dict,
         the span.  Only the free columns in A(u) are built and tried.
         A(u) must keep the columns whose terms cancel: there [u, b_f] = 0
         while [b_s, b_f] != 0, and u (x) b_f may well be new.
-      - A u whose reduced coordinates equal those of the pool member
-        just before it is skipped whole: its candidates were all tried.
-        This is each b_s - b_t over F_2 (it reduces to b_s + b_t) and
-        the diagonal unit of gl_1.  The rarer repeats further apart
-        (the diagonal unit of gl_2 is b_0 + b_3) run the loop again,
-        where each candidate is already in the span.
+      - Lemma 2: for s < t and u+- = b_s +- b_t, u- (x) C(u-) lies in
+        the span of b_s (x) C(b_s), b_t (x) C(b_t) and u+ (x) C(u+).
+        When u- comes up the rows span all three: the first two by
+        Lemma 1, the third because u+ is the pool member just before u-
+        and each of its candidates was tried or skipped as spanned.  So
+        each u- is skipped whole, with no ad_u, null space or row built.
+    Proof of Lemma 2.  If x in C(u-) is y + z with [b_s, y] = 0 and
+    [b_t, z] = 0, then [u+, z - y] = [b_s, z] - [b_t, y] = [b_s, x] -
+    [b_t, x] = 0, and u- (x) x = 2 b_s (x) y - 2 b_t (x) z + u+ (x) (z - y).
+    So it is enough that C(u-) lies in C(b_s) + C(b_t).  Over F_2,
+    u- = u+ and there is nothing to prove; let 2 != 0.  Write b_s = e_ab,
+    b_t = e_ce, and grade gl_m by weights: e_ij has weight w_i - w_j,
+    for w_1..w_m the unit vectors of Z^m, so the weights are 0 and the
+    roots w_i - w_j (i != j).  ad_{b_s} and ad_{b_t} add alpha = w_a -
+    w_b and beta = w_c - w_e to a weight.
+      - Two diagonal units (a = b, c = e) are the only pairs with
+        alpha = beta.  x commutes with e_aa - e_cc iff x_ij = 0 whenever
+        D_i != D_j, for D = 1 at a, -1 at c and 0 elsewhere.  As 2 != 0,
+        1, -1 and 0 are distinct, so C(u-) is spanned by e_aa, e_cc and
+        the e_ij with i, j not in {a, c}, and each of these commutes
+        with both b_s and b_t.  This is the one use of 2 != 0.
+      - Otherwise gamma = alpha - beta != 0.  Split x into its weight
+        components x_l.  The weight l + alpha part of [u-, x] = 0 reads
+        [b_s, x_l] = [b_t, x_(l + gamma)].  If l + gamma is not a weight,
+        the right side is 0 and x_l is in C(b_s).  If l - gamma is not a
+        weight, the same equation at l - gamma gives [b_t, x_l] = 0.
+        Both are weights only if 2 gamma is a difference of two weights.
+        The absolute values of the coordinates of such a difference sum
+        to at most 4, and those of 2 gamma, nonzero, even and summing to
+        0, to at least 4.  So 2 gamma = 2 (w_i - w_j), the two weights
+        are gamma and -gamma, and l = 0: x_0 is diagonal.  The diagonal
+        matrices in C(e_ab) are those with h_a = h_b (all of them if
+        a = b), and two such sets add up to all diagonal matrices unless
+        they are the same hyperplane.  That happens only for a transpose
+        pair, e_ce = e_ba, and there gamma = 2 alpha, so 2 gamma is not
+        2 (w_i - w_j).  So every x_l splits, and so does x.
     Skipped candidates would have been rejected, so the kept tensors,
     and the certificate, are those of trying every candidate in turn.
     Each still counts as tried, at its place in pool order (free column
     f of ad_u is candidate f - #{pivots < f} of u, and u has
-    d - rank(ad_u) of them), so a budget cuts where it would anyway.
+    d - rank(ad_u) = dim C(u) of them), so a budget cuts where it would
+    anyway.  A cut among skipped candidates raises at the next candidate
+    built, or at the end of the pool, at the same rank.
+    A skipped u- counts as many as u+, or 2 fewer when b_s and
+    b_t are both diagonal and 2 != 0:
+      - over F_2, u- = u+;
+      - if neither a transpose pair nor two diagonal units, conjugation
+        by a diagonal matrix of +-1s fixes one of b_s, b_t and negates
+        the other (negate one index of b_t that is not in b_s, or the row
+        index of b_s when b_t is diagonal).  This automorphism of gl_m
+        maps u+ to +-u-, so their centralizers have one dimension;
+      - for a transpose pair, with I = {a, b}, ad_u keeps gl_I, each
+        block {e_ij : i in I} and {e_ji : i in I} with j not in I, and
+        the gl of the other indices, where it is 0.  u on I is
+        invertible, so ad_u is injective on those blocks, and not
+        scalar, so its centralizer in gl_I is span{1_I, u}.  So
+        dim C(u) = 2 + (m - 2)^2 for either sign;
+      - a diagonal D has dim C(D) = #{(i, j) : D_i = D_j}, which is
+        4 + (m - 2)^2 for e_aa + e_cc and 2 + (m - 2)^2 for e_aa - e_cc.
     """
     space = mu.space
     target = mu.kernel_dim
@@ -381,15 +432,16 @@ def search_spanning(mu: MuMap, descriptor: dict,
             f"at rank {ech.rank} of {target}")
 
     chosen: List[RankOneTensor] = []
+    diagonal = {k for k, (i, j) in enumerate(space.positions) if i == j}
     tried = 0
-    prev: Optional[IntRow] = None
-    count = 0  # prev's number of candidates
+    count = 0  # the number of candidates of the last u built
     for index, pool_coords in enumerate(candidate_pool(space)):
-        ucoords = integer_coords(pool_coords, field)
-        if ucoords == prev:
-            tried += count
+        if -1 in pool_coords.values():  # u- = b_s - b_t, by Lemma 2
+            s, t = pool_coords
+            both = s in diagonal and t in diagonal
+            tried += count - 2 if both and ech.p != 2 else count
             continue
-        prev = ucoords
+        ucoords = integer_coords(pool_coords, field)
         ad, active = ad_echelon(ucoords, mu)
         pivots = sorted(ad.pivot_rows)
         cols = range(d) if index < d else sorted(active)

@@ -227,23 +227,24 @@ def test_pruned_search_matches_reference(m, field):
     assert found == reference_search(mu, desc)
 
 
-@pytest.mark.parametrize("field", [QQ, PrimeField(2)])
+@pytest.mark.parametrize("field", [QQ, PrimeField(2), PrimeField(3)])
 @pytest.mark.parametrize("m", [3, 4])
 def test_skipped_candidates_reduce_to_zero(m, field):
-    # every candidate the search skips, by the rule in its docstring
+    # every candidate the search skips, by the rules in its docstring
     # with A(u) taken from dense brackets, is rejected by the reference
-    # search at the moment it is tried
+    # search at the moment it is tried: the free columns outside A(u),
+    # and every candidate of a u = b_s - b_t
     space = TensorSpace.gl(m, field)
     d = space.d
     basis = [space.basis_matrix(k) for k in range(d)]
     moves = [{k for k in range(d) if bracket(basis[s], basis[k]).entries}
              for s in range(d)]
-    pool = [integer_coords(c, field) for c in candidate_pool(space)]
+    minus = [-1 in c.values() for c in candidate_pool(space)]
     skipped = []
 
     def observe(index, ucoords, f, w, kept):
         active = set().union(*(moves[s] for s in ucoords))
-        if index >= d and (ucoords == pool[index - 1] or f not in active):
+        if index >= d and (minus[index] or f not in active):
             assert not kept, (index, ucoords, f)
             if f not in active:
                 assert w == {f: 1}
@@ -253,14 +254,48 @@ def test_skipped_candidates_reduce_to_zero(m, field):
     assert reference_search(mu, gl_algebra_descriptor(m),
                             observe=observe) is not None
     assert len(skipped) > 0
+    assert any(minus[index] for index, _ in skipped)
 
 
-def test_search_skips_a_u_equal_to_the_one_before(monkeypatch):
-    # over F_2 each b_s - b_t follows the b_s + b_t it reduces to; the
-    # search builds ad_u for neither twice in a row
-    field = PrimeField(2)
+def centralizer_rows(ucoords, mu) -> list:
+    """The integer rows of u (x) C(u), one per null vector of ad_u."""
+    d = mu.space.d
+    ad, _ = ad_echelon(ucoords, mu)
+    return [{s * d + k: a * b for s, a in ucoords.items()
+             for k, b in w.items()}
+            for w, _ in ad.null_space(range(d))]
+
+
+@pytest.mark.parametrize("m, field", [
+    (2, QQ), (3, QQ), (4, QQ), (5, QQ),
+    (2, PrimeField(3)), (3, PrimeField(3)), (4, PrimeField(3)),
+    (2, PrimeField(101)), (3, PrimeField(101)), (4, PrimeField(101))])
+def test_minus_pair_lies_in_the_plus_pair_span(m, field):
+    # the lemma the search skips every b_s - b_t by: for every pair
+    # s < t, u- (x) C(u-) lies in the span of b_s (x) C(b_s),
+    # b_t (x) C(b_t) and u+ (x) C(u+), for u+- = b_s +- b_t
+    space = TensorSpace.gl(m, field)
+    mu = build_mu(space, "lie")
+    d = space.d
+    own = [centralizer_rows({s: 1}, mu) for s in range(d)]
+    for s, t in combinations(range(d), 2):
+        ech = IncrementalEchelon(field)
+        for row in own[s] + own[t] + centralizer_rows(
+                integer_coords({s: 1, t: 1}, field), mu):
+            ech.insert(row)
+        minus = centralizer_rows(integer_coords({s: 1, t: -1}, field), mu)
+        assert minus
+        assert not any(ech.insert(row) for row in minus), \
+            (space.positions[s], space.positions[t])
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(2), PrimeField(3)])
+def test_search_builds_no_minus_pair(monkeypatch, field):
+    # ad_u is built for the pool members in order, every b_s - b_t left
+    # out, until the search ends; over F_2 these are the members equal
+    # to the one before them
     space = TensorSpace.gl(3, field)
-    pool = [integer_coords(c, field) for c in candidate_pool(space)]
+    pool = [c for c in candidate_pool(space) if -1 not in c.values()]
     built = []
 
     def counting(ucoords, mu):
@@ -271,8 +306,7 @@ def test_search_skips_a_u_equal_to_the_one_before(monkeypatch):
     cert = search_spanning(build_mu(space, "lie"), gl_algebra_descriptor(3))
     assert cert.kernel_dim == 73
     assert len(built) > space.d + 1
-    distinct = [u for i, u in enumerate(pool) if i == 0 or u != pool[i - 1]]
-    assert built == distinct[:len(built)]
+    assert built == [integer_coords(c, field) for c in pool[:len(built)]]
 
 
 # the smallest budget that succeeds, measured before the search skipped
@@ -280,7 +314,9 @@ def test_search_skips_a_u_equal_to_the_one_before(monkeypatch):
 @pytest.mark.parametrize("m, field, budget", [
     (2, QQ, 23), (2, PrimeField(2), 25), (2, PrimeField(101), 23),
     (3, QQ, 341), (3, PrimeField(2), 347), (3, PrimeField(101), 341),
-    (4, QQ, 2063), (4, PrimeField(2), 2075), (4, PrimeField(101), 2063)])
+    (4, QQ, 2063), (4, PrimeField(2), 2075), (4, PrimeField(101), 2063),
+    (2, PrimeField(3), 23), (3, PrimeField(3), 341),
+    (4, PrimeField(3), 2063)])
 def test_budget_cuts_at_the_same_candidate(m, field, budget):
     space = TensorSpace.gl(m, field)
     mu = build_mu(space, "lie")
@@ -291,6 +327,35 @@ def test_budget_cuts_at_the_same_candidate(m, field, budget):
         search_spanning(mu, desc, budget=budget - 1)
     assert reference_search(mu, desc, budget=budget) == full
     assert reference_search(mu, desc, budget=budget - 1) is None
+
+
+# gl_3 pairs: a transpose pair, e_12 with e_23, and two diagonal units,
+# whose b_s - b_t has 2 fewer candidates than b_s + b_t when 2 != 0
+@pytest.mark.parametrize("field", [QQ, PrimeField(3)])
+@pytest.mark.parametrize("pair", [((1, 2), (2, 1)), ((1, 2), (2, 3)),
+                                  ((1, 1), (2, 2))],
+                         ids=["transpose", "off-diagonal", "two-diagonal"])
+def test_budget_cut_inside_a_skipped_minus_pair(pair, field):
+    # every cut from the first candidate of u- = b_s - b_t to a few past
+    # its last raises at the rank the reference search had reached
+    space = TensorSpace.gl(3, field)
+    mu = build_mu(space, "lie")
+    desc = gl_algebra_descriptor(3)
+    s, t = (space.index_of[pos] for pos in pair)
+    index = list(candidate_pool(space)).index({s: 1, t: -1})
+    tried = []
+    reference_search(mu, desc, observe=lambda i, u, f, w, kept:
+                     tried.append((i, kept)))
+    start = [i for i, _ in tried].index(index)
+    count = [i for i, _ in tried].count(index)
+    plus = [i for i, _ in tried].count(index - 1)
+    assert count == plus - (2 if pair[0][0] == pair[0][1] else 0)
+    for budget in range(start, start + count + 6):
+        rank = sum(kept for _, kept in tried[:budget])
+        with pytest.raises(SearchExhaustedError,
+                           match=rf" at rank {rank} of {mu.kernel_dim}$"):
+            search_spanning(mu, desc, budget=budget)
+        assert reference_search(mu, desc, budget=budget) is None
 
 
 def test_verification_recomputes_kernel_dim():
