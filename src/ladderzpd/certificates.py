@@ -282,8 +282,9 @@ def ad_echelon(ucoords: IntRow,
 
 def candidate_pool(space: TensorSpace) -> Iterator[Dict[int, int]]:
     """Deterministic first factors for the greedy search, as integer
-    coordinate maps (entries +-1; the search reduces them mod p over
-    F_p, so over F_2 each b_s - b_t repeats b_s + b_t).  Each b_s - b_t
+    coordinate maps with entries +-1.  The search builds only members
+    with entries +1, and takes them as they are over Q and F_p.  Over
+    F_2 each b_s - b_t repeats b_s + b_t.  Each b_s - b_t
     is the only member with a -1 entry.  It stays in the pool, and
     tests/oracles.reference_search tries its candidates; search_spanning
     skips it unbuilt (its Lemma 2) but still counts its candidates.
@@ -435,13 +436,12 @@ def search_spanning(mu: MuMap, descriptor: dict,
     diagonal = {k for k, (i, j) in enumerate(space.positions) if i == j}
     tried = 0
     count = 0  # the number of candidates of the last u built
-    for index, pool_coords in enumerate(candidate_pool(space)):
-        if -1 in pool_coords.values():  # u- = b_s - b_t, by Lemma 2
-            s, t = pool_coords
+    for index, ucoords in enumerate(candidate_pool(space)):
+        if -1 in ucoords.values():  # u- = b_s - b_t, by Lemma 2
+            s, t = ucoords
             both = s in diagonal and t in diagonal
             tried += count - 2 if both and ech.p != 2 else count
             continue
-        ucoords = integer_coords(pool_coords, field)
         ad, active = ad_echelon(ucoords, mu)
         pivots = sorted(ad.pivot_rows)
         cols = range(d) if index < d else sorted(active)
@@ -474,9 +474,9 @@ def abelian_certificate(space: TensorSpace, descriptor: dict) -> Certificate:
     if any(mu.columns):
         raise ValueError("mu is not identically zero on this algebra")
     d = space.d
-    tensors = [RankOneTensor(space.basis_matrix(s), space.basis_matrix(t),
-                             "abelian")
-               for s in range(d) for t in range(d)]
+    # one object per basis element, shared by every tensor carrying it
+    basis = [space.basis_matrix(k) for k in range(d)]
+    tensors = [RankOneTensor(x, y, "abelian") for x in basis for y in basis]
     return Certificate(descriptor, space.field, d * d,
                        [("abelian", d * d)], tensors)
 

@@ -10,8 +10,9 @@ every reader re-verifies from scratch.
 Factors are shared.  The reader returns one SparseMatrix per distinct
 entry list of a file, carried by every tensor that lists it, so each
 list is checked and parsed once (and the verifier prepares each
-factor object once); the writer formats and encodes each factor object
-once and splices the text into every tensor that carries it.
+factor object once); the one writer, certificate_bytes, formats and
+encodes each factor object once and splices the text into every tensor
+that carries it.
 A one-step certificate with about d^2 tensors has only about d
 distinct factors.  So no caller may mutate a factor: the change would
 show in every tensor that shares it.
@@ -21,7 +22,7 @@ from __future__ import annotations
 
 import gc
 import json
-from typing import Any, Callable, Dict, List, Tuple
+from typing import Dict, Tuple
 
 from .certificates import Certificate
 from .fields import Field, PrimeField, QQ, RationalField
@@ -41,10 +42,6 @@ class CertificateFormatError(ValueError):
 
 def _dumps_compact(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
-
-
-def dumps_canonical(obj) -> str:
-    return _dumps_compact(obj) + "\n"
 
 
 def field_to_json(field: Field) -> dict:
@@ -75,11 +72,6 @@ def field_from_json(obj) -> Field:
 
 def _is_int(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
-
-
-def _matrix_to_entries(mat: SparseMatrix, field: Field) -> List[list]:
-    return [[i, j, field.format(c)]
-            for (i, j), c in sorted(mat.entries.items())]
 
 
 def _matrix_from_entries(obj, n: int, field: Field,
@@ -147,44 +139,6 @@ def _algebra_from_json(obj) -> Tuple[dict, int]:
             raise CertificateFormatError("gl-lie algebra needs integer m")
         return ({"kind": "gl-lie", "m": obj["m"]}, obj["m"])
     raise CertificateFormatError(f"unknown algebra kind: {kind!r}")
-
-
-def _head_to_json(cert: Certificate) -> dict:
-    """Every top-level field of the file but "tensors", which sorts
-    after all of them."""
-    return {
-        "format_version": FORMAT_VERSION,
-        "algebra": _algebra_to_json(cert.algebra),
-        "field": field_to_json(cert.field),
-        "kernel_dim": cert.kernel_dim,
-        "families": [{"label": label, "count": count}
-                     for label, count in cert.families],
-    }
-
-
-def _per_factor(cert: Certificate, encode: Callable[[List[list]], Any]
-                ) -> Callable[[SparseMatrix], Any]:
-    """factor -> encode(its entry list), computed once per factor
-    object however many tensors carry it."""
-    done: Dict[int, Any] = {}
-
-    def get(mat: SparseMatrix):
-        got = done.get(id(mat))
-        if got is None:
-            got = done[id(mat)] = encode(_matrix_to_entries(mat, cert.field))
-        return got
-
-    return get
-
-
-def certificate_to_json(cert: Certificate) -> dict:
-    """The file's JSON object.  Tensors that share a factor object share
-    its entry list, so each factor is formatted once; replace an entry
-    list rather than edit it in place."""
-    entries = _per_factor(cert, lambda entry_list: entry_list)
-    return dict(_head_to_json(cert), tensors=[
-        {"family": t.label, "u": entries(t.u), "v": entries(t.v)}
-        for t in cert.tensors])
 
 
 def certificate_from_json(obj) -> Certificate:
@@ -256,18 +210,37 @@ def certificate_from_json(obj) -> Certificate:
 
 
 def certificate_bytes(cert: Certificate) -> bytes:
-    """dumps_canonical(certificate_to_json(cert)), encoded, with each
-    factor object's entry list encoded once and spliced into every
-    tensor that carries it.  A tensor's keys family < u < v are in
-    sorted order, and "tensors" sorts after the other top-level keys,
-    so its list goes in front of the head's closing brace.  Every
-    tensor label is a listed family (Certificate checks it)."""
-    text = _per_factor(cert, _dumps_compact)
+    """The file's canonical bytes.  Each factor object's entry list is
+    formatted and encoded once and spliced into every tensor that
+    carries it.  A tensor's keys family < u < v are in sorted order,
+    and "tensors" sorts after the other top-level keys, so its list goes
+    in front of the head's closing brace.  Every tensor label is a
+    listed family (Certificate checks it)."""
+    field = cert.field
+    text: Dict[int, str] = {}  # id of a factor object -> its entry list
+
+    def encode(mat: SparseMatrix) -> str:
+        got = text[id(mat)] = _dumps_compact(
+            [[i, j, field.format(c)]
+             for (i, j), c in sorted(mat.entries.items())])
+        return got
+
     opening = {label: f'{{"family":{json.dumps(label)},"u":'
                for label, _ in cert.families}
-    tensors = ",".join([f'{opening[t.label]}{text(t.u)},"v":{text(t.v)}}}'
-                        for t in cert.tensors])
-    head = _dumps_compact(_head_to_json(cert))
+    # a list's text is never empty, so only a factor not yet in text
+    # is encoded
+    tensors = ",".join([
+        f'{opening[t.label]}{text.get(id(t.u)) or encode(t.u)},'
+        f'"v":{text.get(id(t.v)) or encode(t.v)}}}'
+        for t in cert.tensors])
+    head = _dumps_compact({
+        "format_version": FORMAT_VERSION,
+        "algebra": _algebra_to_json(cert.algebra),
+        "field": field_to_json(field),
+        "kernel_dim": cert.kernel_dim,
+        "families": [{"label": label, "count": count}
+                     for label, count in cert.families],
+    })
     return f'{head[:-1]},"tensors":[{tensors}]}}\n'.encode("utf-8")
 
 

@@ -8,7 +8,8 @@ is worked out in one place, the product table `TensorSpace.products`:
 nonzero columns, read by the verifier and `certificates.ad_echelon`.
 The tensor square gets the ordered basis b_s (x) b_t indexed
 by the global column rule column(s, t) = s*d + t with s, t 0-based;
-certificates depend on this rule, so it is fixed here and nowhere else.
+certificates depend on this rule.  It is stated here, and
+verify_certificate and search_spanning apply it as s * d + k.
 mu sends a tensor to the product of its factors, extended linearly; its
 kernel dimension is the quantity every certificate is measured against.
 """

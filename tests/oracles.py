@@ -17,7 +17,9 @@ certificates on the field's own scalars, where the package verifier
 works on integer multiples of them; reduced and centralizer read the
 engine's integer null space back as field scalars; and reference_search
 is the package's greedy search with nothing skipped, the reference for
-the candidates search_spanning skips.
+the candidates search_spanning skips.  reference_certificate_bytes
+writes a certificate file as one plain json.dumps, the reference for
+the splicing writer.
 
 Over F_p the package's scalars are plain int residues with no field
 arithmetic of their own.  The field arithmetic here is Fp's, a scalar
@@ -30,6 +32,7 @@ results compare exactly with the package's residues.
 
 from __future__ import annotations
 
+import json
 from fractions import Fraction
 from typing import Dict, List, Sequence, Tuple
 
@@ -643,3 +646,36 @@ def verify_by_field_coords(cert) -> VerificationReport:
     else:
         verdict = PROVEN_ZPD
     return VerificationReport(kdim, count, span_rank, first_bad, verdict)
+
+
+def reference_certificate_bytes(cert) -> bytes:
+    """The certificate's canonical file, written plainly: one JSON
+    object with every slot of every tensor formatted on its own and the
+    head built here, dumped with sorted keys, no whitespace and one
+    newline.  Nothing is taken from ladderzpd.certio, so comparing the
+    two checks certificate_bytes' splice, per-factor memo and head."""
+    field = cert.field
+
+    def entries(mat):
+        return [[i, j, field.format(c)]
+                for (i, j), c in sorted(mat.entries.items())]
+
+    algebra = cert.algebra
+    if algebra["kind"] == "gl-lie":
+        algebra = {"kind": "gl-lie", "m": algebra["m"]}
+    else:
+        algebra = {"kind": "ladder-lie", "n": algebra["n"],
+                   "steps": [list(s) for s in algebra["steps"]]}
+    obj = {
+        "format_version": 1,
+        "algebra": algebra,
+        "field": ({"kind": "prime-field", "p": field.p}
+                  if isinstance(field, PrimeField) else {"kind": "rational"}),
+        "kernel_dim": cert.kernel_dim,
+        "families": [{"label": label, "count": count}
+                     for label, count in cert.families],
+        "tensors": [{"family": t.label, "u": entries(t.u),
+                     "v": entries(t.v)} for t in cert.tensors],
+    }
+    text = json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
+    return text.encode("utf-8")

@@ -11,16 +11,16 @@ import pytest
 from ladderzpd.certificates import (Certificate, gl_certificate,
                                     verify_certificate)
 from ladderzpd.certio import (CertificateFormatError, certificate_bytes,
-                              certificate_from_json, certificate_to_json,
-                              dumps_canonical, field_from_json, field_to_json,
-                              read_certificate, write_certificate)
+                              certificate_from_json, field_from_json,
+                              field_to_json, read_certificate,
+                              write_certificate)
 from ladderzpd.cli import main
 from ladderzpd.fields import PrimeField, QQ
 from ladderzpd.matrices import SparseMatrix
 from ladderzpd.onestep import assemble_one_step_certificate
 from ladderzpd.tensors import MembershipError, RankOneTensor
 
-from oracles import scaled
+from oracles import reference_certificate_bytes, scaled
 
 
 def write_verified(cert, path):
@@ -98,8 +98,13 @@ def test_field_descriptors():
             field_from_json(bad)
 
 
+def certificate_json(cert) -> dict:
+    """The JSON object a file on disk holds."""
+    return json.loads(certificate_bytes(cert))
+
+
 def corrupt(cert, mutate):
-    obj = certificate_to_json(cert)
+    obj = certificate_json(cert)
     mutate(obj)
     with pytest.raises(CertificateFormatError):
         certificate_from_json(obj)
@@ -178,8 +183,14 @@ def test_rejects_non_json_file(tmp_path):
         read_certificate(str(path))
 
 
-def test_dumps_canonical_shape():
-    assert dumps_canonical({"b": 1, "a": [1, 2]}) == '{"a":[1,2],"b":1}\n'
+def test_canonical_bytes_of_gl_1():
+    # sorted keys, no whitespace and one newline, pinned with no writer
+    # code involved
+    assert certificate_bytes(gl_certificate(1)) == (
+        b'{"algebra":{"kind":"gl-lie","m":1},'
+        b'"families":[{"count":1,"label":"gl"}],'
+        b'"field":{"kind":"rational"},"format_version":1,"kernel_dim":1,'
+        b'"tensors":[{"family":"gl","u":[[1,1,"1"]],"v":[[1,1,"1"]]}]}\n')
 
 
 def test_rational_scalars_survive_round_trip(tmp_path):
@@ -193,7 +204,7 @@ def test_rational_scalars_survive_round_trip(tmp_path):
     u = SparseMatrix(2, QQ, {(1, 1): Fraction(2, 3)})
     cert = Certificate(gl_algebra_descriptor(2), QQ, 1,
                        [("x", 1)], [RankOneTensor(u, u, "x")])
-    obj = certificate_to_json(cert)
+    obj = json.loads(certificate_bytes(cert))
     assert obj["tensors"][0]["u"] == [[1, 1, "2/3"]]
     path = tmp_path / "frac.json"
     write_certificate(cert, str(path), mark_unverified=True)
@@ -214,7 +225,7 @@ def test_repeated_bad_scalar_is_reported_at_first_use(text, message):
     # a text that fails to parse is reported at the first tensor and
     # factor carrying it, wherever it repeats later, in the same entry
     # list or in another
-    obj = certificate_to_json(gl_certificate(2))
+    obj = certificate_json(gl_certificate(2))
     obj["tensors"][4]["u"] = [[1, 1, text]]
     obj["tensors"][1]["v"] = [[2, 1, text]]
     obj["tensors"][1]["u"] = [[1, 2, "1"], [2, 2, text]]
@@ -222,17 +233,17 @@ def test_repeated_bad_scalar_is_reported_at_first_use(text, message):
 
 
 def test_stored_zero_is_rejected_in_every_spelling():
-    obj = certificate_to_json(gl_certificate(2))
+    obj = certificate_json(gl_certificate(2))
     obj["tensors"][3]["v"] = [[1, 2, "0/3"]]
     assert format_error(obj) == ("tensor 3 factor v: stored entry at (1,2) "
                                  "is zero")
     # a zero is caught in every spelling, also in a list whose other
     # entries are fine: "-0" after "-1", and a zero residue mod 101
-    obj = certificate_to_json(gl_certificate(2))
+    obj = certificate_json(gl_certificate(2))
     obj["tensors"][0]["u"] = [[1, 1, "-1"], [1, 2, "-0"]]
     assert format_error(obj) == ("tensor 0 factor u: stored entry at (1,2) "
                                  "is zero")
-    obj = certificate_to_json(gl_certificate(2, PrimeField(101)))
+    obj = certificate_json(gl_certificate(2, PrimeField(101)))
     obj["tensors"][2]["v"] = [[2, 2, "101"]]
     assert format_error(obj) == ("tensor 2 factor v: stored entry at (2,2) "
                                  "is zero")
@@ -268,11 +279,11 @@ def test_shared_factor_key_keeps_bool_and_float_apart(tmp_path, capsys,
     # tensor 2 lists [[1,2,"1"]] first, so the reader has shared that
     # factor by tensor 10; true, 1.0 and 2.0 equal 1 and 2 in Python,
     # but a list holding them is no valid factor
-    obj = certificate_to_json(gl_certificate(2))
+    obj = certificate_json(gl_certificate(2))
     assert obj["tensors"][2]["u"] == [[1, 2, "1"]]
     obj["tensors"][10]["v"] = [entry]
     path = tmp_path / "cert.json"
-    path.write_text(dumps_canonical(obj))
+    path.write_text(json.dumps(obj))
     assert main(["cert-verify", str(path), "--json"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -288,7 +299,7 @@ def test_shared_factor_key_keeps_bool_and_float_apart(tmp_path, capsys,
     ([], "entry list must be nonempty"),
 ])
 def test_repeated_bad_factor_names_its_first_tensor(entries, message):
-    obj = certificate_to_json(gl_certificate(2))
+    obj = certificate_json(gl_certificate(2))
     for idx, name in ((9, "u"), (3, "v"), (6, "u"), (3, "u")):
         obj["tensors"][idx][name] = [list(e) for e in entries]
     assert format_error(obj) == f"tensor 3 factor u: {message}"
@@ -296,7 +307,7 @@ def test_repeated_bad_factor_names_its_first_tensor(entries, message):
 
 def test_repeated_factor_outside_the_algebra_names_its_first_tensor():
     # (1,1) is not a position of the one-step ladder {(2,2)} on 3
-    obj = certificate_to_json(assemble_one_step_certificate(3, 2, 2))
+    obj = certificate_json(assemble_one_step_certificate(3, 2, 2))
     for idx, name in ((5, "u"), (2, "v"), (4, "u")):
         obj["tensors"][idx][name] = [[1, 1, "1"]]
     cert = certificate_from_json(obj)
@@ -345,8 +356,7 @@ def test_read_leaves_the_garbage_collector_as_it_was(tmp_path, collecting):
 
 
 def spliced_and_plain(cert):
-    return certificate_bytes(cert), \
-        dumps_canonical(certificate_to_json(cert)).encode("utf-8")
+    return certificate_bytes(cert), reference_certificate_bytes(cert)
 
 
 FIELDS = [QQ, PrimeField(2), PrimeField(101)]

@@ -11,7 +11,7 @@ import time
 import pytest
 
 import ladderzpd
-from ladderzpd.certio import dumps_canonical, read_certificate
+from ladderzpd.certio import read_certificate
 from ladderzpd.cli import main
 
 
@@ -242,7 +242,7 @@ def test_cert_verify_rejects_tampered_file(capsys, tmp_path):
     # swap one factor for a non-commuting partner; counts stay consistent
     obj["tensors"][0]["u"] = [[2, 2, "1"]]
     obj["tensors"][0]["v"] = [[2, 3, "1"]]
-    path.write_text(dumps_canonical(obj))
+    path.write_text(json.dumps(obj))
     code, out, _ = run(capsys, "cert-verify", str(path))
     assert code == 1
     assert "failed-kernel-membership" in out
@@ -252,7 +252,7 @@ def test_cert_verify_rejects_tampered_file(capsys, tmp_path):
     for fam in obj["families"]:
         if fam["label"] == dropped:
             fam["count"] -= 1
-    path.write_text(dumps_canonical(obj))
+    path.write_text(json.dumps(obj))
     code, out, _ = run(capsys, "cert-verify", str(path))
     assert code == 1
     assert "failed-span" in out
@@ -273,7 +273,7 @@ def test_cert_verify_rejects_family_label_mismatch(capsys, tmp_path):
     duplicated["families"] = [{"label": "gl", "count": 13},
                               {"label": "gl", "count": 0}]
     for obj, why in ((relabelled, "'bogus'"), (duplicated, "more than once")):
-        path.write_text(dumps_canonical(obj))
+        path.write_text(json.dumps(obj))
         code, out, err = run(capsys, "cert-verify", str(path))
         assert code == 2
         assert out == ""
@@ -298,7 +298,7 @@ def test_cert_verify_rejects_factor_outside_the_ladder(capsys, tmp_path):
                "--out", str(path))[0] == 0
     obj = json.loads(path.read_bytes())
     obj["tensors"][5]["v"] = [[3, 1, "1"]]
-    path.write_text(dumps_canonical(obj))
+    path.write_text(json.dumps(obj))
     code, out, err = run(capsys, "cert-verify", str(path))
     assert code == 2
     assert out == ""
@@ -331,7 +331,7 @@ def test_cert_verify_rejects_algebra_over_size_cap(tmp_path, algebra):
     # before mu (its nonzero columns, up to 2n per basis element) or
     # even the position set is built
     path = tmp_path / "huge.json"
-    path.write_text(dumps_canonical({
+    path.write_text(json.dumps({
         "format_version": 1, "algebra": algebra,
         "field": {"kind": "rational"}, "kernel_dim": 0,
         "families": [{"label": "x", "count": 1}],
@@ -362,7 +362,7 @@ def test_cert_verify_at_the_size_cap_ends_cheaply(tmp_path, algebra, col):
     # interpreter starts the command and reports its os.wait4 ru_maxrss
     # (KiB); the peak is the command's own, not this test process's
     path = tmp_path / "cap.json"
-    path.write_text(dumps_canonical({
+    path.write_text(json.dumps({
         "format_version": 1, "algebra": algebra,
         "field": {"kind": "rational"}, "kernel_dim": 0,
         "families": [{"label": "x", "count": 1}],

@@ -8,14 +8,15 @@ immutability, int coercion and mismatch checks are pinned here too.
 
 from __future__ import annotations
 
+import json
 import random
 from fractions import Fraction
 
 import pytest
 
 from ladderzpd.certificates import gl_certificate
-from ladderzpd.certio import (CertificateFormatError, certificate_to_json,
-                              dumps_canonical, read_certificate)
+from ladderzpd.certio import (CertificateFormatError, certificate_bytes,
+                              read_certificate)
 from ladderzpd.fields import (DEFAULT_PRIME, FieldMismatchError, PrimeField,
                               QQ, RationalField)
 from ladderzpd.ladders import BlockProfile
@@ -214,18 +215,18 @@ def test_prime_field_factors_hold_residues(tmp_path):
         return [x for t in cert.tensors for x in (t.u, t.v)]
 
     f101 = PrimeField(101)
-    obj = certificate_to_json(gl_certificate(2, f101))
+    obj = json.loads(certificate_bytes(gl_certificate(2, f101)))
     texts = {(1, 1): "-1", (1, 2): "102", (2, 1): "+3"}
     obj["tensors"][0]["u"] = [[i, j, t] for (i, j), t in texts.items()]
     path = tmp_path / "cert.json"
-    path.write_text(dumps_canonical(obj))
+    path.write_text(json.dumps(obj))
     read = read_certificate(str(path))
     assert read.tensors[0].u.entries == {(1, 1): 100, (1, 2): 1, (2, 1): 3}
     assert_residues(factors(read), 101)
 
     for text in ("101", "0"):
         obj["tensors"][2]["v"] = [[2, 2, text]]
-        path.write_text(dumps_canonical(obj))
+        path.write_text(json.dumps(obj))
         with pytest.raises(CertificateFormatError) as exc:
             read_certificate(str(path))
         assert str(exc.value) == ("tensor 2 factor v: stored entry at "

@@ -274,7 +274,8 @@ def test_families_share_one_factor_per_entry_map():
     # each distinct factor is one object, carried by every tensor that
     # has it, so the writer and the verifier work once per factor
     p = BlockProfile(2, 3, 2)
-    for tensors in (pairing_families(p), explicit_families(p)):
+    abelian = assemble_one_step_certificate(6, 2, 5).tensors  # d = 4
+    for tensors in (pairing_families(p), explicit_families(p), abelian):
         factors = [x for t in tensors for x in (t.u, t.v)]
         distinct = {frozenset(x.entries.items()) for x in factors}
         assert len({id(x) for x in factors}) == len(distinct)

@@ -28,8 +28,7 @@ from ladderzpd.certificates import (COUNT_MISMATCH, FAILED_KERNEL_MEMBERSHIP,
                                     FAILED_SPAN, PROVEN_ZPD, Certificate,
                                     algebra_space, gl_certificate,
                                     verify_certificate)
-from ladderzpd.certio import (certificate_bytes, certificate_from_json,
-                              certificate_to_json)
+from ladderzpd.certio import certificate_bytes, certificate_from_json
 from ladderzpd.elim import integer_coords
 from ladderzpd.fields import PrimeField, QQ
 from ladderzpd.matrices import SparseMatrix
@@ -198,8 +197,8 @@ def test_shared_factors_verify_like_unshared_copies(field_name, defect):
     # a read certificate shares one factor object per distinct entry
     # list; the verifier's per-object results must give the report an
     # unshared copy gets, defects included
-    obj = certificate_to_json(base_certificate(("one-step", 5, 3, 2),
-                                               field_name))
+    obj = json.loads(certificate_bytes(
+        base_certificate(("one-step", 5, 3, 2), field_name)))
     cert = certificate_from_json(damaged(obj, defect, 17))
     slots = [x for t in cert.tensors for x in (t.u, t.v)]
     assert len({id(x) for x in slots}) < len(slots)
