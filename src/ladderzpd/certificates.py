@@ -155,8 +155,9 @@ def verify_certificate(cert: Certificate) -> VerificationReport:
         basis, not a multiset.
     All three hold iff the verdict is proven-zpd.
 
-    All of it runs on plain ints, in one pass over the tensors, with
-    each factor object prepared once however many tensors share it.
+    All of it runs on plain ints, in one pass over the tensors and a
+    second over the rows that are not unit rows (below), with each
+    factor object prepared once however many tensors share it.
     Its entries are scaled by integer_coords: over Q by the lcm of
     their denominators, over F_p not at all (the residues).  Scaling u
     by a > 0 and v by b > 0 scales u (x) v and [u, v] by ab != 0, so
@@ -167,11 +168,26 @@ def verify_certificate(cert: Certificate) -> VerificationReport:
       - the direct route adds each product of xy and subtracts each of
         yx in one dict, from the entries of one factor and the rows of
         the other, and never reads the product table;
-      - one integer row, the outer product of the coordinates at
-        column s*d + t, goes to the span echelon, which reduces its
-        unreduced products of residues mod p; as each entry is made,
-        mu's +-1 column s*d + t is added into the mu route's image.
+      - for each product c = a*b of coordinates (s, a) of u and (t, b)
+        of v, c times mu's +-1 column s*d + t is added into the mu
+        route's image.
     Over F_p both zero tests are mod p.
+
+    The span row of u (x) v is the outer product of the coordinates,
+    a*b at column s*d + t.  An elementary pair, u and v with one
+    coordinate each, has a unit row: its one entry is a product of
+    nonzero ints over Q, and of residues in [1, p) over F_p with p
+    prime, so it is never 0.  Its column is marked in a mask, and the
+    distinct marked columns are counted.  Every other row is inserted
+    into the span echelon after the pass, with the marked columns
+    deleted, and span rank = #marked + rank of those masked rows.
+    Proof: the unit rows span exactly {e_c : c in C}, for C the set of
+    marked columns.  Taking the quotient by that span deletes the
+    columns in C, so the rank of all rows is |C| plus the rank of the
+    other rows with the columns in C deleted.  The mask must be whole
+    before any row is masked: a partial one counts 3 for the rows
+    e_c + e_c', e_c, e_c' in that order, whose rank is 2.  The echelon
+    reduces the unreduced products of residues mod p.
 
     A factor outside the algebra makes the certificate a claim about
     some other algebra, not a failed one about this algebra: it raises
@@ -188,8 +204,8 @@ def verify_certificate(cert: Certificate) -> VerificationReport:
     # id of a factor -> its scaled entries (i, j, x_ij), the same by row
     # i -> [(j, x_ij)], and its coordinate pairs (s, a).  The tensors
     # keep every factor alive, so no id is reused meanwhile.
-    Prepared = Tuple[List[Tuple[int, int, int]],
-                     Dict[int, List[Tuple[int, int]]], List[Tuple[int, int]]]
+    Pairs = List[Tuple[int, int]]
+    Prepared = Tuple[List[Tuple[int, int, int]], Dict[int, Pairs], Pairs]
     prepared: Dict[int, Prepared] = {}
 
     def prepare(factor: SparseMatrix, idx: int, name: str) -> Prepared:
@@ -201,7 +217,7 @@ def verify_certificate(cert: Certificate) -> VerificationReport:
         except MembershipError as exc:
             raise MembershipError(
                 f"tensor {idx} factor {name}: {exc}") from None
-        rows: Dict[int, List[Tuple[int, int]]] = {}
+        rows: Dict[int, Pairs] = {}
         for (i, j), c in x.items():
             rows.setdefault(i, []).append((j, c))
         got = prepared[id(factor)] = (
@@ -209,6 +225,9 @@ def verify_certificate(cert: Certificate) -> VerificationReport:
             list(coords.items()))
         return got
 
+    marked = bytearray(d * d)  # 1 at the column of each unit row
+    units = 0  # the number of marked columns
+    dense: List[Tuple[Pairs, Pairs]] = []  # the other rows' coordinates
     first_bad: Optional[int] = None
     for idx, t in enumerate(cert.tensors):
         x, x_rows, ucoords = prepared.get(id(t.u)) or prepare(t.u, idx, "u")
@@ -220,12 +239,11 @@ def verify_certificate(cert: Certificate) -> VerificationReport:
         for i, k, b in y:
             for j, a in x_rows.get(k, ()):
                 bracket[i, j] = bracket.get((i, j), 0) - b * a
-        row: IntRow = {}
         image: IntRow = {}
         for s, a in ucoords:
-            sd, by_t = s * d, columns[s]
+            by_t = columns[s]
             for k, b in vcoords:
-                row[sd + k] = c = a * b
+                c = a * b
                 for r, e in by_t.get(k, ()):
                     image[r] = image.get(r, 0) + c * e
         if p:
@@ -239,8 +257,21 @@ def verify_certificate(cert: Certificate) -> VerificationReport:
                 f"differ for {t!r}")
         if not direct and first_bad is None:
             first_bad = idx
+        if len(ucoords) == 1 and len(vcoords) == 1:
+            col = ucoords[0][0] * d + vcoords[0][0]
+            if not marked[col]:
+                marked[col] = 1
+                units += 1
+        else:
+            dense.append((ucoords, vcoords))
+    for ucoords, vcoords in dense:
+        row: IntRow = {}
+        for s, a in ucoords:
+            for k, b in vcoords:
+                if not marked[col := s * d + k]:
+                    row[col] = a * b
         ech.insert(row)
-    span_rank = ech.rank
+    span_rank = units + ech.rank
     count = len(cert.tensors)
     if first_bad is not None:
         verdict = FAILED_KERNEL_MEMBERSHIP

@@ -21,6 +21,7 @@ from ladderzpd.elim import IncrementalEchelon, integer_coords
 from ladderzpd.fields import PrimeField, QQ
 from ladderzpd.ladders import Ladder, enumerate_ladders
 from ladderzpd.matrices import SparseMatrix, elementary
+from ladderzpd.onestep import assemble_one_step_certificate
 from ladderzpd.tensors import (ClosureError, MembershipError, RankOneTensor,
                                TensorSpace, build_mu)
 
@@ -401,6 +402,56 @@ def test_tamper_duplicate_fails_count():
     assert report.verdict == COUNT_MISMATCH
     assert report.span_rank == report.kernel_dim == 13
     assert report.tensor_count == 14
+
+
+def is_pair(t) -> bool:
+    return len(t.u.entries) == len(t.v.entries) == 1
+
+
+def unit_column_tampers(cert):
+    """Tampered tensor lists for the verifier's unit-column mask, with
+    family counts kept in step: an elementary pair duplicated or
+    deleted; (e_11 + e_22) (x) e_12 added, which commutes; and e_12 (x)
+    (e_12 + e_13) added last or first, a commuting tensor whose row lies
+    on the columns of two elementary pairs of the certificate."""
+    tensors, field = cert.tensors, cert.field
+    n = cert.algebra.get("m") or cert.algebra["n"]
+    pairs = [i for i, t in enumerate(tensors) if is_pair(t)]
+    i = pairs[len(pairs) // 2]
+    columns = {(*t.u.entries, *t.v.entries) for t in tensors if is_pair(t)}
+    assert {((1, 2), (1, 2)), ((1, 2), (1, 3))} <= columns
+    diagonal = SparseMatrix(n, field, {(1, 1): field.one, (2, 2): field.one})
+    on_units = RankOneTensor(
+        elementary(n, 1, 2, field),
+        SparseMatrix(n, field, {(1, 2): field.one, (1, 3): field.one}),
+        tensors[0].label)
+    added = RankOneTensor(diagonal, elementary(n, 1, 2, field),
+                          tensors[0].label)
+    return {"duplicated": tensors[:i + 1] + tensors[i:],
+            "deleted": tensors[:i] + tensors[i + 1:],
+            "diagonal added": tensors + [added],
+            "on units, last": tensors + [on_units],
+            "on units, first": [on_units] + tensors}
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(2), PrimeField(101)])
+@pytest.mark.parametrize("build, kdim", [
+    (lambda field: gl_certificate(3, field), 73),
+    (lambda field: assemble_one_step_certificate(5, 3, 1, field=field), 211),
+], ids=["gl_3", "one-step n=5 (3,1)"])
+def test_unit_column_mask_tamper_pins(build, kdim, field):
+    # reports recorded before the verifier masked unit columns; a count
+    # of marks without deduplication, dense rows left unmasked, or
+    # dense rows masked as they arrive each breaks one of them
+    cert = build(field)
+    expected = {"deleted": (kdim, kdim - 1, kdim - 1, None, FAILED_SPAN)}
+    for name, tensors in unit_column_tampers(cert).items():
+        report = verify_certificate(Certificate(
+            cert.algebra, field, cert.kernel_dim,
+            [(label, sum(t.label == label for t in tensors))
+             for label, _ in cert.families], tensors))
+        assert tuple(report) == expected.get(
+            name, (kdim, kdim + 1, kdim, None, COUNT_MISMATCH)), name
 
 
 @pytest.mark.parametrize("factor", [elementary(2, 1, 1, PrimeField(101)),

@@ -35,8 +35,8 @@ from ladderzpd.matrices import SparseMatrix
 from ladderzpd.onestep import assemble_one_step_certificate
 from ladderzpd.tensors import RankOneTensor, build_mu
 
-from oracles import (entry_product, flat_columns, rows_of, scaled,
-                     verify_by_field_coords)
+from oracles import (entry_product, flat_columns, lift, naive_rank, rows_of,
+                     scaled, tensor_coords, verify_by_field_coords)
 
 FIELDS = {"QQ": QQ, "F2": PrimeField(2), "F101": PrimeField(101)}
 ALGEBRAS = ([("gl", 2), ("gl", 3)]
@@ -73,8 +73,8 @@ def nonzero_scalar(rng, field):
     return field.from_int(rng.randrange(1, field.p))
 
 
-def random_member(rng, space):
-    terms = rng.sample(space.positions, rng.randint(1, min(3, space.d)))
+def random_member(rng, space, least=1):
+    terms = rng.sample(space.positions, rng.randint(least, min(3, space.d)))
     return SparseMatrix(space.n, space.field, {
         pos: nonzero_scalar(rng, space.field) for pos in terms})
 
@@ -280,3 +280,62 @@ def test_noncommuting_pair_whose_products_cancel_in_part(field_name):
         assert report == verify_by_field_coords(tampered)
         assert report.verdict == FAILED_KERNEL_MEMBERSHIP
         assert report.first_noncommuting == idx
+
+
+def insert_in_order(rng, tensors, segment):
+    """Insert the segment's tensors at random places, in their order."""
+    at = rng.randint(0, len(tensors))
+    for t in segment:
+        tensors.insert(at, t)
+        at = rng.randint(at + 1, len(tensors))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(ALGEBRAS), st.sampled_from(sorted(FIELDS)),
+       st.randoms(use_true_random=False))
+def test_span_rank_matches_dense_elimination(algebra, field_name, rng):
+    # random certificates mixing elementary pairs (unit rows, counted by
+    # the verifier's column mask) and tensors with several entries per
+    # factor (dense rows, masked and eliminated), with the cases the
+    # mask must get right forced in
+    cert = base_certificate(algebra, field_name)
+    field = cert.field
+    space = algebra_space(cert.algebra, field)
+    label = cert.tensors[0].label
+
+    def pair(s, k):
+        return RankOneTensor(
+            scaled(space.basis_matrix(s), nonzero_scalar(rng, field)),
+            scaled(space.basis_matrix(k), nonzero_scalar(rng, field)), label)
+
+    tensors = rng.sample(cert.tensors, min(len(cert.tensors), 6))
+    tensors += [RankOneTensor(random_member(rng, space),
+                              random_member(rng, space), label)
+                for _ in range(rng.randint(0, 6))]
+    rng.shuffle(tensors)
+    s, k = rng.randrange(space.d), rng.randrange(space.d)
+    insert_in_order(rng, tensors, [pair(s, k), pair(s, k)])
+    if space.d > 1:
+        u, v = random_member(rng, space, 2), random_member(rng, space)
+        us = sorted(space.index_of[pos] for pos in u.entries)
+        vs = sorted(space.index_of[pos] for pos in v.entries)
+        dense = RankOneTensor(u, v, label)
+        # a unit row after a dense row with the same leading column
+        insert_in_order(rng, tensors, [dense, pair(us[0], vs[0])])
+        # a dense row wholly on unit columns, before or after them
+        for s in us:
+            for k in vs:
+                insert_in_order(rng, tensors, [pair(s, k)])
+        insert_in_order(rng, tensors, [dense])
+    tampered = rebuilt(cert, tensors)
+
+    columns = sorted({c for t in tensors for c in tensor_coords(t, space)})
+    zero = lift(field.zero, field)
+    rows = []
+    for t in tensors:
+        coords = tensor_coords(t, space)
+        rows.append([lift(coords[c], field) if c in coords else zero
+                     for c in columns])
+    report = verify_certificate(tampered)
+    assert report.span_rank == naive_rank(rows)
+    assert report == verify_by_field_coords(tampered)
