@@ -443,3 +443,77 @@ def test_unprovable_prime_modulus_exits_2(capsys):
                        "--prime", str(2**89 - 1))
     assert code == 2
     assert "too large" in err
+
+
+# the d = 168 one-step certificate (n = 24, step (12,11), blocks
+# (10, 2, 12)) and tampered copies of it, each written in canonical
+# form as the package writes files
+D168_KDIM = 168 * 168 - 168 + 1
+
+
+@pytest.fixture(scope="module")
+def d168_certificate(tmp_path_factory):
+    path = tmp_path_factory.mktemp("d168") / "valid.json"
+    assert main(["zpd-assemble", "--n", "24", "--step", "12,11",
+                 "--out", str(path)]) == 0
+    return path
+
+
+def d168_tampered(valid, kind, index, path):
+    obj = json.loads(valid.read_bytes())
+    tensors = obj["tensors"]
+    label = tensors[index]["family"]
+    delta = {"deleted": -1, "duplicated": 1, "replaced": 0}[kind]
+    if kind == "deleted":
+        del tensors[index]
+    elif kind == "duplicated":
+        tensors.insert(index + 1, tensors[index])
+    else:
+        # [e_11,11, e_11,12] = e_11,12 != 0, both in the position set
+        tensors[index] = {"family": label, "u": [[11, 11, "1"]],
+                          "v": [[11, 12, "1"]]}
+    for fam in obj["families"]:
+        if fam["label"] == label:
+            fam["count"] += delta
+    path.write_text(json.dumps(obj, sort_keys=True, separators=(",", ":"))
+                    + "\n")
+    return path
+
+
+@pytest.mark.parametrize("kind, index, code, report", [
+    ("valid", None, 0, (D168_KDIM, D168_KDIM, None, "proven-zpd")),
+    # tensors 0, 14001 and 9090 are elementary pairs, 26899 and 28056
+    # are not
+    ("deleted", 0, 1, (D168_KDIM - 1, D168_KDIM - 1, None, "failed-span")),
+    ("deleted", 28056, 1, (D168_KDIM - 1, D168_KDIM - 1, None,
+                           "failed-span")),
+    ("duplicated", 14001, 1, (D168_KDIM + 1, D168_KDIM, None,
+                              "count-mismatch")),
+    ("duplicated", 26899, 1, (D168_KDIM + 1, D168_KDIM, None,
+                              "count-mismatch")),
+    ("replaced", 9090, 1, (D168_KDIM, D168_KDIM, 9090,
+                           "failed-kernel-membership")),
+    ("replaced", 28056, 1, (D168_KDIM, D168_KDIM, 28056,
+                            "failed-kernel-membership")),
+])
+def test_cert_verify_d168_tamper_corpus(capsys, tmp_path, d168_certificate,
+                                        kind, index, code, report):
+    # stdout, stderr and exit code pinned, with and without --json
+    path = d168_certificate
+    if kind != "valid":
+        path = d168_tampered(path, kind, index, tmp_path / f"{kind}.json")
+    count, rank, first, verdict = report
+    if code == 0:
+        text = f"{count} = {rank} = {D168_KDIM} {verdict}\n"
+    else:
+        text = (f"{count} tensors, span rank {rank}, kernel dim "
+                f"{D168_KDIM}: {verdict}")
+        if first is not None:
+            text += f" (first non-commuting tensor at index {first})"
+        text += "\n"
+    assert run(capsys, "cert-verify", str(path)) == (code, text, "")
+    assert run(capsys, "cert-verify", str(path), "--json") == (
+        code, json.dumps({"first_noncommuting": first,
+                          "kernel_dim": D168_KDIM, "span_rank": rank,
+                          "tensor_count": count, "verdict": verdict})
+        + "\n", "")
