@@ -164,7 +164,7 @@ def verify_certificate(cert: Certificate) -> VerificationReport:
     kernel membership, the span rank and the count are unchanged.  The
     scaled entries are kept as a list and grouped by row, and their
     basis indices give the coordinates, kept as (s, a) pairs.  Per
-    tensor:
+    tensor that is not an elementary pair (below):
       - the direct route adds each product of xy and subtracts each of
         yx in one dict, from the entries of one factor and the rows of
         the other, and never reads the product table;
@@ -173,11 +173,22 @@ def verify_certificate(cert: Certificate) -> VerificationReport:
         route's image.
     Over F_p both zero tests are mod p.
 
+    An elementary pair u (x) v, u = a e_ij and v = b e_kl with one
+    coordinate each, (s, a) and (t, b), takes neither dict.  Here ab is a
+    product of nonzero ints over Q, and of residues in [1, p) over F_p
+    with p prime, so ab != 0 in the field.  Directly,
+    [u, v] = ab (delta_jk e_il - delta_li e_kj), which is 0 iff
+    (j != k and l != i) or i == j == k == l: with j = k and l = i it is
+    ab (e_ii - e_jj), and otherwise at most one term is left.  Via mu,
+    the image is ab times column s*d + t, which is 0 iff that column is
+    not stored: products never yields two triples with the same (t, a)
+    for b_s, so a stored column has distinct rows, each +-1, and is
+    nonzero over Q and mod every p.  So the index test and
+    "t not in columns[s]" decide membership, and must agree.
+
     The span row of u (x) v is the outer product of the coordinates,
-    a*b at column s*d + t.  An elementary pair, u and v with one
-    coordinate each, has a unit row: its one entry is a product of
-    nonzero ints over Q, and of residues in [1, p) over F_p with p
-    prime, so it is never 0.  Its column is marked in a mask, and the
+    a*b at column s*d + t.  An elementary pair has a unit row: its one
+    entry is ab != 0.  Its column is marked in a mask, and the
     distinct marked columns are counted.  Every other row is inserted
     into the span echelon after the pass, with the marked columns
     deleted, and span rank = #marked + rank of those masked rows.
@@ -202,10 +213,12 @@ def verify_certificate(cert: Certificate) -> VerificationReport:
     mod_p = p.__rmod__  # c -> c % p, for p > 0
 
     # id of a factor -> its scaled entries (i, j, x_ij), the same by row
-    # i -> [(j, x_ij)], and its coordinate pairs (s, a).  The tensors
-    # keep every factor alive, so no id is reused meanwhile.
+    # i -> [(j, x_ij)], its coordinate pairs (s, a), and (i, j, s) for
+    # a factor with one entry, else None.  The tensors keep every
+    # factor alive, so no id is reused meanwhile.
     Pairs = List[Tuple[int, int]]
-    Prepared = Tuple[List[Tuple[int, int, int]], Dict[int, Pairs], Pairs]
+    Prepared = Tuple[List[Tuple[int, int, int]], Dict[int, Pairs], Pairs,
+                     Optional[Tuple[int, int, int]]]
     prepared: Dict[int, Prepared] = {}
 
     def prepare(factor: SparseMatrix, idx: int, name: str) -> Prepared:
@@ -220,9 +233,13 @@ def verify_certificate(cert: Certificate) -> VerificationReport:
         rows: Dict[int, Pairs] = {}
         for (i, j), c in x.items():
             rows.setdefault(i, []).append((j, c))
-        got = prepared[id(factor)] = (
-            [(i, j, c) for (i, j), c in x.items()], rows,
-            list(coords.items()))
+        entries = [(i, j, c) for (i, j), c in x.items()]
+        pairs = list(coords.items())
+        unit = None
+        if len(pairs) == 1:
+            (i, j, _), = entries
+            unit = i, j, pairs[0][0]
+        got = prepared[id(factor)] = entries, rows, pairs, unit
         return got
 
     marked = bytearray(d * d)  # 1 at the column of each unit row
@@ -230,40 +247,47 @@ def verify_certificate(cert: Certificate) -> VerificationReport:
     dense: List[Tuple[Pairs, Pairs]] = []  # the other rows' coordinates
     first_bad: Optional[int] = None
     for idx, t in enumerate(cert.tensors):
-        x, x_rows, ucoords = prepared.get(id(t.u)) or prepare(t.u, idx, "u")
-        y, y_rows, vcoords = prepared.get(id(t.v)) or prepare(t.v, idx, "v")
-        bracket: Dict[Tuple[int, int], int] = {}
-        for i, k, a in x:
-            for j, b in y_rows.get(k, ()):
-                bracket[i, j] = bracket.get((i, j), 0) + a * b
-        for i, k, b in y:
-            for j, a in x_rows.get(k, ()):
-                bracket[i, j] = bracket.get((i, j), 0) - b * a
-        image: IntRow = {}
-        for s, a in ucoords:
-            by_t = columns[s]
-            for k, b in vcoords:
-                c = a * b
-                for r, e in by_t.get(k, ()):
-                    image[r] = image.get(r, 0) + c * e
-        if p:
-            direct = not bracket or not any(map(mod_p, bracket.values()))
-            via_mu = not image or not any(map(mod_p, image.values()))
+        x, x_rows, ucoords, uunit = (prepared.get(id(t.u))
+                                     or prepare(t.u, idx, "u"))
+        y, y_rows, vcoords, vunit = (prepared.get(id(t.v))
+                                     or prepare(t.v, idx, "v"))
+        if uunit and vunit:
+            i, j, s = uunit
+            k, l, q = vunit
+            direct = (j != k and l != i) or i == j == k == l
+            via_mu = q not in columns[s]
+            col = s * d + q
+            if not marked[col]:
+                marked[col] = 1
+                units += 1
         else:
-            direct, via_mu = not any(bracket.values()), not any(image.values())
+            bracket: Dict[Tuple[int, int], int] = {}
+            for i, k, a in x:
+                for j, b in y_rows.get(k, ()):
+                    bracket[i, j] = bracket.get((i, j), 0) + a * b
+            for i, k, b in y:
+                for j, a in x_rows.get(k, ()):
+                    bracket[i, j] = bracket.get((i, j), 0) - b * a
+            image: IntRow = {}
+            for s, a in ucoords:
+                by_t = columns[s]
+                for k, b in vcoords:
+                    c = a * b
+                    for r, e in by_t.get(k, ()):
+                        image[r] = image.get(r, 0) + c * e
+            if p:
+                direct = not bracket or not any(map(mod_p, bracket.values()))
+                via_mu = not image or not any(map(mod_p, image.values()))
+            else:
+                direct = not any(bracket.values())
+                via_mu = not any(image.values())
+            dense.append((ucoords, vcoords))
         if direct != via_mu:
             raise AssertionError(
                 "mu routes disagree: direct product and coordinate image "
                 f"differ for {t!r}")
         if not direct and first_bad is None:
             first_bad = idx
-        if len(ucoords) == 1 and len(vcoords) == 1:
-            col = ucoords[0][0] * d + vcoords[0][0]
-            if not marked[col]:
-                marked[col] = 1
-                units += 1
-        else:
-            dense.append((ucoords, vcoords))
     for ucoords, vcoords in dense:
         row: IntRow = {}
         for s, a in ucoords:

@@ -16,13 +16,22 @@ that carries it.
 A one-step certificate with about d^2 tensors has only about d
 distinct factors.  So no caller may mutate a factor: the change would
 show in every tensor that shares it.
+
+The reader has two paths and one result.  A file in the writer's
+canonical form is read by its text: one pattern cuts out each tensor's
+label and entry-list texts, and each distinct text is decoded and
+checked once, with no JSON tree built (_canonical_certificate proves
+that this gives what the full parse gives).  Any other file, and any
+file whose text path meets an error, goes through json.loads and
+certificate_from_json, the one source of format errors.
 """
 
 from __future__ import annotations
 
 import gc
 import json
-from typing import Dict, Tuple
+import re
+from typing import Dict, List, Optional, Tuple
 
 from .certificates import Certificate
 from .fields import Field, PrimeField, QQ, RationalField
@@ -141,15 +150,10 @@ def _algebra_from_json(obj) -> Tuple[dict, int]:
     raise CertificateFormatError(f"unknown algebra kind: {kind!r}")
 
 
-def certificate_from_json(obj) -> Certificate:
-    if not isinstance(obj, dict):
-        raise CertificateFormatError("certificate must be a JSON object")
-    if set(obj) != _TOP_KEYS:
-        missing = _TOP_KEYS - set(obj)
-        extra = set(obj) - _TOP_KEYS
-        raise CertificateFormatError(
-            f"certificate keys wrong: missing {sorted(missing)}, "
-            f"unexpected {sorted(extra)}")
+def _head_from_json(obj: dict) -> Tuple[dict, int, Field, int,
+                                        List[Tuple[str, int]]]:
+    """The algebra, n, field, kernel_dim and families of a certificate
+    object, every one checked."""
     # True and 1.0 equal 1 in Python; the version must be the int
     if (not _is_int(obj["format_version"])
             or obj["format_version"] != FORMAT_VERSION):
@@ -171,6 +175,19 @@ def certificate_from_json(obj) -> Certificate:
             raise CertificateFormatError(
                 "each family must be {label: str, count: nonneg int}")
         families.append((fam["label"], fam["count"]))
+    return algebra, n, field, obj["kernel_dim"], families
+
+
+def certificate_from_json(obj) -> Certificate:
+    if not isinstance(obj, dict):
+        raise CertificateFormatError("certificate must be a JSON object")
+    if set(obj) != _TOP_KEYS:
+        missing = _TOP_KEYS - set(obj)
+        extra = set(obj) - _TOP_KEYS
+        raise CertificateFormatError(
+            f"certificate keys wrong: missing {sorted(missing)}, "
+            f"unexpected {sorted(extra)}")
+    algebra, n, field, kernel_dim, families = _head_from_json(obj)
     tensors_json = obj["tensors"]
     if not isinstance(tensors_json, list):
         raise CertificateFormatError("tensors must be a list")
@@ -203,10 +220,15 @@ def certificate_from_json(obj) -> Certificate:
             pair.append(mat)
         tensors.append(RankOneTensor(*pair, tj["family"]))
     try:
-        return Certificate(algebra, field, obj["kernel_dim"], families,
-                           tensors)
+        return Certificate(algebra, field, kernel_dim, families, tensors)
     except ValueError as exc:
         raise CertificateFormatError(str(exc)) from None
+
+
+def _factor_text(mat: SparseMatrix, field: Field) -> str:
+    """A factor's entry list as the file holds it."""
+    return _dumps_compact([[i, j, field.format(c)]
+                           for (i, j), c in sorted(mat.entries.items())])
 
 
 def certificate_bytes(cert: Certificate) -> bytes:
@@ -220,9 +242,7 @@ def certificate_bytes(cert: Certificate) -> bytes:
     text: Dict[int, str] = {}  # id of a factor object -> its entry list
 
     def encode(mat: SparseMatrix) -> str:
-        got = text[id(mat)] = _dumps_compact(
-            [[i, j, field.format(c)]
-             for (i, j), c in sorted(mat.entries.items())])
+        got = text[id(mat)] = _factor_text(mat, field)
         return got
 
     opening = {label: f'{{"family":{json.dumps(label)},"u":'
@@ -259,8 +279,103 @@ def write_certificate(cert: Certificate, path: str, *,
         fh.write(data)
 
 
+# one tensor of a canonical file, then a comma or the list's end: a
+# JSON string (the label) and two entry lists [[row,col,"scalar"],...],
+# which hold no braces and no "]]" before their end
+_ENTRY_LIST = rb'\[\[[^{}\]]*(?:\][^{}\]]+)*\]\]'
+_CANONICAL_TENSOR = re.compile(
+    rb'\{"family":("[^"\\]*(?:\\.[^"\\]*)*"),"u":(' + _ENTRY_LIST
+    + rb'),"v":(' + _ENTRY_LIST + rb')\}(?:,|\Z)')
+_TENSORS_KEY = b',"tensors":['
+
+
+def _canonical_certificate(raw: bytes) -> Optional[Certificate]:
+    """The certificate in a file in the writer's canonical form, read
+    without building the JSON tree; None for any other file.
+
+    The file must be H[:-1] + ',"tensors":[' + B + ']}\n', cut at the
+    first ',"tensors":['.  H must be the compact sorted-key JSON text
+    of its json.loads value, an object with the keys of a certificate
+    but "tensors".  B must be tiled by the matches of _CANONICAL_TENSOR
+    in it: they are disjoint, and only one can end at B's end without a
+    comma, so their lengths adding up to len(B) means that B is
+    T_1,...,T_k, each T_i {"family":L,"u":U,"v":V}.  Each distinct L
+    must be json.dumps of its json.loads value, a str; each distinct U
+    and V must pass _matrix_from_entries and be _factor_text of the
+    matrix it gives.  Then every piece is a JSON text of its value, so
+    the file is a JSON text, and as JSON's grammar is unambiguous,
+    json.loads of the file is H's object with "tensors" added, the list
+    of those tensors (H has no "tensors" key, so no key repeats).  The
+    head gets the same _head_from_json and every factor the same
+    _matrix_from_entries as in certificate_from_json, so the result
+    equals certificate_from_json(json.loads(raw)), factor sharing
+    included: equal canonical texts are equal entry lists.
+
+    Any deviation (whitespace, reordered or repeated keys, a scalar
+    such as "+3" or "1/1", an empty list) and any error return None.
+    The caller then runs the full parse, so every error message comes
+    from certificate_from_json.
+    """
+    try:
+        cut = raw.find(_TENSORS_KEY)
+        if cut < 0 or not raw.endswith(b"]}\n"):
+            return None
+        head_text = raw[:cut] + b"}"
+        head = json.loads(head_text)
+        if (not isinstance(head, dict)
+                or head.keys() != _TOP_KEYS - {"tensors"}
+                or _dumps_compact(head).encode("utf-8") != head_text):
+            return None
+        algebra, n, field, kernel_dim, families = _head_from_json(head)
+        start, end = cut + len(_TENSORS_KEY), len(raw) - 3
+        pieces = _CANONICAL_TENSOR.findall(raw, start, end)
+        if not pieces:
+            return None
+        labels, us, vs = zip(*pieces)
+        del pieces  # 83,233 tuples at n = 32, not needed any more
+        if (22 * len(labels) - 1 + sum(map(len, labels)) + sum(map(len, us))
+                + sum(map(len, vs))) != end - start:
+            return None
+        label_of: Dict[bytes, str] = {}
+        for quoted in set(labels):
+            label = json.loads(quoted)
+            if (not isinstance(label, str)
+                    or json.dumps(label).encode("utf-8") != quoted):
+                return None
+            label_of[quoted] = label
+        factor_of: Dict[bytes, SparseMatrix] = {}
+        for entries in set(us).union(vs):
+            mat = _matrix_from_entries(json.loads(entries), n, field, "factor")
+            if _factor_text(mat, field).encode("utf-8") != entries:
+                return None
+            factor_of[entries] = mat
+        tensors = list(map(RankOneTensor, map(factor_of.__getitem__, us),
+                           map(factor_of.__getitem__, vs),
+                           map(label_of.__getitem__, labels)))
+        return Certificate(algebra, field, kernel_dim, families, tensors)
+    except Exception:  # any error: the full parse says which
+        return None
+
+
+def _parsed_certificate(raw: bytes) -> Certificate:
+    """The certificate in a file's bytes, by json.loads and
+    certificate_from_json, or their error."""
+    try:
+        obj = json.loads(raw.decode("utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise CertificateFormatError(f"not valid JSON: {exc}") from None
+    except RecursionError:
+        raise CertificateFormatError(
+            "not valid JSON: nested too deeply to parse") from None
+    return certificate_from_json(obj)
+
+
 def read_certificate(path: str) -> Certificate:
     """The certificate in a file, every entry checked.
+
+    A file in the writer's canonical form is read by its text
+    (_canonical_certificate); any other file, and any file that text
+    reader turns down, by the full parse, which gives every error.
 
     The decoded JSON and the certificate built from it hold no
     reference cycles, yet they are about 10^6 new containers at n = 32.
@@ -273,14 +388,8 @@ def read_certificate(path: str) -> Certificate:
     collecting = gc.isenabled()
     gc.disable()
     try:
-        try:
-            obj = json.loads(raw.decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-            raise CertificateFormatError(f"not valid JSON: {exc}") from None
-        except RecursionError:
-            raise CertificateFormatError(
-                "not valid JSON: nested too deeply to parse") from None
-        return certificate_from_json(obj)
+        cert = _canonical_certificate(raw)
+        return cert if cert is not None else _parsed_certificate(raw)
     finally:
         if collecting:
             gc.enable()

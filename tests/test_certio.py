@@ -7,13 +7,14 @@ import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from ladderzpd.certificates import (Certificate, gl_certificate,
                                     verify_certificate)
-from ladderzpd.certio import (CertificateFormatError, certificate_bytes,
-                              certificate_from_json, field_from_json,
-                              field_to_json, read_certificate,
-                              write_certificate)
+from ladderzpd.certio import (CertificateFormatError, _canonical_certificate,
+                              certificate_bytes, certificate_from_json,
+                              field_from_json, field_to_json,
+                              read_certificate, write_certificate)
 from ladderzpd.cli import main
 from ladderzpd.fields import PrimeField, QQ
 from ladderzpd.matrices import SparseMatrix
@@ -335,19 +336,29 @@ def test_identical_entry_lists_share_one_factor(field):
 @pytest.mark.parametrize("collecting", [True, False])
 def test_read_leaves_the_garbage_collector_as_it_was(tmp_path, collecting):
     # the reader pauses the cyclic collector while it builds the
-    # certificate; every way out, errors included, restores it
+    # certificate; every way out, errors included, restores it, on the
+    # canonical text path and on the full parse after it
+    data = certificate_bytes(gl_certificate(2))
     good = tmp_path / "good.json"
-    write_certificate(gl_certificate(2), str(good), mark_unverified=True)
+    good.write_bytes(data)
+    respaced = tmp_path / "respaced.json"
+    respaced.write_text(json.dumps(json.loads(data)))
     bad_json = tmp_path / "bad.json"
     bad_json.write_bytes(b"{not json")
     bad_format = tmp_path / "format.json"
     bad_format.write_bytes(b'{"certificate": 1}\n')
+    bad_scalar = tmp_path / "scalar.json"
+    bad_scalar.write_bytes(data.replace(b'"1"]]', b'"1/0"]]', 1))
+    assert _canonical_certificate(good.read_bytes()) == gl_certificate(2)
+    for path in (respaced, bad_json, bad_format, bad_scalar):
+        assert _canonical_certificate(path.read_bytes()) is None
     was = gc.isenabled()
     try:
         (gc.enable if collecting else gc.disable)()
-        assert read_certificate(str(good)) == gl_certificate(2)
-        assert gc.isenabled() == collecting
-        for path in (bad_json, bad_format):
+        for path in (good, respaced):
+            assert read_certificate(str(path)) == gl_certificate(2)
+            assert gc.isenabled() == collecting
+        for path in (bad_json, bad_format, bad_scalar):
             with pytest.raises(CertificateFormatError):
                 read_certificate(str(path))
             assert gc.isenabled() == collecting
@@ -404,3 +415,206 @@ def test_writer_splices_shared_factors_and_escaped_labels():
     empty = Certificate(cert.algebra, QQ, 73, [("empty", 0)], [])
     spliced, plain = spliced_and_plain(empty)
     assert spliced == plain and spliced.endswith(b',"tensors":[]}\n')
+
+
+# The reader reads a file in canonical form by its text and anything
+# else by json.loads and certificate_from_json.  Both must give the same
+# certificate, or the same error, on every input.
+
+def full_parse(data: bytes):
+    """The certificate json.loads and certificate_from_json make of a
+    file, or the message of their error."""
+    try:
+        obj = json.loads(data.decode("utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError):
+        return "not valid JSON"
+    try:
+        return certificate_from_json(obj)
+    except CertificateFormatError as exc:
+        return str(exc)
+
+
+def sharing(cert):
+    """Which factor slots hold the same object: each slot's first slot."""
+    first = {}
+    return [first.setdefault(id(x), k) for k, x in enumerate(
+        x for t in cert.tensors for x in (t.u, t.v))]
+
+
+def assert_readers_agree(tmp_path, data: bytes, canonical: bool):
+    """read_certificate gives what the full parse gives, certificate or
+    error message; the text path is taken exactly when canonical."""
+    want = full_parse(data)
+    fast = _canonical_certificate(data)
+    assert (fast is not None) == canonical
+    if fast is not None:
+        assert isinstance(want, Certificate)
+        assert fast == want and sharing(fast) == sharing(want)
+    path = tmp_path / "cert.json"
+    path.write_bytes(data)
+    try:
+        got = read_certificate(str(path))
+    except CertificateFormatError as exc:
+        got = str(exc)
+        assert isinstance(want, str)
+        if want == "not valid JSON":
+            assert got.startswith("not valid JSON: ")
+            return
+    assert got == want
+    if isinstance(got, Certificate):
+        assert sharing(got) == sharing(want)
+
+
+def canonical_json(obj) -> bytes:
+    return (json.dumps(obj, sort_keys=True, separators=(",", ":"))
+            + "\n").encode("utf-8")
+
+
+@pytest.mark.parametrize("field", FIELDS)
+def test_text_reader_matches_full_parse_on_written_files(tmp_path, field):
+    certs = [gl_certificate(m, field) for m in range(1, 5)]
+    certs += [assemble_one_step_certificate(n, i1, j1, field=field)
+              for n in range(1, 6) for i1 in range(1, n + 1)
+              for j1 in range(1, n + 1)]
+    for cert in certs:
+        assert_readers_agree(tmp_path, certificate_bytes(cert), True)
+
+
+@pytest.mark.parametrize("field", FIELDS)
+def test_respaced_and_reordered_files_take_the_full_parse(tmp_path, field):
+    cert = assemble_one_step_certificate(4, 3, 2, field=field)
+    obj = json.loads(certificate_bytes(cert))
+    assert_readers_agree(tmp_path, json.dumps(obj).encode(), False)
+    assert_readers_agree(tmp_path, json.dumps(obj, indent=1).encode(),
+                         False)
+    assert_readers_agree(tmp_path, canonical_json(obj)[:-1], False)
+    assert_readers_agree(tmp_path, canonical_json(obj).replace(
+        b"\n", b"\r\n"), False)
+    # tensors first; then a tensor's keys in the order v, u, family
+    reordered = {"tensors": obj["tensors"]}
+    reordered.update((key, obj[key]) for key in obj if key != "tensors")
+    assert_readers_agree(tmp_path, json.dumps(
+        reordered, separators=(",", ":")).encode() + b"\n", False)
+    swapped = dict(obj, tensors=[{"v": t["v"], "u": t["u"],
+                                  "family": t["family"]}
+                                 for t in obj["tensors"]])
+    assert_readers_agree(tmp_path, json.dumps(
+        swapped, separators=(",", ":")).encode() + b"\n", False)
+    # a tensor's entries out of row-major order
+    data = certificate_bytes(cert)
+    w = next(t for t in obj["tensors"] if len(t["u"]) > 1)
+    listed = json.dumps(w["u"], separators=(",", ":")).encode()
+    flipped = json.dumps(w["u"][::-1], separators=(",", ":")).encode()
+    assert_readers_agree(tmp_path, data.replace(listed, flipped, 1), False)
+
+
+@pytest.mark.parametrize("text, canonical", [
+    ('"+3"', False), ('"1/1"', False), ('"03"', False), ('"-0"', False),
+    ('"2/4"', False), ('"6/4"', False), ('"3/2"', True), ('"-5"', True),
+    ('"1/0"', False), ('"x"', False),
+])
+def test_scalar_spellings(tmp_path, text, canonical):
+    # a scalar off its canonical text takes the full parse, which may
+    # accept it (+3, 1/1, 03) or reject it (1/0, -0)
+    data = certificate_bytes(gl_certificate(2))
+    assert data.count(b'"1"]]') > 1
+    assert_readers_agree(
+        tmp_path, data.replace(b'"1"]]', text.encode() + b"]]", 1),
+        canonical)
+
+
+@pytest.mark.parametrize("entry", ["[true,1,\"1\"]", "[1.0,1,\"1\"]",
+                                   "[1,1,1]", "[1,1,\"1\",0]",
+                                   "[1,1,null]", "[1,3,\"1\"]"])
+def test_entries_that_are_no_triple_of_ints_and_text(tmp_path, entry):
+    data = certificate_bytes(gl_certificate(2))
+    assert_readers_agree(
+        tmp_path, data.replace(b'[[1,1,"1"]]', b"[" + entry.encode() + b"]",
+                               1), False)
+
+
+def test_labels_with_braces_quotes_and_escapes(tmp_path):
+    shared = SparseMatrix(2, QQ, {(1, 1): Fraction(1)})
+    labels = ['"},{"family":', '},{"family":"x","u":[[1,1,"1"]]',
+              "caf\u00e9 \u2203", "back\\slash", "tab\t", ',"tensors":[',
+              "]}"]
+    tensors = [RankOneTensor(shared, shared, label) for label in labels]
+    cert = Certificate({"kind": "gl-lie", "m": 2}, QQ, 13,
+                       [(label, 1) for label in labels], tensors)
+    data = certificate_bytes(cert)
+    assert b'"caf\\u00e9 \\u2203"' in data
+    assert_readers_agree(tmp_path, data, True)
+    # the same labels as raw UTF-8 are valid JSON, but not canonical
+    obj = json.loads(data)
+    assert_readers_agree(tmp_path, json.dumps(
+        obj, sort_keys=True, separators=(",", ":"),
+        ensure_ascii=False).encode() + b"\n", False)
+    # an escape the writer does not use
+    assert_readers_agree(tmp_path, data.replace(b'"tab\\t"', b'"tab\\u0009"'),
+                         False)
+
+
+def test_head_with_a_second_tensors_key(tmp_path):
+    data = certificate_bytes(gl_certificate(2))
+    # a "tensors" key before the real one: json.loads keeps the last
+    for extra in (b'"tensors":[],', b'"tensors":[{"family":"gl"}],',
+                  b'"tensors":1,'):
+        assert_readers_agree(tmp_path, b"{" + extra + data[1:], False)
+    cut = data.index(b',"tensors":[')
+    assert_readers_agree(
+        tmp_path, data[:cut] + b',"tensors":[]' + data[cut:], False)
+    # and the real list, then one more "tensors" key after it
+    assert_readers_agree(tmp_path, data[:-2] + b',"tensors":[]}\n', False)
+
+
+def test_empty_and_truncated_tensor_lists(tmp_path):
+    cert = gl_certificate(2)
+    empty = Certificate(cert.algebra, QQ, 13, [("gl", 0)], [])
+    assert_readers_agree(tmp_path, certificate_bytes(empty), False)
+    data = certificate_bytes(cert)
+    assert_readers_agree(tmp_path, data.replace(b"]]}]}", b"]]},]}"), False)
+    assert_readers_agree(tmp_path, data.replace(b"]]}]}", b"]]}}]}"), False)
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.sampled_from(["QQ gl_2", "F2 one-step", "QQ scaled"]),
+       st.lists(st.tuples(st.sampled_from(["insert", "delete", "flip"]),
+                          st.integers(min_value=0),
+                          st.sampled_from(b'0123456789-/,:[]{}" tuvx\\')),
+                min_size=1, max_size=3))
+def test_byte_mutations_read_like_the_full_parse(tmp_path, name, edits):
+    # whatever the text path accepts, the full parse gives the same;
+    # whatever it turns down, the reader's answer is the full parse's
+    data = bytearray(MUTATION_SEEDS[name])
+    for kind, at, byte in edits:
+        at %= len(data) + (kind == "insert")
+        if kind == "insert":
+            data.insert(at, byte)
+        elif kind == "delete" and len(data) > 1:
+            del data[at % len(data)]
+        else:
+            data[at % len(data)] = byte
+    data = bytes(data)
+    want = full_parse(data)
+    fast = _canonical_certificate(data)
+    if fast is not None:
+        assert fast == want and sharing(fast) == sharing(want)
+    assert_readers_agree(tmp_path, data, fast is not None)
+
+
+def mutation_seed(name: str) -> bytes:
+    if name == "QQ gl_2":
+        return certificate_bytes(gl_certificate(2))
+    if name == "F2 one-step":
+        return certificate_bytes(
+            assemble_one_step_certificate(3, 2, 2, field=PrimeField(2)))
+    cert = gl_certificate(2)
+    return certificate_bytes(Certificate(
+        cert.algebra, QQ, cert.kernel_dim, cert.families,
+        [RankOneTensor(scaled(t.u, Fraction(-2, 3)), t.v, t.label)
+         for t in cert.tensors]))
+
+
+MUTATION_SEEDS = {name: mutation_seed(name)
+                  for name in ("QQ gl_2", "F2 one-step", "QQ scaled")}

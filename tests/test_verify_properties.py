@@ -35,8 +35,9 @@ from ladderzpd.matrices import SparseMatrix
 from ladderzpd.onestep import assemble_one_step_certificate
 from ladderzpd.tensors import RankOneTensor, build_mu
 
-from oracles import (entry_product, flat_columns, lift, naive_rank, rows_of,
-                     scaled, tensor_coords, verify_by_field_coords)
+from oracles import (apply_to_coords, bracket, entry_product, flat_columns,
+                     lift, naive_rank, rows_of, scaled, tensor_coords,
+                     verify_by_field_coords)
 
 FIELDS = {"QQ": QQ, "F2": PrimeField(2), "F101": PrimeField(101)}
 ALGEBRAS = ([("gl", 2), ("gl", 3)]
@@ -339,3 +340,50 @@ def test_span_rank_matches_dense_elimination(algebra, field_name, rng):
     report = verify_certificate(tampered)
     assert report.span_rank == naive_rank(rows)
     assert report == verify_by_field_coords(tampered)
+
+
+def index_case(i, j, k, l):
+    """Which of the five cases of [a e_ij, b e_kl] the indices are in."""
+    if j == k and l == i:
+        return "all equal" if i == j else "both, i != j"
+    if j == k:
+        return "only j == k"
+    if l == i:
+        return "only l == i"
+    return "neither"
+
+
+@pytest.mark.parametrize("field_name", sorted(FIELDS))
+@pytest.mark.parametrize("algebra", [("gl", 3), ("one-step", 4, 3, 2)])
+def test_elementary_pairs_every_index_case(algebra, field_name):
+    # every pair a e_ij (x) b e_kl of basis elements, scaled, alone in a
+    # certificate: the verifier's index test and its mu column lookup
+    # must give kernel membership as the oracle's bracket and mu image
+    # do, in each of the five index cases
+    cert = base_certificate(algebra, field_name)
+    field = cert.field
+    space = algebra_space(cert.algebra, field)
+    mu = build_mu(space, "lie")
+    scalars = ([Fraction(-2, 3), Fraction(5), Fraction(1, 7)] if field == QQ
+               else [field.from_int(c) for c in (1, -1, 3) if c % field.p])
+    seen = Counter()
+    for s in range(space.d):
+        for k in range(space.d):
+            u = scaled(space.basis_matrix(s), scalars[s % len(scalars)])
+            v = scaled(space.basis_matrix(k), scalars[k % len(scalars)])
+            t = RankOneTensor(u, v, "x")
+            (i, j), (q, l) = space.positions[s], space.positions[k]
+            case = index_case(i, j, q, l)
+            commutes = not bracket(u, v).entries
+            assert commutes == (not apply_to_coords(
+                mu, tensor_coords(t, space)))
+            assert commutes == (case == "all equal"
+                                or case == "neither")
+            one = Certificate(cert.algebra, field, cert.kernel_dim,
+                              [("x", 1)], [t])
+            report = verify_certificate(one)
+            assert report == verify_by_field_coords(one)
+            assert report.first_noncommuting == (None if commutes else 0)
+            assert report.span_rank == 1
+            seen[case] += 1
+    assert len(seen) == 5, seen
