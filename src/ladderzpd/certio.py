@@ -281,9 +281,11 @@ def write_certificate(cert: Certificate, path: str, *,
 
 # one tensor of a canonical file, then a comma or the list's end: a
 # JSON string (the label) and two entry lists [[row,col,"scalar"],...],
-# which hold no braces and no "]]" before their end
+# which hold no braces and no "]]" before their end.  It is compiled at
+# its first use (re caches it), so that commands which read no
+# certificate do not pay for it.
 _ENTRY_LIST = rb'\[\[[^{}\]]*(?:\][^{}\]]+)*\]\]'
-_CANONICAL_TENSOR = re.compile(
+_CANONICAL_TENSOR = (
     rb'\{"family":("[^"\\]*(?:\\.[^"\\]*)*"),"u":(' + _ENTRY_LIST
     + rb'),"v":(' + _ENTRY_LIST + rb')\}(?:,|\Z)')
 _TENSORS_KEY = b',"tensors":['
@@ -299,17 +301,18 @@ def _canonical_certificate(raw: bytes) -> Optional[Certificate]:
     but "tensors".  B must be tiled by the matches of _CANONICAL_TENSOR
     in it: they are disjoint, and only one can end at B's end without a
     comma, so their lengths adding up to len(B) means that B is
-    T_1,...,T_k, each T_i {"family":L,"u":U,"v":V}.  Each distinct L
-    must be json.dumps of its json.loads value, a str; each distinct U
-    and V must pass _matrix_from_entries and be _factor_text of the
-    matrix it gives.  Then every piece is a JSON text of its value, so
-    the file is a JSON text, and as JSON's grammar is unambiguous,
-    json.loads of the file is H's object with "tensors" added, the list
-    of those tensors (H has no "tensors" key, so no key repeats).  The
-    head gets the same _head_from_json and every factor the same
-    _matrix_from_entries as in certificate_from_json, so the result
-    equals certificate_from_json(json.loads(raw)), factor sharing
-    included: equal canonical texts are equal entry lists.
+    T_1,...,T_k, each T_i {"family":L,"u":U,"v":V}.  Each distinct L, a
+    JSON string by the pattern, must be json.dumps of its json.loads
+    value; each distinct U and V must pass _matrix_from_entries and be
+    _factor_text of the matrix it gives.  Then every piece is a JSON
+    text of its value, so the file is a JSON text, and as JSON's
+    grammar is unambiguous, json.loads of the file is H's object with
+    "tensors" added, the list of those tensors (H has no "tensors" key,
+    so no key repeats).  The head gets the same _head_from_json and
+    every factor the same _matrix_from_entries as in
+    certificate_from_json, so the result equals
+    certificate_from_json(json.loads(raw)), factor sharing included:
+    equal canonical texts are equal entry lists.
 
     Any deviation (whitespace, reordered or repeated keys, a scalar
     such as "+3" or "1/1", an empty list) and any error return None.
@@ -328,7 +331,7 @@ def _canonical_certificate(raw: bytes) -> Optional[Certificate]:
             return None
         algebra, n, field, kernel_dim, families = _head_from_json(head)
         start, end = cut + len(_TENSORS_KEY), len(raw) - 3
-        pieces = _CANONICAL_TENSOR.findall(raw, start, end)
+        pieces = re.compile(_CANONICAL_TENSOR).findall(raw, start, end)
         if not pieces:
             return None
         labels, us, vs = zip(*pieces)
@@ -338,11 +341,9 @@ def _canonical_certificate(raw: bytes) -> Optional[Certificate]:
             return None
         label_of: Dict[bytes, str] = {}
         for quoted in set(labels):
-            label = json.loads(quoted)
-            if (not isinstance(label, str)
-                    or json.dumps(label).encode("utf-8") != quoted):
+            label = label_of[quoted] = json.loads(quoted)
+            if json.dumps(label).encode("utf-8") != quoted:
                 return None
-            label_of[quoted] = label
         factor_of: Dict[bytes, SparseMatrix] = {}
         for entries in set(us).union(vs):
             mat = _matrix_from_entries(json.loads(entries), n, field, "factor")
@@ -355,19 +356,6 @@ def _canonical_certificate(raw: bytes) -> Optional[Certificate]:
         return Certificate(algebra, field, kernel_dim, families, tensors)
     except Exception:  # any error: the full parse says which
         return None
-
-
-def _parsed_certificate(raw: bytes) -> Certificate:
-    """The certificate in a file's bytes, by json.loads and
-    certificate_from_json, or their error."""
-    try:
-        obj = json.loads(raw.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise CertificateFormatError(f"not valid JSON: {exc}") from None
-    except RecursionError:
-        raise CertificateFormatError(
-            "not valid JSON: nested too deeply to parse") from None
-    return certificate_from_json(obj)
 
 
 def read_certificate(path: str) -> Certificate:
@@ -389,7 +377,16 @@ def read_certificate(path: str) -> Certificate:
     gc.disable()
     try:
         cert = _canonical_certificate(raw)
-        return cert if cert is not None else _parsed_certificate(raw)
+        if cert is not None:
+            return cert
+        try:
+            obj = json.loads(raw.decode("utf-8"))
+        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+            raise CertificateFormatError(f"not valid JSON: {exc}") from None
+        except RecursionError:
+            raise CertificateFormatError(
+                "not valid JSON: nested too deeply to parse") from None
+        return certificate_from_json(obj)
     finally:
         if collecting:
             gc.enable()
