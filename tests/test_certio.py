@@ -567,7 +567,7 @@ def test_head_with_a_second_tensors_key(tmp_path):
     assert_readers_agree(tmp_path, data[:-2] + b',"tensors":[]}\n', False)
 
 
-def test_empty_and_truncated_tensor_lists(tmp_path):
+def test_empty_list_and_bad_tensor_separators(tmp_path):
     cert = gl_certificate(2)
     empty = Certificate(cert.algebra, QQ, 13, [("gl", 0)], [])
     assert_readers_agree(tmp_path, certificate_bytes(empty), False)
@@ -596,11 +596,8 @@ def test_byte_mutations_read_like_the_full_parse(tmp_path, name, edits):
         else:
             data[at % len(data)] = byte
     data = bytes(data)
-    want = full_parse(data)
-    fast = _canonical_certificate(data)
-    if fast is not None:
-        assert fast == want and sharing(fast) == sharing(want)
-    assert_readers_agree(tmp_path, data, fast is not None)
+    assert_readers_agree(tmp_path, data,
+                         _canonical_certificate(data) is not None)
 
 
 def mutation_seed(name: str) -> bytes:
