@@ -3,12 +3,14 @@
 The SHA-256 of the canonical bytes of every gl_m certificate with
 m <= 6, and of every one-step certificate (n, i1, j1) with n <= 6, over
 QQ and F_101, is pinned in golden_hashes.json, and so are gl_7 to gl_9
-over QQ, gl_1..gl_5 over F_2 and gl_1..gl_7 over F_3, where the search
-skips the most candidates.  Any change to the search, the families or
-the serializer that moves a single byte of a certificate fails here.
-The table was recorded before the elimination engine was rewritten on
-exact integers (the QQ gl_7, gl_8 and F_2 rows before the search was
-pruned, the QQ gl_9 and F_3 rows before it skipped b_s - b_t);
+over QQ, gl_7 over F_101, and gl_1..gl_7 over F_2 and over F_3, where
+the search skips the most candidates.  Any change to the search, the
+families or the serializer that moves a single byte of a certificate
+fails here.  The table was recorded before the elimination engine was
+rewritten on exact integers (the QQ gl_7, gl_8 and F_2 gl_1..gl_5 rows
+before the search was pruned, the QQ gl_9 and F_3 rows before it
+skipped b_s - b_t, the F_2 gl_6, gl_7 and F_101 gl_7 rows before it
+skipped spanned b_s + b_t);
 regenerate it only for a deliberate change of format, with
 
     PYTHONPATH=src python tests/test_golden.py --record
@@ -30,7 +32,7 @@ from ladderzpd.onestep import assemble_one_step_certificate
 GOLDEN_PATH = os.path.join(os.path.dirname(__file__), "golden_hashes.json")
 FIELDS = {"QQ": QQ, "F101": PrimeField(101), "F2": PrimeField(2),
           "F3": PrimeField(3)}
-GL_SIZES = {"QQ": range(1, 10), "F101": range(1, 7), "F2": range(1, 6),
+GL_SIZES = {"QQ": range(1, 10), "F101": range(1, 8), "F2": range(1, 8),
             "F3": range(1, 8)}
 ONE_STEP_FIELDS = ("QQ", "F101")
 
