@@ -342,7 +342,9 @@ def candidate_pool(space: TensorSpace) -> Iterator[Dict[int, int]]:
     F_2 each b_s - b_t repeats b_s + b_t.  Each b_s - b_t
     is the only member with a -1 entry.  It stays in the pool, and
     tests/oracles.reference_search tries its candidates; search_spanning
-    skips it unbuilt (its Lemma 2) but still counts its candidates.
+    skips it unbuilt (its Lemma 2) but still counts its candidates.  So
+    it does with each b_s + b_t that its Lemma 3 proves spanned, most of
+    them past gl_5 (376 of 630 on gl_6).
 
     In order: the basis elements; two-term sums and differences
     b_s + b_t / b_s - b_t in lexicographic (s, t, sign) order; directed
@@ -397,7 +399,8 @@ def search_spanning(mu: MuMap, descriptor: dict,
     kept iff it strictly increases the rank of the accumulated rows.
     The engine gets the outer products of the integer coordinates of u
     and of the integer null vectors of ad_u; the field-valued u and v
-    are built only for a kept candidate.
+    are built only for a kept candidate, with one object per basis
+    element shared by every tensor that has it as a factor.
     Returns a certificate, every tensor labeled "gl", as soon as the
     rank reaches dim Ker mu; raises SearchExhaustedError, naming the
     rank reached, when the pool runs out first.  The pool is finite and
@@ -422,6 +425,18 @@ def search_spanning(mu: MuMap, descriptor: dict,
         Lemma 1, the third because u+ is the pool member just before u-
         and each of its candidates was tried or skipped as spanned.  So
         each u- is skipped whole, with no ad_u, null space or row built.
+      - Lemma 3: u+ (x) C(u+) is in the span when it comes up, and u+ is
+        skipped whole, if b_s, b_t are neither a transpose pair nor both
+        diagonal units and s ~ t in G_a for every a in E_s & E_t.  Here
+        E_r is the set of a with b_a = +-[b_r, b_k] for some k: the
+        columns of mu for b_r with one entry, each an off-diagonal b_a.
+        G_a is a graph on the basis indices, kept as a union-find forest
+        (Tarjan, JACM 22, 1975).  Once b_r + b_r' is processed, r and r'
+        are joined in G_a for each a in E_r & E_r' such that
+        b_a = +-[b_r, b_k] for some k with [b_r', b_k] = 0 and
+        b_a = +-[b_r', b_k'] for some k' with [b_r, b_k'] = 0.  A pair is
+        joined only after its own candidates, and a skipped pair joins
+        nothing new.
     Proof of Lemma 2.  If x in C(u-) is y + z with [b_s, y] = 0 and
     [b_t, z] = 0, then [u+, z - y] = [b_s, z] - [b_t, y] = [b_s, x] -
     [b_t, x] = 0, and u- (x) x = 2 b_s (x) y - 2 b_t (x) z + u+ (x) (z - y).
@@ -452,14 +467,43 @@ def search_spanning(mu: MuMap, descriptor: dict,
         they are the same hyperplane.  That happens only for a transpose
         pair, e_ce = e_ba, and there gamma = 2 alpha, so 2 gamma is not
         2 (w_i - w_j).  So every x_l splits, and so does x.
+    Proof of Lemma 3.  Each step holds over Q and every F_p, F_2 too.
+      1. C(u+) lies in C(b_s) + C(b_t).  The proof of Lemma 2 shows it
+         with [b_s, x_l] = -[b_t, x_(l + gamma)] as its equation, and it
+         uses 2 != 0 only for two diagonal units.
+      2. So x in C(u+) is y + z with [b_s, y] = 0 = [b_t, z].  Then
+         u+ (x) x = b_s (x) y + b_t (x) z + b_s (x) z + b_t (x) y, the
+         first two terms in the span by Lemma 1, and c = [b_s, z] =
+         -[b_t, y] lies in Im ad b_s and Im ad b_t.  Im ad e_ij is
+         spanned by the off-diagonal elements of row i and column j,
+         which are the b_a for a in E_s, and by e_ii - e_jj if i != j.
+         Two such images share a diagonal part only for a transpose
+         pair, so c = sum c_a b_a over a in E_s & E_t.  For each such a,
+         take p_r = +-b_k with [b_r, p_r] = b_a, for r = s and r = t.
+         Then z - sum c_a p_s is in C(b_s) and y + sum c_a p_t is in
+         C(b_t).  By Lemma 1 it is enough that b_s (x) p_s - b_t (x) p_t
+         is in the span for each a, whichever p_s and p_t are taken.
+      3. For an edge r - r' of G_a take p = +-b_k and p' = +-b_k' as in
+         its rule, so [b_r, p] = b_a = [b_r', p'] and [b_r', p] = 0 =
+         [b_r, p'].  Then p - p' is in C(b_r + b_r'), and
+         b_r (x) p - b_r' (x) p' = (b_r + b_r') (x) (p - p')
+                                   + b_r (x) p' - b_r' (x) p.
+         The first term is in (b_r + b_r') (x) C(b_r + b_r'), spanned
+         once that earlier pair is processed, and the other two are in
+         the span by Lemma 1.  Sum these along a path from s to t in
+         G_a.  At each inner vertex r two preimages p, p' of b_a may
+         meet, and b_r (x) (p - p') is in the span by Lemma 1, as
+         [b_r, p - p'] = 0.  What is left is b_s (x) p_s - b_t (x) p_t.
     Skipped candidates would have been rejected, so the kept tensors,
     and the certificate, are those of trying every candidate in turn.
     Each still counts as tried, at its place in pool order (free column
     f of ad_u is candidate f - #{pivots < f} of u, and u has
     d - rank(ad_u) = dim C(u) of them), so a budget cuts where it would
     anyway.  A cut among skipped candidates raises at the next candidate
-    built, or at the end of the pool, at the same rank.
-    A skipped u- counts as many as u+, or 2 fewer when b_s and
+    built, or at the end of the pool, at the same rank.  A u+ skipped by
+    Lemma 3 counts d - rank(ad_u): under a budget its ad_u is built for
+    that count alone, and without one nothing is counted.  A skipped u-
+    counts as many as u+, or 2 fewer when b_s and
     b_t are both diagonal and 2 != 0:
       - over F_2, u- = u+;
       - if neither a transpose pair nor two diagonal units, conjugation
@@ -488,15 +532,52 @@ def search_spanning(mu: MuMap, descriptor: dict,
             f"at rank {ech.rank} of {target}")
 
     chosen: List[RankOneTensor] = []
-    diagonal = {k for k, (i, j) in enumerate(space.positions) if i == j}
-    tried = 0
-    count = 0  # the number of candidates of the last u built
+    positions, columns = space.positions, mu.columns
+    diagonal = {k for k, (i, j) in enumerate(positions) if i == j}
+    # E_r as {a: every k with [b_r, b_k] = +-b_a}, from mu's columns
+    # with one entry; and the forest of G_a, as a parent map, for each a
+    images: List[Dict[int, List[int]]] = [{} for _ in range(d)]
+    for r, by_t in enumerate(columns):
+        for k, col in by_t.items():
+            if len(col) == 1:
+                images[r].setdefault(col[0][0], []).append(k)
+    forests: List[Dict[int, int]] = [{} for _ in range(d)]
+
+    def root(forest: Dict[int, int], r: int) -> int:
+        while (q := forest.get(r, r)) != r:
+            forest[r] = r = forest.get(q, q)  # path halving
+        return r
+
+    basis: Dict[int, SparseMatrix] = {}  # one object per basis factor
+
+    def factor(coords: IntRow, den: int) -> SparseMatrix:
+        if len(coords) == 1:  # coords = {k: den}, the factor is b_k
+            k, = coords
+            if k not in basis:
+                basis[k] = space.basis_matrix(k)
+            return basis[k]
+        return space.from_coords(field_row(coords, den, field))
+
+    tried = 0  # read only under a budget
+    count = 0  # the number of candidates of the last u+ or basis u
     for index, ucoords in enumerate(candidate_pool(space)):
         if -1 in ucoords.values():  # u- = b_s - b_t, by Lemma 2
             s, t = ucoords
             both = s in diagonal and t in diagonal
             tried += count - 2 if both and ech.p != 2 else count
             continue
+        pair = len(ucoords) == 2  # u+ = b_s + b_t
+        if pair:
+            s, t = ucoords
+            common = [a for a in images[s] if a in images[t]]
+            if (positions[s] != positions[t][::-1]
+                    and not (s in diagonal and t in diagonal)
+                    and all(root(forests[a], s) == root(forests[a], t)
+                            for a in common)):  # by Lemma 3
+                if budget is not None:
+                    count = d - ad_echelon(ucoords, mu)[0].rank
+                    tried += count
+                continue
         ad, active = ad_echelon(ucoords, mu)
         pivots = sorted(ad.pivot_rows)
         cols = range(d) if index < d else sorted(active)
@@ -511,14 +592,18 @@ def search_spanning(mu: MuMap, descriptor: dict,
                    for k, b in w.items()}
             if ech.insert(row):
                 if u is None:
-                    u = space.from_coords(field_row(ucoords, 1, field))
-                v = space.from_coords(field_row(w, m, field))
-                chosen.append(RankOneTensor(u, v, "gl"))
+                    u = factor(ucoords, 1)
+                chosen.append(RankOneTensor(u, factor(w, m), "gl"))
                 if ech.rank == target:
                     return Certificate(descriptor, space.field, target,
                                        [("gl", len(chosen))], chosen)
         count = d - ad.rank
         tried += count
+        if pair:  # u+ (x) C(u+) is spanned now: Lemma 3's edges
+            for a in common:
+                if (any(k not in columns[t] for k in images[s][a])
+                        and any(k not in columns[s] for k in images[t][a])):
+                    forests[a][root(forests[a], s)] = root(forests[a], t)
     raise exhausted()
 
 

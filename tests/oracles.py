@@ -17,7 +17,9 @@ certificates on the field's own scalars, where the package verifier
 works on integer multiples of them; reduced and centralizer read the
 engine's integer null space back as field scalars; and reference_search
 is the package's greedy search with nothing skipped, the reference for
-the candidates search_spanning skips.  reference_certificate_bytes
+the candidates search_spanning skips; lemma3_skips restates which
+b_s + b_t it skips whole, from dense brackets and graph searches.
+reference_certificate_bytes
 writes a certificate file as one plain json.dumps, the reference for
 the splicing writer.
 
@@ -500,6 +502,51 @@ def reference_search(mu, descriptor: dict, budget=None, observe=None):
                     return Certificate(descriptor, field, mu.kernel_dim,
                                        [("gl", len(chosen))], chosen)
     return None
+
+
+def lemma3_skips(space) -> set:
+    """Pool indices of the u = b_s + b_t that search_spanning skips by
+    its Lemma 3, by the rule in its docstring, with the brackets of
+    basis elements taken densely and G_a kept as adjacency sets,
+    searched from s for t.  Every pair adds its edges, skipped or not."""
+    d = space.d
+    basis = [space.basis_matrix(k) for k in range(d)]
+    brackets = [[bracket(x, y).entries for y in basis] for x in basis]
+    # images[r][a]: the k with [b_r, b_k] = +-b_a
+    images = [{} for _ in range(d)]
+    for r in range(d):
+        for k in range(d):
+            if len(brackets[r][k]) == 1:
+                a = space.index_of[next(iter(brackets[r][k]))]
+                images[r].setdefault(a, []).append(k)
+    edges = {}
+
+    def linked(a, s, t) -> bool:
+        seen, todo = {s}, [s]
+        while todo:
+            for q in edges.get(a, {}).get(todo.pop(), ()):
+                if q not in seen:
+                    seen.add(q)
+                    todo.append(q)
+        return t in seen
+
+    skipped = set()
+    for index, coords in enumerate(candidate_pool(space)):
+        if len(coords) != 2 or -1 in coords.values():
+            continue
+        s, t = coords
+        (i, j), (i2, j2) = space.positions[s], space.positions[t]
+        common = set(images[s]) & set(images[t])
+        if (i2, j2) != (j, i) and not (i == j and i2 == j2) and all(
+                linked(a, s, t) for a in common):
+            skipped.add(index)
+        for a in common:
+            if (any(not brackets[t][k] for k in images[s][a])
+                    and any(not brackets[s][k] for k in images[t][a])):
+                graph = edges.setdefault(a, {})
+                graph.setdefault(s, set()).add(t)
+                graph.setdefault(t, set()).add(s)
+    return skipped
 
 
 def expected_counts(p) -> List[Tuple[str, int]]:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations
 
@@ -25,8 +26,8 @@ from ladderzpd.onestep import assemble_one_step_certificate
 from ladderzpd.tensors import (ClosureError, MembershipError, RankOneTensor,
                                TensorSpace, build_mu)
 
-from oracles import (bracket, centralizer, in_kernel, reference_search,
-                     tensor_coords)
+from oracles import (bracket, centralizer, in_kernel, lemma3_skips,
+                     reference_search, tensor_coords)
 
 F = Fraction
 
@@ -290,13 +291,10 @@ def test_minus_pair_lies_in_the_plus_pair_span(m, field):
             (space.positions[s], space.positions[t])
 
 
-@pytest.mark.parametrize("field", [QQ, PrimeField(2), PrimeField(3)])
-def test_search_builds_no_minus_pair(monkeypatch, field):
-    # ad_u is built for the pool members in order, every b_s - b_t left
-    # out, until the search ends; over F_2 these are the members equal
-    # to the one before them
-    space = TensorSpace.gl(3, field)
-    pool = [c for c in candidate_pool(space) if -1 not in c.values()]
+def built_members(monkeypatch, m, field) -> list:
+    """The first factors search_spanning builds ad_u for on gl_m, in
+    order, with the pool and the certificate."""
+    space = TensorSpace.gl(m, field)
     built = []
 
     def counting(ucoords, mu):
@@ -304,10 +302,52 @@ def test_search_builds_no_minus_pair(monkeypatch, field):
         return ad_echelon(ucoords, mu)
 
     monkeypatch.setattr(certificates, "ad_echelon", counting)
-    cert = search_spanning(build_mu(space, "lie"), gl_algebra_descriptor(3))
-    assert cert.kernel_dim == 73
-    assert len(built) > space.d + 1
-    assert built == [integer_coords(c, field) for c in pool[:len(built)]]
+    cert = search_spanning(build_mu(space, "lie"), gl_algebra_descriptor(m))
+    monkeypatch.undo()
+    return built, list(candidate_pool(space)), cert
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(2), PrimeField(3)])
+def test_search_builds_no_minus_pair(monkeypatch, field):
+    # ad_u is built for the pool members in order, leaving out every
+    # b_s - b_t (Lemma 2) and every b_s + b_t that Lemma 3 proves
+    # spanned, until the search ends; over F_2 the b_s - b_t are the
+    # members equal to the one before them.  On gl_2 the rule's graphs
+    # link the two diagonal units, which it must not skip.
+    for m, kdim in ((2, 13), (3, 73), (4, 241)):
+        built, pool, cert = built_members(monkeypatch, m, field)
+        assert cert.kernel_dim == kdim
+        skipped = lemma3_skips(TensorSpace.gl(m, field))
+        kept = [integer_coords(c, field) for i, c in enumerate(pool)
+                if -1 not in c.values() and i not in skipped]
+        assert len(built) > m * m + 1
+        assert built == kept[:len(built)]
+        assert m == 2 or min(skipped) < pool.index(built[-1])
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(2), PrimeField(3)])
+@pytest.mark.parametrize("m", [3, 4, 5, 6])
+def test_skipped_plus_pairs_keep_nothing(monkeypatch, m, field):
+    # every b_s + b_t the search skips by Lemma 3 comes up in the
+    # reference search, which tries its candidates, and keeps none
+    built, pool, _ = built_members(monkeypatch, m, field)
+    last = pool.index(built[-1])
+    skipped = {i for i in range(m * m, last)
+               if len(pool[i]) == 2 and -1 not in pool[i].values()
+               and pool[i] not in built}
+    assert skipped == {i for i in lemma3_skips(TensorSpace.gl(m, field))
+                       if i < last}
+    tried = Counter()
+
+    def observe(index, ucoords, f, w, kept):
+        if index in skipped:
+            assert not kept, (index, ucoords, f)
+            tried[index] += 1
+
+    mu = build_mu(TensorSpace.gl(m, field), "lie")
+    assert reference_search(mu, gl_algebra_descriptor(m),
+                            observe=observe) is not None
+    assert set(tried) == skipped
 
 
 # the smallest budget that succeeds, measured before the search skipped
@@ -352,6 +392,35 @@ def test_budget_cut_inside_a_skipped_minus_pair(pair, field):
     plus = [i for i, _ in tried].count(index - 1)
     assert count == plus - (2 if pair[0][0] == pair[0][1] else 0)
     for budget in range(start, start + count + 6):
+        rank = sum(kept for _, kept in tried[:budget])
+        with pytest.raises(SearchExhaustedError,
+                           match=rf" at rank {rank} of {mu.kernel_dim}$"):
+            search_spanning(mu, desc, budget=budget)
+        assert reference_search(mu, desc, budget=budget) is None
+
+
+# gl_3 pairs that Lemma 3 skips: two off-diagonal units in one row, and
+# a diagonal unit with an off-diagonal one
+@pytest.mark.parametrize("field", [QQ, PrimeField(2), PrimeField(3)])
+@pytest.mark.parametrize("pair", [((1, 2), (1, 3)), ((2, 2), (3, 1))],
+                         ids=["one-row", "diagonal-and-off"])
+def test_budget_cut_inside_a_skipped_plus_pair(pair, field):
+    # every cut from the first candidate of u+ = b_s + b_t to the end
+    # of the u- after it, both skipped, raises at the rank the
+    # reference search had reached
+    space = TensorSpace.gl(3, field)
+    mu = build_mu(space, "lie")
+    desc = gl_algebra_descriptor(3)
+    s, t = (space.index_of[pos] for pos in pair)
+    index = list(candidate_pool(space)).index({s: 1, t: 1})
+    assert index in lemma3_skips(space)
+    tried = []
+    reference_search(mu, desc, observe=lambda i, u, f, w, kept:
+                     tried.append((i, kept)))
+    start = [i for i, _ in tried].index(index)
+    count = [i for i, _ in tried].count(index)
+    assert count == [i for i, _ in tried].count(index + 1)
+    for budget in range(start, start + 2 * count + 2):
         rank = sum(kept for _, kept in tried[:budget])
         with pytest.raises(SearchExhaustedError,
                            match=rf" at rank {rank} of {mu.kernel_dim}$"):
