@@ -127,10 +127,7 @@ def algebra_space(descriptor: dict, field: Field) -> TensorSpace:
     if kind == "ladder-lie":
         ladder = Ladder(descriptor["n"],
                         [tuple(s) for s in descriptor["steps"]])
-        n, steps = ladder.n, ladder.steps
-        # rows i_{t-1} < i <= i_t hold exactly the columns j_t..n
-        d = sum((i - prev) * (n - j + 1)
-                for (i, j), (prev, _) in zip(steps, ((0, 0),) + steps))
+        n, d = ladder.n, ladder.dim()
     elif kind == "gl-lie":
         n, d = descriptor["m"], descriptor["m"] ** 2
     else:

@@ -11,11 +11,12 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from math import comb
 from typing import List, Optional, Tuple
 
-from .certificates import (Certificate, SearchExhaustedError,
-                           VerificationReport, gl_certificate,
-                           verify_certificate)
+from .certificates import (MAX_ALGEBRA_SIZE, Certificate,
+                           SearchExhaustedError, VerificationReport,
+                           gl_certificate, verify_certificate)
 from .certio import (CertificateFormatError, read_certificate,
                      write_certificate)
 from .fields import DEFAULT_PRIME, Field, PrimeField, QQ
@@ -23,6 +24,12 @@ from .ladders import (Ladder, enumerate_ladders, is_closed,
                       is_upper_triangular)
 from .onestep import assemble_one_step_certificate
 from .tensors import TensorSpace
+
+# ladder-enumerate lists at most this many ladders, on n with n^2 at
+# most MAX_ALGEBRA_SIZE: n = 8 with every k (12,869 ladders) is allowed.
+# The largest run allowed, --n 16 --k 14 --closure (14,400 ladders of up
+# to 256 positions), takes about 4.5 s and 53 MiB in a cold process.
+MAX_LADDER_COUNT = 16384
 
 
 def _step(text: str) -> Tuple[int, int]:
@@ -71,6 +78,10 @@ def _cmd_ladder_check(args) -> int:
     if not args.step:
         raise ValueError("at least one --step i,j is required")
     ladder = Ladder(args.n, args.step)
+    if max(ladder.n, ladder.dim()) > MAX_ALGEBRA_SIZE:
+        raise ValueError(f"ladder too large to check: n = {ladder.n}, "
+                         f"d = {ladder.dim()} (the limit for each is "
+                         f"{MAX_ALGEBRA_SIZE})")
     space = TensorSpace(ladder.n, ladder.positions())
     ut = is_upper_triangular(ladder)
     closed_assoc = is_closed(space, "associative")
@@ -96,7 +107,15 @@ def _cmd_ladder_check(args) -> int:
 def _cmd_ladder_enumerate(args) -> int:
     if args.n < 1:
         raise ValueError(f"ambient size must be positive, got {args.n}")
+    if args.n ** 2 > MAX_ALGEBRA_SIZE:
+        raise ValueError(f"ambient size too large to list ladders: "
+                         f"n = {args.n} (the limit for n^2 is "
+                         f"{MAX_ALGEBRA_SIZE})")
     ks = [args.k] if args.k is not None else list(range(1, args.n + 1))
+    count = sum(comb(args.n, k) ** 2 for k in ks if 1 <= k <= args.n)
+    if count > MAX_LADDER_COUNT:
+        raise ValueError(f"too many ladders to list: {count} on "
+                         f"n = {args.n} (the limit is {MAX_LADDER_COUNT})")
     rows = []
     for k in ks:
         for ladder in enumerate_ladders(args.n, k):

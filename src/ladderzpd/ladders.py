@@ -4,10 +4,11 @@ A ladder is a set of steps (i_t, j_t) with strictly increasing rows and
 strictly increasing columns.  Each step contributes every position with
 row <= i_t and column >= j_t; the ladder matrix space M_L is the span of
 the elementary matrices at the union of those positions, built as a
-`tensors.TensorSpace` from `Ladder.positions()`; `is_closed` reads its
-product table.  A ladder is upper triangular when i_t < j_{t+1} for
-consecutive steps: exactly when its space is closed under matrix
-multiplication, and closure under the bracket follows.  One-step
+`tensors.TensorSpace` from `Ladder.positions()`; `is_closed` decides
+closure from the position set alone.  A ladder is upper triangular when
+i_t < j_{t+1} for consecutive steps: exactly when its space is closed
+under matrix multiplication, which for a span of elementary matrices is
+the same as closure under the bracket (proved in `is_closed`).  One-step
 ladders with i1 >= j1 carry the block profile (n1, n2, n3) =
 (j1 - 1, i1 - j1 + 1, n - i1) that drives the certificate
 construction; i1 < j1 gives an abelian space.
@@ -18,8 +19,8 @@ from __future__ import annotations
 from itertools import combinations
 from typing import List, NamedTuple, Optional, Sequence, Tuple
 
-from .matrices import Position
-from .tensors import ClosureError, TensorSpace
+from .matrices import Position, PRODUCT_KINDS
+from .tensors import TensorSpace
 
 
 class Ladder:
@@ -54,6 +55,12 @@ class Ladder:
                     allowed.add((i, j))
         return tuple(sorted(allowed))
 
+    def dim(self) -> int:
+        """len(self.positions()), from the steps alone: rows
+        i_{t-1} < i <= i_t hold exactly the columns j_t..n."""
+        return sum((i - prev) * (self.n - j + 1) for (i, j), (prev, _)
+                   in zip(self.steps, ((0, 0),) + self.steps))
+
     def __eq__(self, other):
         if not isinstance(other, Ladder):
             return NotImplemented
@@ -73,15 +80,31 @@ def is_upper_triangular(ladder: Ladder) -> bool:
 
 
 def is_closed(space: TensorSpace, kind: str) -> bool:
-    """True iff every product of two basis elements stays in the space:
-    reads the space's product table up to the first product that
-    leaves it."""
-    try:
-        for s in range(space.d):
-            list(space.products(s, kind))
-    except ClosureError:
-        return False
-    return True
+    """True iff `space.products(s, kind)` raises ClosureError for no s,
+    kind "associative" or "lie" (ValueError for any other): decided
+    from the position set P alone, with R_i = {q : (i, q) in P}.
+
+    The test is R_j <= R_i for each (i, j) in P, so it is False exactly
+    when some (i, j), (j, q) in P have (i, q) not in P.  That is the
+    table's rule for both kinds.  Take b_s = e_ij.
+    - associative: e_ij e_jq = e_iq, so products(s) asks (i, q) in P
+      for each (j, q) in P.  Over all s that is every composable pair.
+    - lie: [e_ij, e_kl] = delta_jk e_il - delta_li e_kj.  products(s)
+      asks (i, q) in P for each (j, q) in P, the composition
+      (i, j)(j, q), and (p, j) in P for each (p, i) in P, the
+      composition (p, i)(i, j).  The one pair it skips, [b_s, b_s],
+      drops a demand only when i = j, and that demand is (i, i), b_s
+      itself.  So it asks for every composition, and only for those.
+    Hence closure under the bracket equals closure under the product on
+    any span of elementary matrices.
+    """
+    if kind not in PRODUCT_KINDS:
+        raise ValueError(f"unknown product kind: {kind!r}")
+    rows = {}
+    for i, j in space.positions:
+        rows.setdefault(i, set()).add(j)
+    none = frozenset()
+    return all(rows.get(j, none) <= rows[i] for i, j in space.positions)
 
 
 def enumerate_ladders(n: int, k: int) -> List[Ladder]:

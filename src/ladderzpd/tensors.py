@@ -4,8 +4,9 @@ multiplication map mu.
 An algebra here is a span of elementary matrices at a fixed position
 set, with the basis ordered row-major.  How two basis elements multiply
 is worked out in one place, the product table `TensorSpace.products`:
-`ladders.is_closed` reads it and `build_mu` stores it, once, as mu's
-nonzero columns, read by the verifier and `certificates.ad_echelon`.
+`build_mu` stores it, once, as mu's nonzero columns, read by the
+verifier and `certificates.ad_echelon`.  (`ladders.is_closed` decides
+from the position set alone when the table would leave the span.)
 The tensor square gets the ordered basis b_s (x) b_t indexed
 by the global column rule column(s, t) = s*d + t with s, t 0-based;
 certificates depend on this rule.  It is stated here, and

@@ -9,7 +9,9 @@ without trusting the package's sparse integer machinery.  product
 and bracket multiply package matrices with entry_product, a sparse
 product on entry maps, and mu_columns_by_products multiplies basis
 matrices with them, not with the product table; flat_columns lays the
-package's mu out in the same column order.  The exceptions reuse
+package's mu out in the same column order.  closed_by_products reads
+closure off the product table, the reference for ladders.is_closed,
+which decides it from the position set.  The exceptions reuse
 package pieces that share no code with what they check: the
 field-scalar verification route (tensor_coords,
 apply_to_coords, in_kernel, verify_by_field_coords) checks
@@ -46,7 +48,8 @@ from ladderzpd.elim import IncrementalEchelon, field_row, integer_coords
 from ladderzpd.fields import QQ, FieldMismatchError, PrimeField
 from ladderzpd.matrices import Entries, SparseMatrix, elementary
 from ladderzpd.onestep import block_positions
-from ladderzpd.tensors import MembershipError, RankOneTensor, build_mu
+from ladderzpd.tensors import (ClosureError, MembershipError, RankOneTensor,
+                               build_mu)
 
 Dense = List[List[Fraction]]
 
@@ -306,6 +309,18 @@ def naive_mu_kernel_dim(n: int, positions: Sequence[Tuple[int, int]],
                         row[k] = prod[i][j]
             rows.append(row)
     return d * d - naive_rank(rows)
+
+
+def closed_by_products(space, kind: str) -> bool:
+    """Closure read off the product table: True iff products(s, kind)
+    runs to its end for every basis element b_s, the rule
+    ladders.is_closed decides from the position set alone."""
+    try:
+        for s in range(space.d):
+            list(space.products(s, kind))
+    except ClosureError:
+        return False
+    return True
 
 
 def mu_columns_by_products(space, kind: str) -> list:

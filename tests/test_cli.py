@@ -2,17 +2,19 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import subprocess
 import sys
 import time
+import tracemalloc
 
 import pytest
 
 import ladderzpd
 from ladderzpd.certio import read_certificate
-from ladderzpd.cli import main
+from ladderzpd.cli import MAX_LADDER_COUNT, main
 
 
 # argv: OUT ERR COMMAND...; runs COMMAND with its stdout and stderr in
@@ -97,6 +99,71 @@ def test_ladder_enumerate_closure_column(capsys):
     for line in lines:
         assert (("upper-triangular=yes" in line)
                 == ("closed-associative=yes" in line))
+
+
+# SHA-256 of the stdout of `ladder-enumerate --n 6 --closure KIND --json`
+# (923 ladders); the lie value is the survey's in perfbench/golden.json
+SURVEY_SHA256 = {
+    "lie": "c147574934dcd5a25a316e1eae2eb79e78ae3fa32f5b3509b9768deefa1e6f37",
+    "associative":
+        "2d8c34a493c719a6c7ea0b0bec8fb60f19a0a94d10197b65a56461998f9e2e7e",
+}
+
+
+@pytest.mark.parametrize("kind", sorted(SURVEY_SHA256))
+def test_ladder_survey_bytes(capsys, kind):
+    code, out, err = run(capsys, "ladder-enumerate", "--n", "6",
+                         "--closure", kind, "--json")
+    assert (code, err) == (0, "")
+    assert len(json.loads(out)) == 923
+    assert hashlib.sha256(out.encode()).hexdigest() == SURVEY_SHA256[kind]
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["ladder-enumerate", "--n", str(10 ** 12)],
+     f"ambient size too large to list ladders: n = {10 ** 12} "
+     "(the limit for n^2 is 1024)"),
+    (["ladder-enumerate", "--n", "33", "--k", "33"],
+     "ambient size too large to list ladders: n = 33 "
+     "(the limit for n^2 is 1024)"),
+    (["ladder-enumerate", "--n", "9", "--closure", "lie"],
+     "too many ladders to list: 48619 on n = 9 (the limit is 16384)"),
+    (["ladder-enumerate", "--n", "17", "--k", "2"],
+     "too many ladders to list: 18496 on n = 17 (the limit is 16384)"),
+    (["ladder-check", "--n", str(10 ** 12), "--step", f"{10 ** 12},1"],
+     f"ladder too large to check: n = {10 ** 12}, d = {10 ** 24} "
+     "(the limit for each is 1024)"),
+    (["ladder-check", "--n", "33", "--step", "32,1"],
+     "ladder too large to check: n = 33, d = 1056 "
+     "(the limit for each is 1024)"),
+    (["ladder-check", "--n", "1025", "--step", "1,1025"],
+     "ladder too large to check: n = 1025, d = 1 "
+     "(the limit for each is 1024)"),
+])
+def test_ladder_commands_over_the_cap_exit_2_unbuilt(capsys, argv, message):
+    # without the caps, --n 10**12 would list C(2*10**12, 10**12) - 1
+    # ladders and the ladder-check above 10**24 positions
+    assert MAX_LADDER_COUNT == 16384
+    tracemalloc.start()
+    try:
+        code, out, err = run(capsys, *argv, "--json")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+    assert peak < 256 * 1024
+
+
+def test_ladder_commands_at_the_cap_run(capsys):
+    code, out, _ = run(capsys, "ladder-enumerate", "--n", "32", "--k", "1",
+                       "--closure", "lie", "--json")
+    assert (code, len(json.loads(out))) == (0, 1024)
+    code, out, _ = run(capsys, "ladder-check", "--n", "32",
+                       "--step", "32,1", "--json")
+    assert (code, json.loads(out)["dim"]) == (0, 1024)
+    code, out, _ = run(capsys, "ladder-check", "--n", "1024",
+                       "--step", "1,1024", "--json")
+    assert (code, json.loads(out)["dim"]) == (0, 1)
 
 
 def test_assemble_writes_and_reverifies(capsys, tmp_path):
@@ -417,7 +484,7 @@ def test_step_syntax_error(capsys):
 @pytest.mark.parametrize("argv", [["ladder-check", "--step", "2,2"],
                                   ["ladder-enumerate", "--closure", "lie"]])
 def test_ladder_commands_take_no_field(capsys, argv):
-    # closure and dim read only the product table, never a field
+    # closure and dim read only the position set, never a field
     with pytest.raises(SystemExit) as exc:
         main(argv + ["--n", "3", "--field", "fp"])
     assert exc.value.code == 2

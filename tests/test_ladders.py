@@ -6,13 +6,16 @@ from itertools import product
 from typing import Sequence
 
 import pytest
+from hypothesis import given, seed, settings, strategies as st
 
 from ladderzpd.ladders import (BlockProfile, Ladder, block_profile,
                                enumerate_ladders, is_closed,
                                is_upper_triangular)
 from ladderzpd.tensors import MembershipError, TensorSpace
 
-from oracles import mu_columns_by_products
+from oracles import closed_by_products, mu_columns_by_products
+
+KINDS = ("associative", "lie")
 
 
 def ladder_space(ladder: Ladder) -> TensorSpace:
@@ -72,6 +75,13 @@ def test_basis_row_major_and_distinct():
     assert space.positions == tuple(sorted(space.positions))
     for pos, mat in zip(space.positions, mats):
         assert list(mat.entries) == [pos]
+
+
+def test_dim_counts_positions_from_the_steps():
+    for n in range(1, 7):
+        for k in range(1, n + 1):
+            for ladder in enumerate_ladders(n, k):
+                assert ladder.dim() == len(ladder.positions()), ladder
 
 
 def test_ladder_validation():
@@ -182,16 +192,96 @@ def test_one_step_dimension_formula():
 
 
 def test_closure_iff_upper_triangular_small():
-    # multiplicative closure iff upper triangular, every ladder with n <= 3;
-    # upper triangular implies bracket closure (one direction only)
-    for n in range(1, 4):
+    # closure under the product, and so under the bracket (the proof is
+    # in is_closed), iff upper triangular: every ladder with n <= 4
+    for n in range(1, 5):
         for k in range(1, n + 1):
             for ladder in enumerate_ladders(n, k):
                 space = ladder_space(ladder)
                 ut = is_upper_triangular(ladder)
                 assert is_closed(space, "associative") == ut
-                if ut:
-                    assert is_closed(space, "lie")
+                assert is_closed(space, "lie") == ut
+
+
+def test_is_closed_rejects_an_unknown_kind():
+    space = ladder_space(Ladder(3, [(2, 2)]))
+    for closed in (is_closed, closed_by_products):
+        with pytest.raises(ValueError, match="unknown product kind"):
+            closed(space, "jordan")
+
+
+def assert_closure_agrees(n, positions):
+    space = TensorSpace(n, positions)
+    got = {kind: is_closed(space, kind) for kind in KINDS}
+    assert got == {kind: closed_by_products(space, kind) for kind in KINDS}
+    assert got["associative"] == got["lie"]
+    return got["lie"]
+
+
+def test_is_closed_matches_product_table_on_every_ladder():
+    # every ladder with n <= 6, closed or not, both kinds
+    for n in range(1, 7):
+        for k in range(1, n + 1):
+            for ladder in enumerate_ladders(n, k):
+                assert_closure_agrees(n, ladder.positions())
+
+
+def composed(positions):
+    """The least set holding positions and closed under composition."""
+    out = set(positions)
+    while True:
+        new = {(a, c) for a, b in out for b2, c in out if b == b2} - out
+        if not new:
+            return out
+        out |= new
+
+
+def needed(positions):
+    """The members of a position set that two others compose to: each
+    one removed leaves a set that is not closed."""
+    return [(a, c) for a, c in positions
+            if any((a, b) in positions and (b, c) in positions
+                   and (a, b) != (a, c) != (b, c) for b, _ in positions)]
+
+
+def assert_closed_and_its_gaps_are_not(n, positions):
+    positions = set(positions)
+    assert assert_closure_agrees(n, positions)
+    for p in needed(positions):
+        assert not assert_closure_agrees(n, positions - {p}), p
+
+
+def test_is_closed_on_closed_sets_that_are_not_ladders():
+    # random subsets are almost never closed, so closed ones are built:
+    # the diagonal, block-diagonal sets, gl_n, and each with one needed
+    # position removed
+    for n in range(1, 6):
+        full = [(i, j) for i in range(1, n + 1) for j in range(1, n + 1)]
+        assert_closed_and_its_gaps_are_not(n, full)
+        assert_closed_and_its_gaps_are_not(
+            n, [(i, i) for i in range(1, n + 1)])
+        for parts in compositions(n):
+            start, blocks = 1, set()
+            for p in parts:
+                block = range(start, start + p)
+                blocks |= set(product(block, block))
+                start += p
+            assert_closed_and_its_gaps_are_not(n, blocks)
+    assert len(needed(set(product(range(1, 4), range(1, 4))))) == 9
+    assert needed({(1, 1), (2, 2)}) == []
+
+
+@seed(1)
+@settings(max_examples=300, deadline=None)
+@given(st.integers(min_value=1, max_value=5).flatmap(
+    lambda n: st.tuples(st.just(n), st.sets(
+        st.tuples(st.integers(1, n), st.integers(1, n)), min_size=1))))
+def test_is_closed_matches_product_table_on_position_sets(case):
+    # arbitrary position sets with n <= 5, then the closure of each and
+    # that closure with one needed position removed
+    n, positions = case
+    assert_closure_agrees(n, positions)
+    assert_closed_and_its_gaps_are_not(n, composed(positions))
 
 
 def test_is_closed_matches_mat_product_reference():
