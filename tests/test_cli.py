@@ -15,6 +15,10 @@ import pytest
 import ladderzpd
 from ladderzpd.certio import read_certificate
 from ladderzpd.cli import MAX_LADDER_COUNT, main
+from ladderzpd.ladders import enumerate_ladders
+from ladderzpd.tensors import TensorSpace
+
+from oracles import closed_by_products
 
 
 # argv: OUT ERR COMMAND...; runs COMMAND with its stdout and stderr in
@@ -117,6 +121,39 @@ def test_ladder_survey_bytes(capsys, kind):
     assert (code, err) == (0, "")
     assert len(json.loads(out)) == 923
     assert hashlib.sha256(out.encode()).hexdigest() == SURVEY_SHA256[kind]
+
+
+# SHA-256 of the stdout of `ladder-check` (text, then --json), run once
+# for each ladder with n <= 4 in enumerate_ladders order, concatenated
+LADDER_CHECK_SHA256 = {
+    "text": "eff59197bf049d1f7bac46cab664c3c8a733eb28c65f947404147ad53a50b21b",
+    "json": "049364bb54a5d6c846357b0475f448989c0ac6bcaf8013073ca370819af4fa44",
+}
+
+
+def test_ladder_check_bytes_and_closure_on_every_small_ladder(capsys):
+    # every ladder with n <= 4: both output forms are pinned, and the
+    # JSON agrees with the product table and the position list
+    outs = {"text": [], "json": []}
+    for n in range(1, 5):
+        for k in range(1, n + 1):
+            for ladder in enumerate_ladders(n, k):
+                argv = ["ladder-check", "--n", str(n)]
+                for i, j in ladder.steps:
+                    argv += ["--step", f"{i},{j}"]
+                for form, extra in (("text", []), ("json", ["--json"])):
+                    code, out, err = run(capsys, *argv, *extra)
+                    assert (code, err) == (0, ""), ladder
+                    outs[form].append(out)
+                obj = json.loads(outs["json"][-1])
+                space = TensorSpace(n, ladder.positions())
+                assert obj["dim"] == len(ladder.positions()), ladder
+                for kind in ("associative", "lie"):
+                    assert obj[f"closed_{kind}"] == closed_by_products(
+                        space, kind), (ladder, kind)
+    assert len(outs["json"]) == 1 + 5 + 19 + 69
+    assert {form: hashlib.sha256("".join(o).encode()).hexdigest()
+            for form, o in outs.items()} == LADDER_CHECK_SHA256
 
 
 @pytest.mark.parametrize("argv, message", [
