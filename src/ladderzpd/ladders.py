@@ -1,17 +1,15 @@
-"""Ladders, their position sets, upper-triangularity, and closure.
+"""Ladders, their position sets, and upper-triangularity.
 
 A ladder is a set of steps (i_t, j_t) with strictly increasing rows and
 strictly increasing columns.  Each step contributes every position with
 row <= i_t and column >= j_t; the ladder matrix space M_L is the span of
-the elementary matrices at the union of those positions, built as a
-`tensors.TensorSpace` from `Ladder.positions()`; `is_closed` decides
-closure from the position set alone.  A ladder is upper triangular when
-i_t < j_{t+1} for consecutive steps: exactly when its space is closed
-under matrix multiplication, which for a span of elementary matrices is
-the same as closure under the bracket (proved in `is_closed`).  One-step
-ladders with i1 >= j1 carry the block profile (n1, n2, n3) =
-(j1 - 1, i1 - j1 + 1, n - i1) that drives the certificate
-construction; i1 < j1 gives an abelian space.
+the elementary matrices at the union of those positions,
+`Ladder.positions()`.  A ladder is upper triangular when i_t < j_{t+1}
+for consecutive steps: exactly when M_L is closed under matrix
+multiplication, and equally under the bracket (proved in
+`is_upper_triangular`).  One-step ladders with i1 >= j1 carry the block
+profile (n1, n2, n3) = (j1 - 1, i1 - j1 + 1, n - i1) that drives the
+certificate construction; i1 < j1 gives an abelian space.
 """
 
 from __future__ import annotations
@@ -19,8 +17,7 @@ from __future__ import annotations
 from itertools import combinations
 from typing import List, NamedTuple, Optional, Sequence, Tuple
 
-from .matrices import Position, PRODUCT_KINDS
-from .tensors import TensorSpace
+from .matrices import Position
 
 
 class Ladder:
@@ -74,37 +71,30 @@ class Ladder:
 
 
 def is_upper_triangular(ladder: Ladder) -> bool:
-    """True iff i_t < j_{t+1} for consecutive steps (vacuous for one step)."""
+    """True iff i_t < j_{t+1} for consecutive steps (vacuous for one
+    step): exactly when M_L is closed under the product, and exactly
+    when it is closed under the bracket.
+
+    A matrix lies in M_L iff its support lies in P = `positions()`.
+    Product.  M_L is closed iff (i, j), (j, q) in P put (i, q) in P, as
+    e_ij e_jq = e_iq.  If i_t < j_{t+1} for every t, take (i, j) from
+    step t and (j, q) from step t'.  Then t' >= t, since t' < t would
+    give i_{t'} <= i_{t-1} < j_t <= j <= i_{t'}.  So i <= i_t <= i_{t'}
+    and q >= j_{t'}: (i, q) lies in step t'.  If i_t >= j_{t+1} for some
+    t, then (i_{t+1}, j_{t+1}) and (j_{t+1}, j_t) are positions (of
+    steps t+1 and t), but (i_{t+1}, j_t) is not: its step s would need
+    s >= t+1 for the row and s <= t for the column.
+
+    Bracket.  [e_ij, e_kl] = delta_jk e_il - delta_li e_kj, so the
+    bracket of two positions asks for the compositions (i, j)(j, l) and
+    (k, i)(i, j), and for no other position.  Every composition
+    (i, j)(j, q) is asked for by [e_ij, e_jq] unless the two are the
+    same element, i = j = q, and then it is (i, i), already in P.  So on
+    any span of elementary matrices closure under the bracket equals
+    closure under the product.
+    """
     return all(ladder.steps[t][0] < ladder.steps[t + 1][1]
                for t in range(len(ladder.steps) - 1))
-
-
-def is_closed(space: TensorSpace, kind: str) -> bool:
-    """True iff `space.products(s, kind)` raises ClosureError for no s,
-    kind "associative" or "lie" (ValueError for any other): decided
-    from the position set P alone, with R_i = {q : (i, q) in P}.
-
-    The test is R_j <= R_i for each (i, j) in P, so it is False exactly
-    when some (i, j), (j, q) in P have (i, q) not in P.  That is the
-    table's rule for both kinds.  Take b_s = e_ij.
-    - associative: e_ij e_jq = e_iq, so products(s) asks (i, q) in P
-      for each (j, q) in P.  Over all s that is every composable pair.
-    - lie: [e_ij, e_kl] = delta_jk e_il - delta_li e_kj.  products(s)
-      asks (i, q) in P for each (j, q) in P, the composition
-      (i, j)(j, q), and (p, j) in P for each (p, i) in P, the
-      composition (p, i)(i, j).  The one pair it skips, [b_s, b_s],
-      drops a demand only when i = j, and that demand is (i, i), b_s
-      itself.  So it asks for every composition, and only for those.
-    Hence closure under the bracket equals closure under the product on
-    any span of elementary matrices.
-    """
-    if kind not in PRODUCT_KINDS:
-        raise ValueError(f"unknown product kind: {kind!r}")
-    rows = {}
-    for i, j in space.positions:
-        rows.setdefault(i, set()).add(j)
-    none = frozenset()
-    return all(rows.get(j, none) <= rows[i] for i, j in space.positions)
 
 
 def enumerate_ladders(n: int, k: int) -> List[Ladder]:

@@ -20,8 +20,6 @@ from .fields import Field, QQ, Scalar
 Position = Tuple[int, int]
 Entries = Dict[Position, Any]
 
-PRODUCT_KINDS = ("associative", "lie")
-
 
 class SparseMatrix:
     """n-by-n matrix over an exact field; entries keyed by (row, col), 1-based.

@@ -5,12 +5,13 @@ An algebra here is a span of elementary matrices at a fixed position
 set, with the basis ordered row-major.  How two basis elements multiply
 is worked out in one place, the product table `TensorSpace.products`:
 `build_mu` stores it, once, as mu's nonzero columns, read by the
-verifier and `certificates.ad_echelon`.  (`ladders.is_closed` decides
-from the position set alone when the table would leave the span.)
-The tensor square gets the ordered basis b_s (x) b_t indexed
-by the global column rule column(s, t) = s*d + t with s, t 0-based;
-certificates depend on this rule.  It is stated here, and
-verify_certificate and search_spanning apply it as s * d + k.
+verifier and `certificates.ad_echelon`.  (No ladder command reads it:
+a ladder's space is closed exactly when the ladder is upper
+triangular, proved in `ladders.is_upper_triangular`.)  The tensor
+square gets the ordered basis b_s (x) b_t indexed by the global column
+rule column(s, t) = s*d + t with s, t 0-based; certificates depend on
+this rule.  It is stated here, and verify_certificate and
+search_spanning apply it as s * d + k.
 mu sends a tensor to the product of its factors, extended linearly; its
 kernel dimension is the quantity every certificate is measured against.
 """
@@ -21,8 +22,9 @@ from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .elim import IncrementalEchelon
 from .fields import Field, QQ, Scalar
-from .matrices import (Entries, Position, PRODUCT_KINDS, SparseMatrix,
-                       elementary)
+from .matrices import Entries, Position, SparseMatrix, elementary
+
+PRODUCT_KINDS = ("associative", "lie")
 
 # a stored column of mu: (a, c) pairs, c = +-1 the coefficient of b_a
 Column = Tuple[Tuple[int, int], ...]

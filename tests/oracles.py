@@ -10,8 +10,9 @@ and bracket multiply package matrices with entry_product, a sparse
 product on entry maps, and mu_columns_by_products multiplies basis
 matrices with them, not with the product table; flat_columns lays the
 package's mu out in the same column order.  closed_by_products reads
-closure off the product table, the reference for ladders.is_closed,
-which decides it from the position set.  The exceptions reuse
+closure off the product table, the reference for
+ladders.is_upper_triangular, whose docstring proves that it decides
+closure.  The exceptions reuse
 package pieces that share no code with what they check: the
 field-scalar verification route (tensor_coords,
 apply_to_coords, in_kernel, verify_by_field_coords) checks
@@ -313,8 +314,8 @@ def naive_mu_kernel_dim(n: int, positions: Sequence[Tuple[int, int]],
 
 def closed_by_products(space, kind: str) -> bool:
     """Closure read off the product table: True iff products(s, kind)
-    runs to its end for every basis element b_s, the rule
-    ladders.is_closed decides from the position set alone."""
+    runs to its end for every basis element b_s.  On a ladder's space
+    it is ladders.is_upper_triangular, for both kinds."""
     try:
         for s in range(space.d):
             list(space.products(s, kind))

@@ -24,15 +24,14 @@ from ladderzpd.certio import (certificate_bytes, read_certificate,
 from ladderzpd.cli import main
 from ladderzpd.fields import PrimeField, QQ
 from ladderzpd.ladders import (BlockProfile, Ladder, block_profile,
-                               enumerate_ladders, is_closed,
-                               is_upper_triangular)
+                               enumerate_ladders, is_upper_triangular)
 from ladderzpd.matrices import elementary
 from ladderzpd.onestep import (assemble_one_step_certificate,
                                kernel_dim_polynomial)
 from ladderzpd.tensors import RankOneTensor, TensorSpace, build_mu
 
-from oracles import (bracket, expected_counts, in_kernel,
-                     naive_mu_kernel_dim, tensor_coords)
+from oracles import (bracket, closed_by_products, expected_counts,
+                     in_kernel, naive_mu_kernel_dim, tensor_coords)
 
 
 @pytest.fixture
@@ -120,21 +119,23 @@ def test_criterion_2_dimension_bookkeeping(criterion):
 
 def test_criterion_3_closure_characterization(criterion):
     """Exhaustively over every ladder with n <= 4: closure under the
-    associative product is equivalent to upper-triangularity, and
-    upper-triangular ladders are closed under the bracket."""
+    associative product, and closure under the bracket, are each
+    equivalent to upper-triangularity, read off the product table."""
     with criterion(3, "closure iff upper-triangular, all ladders n <= 4"):
-        total = 0
+        seen = Counter()
         for n in range(1, 5):
             for k in range(1, n + 1):
                 for ladder in enumerate_ladders(n, k):
                     space = TensorSpace(n, ladder.positions())
                     ut = is_upper_triangular(ladder)
-                    assert is_closed(space, "associative") == ut, ladder
-                    if ut:
-                        assert is_closed(space, "lie"), ladder
-                    total += 1
-        # sum over k of C(n,k)^2 = C(2n,n) - 1 ladders per n
-        assert total == 1 + 5 + 19 + 69
+                    for kind in ("associative", "lie"):
+                        assert closed_by_products(space, kind) == ut, (
+                            ladder, kind)
+                    seen[ut] += 1
+        # sum over k of C(n,k)^2 = C(2n,n) - 1 ladders per n; both
+        # directions of each equivalence are exercised
+        assert sum(seen.values()) == 1 + 5 + 19 + 69
+        assert seen == {True: 85, False: 9}
 
 
 def test_criterion_4_gl_certificates(criterion):

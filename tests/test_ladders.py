@@ -1,4 +1,10 @@
-"""Ladders, their matrix spaces, upper-triangularity, and closure."""
+"""Ladders, their matrix spaces, upper-triangularity, and closure.
+
+Closure is read off the product table (`oracles.closed_by_products`) or
+the matrices themselves (`oracles.mu_columns_by_products`) and compared
+with `is_upper_triangular`, whose docstring proves they agree, and with
+closure under composition of positions for sets that are not ladders.
+"""
 
 from __future__ import annotations
 
@@ -9,8 +15,7 @@ import pytest
 from hypothesis import given, seed, settings, strategies as st
 
 from ladderzpd.ladders import (BlockProfile, Ladder, block_profile,
-                               enumerate_ladders, is_closed,
-                               is_upper_triangular)
+                               enumerate_ladders, is_upper_triangular)
 from ladderzpd.tensors import MembershipError, TensorSpace
 
 from oracles import closed_by_products, mu_columns_by_products
@@ -104,11 +109,12 @@ def test_is_upper_triangular():
 
 
 def test_closure_examples():
-    assert is_closed(ladder_space(Ladder(6, [(3, 2), (6, 5)])), "associative")
-    assert not is_closed(ladder_space(Ladder(3, [(2, 1), (3, 2)])),
-                         "associative")
+    assert closed_by_products(ladder_space(Ladder(6, [(3, 2), (6, 5)])),
+                              "associative")
+    assert not closed_by_products(ladder_space(Ladder(3, [(2, 1), (3, 2)])),
+                                  "associative")
     for i1, j1 in ((1, 1), (2, 1), (3, 3), (4, 2)):
-        assert is_closed(ladder_space(Ladder(4, [(i1, j1)])), "lie")
+        assert closed_by_products(ladder_space(Ladder(4, [(i1, j1)])), "lie")
 
 
 def test_partition_to_ladder_examples():
@@ -192,38 +198,48 @@ def test_one_step_dimension_formula():
 
 
 def test_closure_iff_upper_triangular_small():
-    # closure under the product, and so under the bracket (the proof is
-    # in is_closed), iff upper triangular: every ladder with n <= 4
-    for n in range(1, 5):
+    # the two halves of the product proof in is_upper_triangular, on
+    # every ladder with n <= 6: an upper triangular ladder's positions
+    # are closed under composition, and each t with i_t >= j_{t+1} has
+    # (i_{t+1}, j_{t+1}) and (j_{t+1}, j_t) composing to a non-position
+    for n in range(1, 7):
         for k in range(1, n + 1):
             for ladder in enumerate_ladders(n, k):
-                space = ladder_space(ladder)
-                ut = is_upper_triangular(ladder)
-                assert is_closed(space, "associative") == ut
-                assert is_closed(space, "lie") == ut
+                positions = set(ladder.positions())
+                steps = ladder.steps
+                gaps = [(steps[t + 1], steps[t]) for t in range(k - 1)
+                        if steps[t][0] >= steps[t + 1][1]]
+                assert (not gaps) == is_upper_triangular(ladder)
+                assert (not gaps) == (composed(positions) == positions)
+                for (i2, j2), (_, j1) in gaps:
+                    assert {(i2, j2), (j2, j1)} <= positions, ladder
+                    assert (i2, j1) not in positions, ladder
 
 
 def test_is_closed_rejects_an_unknown_kind():
     space = ladder_space(Ladder(3, [(2, 2)]))
-    for closed in (is_closed, closed_by_products):
-        with pytest.raises(ValueError, match="unknown product kind"):
-            closed(space, "jordan")
+    with pytest.raises(ValueError, match="unknown product kind"):
+        closed_by_products(space, "jordan")
 
 
 def assert_closure_agrees(n, positions):
+    """The product table is closed, for both kinds, exactly when the
+    positions are closed under composition; returns whether they are."""
     space = TensorSpace(n, positions)
-    got = {kind: is_closed(space, kind) for kind in KINDS}
-    assert got == {kind: closed_by_products(space, kind) for kind in KINDS}
-    assert got["associative"] == got["lie"]
-    return got["lie"]
+    closed = composed(positions) == set(positions)
+    for kind in KINDS:
+        assert closed_by_products(space, kind) == closed, kind
+    return closed
 
 
 def test_is_closed_matches_product_table_on_every_ladder():
-    # every ladder with n <= 6, closed or not, both kinds
+    # every ladder with n <= 6, closed or not, both kinds: the product
+    # table is closed exactly when the ladder is upper triangular
     for n in range(1, 7):
         for k in range(1, n + 1):
             for ladder in enumerate_ladders(n, k):
-                assert_closure_agrees(n, ladder.positions())
+                closed = assert_closure_agrees(n, ladder.positions())
+                assert closed == is_upper_triangular(ladder), ladder
 
 
 def composed(positions):
@@ -285,16 +301,17 @@ def test_is_closed_matches_product_table_on_position_sets(case):
 
 
 def test_is_closed_matches_mat_product_reference():
-    # every ladder with n <= 5, upper triangular or not: closed exactly
-    # when multiplying every pair of basis matrices never leaves the span
+    # every ladder with n <= 5: upper triangular exactly when multiplying
+    # every pair of basis matrices never leaves the span, both kinds
     for n in range(1, 6):
         for k in range(1, n + 1):
             for ladder in enumerate_ladders(n, k):
                 space = ladder_space(ladder)
-                for kind in ("associative", "lie"):
+                ut = is_upper_triangular(ladder)
+                for kind in KINDS:
                     try:
                         mu_columns_by_products(space, kind)
                         want = True
                     except MembershipError:
                         want = False
-                    assert is_closed(space, kind) == want, (ladder, kind)
+                    assert ut == want, (ladder, kind)
