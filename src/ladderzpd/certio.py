@@ -10,28 +10,36 @@ every reader re-verifies from scratch.
 Factors are shared.  The reader returns one SparseMatrix per distinct
 entry list of a file, carried by every tensor that lists it, so each
 list is checked and parsed once (and the verifier prepares each
-factor object once); the one writer, certificate_bytes, formats and
+factor object once); the one writer, _certificate_chunks, formats and
 encodes each factor object once and splices the text into every tensor
 that carries it.
 A one-step certificate with about d^2 tensors has only about d
 distinct factors.  So no caller may mutate a factor: the change would
 show in every tensor that shares it.
 
-The reader has two paths and one result.  A file in the writer's
-canonical form is read by its text: one pattern cuts out each tensor's
-label and entry-list texts, and each distinct text is decoded and
-checked once, with no JSON tree built (_canonical_certificate proves
-that this gives what the full parse gives).  Any other file, and any
-file whose text path meets an error, goes through json.loads and
-certificate_from_json, the one source of format errors.
+Neither direction holds a piece per tensor of a whole file.  The
+writer yields the head, then the tensors a bounded chunk at a time,
+then the list's end; write_certificate writes each chunk as it comes,
+to a new file that replaces the target only once complete, and
+certificate_bytes joins them.  The reader has two paths and one
+result.  A file in the writer's canonical form is read by its text, a
+bounded slice of the tensor list at a time: one pattern cuts out each
+tensor's label and entry-list texts, and each text not seen before in
+the file is decoded and checked once, with no JSON tree built
+(_canonical_certificate proves that this gives what the full parse
+gives).  Any other file, and any file whose text path meets an error,
+goes through json.loads and certificate_from_json, the one source of
+format errors.
 """
 
 from __future__ import annotations
 
 import gc
 import json
+import os
 import re
-from typing import Dict, List, Optional, Tuple
+import stat
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from .certificates import Certificate
 from .fields import Field, PrimeField, QQ, RationalField
@@ -231,28 +239,22 @@ def _factor_text(mat: SparseMatrix, field: Field) -> str:
                            for (i, j), c in sorted(mat.entries.items())])
 
 
-def certificate_bytes(cert: Certificate) -> bytes:
-    """The file's canonical bytes.  Each factor object's entry list is
-    formatted and encoded once and spliced into every tensor that
-    carries it.  A tensor's keys family < u < v are in sorted order,
-    and "tensors" sorts after the other top-level keys, so its list goes
-    in front of the head's closing brace.  Every tensor label is a
-    listed family (Certificate checks it)."""
+# tensors formatted per chunk: few enough that a chunk's texts are
+# small beside the certificate, many enough that the per-chunk work
+# is negligible
+_WRITE_CHUNK = 512
+
+
+def _certificate_chunks(cert: Certificate) -> Iterator[bytes]:
+    """The file's canonical bytes, in order: the head, the tensors
+    _WRITE_CHUNK at a time, then the list's and the file's end.  Each
+    factor object's entry list is formatted and encoded once and
+    spliced into every tensor that carries it.  A tensor's keys
+    family < u < v are in sorted order, and "tensors" sorts after the
+    other top-level keys, so its list goes in front of the head's
+    closing brace.  Every tensor label is a listed family (Certificate
+    checks it)."""
     field = cert.field
-    text: Dict[int, str] = {}  # id of a factor object -> its entry list
-
-    def encode(mat: SparseMatrix) -> str:
-        got = text[id(mat)] = _factor_text(mat, field)
-        return got
-
-    opening = {label: f'{{"family":{json.dumps(label)},"u":'
-               for label, _ in cert.families}
-    # a list's text is never empty, so only a factor not yet in text
-    # is encoded
-    tensors = ",".join([
-        f'{opening[t.label]}{text.get(id(t.u)) or encode(t.u)},'
-        f'"v":{text.get(id(t.v)) or encode(t.v)}}}'
-        for t in cert.tensors])
     head = _dumps_compact({
         "format_version": FORMAT_VERSION,
         "algebra": _algebra_to_json(cert.algebra),
@@ -261,7 +263,30 @@ def certificate_bytes(cert: Certificate) -> bytes:
         "families": [{"label": label, "count": count}
                      for label, count in cert.families],
     })
-    return f'{head[:-1]},"tensors":[{tensors}]}}\n'.encode("utf-8")
+    yield f'{head[:-1]},"tensors":['.encode("utf-8")
+    text: Dict[int, str] = {}  # id of a factor object -> its entry list
+
+    def encode(mat: SparseMatrix) -> str:
+        got = text[id(mat)] = _factor_text(mat, field)
+        return got
+
+    opening = {label: f'{{"family":{json.dumps(label)},"u":'
+               for label, _ in cert.families}
+    tensors = cert.tensors
+    for at in range(0, len(tensors), _WRITE_CHUNK):
+        # a list's text is never empty, so only a factor not yet in
+        # text is encoded
+        chunk = ",".join([
+            f'{opening[t.label]}{text.get(id(t.u)) or encode(t.u)},'
+            f'"v":{text.get(id(t.v)) or encode(t.v)}}}'
+            for t in tensors[at:at + _WRITE_CHUNK]])
+        yield (("," if at else "") + chunk).encode("utf-8")
+    yield b"]}\n"
+
+
+def certificate_bytes(cert: Certificate) -> bytes:
+    """The file's canonical bytes: every chunk the writer makes."""
+    return b"".join(_certificate_chunks(cert))
 
 
 def write_certificate(cert: Certificate, path: str, *,
@@ -269,17 +294,38 @@ def write_certificate(cert: Certificate, path: str, *,
                       mark_unverified: bool = False) -> None:
     """Write canonical JSON.  The caller must either have verified the
     certificate or say explicitly that it is writing an unverified one;
-    files themselves never embed a verdict."""
+    files themselves never embed a verdict.
+
+    The chunks go to a new file beside path, created as open(path,
+    "wb") would create it, which then replaces path.  So an error while
+    formatting or writing leaves no truncated certificate, and a file
+    already at path stays as it was.  A path that is a link, a device
+    or a pipe (/dev/null, /dev/stdout) is written through, as open
+    does: replacing it would replace the link or the device itself."""
     if not verified and not mark_unverified:
         raise ValueError(
             "refusing to write an unverified certificate; verify it first "
             "or pass mark_unverified=True")
-    data = certificate_bytes(cert)
-    with open(path, "wb") as fh:
-        fh.write(data)
+    try:
+        replace = stat.S_ISREG(os.lstat(path).st_mode)
+    except FileNotFoundError:
+        replace = True
+    if not replace:
+        with open(path, "wb") as fh:
+            fh.writelines(_certificate_chunks(cert))
+        return
+    part = f"{path}.{os.urandom(6).hex()}.part"
+    fh = open(part, "xb")
+    try:
+        with fh:
+            fh.writelines(_certificate_chunks(cert))
+        os.replace(part, path)
+    except BaseException:
+        os.unlink(part)
+        raise
 
 
-# one tensor of a canonical file, then a comma or the list's end: a
+# one tensor of a canonical file, then a comma or the slice's end: a
 # JSON string (the label) and two entry lists [[row,col,"scalar"],...],
 # which hold no braces and no "]]" before their end.  It is compiled at
 # its first use (re caches it), so that commands which read no
@@ -289,6 +335,12 @@ _CANONICAL_TENSOR = (
     rb'\{"family":("[^"\\]*(?:\\.[^"\\]*)*"),"u":(' + _ENTRY_LIST
     + rb'),"v":(' + _ENTRY_LIST + rb')\}(?:,|\Z)')
 _TENSORS_KEY = b',"tensors":['
+_TENSOR_CUT = b'},{"family":'
+# bytes of the tensor list past which a slice ends at the next cut:
+# about 600 tensors of a one-step file, few enough that a slice's
+# pieces are small beside the certificate, many enough that the
+# per-slice work is negligible
+_READ_SLICE = 1 << 15
 
 
 def _canonical_certificate(raw: bytes) -> Optional[Certificate]:
@@ -298,21 +350,34 @@ def _canonical_certificate(raw: bytes) -> Optional[Certificate]:
     The file must be H[:-1] + ',"tensors":[' + B + ']}\n', cut at the
     first ',"tensors":['.  H must be the compact sorted-key JSON text
     of its json.loads value, an object with the keys of a certificate
-    but "tensors".  B must be tiled by the matches of _CANONICAL_TENSOR
-    in it: they are disjoint, and only one can end at B's end without a
-    comma, so their lengths adding up to len(B) means that B is
-    T_1,...,T_k, each T_i {"family":L,"u":U,"v":V}.  Each distinct L, a
-    JSON string by the pattern, must be json.dumps of its json.loads
-    value; each distinct U and V must pass _matrix_from_entries and be
-    _factor_text of the matrix it gives.  Then every piece is a JSON
-    text of its value, so the file is a JSON text, and as JSON's
-    grammar is unambiguous, json.loads of the file is H's object with
-    "tensors" added, the list of those tensors (H has no "tensors" key,
-    so no key repeats).  The head gets the same _head_from_json and
-    every factor the same _matrix_from_entries as in
-    certificate_from_json, so the result equals
-    certificate_from_json(json.loads(raw)), factor sharing included:
-    equal canonical texts are equal entry lists.
+    but "tensors".  B is read in slices, B = S_1,S_2,...,S_r: a slice
+    ends at B's end or at the "}" of the first '},{"family":' that
+    starts _READ_SLICE bytes or more into it, and the next slice starts
+    after that comma.  Each slice must be tiled by the matches of
+    _CANONICAL_TENSOR in it: they are disjoint, and only one can end at
+    the slice's end without a comma, so their lengths adding up to the
+    slice's length means that it is T_1,...,T_k, each T_i
+    {"family":L,"u":U,"v":V}.  Joined by the commas between slices, the
+    tiled slices tile B: B is T_1,...,T_K over the file's tensors, in
+    order.  Each L not seen before in the file, a JSON string by the
+    pattern, must be json.dumps of its json.loads value; each U and V
+    not seen before must pass _matrix_from_entries and be _factor_text
+    of the matrix it gives.  Then every piece is a JSON text of its
+    value, so the file is a JSON text, and as JSON's grammar is
+    unambiguous, json.loads of the file is H's object with "tensors"
+    added, the list of those tensors (H has no "tensors" key, so no key
+    repeats).  The head gets the same _head_from_json and every factor
+    the same _matrix_from_entries as in certificate_from_json, so the
+    result equals certificate_from_json(json.loads(raw)), factor
+    sharing included: equal canonical texts are equal entry lists, and
+    the texts seen so far carry over from slice to slice.
+
+    Slicing turns no canonical file away, since in one a cut falls only
+    between tensors.  Say '},{"family":' starts at p in B.  Its '{"'
+    cannot lie in an entry list, which holds no braces, nor in a label:
+    a canonical label escapes every '"' in its value as '\"', and the
+    '"' that closes it is followed by ',"u"', not 'family'.  So the
+    '{' opens a tensor, and p is the '}' that closes the one before.
 
     Any deviation (whitespace, reordered or repeated keys, a scalar
     such as "+3" or "1/1", an empty list) and any error return None.
@@ -330,29 +395,34 @@ def _canonical_certificate(raw: bytes) -> Optional[Certificate]:
                 or _dumps_compact(head).encode("utf-8") != head_text):
             return None
         algebra, n, field, kernel_dim, families = _head_from_json(head)
-        start, end = cut + len(_TENSORS_KEY), len(raw) - 3
-        pieces = re.compile(_CANONICAL_TENSOR).findall(raw, start, end)
-        if not pieces:
-            return None
-        labels, us, vs = zip(*pieces)
-        del pieces  # 83,233 tuples at n = 32, not needed any more
-        if (22 * len(labels) - 1 + sum(map(len, labels)) + sum(map(len, us))
-                + sum(map(len, vs))) != end - start:
-            return None
+        tensor = re.compile(_CANONICAL_TENSOR)
         label_of: Dict[bytes, str] = {}
-        for quoted in set(labels):
-            label = label_of[quoted] = json.loads(quoted)
-            if json.dumps(label).encode("utf-8") != quoted:
-                return None
         factor_of: Dict[bytes, SparseMatrix] = {}
-        for entries in set(us).union(vs):
-            mat = _matrix_from_entries(json.loads(entries), n, field, "factor")
-            if _factor_text(mat, field).encode("utf-8") != entries:
+        tensors: List[RankOneTensor] = []
+        start, end = cut + len(_TENSORS_KEY), len(raw) - 3
+        while start <= end:
+            cut = raw.find(_TENSOR_CUT, start + _READ_SLICE, end)
+            stop = end if cut < 0 else cut + 1
+            # a slice with no match, the empty list's among them, makes
+            # this a ValueError
+            labels, us, vs = zip(*tensor.findall(raw, start, stop))
+            if (22 * len(labels) - 1 + sum(map(len, labels))
+                    + sum(map(len, us)) + sum(map(len, vs))) != stop - start:
                 return None
-            factor_of[entries] = mat
-        tensors = list(map(RankOneTensor, map(factor_of.__getitem__, us),
+            for quoted in set(labels).difference(label_of):
+                label = label_of[quoted] = json.loads(quoted)
+                if json.dumps(label).encode("utf-8") != quoted:
+                    return None
+            for entries in set(us).union(vs).difference(factor_of):
+                mat = _matrix_from_entries(json.loads(entries), n, field,
+                                           "factor")
+                if _factor_text(mat, field).encode("utf-8") != entries:
+                    return None
+                factor_of[entries] = mat
+            tensors += map(RankOneTensor, map(factor_of.__getitem__, us),
                            map(factor_of.__getitem__, vs),
-                           map(label_of.__getitem__, labels)))
+                           map(label_of.__getitem__, labels))
+            start = stop + 1  # past the comma, or past end
         return Certificate(algebra, field, kernel_dim, families, tensors)
     except Exception:  # any error: the full parse says which
         return None

@@ -4,11 +4,16 @@ from __future__ import annotations
 
 import gc
 import json
+import os
+import stat
+import tracemalloc
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from ladderzpd import certio
 from ladderzpd.certificates import (Certificate, gl_certificate,
                                     verify_certificate)
 from ladderzpd.certio import (CertificateFormatError, _canonical_certificate,
@@ -67,6 +72,60 @@ def test_write_requires_verification_flag(tmp_path):
     assert not path.exists()
     write_certificate(cert, str(path), mark_unverified=True)
     assert read_certificate(str(path)) == cert
+
+
+def test_write_creates_the_file_open_would(tmp_path):
+    # the certificate is written beside the path and renamed over it,
+    # with the mode a plain open(path, "wb") gives a new file
+    cert = gl_certificate(2)
+    plain = tmp_path / "plain"
+    open(plain, "wb").close()
+    path = tmp_path / "cert.json"
+    path.write_bytes(b"an older file")
+    write_certificate(cert, str(path), verified=True)
+    assert path.read_bytes() == certificate_bytes(cert)
+    assert (stat.S_IMODE(path.stat().st_mode)
+            == stat.S_IMODE(plain.stat().st_mode))
+    assert sorted(os.listdir(tmp_path)) == ["cert.json", "plain"]
+
+
+def test_write_goes_through_a_link(tmp_path):
+    # a link is written through, as open does, not replaced by a file
+    cert = gl_certificate(2)
+    target = tmp_path / "target.json"
+    link = tmp_path / "link.json"
+    link.symlink_to(target)
+    write_certificate(cert, str(link), verified=True)
+    assert link.is_symlink()
+    assert target.read_bytes() == certificate_bytes(cert)
+    assert sorted(os.listdir(tmp_path)) == ["link.json", "target.json"]
+
+
+@pytest.mark.parametrize("old", [None, b"an older file"])
+def test_failed_write_leaves_no_partial_file(tmp_path, monkeypatch, old):
+    # a failure after the first chunk has gone out: the path is absent
+    # or holds its old bytes, and no partial file is left beside it
+    chunks_of = certio._certificate_chunks
+    path = tmp_path / "cert.json"
+
+    def failing(cert):
+        chunks = chunks_of(cert)
+        yield next(chunks)
+        assert [name for name in os.listdir(tmp_path)
+                if name.endswith(".part")]
+        raise OSError("no space left on device")
+
+    if old is not None:
+        path.write_bytes(old)
+    monkeypatch.setattr(certio, "_WRITE_CHUNK", 1)
+    monkeypatch.setattr(certio, "_certificate_chunks", failing)
+    with pytest.raises(OSError, match="no space left on device"):
+        write_certificate(gl_certificate(2), str(path), verified=True)
+    if old is None:
+        assert os.listdir(tmp_path) == []
+    else:
+        assert os.listdir(tmp_path) == ["cert.json"]
+        assert path.read_bytes() == old
 
 
 def test_write_is_deterministic(tmp_path):
@@ -417,6 +476,46 @@ def test_writer_splices_shared_factors_and_escaped_labels():
     assert spliced == plain and spliced.endswith(b',"tensors":[]}\n')
 
 
+@pytest.mark.parametrize("chunk", [1, 2, 10 ** 6])
+def test_writer_chunks_give_the_canonical_bytes(tmp_path, monkeypatch,
+                                                chunk):
+    gl_3 = gl_certificate(3)
+    certs = [Certificate(gl_3.algebra, QQ, 73, [("gl", 0)], []), gl_3,
+             assemble_one_step_certificate(5, 3, 2, field=PrimeField(101))]
+    monkeypatch.setattr(certio, "_WRITE_CHUNK", chunk)
+    path = tmp_path / "cert.json"
+    for cert in certs:
+        spliced, plain = spliced_and_plain(cert)
+        assert spliced == plain
+        write_certificate(cert, str(path), mark_unverified=True)
+        assert path.read_bytes() == spliced
+    assert len(gl_3.tensors) == 73 < 10 ** 6
+
+
+def test_large_file_is_read_and_written_without_whole_file_pieces(tmp_path):
+    # the n = 24, (12,11) certificate: d = 168, 28,057 tensors, 1.59 MB.
+    # Measured with CPython 3.11: the read's traced peak is 3.67 MiB,
+    # the file's bytes and the certificate, and the write takes
+    # 0.17 MiB above the certificate.  Cutting the whole tensor list at
+    # once took 9.37 MiB, and formatting it as one string 4.61 MiB.
+    cert = assemble_one_step_certificate(24, 12, 11)
+    path = tmp_path / "cert.json"
+    tracemalloc.start()
+    try:
+        write_certificate(cert, str(path), mark_unverified=True)
+        write_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        tracemalloc.start()
+        got = read_certificate(str(path))
+        read_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (len(got.tensors), path.stat().st_size) == (28057, 1590495)
+    assert got == cert
+    assert write_peak < 1.5 * 2 ** 20
+    assert read_peak < 6 * 2 ** 20
+
+
 # The reader reads a file in canonical form by its text and anything
 # else by json.loads and certificate_from_json.  Both must give the same
 # certificate, or the same error, on every input.
@@ -533,7 +632,49 @@ def test_entries_that_are_no_triple_of_ints_and_text(tmp_path, entry):
                                1), False)
 
 
-def test_labels_with_braces_quotes_and_escapes(tmp_path):
+def slice_ends(data: bytes):
+    """Where the text reader ends each slice of data's tensor list: at
+    the "}" of the first '},{"family":' _READ_SLICE bytes or more into
+    the slice, or at the list's end."""
+    at = data.index(b',"tensors":[') + len(b',"tensors":[')
+    end, ends = len(data) - 3, []
+    while True:
+        cut = data.find(b'},{"family":', at + certio._READ_SLICE, end)
+        if cut < 0:
+            return ends + [end]
+        ends.append(cut + 1)
+        at = cut + 2
+
+
+def test_text_reader_shares_factors_across_slices(tmp_path, monkeypatch):
+    monkeypatch.setattr(certio, "_READ_SLICE", 300)
+    data = certificate_bytes(assemble_one_step_certificate(5, 3, 2))
+    ends = slice_ends(data)
+    assert len(ends) > 10
+    assert_readers_agree(tmp_path, data, True)
+    # a factor first seen in slice 1 is the same object in a later one
+    cert = _canonical_certificate(data)
+    k = data.count(b'{"family":', 0, ends[0])
+    first = {id(x) for t in cert.tensors[:k] for x in (t.u, t.v)}
+    assert any(id(x) in first for t in cert.tensors[k:] for x in (t.u, t.v))
+
+
+@pytest.mark.parametrize("tamper", [
+    lambda data, b: data[:b] + data[b + 1:],  # the comma missing
+    lambda data, b: data[:b + 1] + b" " + data[b + 1:],  # "}, {"
+    lambda data, b: data[:b - 1] + data[b:],  # the tensor's "}" missing
+    lambda data, b: data[:b - 2] + data[b - 1:],  # its last "]" missing
+    lambda data, b: data[:-6] + data[-3:],  # the file's last tensor cut
+])
+def test_tampers_at_a_slice_boundary(tmp_path, monkeypatch, tamper):
+    monkeypatch.setattr(certio, "_READ_SLICE", 300)
+    data = certificate_bytes(assemble_one_step_certificate(5, 3, 2))
+    b = slice_ends(data)[0]
+    assert data[b - 3:b + 11] == b']]},{"family":'
+    assert_readers_agree(tmp_path, tamper(data, b), False)
+
+
+def test_labels_with_braces_quotes_and_escapes(tmp_path, monkeypatch):
     shared = SparseMatrix(2, QQ, {(1, 1): Fraction(1)})
     labels = ['"},{"family":', '},{"family":"x","u":[[1,1,"1"]]',
               "caf\u00e9 \u2203", "back\\slash", "tab\t", ',"tensors":[',
@@ -552,6 +693,12 @@ def test_labels_with_braces_quotes_and_escapes(tmp_path):
     # an escape the writer does not use
     assert_readers_agree(tmp_path, data.replace(b'"tab\\t"', b'"tab\\u0009"'),
                          False)
+    # at slice size 1 the reader cuts at every '},{"family":', and none
+    # lies in a label, though one label's text holds '},{\"family\":'
+    assert b'"\\"},{\\"family\\":"' in data
+    monkeypatch.setattr(certio, "_READ_SLICE", 1)
+    assert len(slice_ends(data)) == len(labels)
+    assert_readers_agree(tmp_path, data, True)
 
 
 def test_head_with_a_second_tensors_key(tmp_path):
@@ -567,13 +714,17 @@ def test_head_with_a_second_tensors_key(tmp_path):
     assert_readers_agree(tmp_path, data[:-2] + b',"tensors":[]}\n', False)
 
 
-def test_empty_list_and_bad_tensor_separators(tmp_path):
+def test_empty_list_and_bad_tensor_separators(tmp_path, monkeypatch):
     cert = gl_certificate(2)
     empty = Certificate(cert.algebra, QQ, 13, [("gl", 0)], [])
-    assert_readers_agree(tmp_path, certificate_bytes(empty), False)
     data = certificate_bytes(cert)
-    assert_readers_agree(tmp_path, data.replace(b"]]}]}", b"]]},]}"), False)
-    assert_readers_agree(tmp_path, data.replace(b"]]}]}", b"]]}}]}"), False)
+    for size in (certio._READ_SLICE, 1):
+        monkeypatch.setattr(certio, "_READ_SLICE", size)
+        assert_readers_agree(tmp_path, certificate_bytes(empty), False)
+        assert_readers_agree(tmp_path, data.replace(b"]]}]}", b"]]},]}"),
+                             False)
+        assert_readers_agree(tmp_path, data.replace(b"]]}]}", b"]]}}]}"),
+                             False)
 
 
 @settings(max_examples=300, deadline=None,
@@ -582,10 +733,13 @@ def test_empty_list_and_bad_tensor_separators(tmp_path):
        st.lists(st.tuples(st.sampled_from(["insert", "delete", "flip"]),
                           st.integers(min_value=0),
                           st.sampled_from(b'0123456789-/,:[]{}" tuvx\\')),
-                min_size=1, max_size=3))
-def test_byte_mutations_read_like_the_full_parse(tmp_path, name, edits):
+                min_size=1, max_size=3),
+       st.sampled_from([certio._READ_SLICE, 1, 64]))
+def test_byte_mutations_read_like_the_full_parse(tmp_path, name, edits,
+                                                 size):
     # whatever the text path accepts, the full parse gives the same;
-    # whatever it turns down, the reader's answer is the full parse's
+    # whatever it turns down, the reader's answer is the full parse's,
+    # at the reader's slice size and with a slice every tensor or few
     data = bytearray(MUTATION_SEEDS[name])
     for kind, at, byte in edits:
         at %= len(data) + (kind == "insert")
@@ -596,8 +750,9 @@ def test_byte_mutations_read_like_the_full_parse(tmp_path, name, edits):
         else:
             data[at % len(data)] = byte
     data = bytes(data)
-    assert_readers_agree(tmp_path, data,
-                         _canonical_certificate(data) is not None)
+    with mock.patch.object(certio, "_READ_SLICE", size):
+        assert_readers_agree(tmp_path, data,
+                             _canonical_certificate(data) is not None)
 
 
 def mutation_seed(name: str) -> bytes:
