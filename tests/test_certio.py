@@ -103,8 +103,8 @@ def test_write_goes_through_a_link(tmp_path):
 
 @pytest.mark.parametrize("old", [None, b"an older file"])
 def test_failed_write_leaves_no_partial_file(tmp_path, monkeypatch, old):
-    # a failure after the first chunk has gone out: the path is absent
-    # or holds its old bytes, and no partial file is left beside it
+    # a failure after the first chunk, the head, has gone out: the path
+    # is absent or holds its old bytes, and no partial file is left
     chunks_of = certio._certificate_chunks
     path = tmp_path / "cert.json"
 
@@ -117,7 +117,6 @@ def test_failed_write_leaves_no_partial_file(tmp_path, monkeypatch, old):
 
     if old is not None:
         path.write_bytes(old)
-    monkeypatch.setattr(certio, "_WRITE_CHUNK", 1)
     monkeypatch.setattr(certio, "_certificate_chunks", failing)
     with pytest.raises(OSError, match="no space left on device"):
         write_certificate(gl_certificate(2), str(path), verified=True)
