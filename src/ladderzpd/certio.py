@@ -23,23 +23,26 @@ then the list's end; write_certificate writes each chunk as it comes,
 to a new file that replaces the target only once complete, and
 certificate_bytes joins them.  The reader has two paths and one
 result.  A file in the writer's canonical form is read by its text, a
-bounded slice of the tensor list at a time: one pattern cuts out each
-tensor's label and entry-list texts, and each text not seen before in
-the file is decoded and checked once, with no JSON tree built
-(_canonical_certificate proves that this gives what the full parse
-gives).  Any other file, and any file whose text path meets an error,
-goes through json.loads and certificate_from_json, the one source of
+bounded slice of the tensor list at a time straight from the open
+file, so a canonical file's bytes are never held whole: one pattern
+cuts out each tensor's label and entry-list texts, and each text not
+seen before in the file is decoded and checked once, with no JSON tree
+built (_canonical_certificate proves that this gives what the full
+parse gives, also of a file that changes while it is read).  Any other
+file, and any file whose text path meets an error, is read again from
+its start by json.loads and certificate_from_json, the one source of
 format errors.
 """
 
 from __future__ import annotations
 
 import gc
+import io
 import json
 import os
 import re
 import stat
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import BinaryIO, Dict, Iterator, List, Optional, Tuple
 
 from .certificates import Certificate
 from .fields import Field, PrimeField, QQ, RationalField
@@ -334,26 +337,48 @@ _ENTRY_LIST = rb'\[\[[^{}\]]*(?:\][^{}\]]+)*\]\]'
 _CANONICAL_TENSOR = (
     rb'\{"family":("[^"\\]*(?:\\.[^"\\]*)*"),"u":(' + _ENTRY_LIST
     + rb'),"v":(' + _ENTRY_LIST + rb')\}(?:,|\Z)')
+# the first bytes of every canonical file: "algebra" is the least key
+# of the head, and "kind" the least key of every algebra descriptor
+_CANONICAL_START = b'{"algebra":{"kind":'
 _TENSORS_KEY = b',"tensors":['
 _TENSOR_CUT = b'},{"family":'
-# bytes of the tensor list past which a slice ends at the next cut:
-# about 600 tensors of a one-step file, few enough that a slice's
-# pieces are small beside the certificate, many enough that the
-# per-slice work is negligible
+# bytes of the tensor list past which a slice ends at the next cut, and
+# the size of each read: about 600 tensors of a one-step file, few
+# enough that a slice's bytes and pieces are small beside the
+# certificate, many enough that the per-slice work is negligible
 _READ_SLICE = 1 << 15
 
 
-def _canonical_certificate(raw: bytes) -> Optional[Certificate]:
-    """The certificate in a file in the writer's canonical form, read
-    without building the JSON tree; None for any other file.
+def _read_to(fh: BinaryIO, buf: bytearray, key: bytes, at: int) -> int:
+    """The index of the first key in buf that starts at or after at,
+    reading fh into buf _READ_SLICE bytes at a time until there is one;
+    -1 once fh has nothing more.  Each search resumes len(key) - 1
+    bytes before the new ones, so a key that straddles two reads is
+    found and no search starts over from the front."""
+    found = buf.find(key, at)
+    while found < 0:
+        more = fh.read(_READ_SLICE)
+        if not more:
+            return -1
+        at = max(at, len(buf) - len(key) + 1)
+        buf += more
+        found = buf.find(key, at)
+    return found
 
-    The file must be H[:-1] + ',"tensors":[' + B + ']}\n', cut at the
-    first ',"tensors":['.  H must be the compact sorted-key JSON text
-    of its json.loads value, an object with the keys of a certificate
-    but "tensors".  B is read in slices, B = S_1,S_2,...,S_r: a slice
-    ends at B's end or at the "}" of the first '},{"family":' that
-    starts _READ_SLICE bytes or more into it, and the next slice starts
-    after that comma.  Each slice must be tiled by the matches of
+
+def _canonical_certificate(fh: BinaryIO) -> Optional[Certificate]:
+    """The certificate in a file in the writer's canonical form, read
+    from the open binary file fh a slice at a time, without building
+    the JSON tree; None for any other file.
+
+    Let F be the bytes fh hands out, up to its first empty read.  F
+    must be H[:-1] + ',"tensors":[' + B + ']}\n', cut at the first
+    ',"tensors":['.  H must be the compact sorted-key JSON text of its
+    json.loads value, an object with the keys of a certificate but
+    "tensors".  B is read in slices, B = S_1,S_2,...,S_r: a slice ends
+    at B's end or at the "}" of the first '},{"family":' that starts
+    _READ_SLICE bytes or more into it, and the next slice starts after
+    that comma.  Each slice must be tiled by the matches of
     _CANONICAL_TENSOR in it: they are disjoint, and only one can end at
     the slice's end without a comma, so their lengths adding up to the
     slice's length means that it is T_1,...,T_k, each T_i
@@ -363,14 +388,23 @@ def _canonical_certificate(raw: bytes) -> Optional[Certificate]:
     pattern, must be json.dumps of its json.loads value; each U and V
     not seen before must pass _matrix_from_entries and be _factor_text
     of the matrix it gives.  Then every piece is a JSON text of its
-    value, so the file is a JSON text, and as JSON's grammar is
-    unambiguous, json.loads of the file is H's object with "tensors"
-    added, the list of those tensors (H has no "tensors" key, so no key
-    repeats).  The head gets the same _head_from_json and every factor
-    the same _matrix_from_entries as in certificate_from_json, so the
-    result equals certificate_from_json(json.loads(raw)), factor
-    sharing included: equal canonical texts are equal entry lists, and
-    the texts seen so far carry over from slice to slice.
+    value, so F is a JSON text, and as JSON's grammar is unambiguous,
+    json.loads of F is H's object with "tensors" added, the list of
+    those tensors (H has no "tensors" key, so no key repeats).  The
+    head gets the same _head_from_json and every factor the same
+    _matrix_from_entries as in certificate_from_json, so the result
+    equals certificate_from_json(json.loads(F)), factor sharing
+    included: equal canonical texts are equal entry lists, and the
+    texts seen so far carry over from slice to slice.
+
+    The slices are cut as F comes in, and the cuts are the ones above.
+    The reader holds F from the current slice's start on.  It looks for
+    the cut from _READ_SLICE bytes into the slice and reads _READ_SLICE
+    more bytes only while there is none (_read_to), so it holds one
+    slice and at most one read beyond it, and the first cut in what it
+    holds is the first in F.  A cut found before F's end lies in B once
+    F ends in ']}\n', which is checked when F ends: the cut's last
+    byte is ':', so it does not reach into those three bytes.
 
     Slicing turns no canonical file away, since in one a cut falls only
     between tensors.  Say '},{"family":' starts at p in B.  Its '{"'
@@ -380,15 +414,29 @@ def _canonical_certificate(raw: bytes) -> Optional[Certificate]:
     '{' opens a tensor, and p is the '}' that closes the one before.
 
     Any deviation (whitespace, reordered or repeated keys, a scalar
-    such as "+3" or "1/1", an empty list) and any error return None.
-    The caller then runs the full parse, so every error message comes
-    from certificate_from_json.
+    such as "+3" or "1/1", an empty list) and any error return None,
+    as soon as they are met.  That is sound however little of F was
+    read: the caller then runs the full parse, which decides, and every
+    error message comes from certificate_from_json.  So a file that
+    does not start as every canonical file does, with
+    _CANONICAL_START, is turned away after its first bytes.
+
+    A file that changes between reads.  The result depends on F alone:
+    each byte is read once, and checked once as above, and the full
+    parse after None uses nothing of F but reads the file afresh.  So F
+    may mix versions of a changing file, yet a certificate returned is
+    certificate_from_json(json.loads(F)), the one in the bytes that
+    were read and checked; after None, the one verified is the one in
+    the bytes the full parse read.
     """
     try:
-        cut = raw.find(_TENSORS_KEY)
-        if cut < 0 or not raw.endswith(b"]}\n"):
+        buf = bytearray(fh.read(len(_CANONICAL_START)))
+        if buf != _CANONICAL_START:
             return None
-        head_text = raw[:cut] + b"}"
+        cut = _read_to(fh, buf, _TENSORS_KEY, 0)
+        if cut < 0:
+            return None
+        head_text = buf[:cut] + b"}"
         head = json.loads(head_text)
         if (not isinstance(head, dict)
                 or head.keys() != _TOP_KEYS - {"tensors"}
@@ -399,15 +447,17 @@ def _canonical_certificate(raw: bytes) -> Optional[Certificate]:
         label_of: Dict[bytes, str] = {}
         factor_of: Dict[bytes, SparseMatrix] = {}
         tensors: List[RankOneTensor] = []
-        start, end = cut + len(_TENSORS_KEY), len(raw) - 3
-        while start <= end:
-            cut = raw.find(_TENSOR_CUT, start + _READ_SLICE, end)
-            stop = end if cut < 0 else cut + 1
+        del buf[:cut + len(_TENSORS_KEY)]  # from here buf starts a slice
+        while True:
+            cut = _read_to(fh, buf, _TENSOR_CUT, _READ_SLICE)
+            if cut < 0 and not buf.endswith(b"]}\n"):
+                return None
+            stop = len(buf) - 3 if cut < 0 else cut + 1
             # a slice with no match, the empty list's among them, makes
             # this a ValueError
-            labels, us, vs = zip(*tensor.findall(raw, start, stop))
+            labels, us, vs = zip(*tensor.findall(buf, 0, stop))
             if (22 * len(labels) - 1 + sum(map(len, labels))
-                    + sum(map(len, us)) + sum(map(len, vs))) != stop - start:
+                    + sum(map(len, us)) + sum(map(len, vs))) != stop:
                 return None
             for quoted in set(labels).difference(label_of):
                 label = label_of[quoted] = json.loads(quoted)
@@ -422,8 +472,10 @@ def _canonical_certificate(raw: bytes) -> Optional[Certificate]:
             tensors += map(RankOneTensor, map(factor_of.__getitem__, us),
                            map(factor_of.__getitem__, vs),
                            map(label_of.__getitem__, labels))
-            start = stop + 1  # past the comma, or past end
-        return Certificate(algebra, field, kernel_dim, families, tensors)
+            if cut < 0:
+                return Certificate(algebra, field, kernel_dim, families,
+                                   tensors)
+            del buf[:stop + 1]  # the slice and the comma after it
     except Exception:  # any error: the full parse says which
         return None
 
@@ -431,9 +483,13 @@ def _canonical_certificate(raw: bytes) -> Optional[Certificate]:
 def read_certificate(path: str) -> Certificate:
     """The certificate in a file, every entry checked.
 
-    A file in the writer's canonical form is read by its text
-    (_canonical_certificate); any other file, and any file that text
-    reader turns down, by the full parse, which gives every error.
+    A file in the writer's canonical form is read by its text, a slice
+    at a time from the open file (_canonical_certificate); any other
+    file, and any file that text reader turns down, by the full parse,
+    which reads the file again from its start and gives every error.
+    The full parse lets go of the file's bytes once they are decoded,
+    and of the text once it is parsed.  A stream that cannot seek, such
+    as a pipe, is read whole, once, and both readers read those bytes.
 
     The decoded JSON and the certificate built from it hold no
     reference cycles, yet they are about 10^6 new containers at n = 32.
@@ -441,16 +497,23 @@ def read_certificate(path: str) -> Certificate:
     heap several times and free nothing, about 40% of the read at
     n = 32, so it is paused for the read and then left as it was found.
     """
-    with open(path, "rb") as fh:
-        raw = fh.read()
     collecting = gc.isenabled()
     gc.disable()
     try:
-        cert = _canonical_certificate(raw)
-        if cert is not None:
-            return cert
+        with open(path, "rb") as fh:
+            raw = None if fh.seekable() else fh.read()
+            cert = _canonical_certificate(
+                fh if raw is None else io.BytesIO(raw))
+            if cert is not None:
+                return cert
+            if raw is None:
+                fh.seek(0)
+                raw = fh.read()
         try:
-            obj = json.loads(raw.decode("utf-8"))
+            text = raw.decode("utf-8")
+            del raw
+            obj = json.loads(text)
+            del text
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise CertificateFormatError(f"not valid JSON: {exc}") from None
         except RecursionError:

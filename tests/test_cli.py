@@ -7,6 +7,7 @@ import json
 import os
 import subprocess
 import sys
+import threading
 import time
 import tracemalloc
 
@@ -621,3 +622,32 @@ def test_cert_verify_d168_tamper_corpus(capsys, tmp_path, d168_certificate,
                           "kernel_dim": D168_KDIM, "span_rank": rank,
                           "tensor_count": count, "verdict": verdict})
         + "\n", "")
+
+
+@pytest.mark.parametrize("respaced", [False, True])
+def test_cert_verify_reads_a_pipe(capsys, tmp_path, d168_certificate,
+                                  respaced):
+    # a pipe cannot be read twice, so it is read whole: the canonical
+    # file and the respaced one, which takes the full parse, give the
+    # report a regular file gives
+    path = d168_certificate
+    if respaced:
+        path = tmp_path / "respaced.json"
+        path.write_text(json.dumps(json.loads(d168_certificate.read_bytes()),
+                                   indent=1))
+    fifo = tmp_path / "fifo"
+    os.mkfifo(fifo)
+
+    def feed():
+        with open(fifo, "wb") as fh:
+            fh.write(path.read_bytes())
+
+    writer = threading.Thread(target=feed, daemon=True)
+    writer.start()
+    try:
+        got = run(capsys, "cert-verify", str(fifo), "--json")
+    finally:
+        writer.join(timeout=60)
+    assert not writer.is_alive()
+    assert got == run(capsys, "cert-verify", str(path), "--json")
+    assert got[0] == 0 and '"proven-zpd"' in got[1]
