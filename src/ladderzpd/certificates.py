@@ -16,10 +16,12 @@ from __future__ import annotations
 from bisect import bisect_left
 from collections import Counter
 from functools import cache
+from operator import itemgetter
 from typing import (Dict, Iterator, List, NamedTuple, Optional, Sequence,
                     Set, Tuple)
 
-from .elim import IncrementalEchelon, IntRow, field_row, integer_coords
+from .elim import (IncrementalEchelon, IntRow, MaskedSpan, field_row,
+                   integer_coords)
 from .fields import Field, QQ
 from .ladders import Ladder
 from .matrices import SparseMatrix
@@ -185,17 +187,10 @@ def verify_certificate(cert: Certificate) -> VerificationReport:
 
     The span row of u (x) v is the outer product of the coordinates,
     a*b at column s*d + t.  An elementary pair has a unit row: its one
-    entry is ab != 0.  Its column is marked in a mask, and the
-    distinct marked columns are counted.  Every other row is inserted
-    into the span echelon after the pass, with the marked columns
-    deleted, and span rank = #marked + rank of those masked rows.
-    Proof: the unit rows span exactly {e_c : c in C}, for C the set of
-    marked columns.  Taking the quotient by that span deletes the
-    columns in C, so the rank of all rows is |C| plus the rank of the
-    other rows with the columns in C deleted.  The mask must be whole
-    before any row is masked: a partial one counts 3 for the rows
-    e_c + e_c', e_c, e_c' in that order, whose rank is 2.  The echelon
-    reduces the unreduced products of residues mod p.
+    entry is ab != 0.  Its column is marked in the span's mask
+    (elim.MaskedSpan, which proves the quotient) during the pass, and
+    every other row is inserted after it, so the mask is whole first.
+    The echelon reduces the unreduced products of residues mod p.
 
     A factor outside the algebra makes the certificate a claim about
     some other algebra, not a failed one about this algebra: it raises
@@ -205,8 +200,9 @@ def verify_certificate(cert: Certificate) -> VerificationReport:
     mu = build_mu(space, "lie")
     kdim = mu.kernel_dim
     d, columns = space.d, mu.columns
-    ech = IncrementalEchelon(space.field)
-    p = ech.p
+    span = MaskedSpan(space.field, d)
+    marked = span.marked  # 1 at the column of each unit row
+    p = span.echelon.p
     mod_p = p.__rmod__  # c -> c % p, for p > 0
 
     # id of a factor -> its scaled entries (i, j, x_ij), the same by row
@@ -239,8 +235,6 @@ def verify_certificate(cert: Certificate) -> VerificationReport:
         got = prepared[id(factor)] = entries, rows, pairs, unit
         return got
 
-    marked = bytearray(d * d)  # 1 at the column of each unit row
-    units = 0  # the number of marked columns
     dense: List[Tuple[Pairs, Pairs]] = []  # the other rows' coordinates
     first_bad: Optional[int] = None
     for idx, t in enumerate(cert.tensors):
@@ -253,10 +247,7 @@ def verify_certificate(cert: Certificate) -> VerificationReport:
             k, l, q = vunit
             direct = (j != k and l != i) or i == j == k == l
             via_mu = q not in columns[s]
-            col = s * d + q
-            if not marked[col]:
-                marked[col] = 1
-                units += 1
+            marked[s * d + q] = 1
         else:
             bracket: Dict[Tuple[int, int], int] = {}
             for i, k, a in x:
@@ -285,14 +276,10 @@ def verify_certificate(cert: Certificate) -> VerificationReport:
                 f"differ for {t!r}")
         if not direct and first_bad is None:
             first_bad = idx
+    span.seal()
     for ucoords, vcoords in dense:
-        row: IntRow = {}
-        for s, a in ucoords:
-            for k, b in vcoords:
-                if not marked[col := s * d + k]:
-                    row[col] = a * b
-        ech.insert(row)
-    span_rank = units + ech.rank
+        span.insert(ucoords, vcoords)
+    span_rank = span.rank
     count = len(cert.tensors)
     if first_bad is not None:
         verdict = FAILED_KERNEL_MEMBERSHIP
@@ -309,6 +296,8 @@ def ad_echelon(ucoords: IntRow,
                mu: MuMap) -> Tuple[IncrementalEchelon, Set[int]]:
     """ad_u in echelon form, from the integer coordinates of a positive
     multiple of u (same centralizer), and the set A(u) of its columns.
+    The search builds it for one-term and three-or-more-term u; a
+    two-term u has two_term_centralizer.
 
     Column k of ad_u is [u, b_k] = sum_s u_s [b_s, b_k], read off mu's
     columns for the bracket; the echelon's null space is the
@@ -330,6 +319,61 @@ def ad_echelon(ucoords: IntRow,
         active.update(row)
         ech.insert(row)
     return ech, active
+
+
+def two_term_dim(m: int, first: Tuple[int, int],
+                 second: Tuple[int, int]) -> int:
+    """dim C(u) for u = e_ab + e_ce on gl_m, first = (a, b) and
+    second = (c, e) distinct (proof in search_spanning)."""
+    (a, b), (c, e) = first, second
+    if a == c or b == e:
+        return (m - 1) ** 2 + 1
+    wide = len({a, b, c, e}) == 4 or (a == b and c == e)
+    return (m - 2) ** 2 + (4 if wide else 2)
+
+
+@cache
+def _vectors(text: str) -> List[List[Tuple[int, str, str]]]:
+    """Vectors written as in search_spanning, e_eb - e_bb as "+eb -bb",
+    comma-separated, as (sign, row letter, column letter) terms."""
+    return [[(1 if term[0] == "+" else -1, term[1], term[2])
+             for term in vec.split()] for vec in text.split(",")]
+
+
+def two_term_centralizer(space: TensorSpace, indices: Sequence[int],
+                         s: int, t: int) -> List[Tuple[int, IntRow]]:
+    """The free columns f of ad_u in A(u), for u = b_s + b_t with s < t
+    on gl over indices, each with its null vector v (1 at f, entries
+    +-1), in column order: the free columns in A(u) and the null
+    vectors ad_echelon and null_space give, with no ad_u built (proof
+    in search_spanning).  In the core vectors the letters a, b, c, e
+    stand for the indices of b_s = e_ab and b_t = e_ce."""
+    index_of = space.index_of
+    (a, b), (c, e) = space.positions[s], space.positions[t]
+    if a == c:  # one row, b < e
+        vecs = [{index_of[e, q]: 1, index_of[b, q]: -1} for q in indices
+                if q not in (a, b, e)]
+        core = ("+aa +ae, +aa +ee" if a == b else "+ab -bb, +aa +bb" if a == e
+                else "+eb -bb, +aa +bb +be, "
+                + ("+aa +bb +ee" if a < b else "+ee -be"))
+    elif b == e:  # one column, a < c
+        vecs = [{index_of[p, c]: 1, index_of[p, a]: -1} for p in indices
+                if p not in (a, b, c)]
+        core = ("+aa +ca, +aa +cc" if b == a else "+ab -aa, +aa +bb" if b == c
+                else "+ac -aa, " + ("+aa +bb +ca, +aa +bb +cc" if b < c
+                                    else "+cc -ca, +aa +bb +ca"))
+    else:  # the components with no 0 and their last position in A(u)
+        vecs = []
+        core = ("+aa +bb, +ac +be, +ca +eb, +cc +ee" if len({a, b, c, e}) == 4
+                else "+ac, +ca" if a == b and c == e
+                else "+aa +bb, +ab +ba" if a == e and b == c
+                else "+aa +bb +ee, +ab +be" if b == c
+                else "+aa +bb +cc, +ab +ca" if a == e
+                else "+cc +ee" if a == b else "+aa +bb")  # else c == e
+    name = {"a": a, "b": b, "c": c, "e": e}
+    vecs += [{index_of[name[i], name[j]]: x for x, i, j in vec}
+             for vec in _vectors(core)]
+    return sorted(((max(v), v) for v in vecs), key=itemgetter(0))
 
 
 def candidate_pool(space: TensorSpace) -> Iterator[Dict[int, int]]:
@@ -403,7 +447,18 @@ def search_spanning(mu: MuMap, descriptor: dict,
     rank reached, when the pool runs out first.  The pool is finite and
     each u gives at most d candidates, so the search always ends;
     budget, when given, cuts it (the same error) after that many
-    candidate tensors tried.
+    candidate tensors tried.  The rank is always the number of tensors
+    kept, and the target test and every error read it.
+
+    Lemma 0: every candidate of the basis stage (the pool's first d
+    members, u = b_s) is kept.  Its rows lie in the columns s*d ..
+    s*d + d - 1, apart from every other s, and within them they are
+    the rows of a null basis, one per free column, so independent.  So
+    the stage inserts nothing.  A unit row b_s (x) b_k marks its column
+    in the span's mask (elim.MaskedSpan, which proves the quotient);
+    the stage's other rows wait until it ends, when the mask is whole,
+    and go in then.  Every later row goes in with the marked columns
+    deleted.
 
     Past the basis stage (the pool's first d members, u = b_s), most
     candidates are skipped unbuilt, because the rows already span them:
@@ -491,16 +546,72 @@ def search_spanning(mu: MuMap, descriptor: dict,
          G_a.  At each inner vertex r two preimages p, p' of b_a may
          meet, and b_r (x) (p - p') is in the span by Lemma 1, as
          [b_r, p - p'] = 0.  What is left is b_s (x) p_s - b_t (x) p_t.
+    Two-term sums in closed form.  For u = b_s + b_t, s < t, b_s = e_ab
+    and b_t = e_ce, two_term_centralizer gives the free columns of ad_u
+    in A(u) with their null vectors, and two_term_dim gives dim C(u),
+    with no ad_u built: ad_echelon is left to the basis stage, the
+    cycles and the diagonal unit.  Write J = {a, b, c, e} and m for the
+    matrix size.  [u, x] = 0 reads, at each position (p, q),
+        [p = a] x_bq + [p = c] x_eq = [q = b] x_pa + [q = e] x_pc.   (*)
+    Lemma N: column k of ad_u is free iff some x in C(u) ends at k (is
+    0 past k and not at k), and the null vector of a free column f is
+    the one x in C(u) that is 1 at f and 0 at the other free columns.
+    So if F is a set of dim C(u) columns, each f in F with an x in C(u)
+    that ends at f, is 1 there and is 0 on the rest of F, then F is the
+    free set and those x are the null vectors.  When the positions fall
+    into groups and each equation of (*) involves one group, all of it
+    holds group by group.  A column outside A(u) is free with null
+    vector b_k (ad_echelon); the candidates are the free columns in A(u).
+      - a != c and b != e: u e_b = e_a and u e_e = e_c, so each side of
+        (*) has one term at most.  With sigma = {b: a, e: c}, (*) reads
+        x_iq = x_(sigma i)(sigma q) for i, q in {b, e}; x_iq = 0 for i
+        in {b, e} and q not, and for q in {a, c} and i not; and 0 = 0
+        elsewhere.  The groups are the components of the edges
+        (i, q) - (sigma i, sigma q) on the positions of {b, e}^2 and
+        {a, c}^2, and every other position alone.  A component with no
+        0 has its indicator as its one kernel vector, ending at its last
+        position; a component with a 0 is all pivots.  A position alone
+        is free iff i is not in {b, e} and q not in {a, c}, which gives
+        (m - 2)^2, so dim C(u) is (m - 2)^2 plus the components with no
+        0: {aa, bb}, {ac, be}, {ca, eb}, {cc, ee} for |J| = 4; {aa}, {ac},
+        {ca}, {cc} for two diagonal units; and two otherwise ({aa, bb},
+        {ab, ba} for a transpose pair; {aa, bb, ee}, {ab, be} for b = c;
+        {aa, bb, cc}, {ab, ca} for a = e; {aa}, {cc, ee} for a = b;
+        {aa, bb}, {cc} for c = e).  The candidates are their last
+        positions, each with the indicator, but for {aa} and {cc}, which
+        lie outside A(u).
+      - a = c, so b < e: (*) reads x_pa = 0 for p != a, x_bq + x_eq = 0
+        for q not in {b, e}, and x_aa = x_bb + x_eb = x_be + x_ee.
+        A(u) is rows b and e and column a.  For q not in J the group
+        {bq, eq} gives eq with e_eq - e_bq.  The core {aa, bb, be, eb,
+        ee}, 5 positions under 2 independent equations, has 3 kernel
+        dimensions (2 if a = b or a = e: 3 positions, 1 equation), and
+        Lemma N checks its null vectors: for a = b, e_aa +
+        e_ae and e_aa + e_ee; for a = e, e_ab - e_bb and e_aa + e_bb;
+        else e_eb - e_bb, e_aa + e_bb + e_be, and e_aa + e_bb + e_ee if
+        a < b or e_ee - e_be if a > b.  The rest of A(u) is 0, and the
+        (m - 2)(m - 1) positions outside it are free: dim C(u) =
+        (m - 1)^2 + 1.
+      - b = e, so a < c: (*) reads x_bq = 0 for q != b, x_pa + x_pc = 0
+        for p not in {a, c}, and x_bb = x_aa + x_ac = x_ca + x_cc.  In
+        the same way, for p not in J, pc with e_pc - e_pa; in the core,
+        for b = a, e_aa + e_ca and e_aa + e_cc; for b = c, e_ab - e_aa
+        and e_aa + e_bb; else e_ac - e_aa, then e_aa + e_bb + e_ca and
+        e_aa + e_bb + e_cc if b < c, or e_cc - e_ca and e_aa + e_bb +
+        e_ca if b > c; and dim C(u) = (m - 1)^2 + 1.
+    All of it holds over Q and every F_p, F_2 too: no step divides, and
+    the entries are 0 and +-1.
+
     Skipped candidates would have been rejected, so the kept tensors,
     and the certificate, are those of trying every candidate in turn.
     Each still counts as tried, at its place in pool order (free column
     f of ad_u is candidate f - #{pivots < f} of u, and u has
-    d - rank(ad_u) = dim C(u) of them), so a budget cuts where it would
+    d - rank(ad_u) = dim C(u) of them; for a two-term u the pivots are
+    A(u) less its free columns), so a budget cuts where it would
     anyway.  A cut among skipped candidates raises at the next candidate
-    built, or at the end of the pool, at the same rank.  A u+ skipped by
-    Lemma 3 counts d - rank(ad_u): under a budget its ad_u is built for
-    that count alone, and without one nothing is counted.  A skipped u-
-    counts as many as u+, or 2 fewer when b_s and
+    built, or at the end of the pool, at the same rank.  A u+, built or
+    skipped by Lemma 3, counts two_term_dim, so no ad_u is built to
+    count.  A skipped u- counts as many as u+, or 2 fewer when b_s and
     b_t are both diagonal and 2 != 0:
       - over F_2, u- = u+;
       - if neither a transpose pair nor two diagonal units, conjugation
@@ -521,15 +632,18 @@ def search_spanning(mu: MuMap, descriptor: dict,
     target = mu.kernel_dim
     field = space.field
     d = space.d
-    ech = IncrementalEchelon(field)
+    span = MaskedSpan(field, d)
+    marked = span.marked
+    deferred: List[Tuple[int, IntRow]] = []  # basis stage: u, v but units
 
     def exhausted() -> SearchExhaustedError:
         return SearchExhaustedError(
             f"search budget exhausted on gl_{descriptor['m']} "
-            f"at rank {ech.rank} of {target}")
+            f"at rank {len(chosen)} of {target}")
 
-    chosen: List[RankOneTensor] = []
+    chosen: List[RankOneTensor] = []  # as many as the rank of their rows
     positions, columns = space.positions, mu.columns
+    indices = sorted({i for i, _ in positions})
     diagonal = {k for k, (i, j) in enumerate(positions) if i == j}
     # E_r as {a: every k with [b_r, b_k] = +-b_a}, from mu's columns
     # with one entry; and the forest of G_a, as a parent map, for each a
@@ -558,43 +672,57 @@ def search_spanning(mu: MuMap, descriptor: dict,
     tried = 0  # read only under a budget
     count = 0  # the number of candidates of the last u+ or basis u
     for index, ucoords in enumerate(candidate_pool(space)):
+        if index == d:  # the basis stage is over: the mask is whole
+            span.seal()
+            for s, w in deferred:
+                span.insert(((s, 1),), w.items())
         if -1 in ucoords.values():  # u- = b_s - b_t, by Lemma 2
             s, t = ucoords
             both = s in diagonal and t in diagonal
-            tried += count - 2 if both and ech.p != 2 else count
+            tried += count - 2 if both and span.echelon.p != 2 else count
             continue
         pair = len(ucoords) == 2  # u+ = b_s + b_t
         if pair:
             s, t = ucoords
+            count = two_term_dim(len(indices), positions[s], positions[t])
             common = [a for a in images[s] if a in images[t]]
             if (positions[s] != positions[t][::-1]
                     and not (s in diagonal and t in diagonal)
                     and all(root(forests[a], s) == root(forests[a], t)
                             for a in common)):  # by Lemma 3
-                if budget is not None:
-                    count = d - ad_echelon(ucoords, mu)[0].rank
-                    tried += count
+                tried += count
                 continue
-        ad, active = ad_echelon(ucoords, mu)
-        pivots = sorted(ad.pivot_rows)
-        cols = range(d) if index < d else sorted(active)
-        free = [f for f in cols if f not in ad.pivot_rows]
+            free = two_term_centralizer(space, indices, s, t)
+            if budget is not None:  # A(u) less its free columns
+                pivots = sorted((columns[s].keys() | columns[t].keys())
+                                .difference(f for f, _ in free))
+            nulls = [(f, (w, 1)) for f, w in free]
+        else:
+            ad, active = ad_echelon(ucoords, mu)
+            pivots = sorted(ad.pivot_rows)
+            cols = range(d) if index < d else sorted(active)
+            fcols = [f for f in cols if f not in ad.pivot_rows]
+            nulls = zip(fcols, ad.null_space(fcols))
+            count = d - ad.rank
         u = None  # built at u's first kept tensor, shared by the rest
-        for f, (w, m) in zip(free, ad.null_space(free)):
+        for f, (w, m) in nulls:
             if budget is not None and \
                     tried + f - bisect_left(pivots, f) >= budget:
                 raise exhausted()
-            # w = m v with m > 0, so the row spans what u (x) v does
-            row = {s * d + k: a * b for s, a in ucoords.items()
-                   for k, b in w.items()}
-            if ech.insert(row):
-                if u is None:
-                    u = factor(ucoords, 1)
-                chosen.append(RankOneTensor(u, factor(w, m), "gl"))
-                if ech.rank == target:
-                    return Certificate(descriptor, space.field, target,
-                                       [("gl", len(chosen))], chosen)
-        count = d - ad.rank
+            if index >= d:
+                # w = m v with m > 0, so the row spans what u (x) v does
+                if not span.insert(ucoords.items(), w.items()):
+                    continue
+            elif len(w) == 1:  # u = b_index, kept by Lemma 0
+                marked[index * d + f] = 1
+            else:
+                deferred.append((index, w))
+            if u is None:
+                u = factor(ucoords, 1)
+            chosen.append(RankOneTensor(u, factor(w, m), "gl"))
+            if len(chosen) == target:
+                return Certificate(descriptor, space.field, target,
+                                   [("gl", len(chosen))], chosen)
         tried += count
         if pair:  # u+ (x) C(u+) is spanned now: Lemma 3's edges
             for a in common:

@@ -203,6 +203,8 @@ def certificate_from_json(obj) -> Certificate:
     if not isinstance(tensors_json, list):
         raise CertificateFormatError("tensors must be a list")
     tensors = []
+    # each listed label once: a tensor takes the family's str, not its own
+    listed = {label: label for label, _ in families}
     # type-exact key of an entry list -> its factor, shared by every
     # tensor carrying that list.  Every check on an entry list depends
     # only on the list, n and the field, so a factor that passed once
@@ -229,7 +231,8 @@ def certificate_from_json(obj) -> Certificate:
                 mat = factors[key] = _matrix_from_entries(
                     obj_f, n, field, f"tensor {idx} factor {name}")
             pair.append(mat)
-        tensors.append(RankOneTensor(*pair, tj["family"]))
+        tensors.append(RankOneTensor(*pair, listed.get(tj["family"],
+                                                       tj["family"])))
     try:
         return Certificate(algebra, field, kernel_dim, families, tensors)
     except ValueError as exc:

@@ -21,7 +21,9 @@ kernel of a linear map, insert the rows of its matrix (one per image
 coordinate, keyed by domain index).  Field scalars (a `Fraction`, or an
 int residue over F_p) are made only at the end, by `field_row`, for the
 vectors a caller keeps.  Pivoting is deterministic: a row's leading
-column is its smallest column index.
+column is its smallest column index.  `MaskedSpan` keeps a span whose
+unit rows are only marks on their columns, for the verifier and the
+search alike.
 """
 
 from __future__ import annotations
@@ -141,11 +143,17 @@ class IncrementalEchelon:
         representatives, such as unreduced products of residues or -1,
         and the stored rows still hold residues in [0, p).
         """
-        pivots, p = self.pivot_rows, self.p
+        p = self.p
         if p:
             work = {c: r for c, v in row.items() if (r := v % p)}
         else:
             work = {c: v for c, v in row.items() if v}
+        return self._place(work)
+
+    def _place(self, work: IntRow) -> bool:
+        """insert on a row the engine may keep, with no zero entries
+        (and residues in [0, p) over F_p)."""
+        pivots, p = self.pivot_rows, self.p
         while work:
             lead = min(work)
             prow = pivots.get(lead)
@@ -188,6 +196,60 @@ class IncrementalEchelon:
                 w[piv] = -v * (m // rows[piv][piv])
             out.append((w, m))
         return out
+
+
+class MaskedSpan:
+    """The span of the rows of tensors u (x) v in a tensor square with d^2
+    columns, each unit row (one nonzero entry) kept only as a mark on
+    its column.  The row of u (x) v, for u and v given as (index,
+    coefficient) pairs, has a*b at column s*d + k for (s, a) in u and
+    (k, b) in v: the column rule of `tensors`.
+
+    A caller marks the column of every unit row in `marked`, one byte
+    per column, with a plain store; `seal` then counts the marked
+    columns, once, into `units`.  Every other row goes through
+    `insert`, which builds it with the marked columns deleted as the
+    echelon's own copy, and `rank` = units + rank of those masked rows.
+
+    Proof: the unit rows span exactly {e_c : c in C}, for C the set of
+    marked columns.  Taking the quotient by that span deletes the
+    columns in C, so the rank of all rows is |C| plus the rank of the
+    other rows with the columns in C deleted, and a row raises the rank
+    of the rows before it, unit rows included, iff its masked copy
+    raises the masked rank.  The mask must be whole before any row is
+    inserted: a partial one counts 3 for the rows e_c + e_c', e_c, e_c'
+    in that order, whose rank is 2.
+    """
+
+    __slots__ = ("d", "marked", "units", "echelon")
+
+    def __init__(self, field: Field, d: int):
+        self.d = d
+        self.marked = bytearray(d * d)
+        self.units = 0
+        self.echelon = IncrementalEchelon(field)
+
+    def seal(self) -> None:
+        """Count the marked columns; every unit row is marked by now."""
+        self.units = self.marked.count(1)
+
+    def insert(self, u: Iterable[Tuple[int, int]],
+               v: Iterable[Tuple[int, int]]) -> bool:
+        """Insert the row of u (x) v with the marked columns deleted (v
+        is read once per pair in u: a list or a dict view).  True when
+        the rank increased."""
+        marked, d, p = self.marked, self.d, self.echelon.p
+        work: IntRow = {}
+        for s, a in u:
+            for k, b in v:
+                if not marked[c := s * d + k] and (x := a * b % p if p
+                                                   else a * b):
+                    work[c] = x
+        return self.echelon._place(work)
+
+    @property
+    def rank(self) -> int:
+        return self.units + self.echelon.rank
 
 
 def field_row(row: IntRow, den: int, field: Field) -> SparseRow:

@@ -16,8 +16,9 @@ from ladderzpd.certificates import (COUNT_MISMATCH, FAILED_KERNEL_MEMBERSHIP,
                                     algebra_space, candidate_pool,
                                     gl_algebra_descriptor, gl_certificate,
                                     ladder_algebra_descriptor,
-                                    search_spanning, verify_certificate)
-from ladderzpd.elim import IncrementalEchelon, integer_coords
+                                    search_spanning, two_term_centralizer,
+                                    two_term_dim, verify_certificate)
+from ladderzpd.elim import IncrementalEchelon, field_row, integer_coords
 from ladderzpd.fields import PrimeField, QQ
 from ladderzpd.ladders import Ladder, enumerate_ladders
 from ladderzpd.matrices import SparseMatrix, elementary
@@ -291,8 +292,9 @@ def test_minus_pair_lies_in_the_plus_pair_span(m, field):
 
 
 def built_members(monkeypatch, m, field) -> tuple:
-    """The first factors search_spanning builds ad_u for on gl_m, in
-    order, with the pool and the certificate."""
+    """The first factors search_spanning builds a centralizer for on
+    gl_m, by ad_echelon or in closed form, in order, with the pool and
+    the certificate."""
     space = TensorSpace.gl(m, field)
     built = []
 
@@ -300,7 +302,12 @@ def built_members(monkeypatch, m, field) -> tuple:
         built.append(ucoords)
         return ad_echelon(ucoords, mu)
 
+    def closed(space, indices, s, t):
+        built.append({s: 1, t: 1})
+        return two_term_centralizer(space, indices, s, t)
+
     monkeypatch.setattr(certificates, "ad_echelon", counting)
+    monkeypatch.setattr(certificates, "two_term_centralizer", closed)
     cert = search_spanning(build_mu(space, "lie"), gl_algebra_descriptor(m))
     monkeypatch.undo()
     return built, list(candidate_pool(space)), cert
@@ -424,6 +431,82 @@ def test_budget_cut_inside_a_skipped_plus_pair(pair, field):
                            match=rf" at rank {rank} of {mu.kernel_dim}$"):
             search_spanning(mu, desc, budget=budget)
         assert reference_search(mu, desc, budget=budget) is None
+
+
+@pytest.mark.parametrize("field, succeeds", [
+    (QQ, 341), (PrimeField(2), 347), (PrimeField(3), 341)])
+def test_every_budget_cuts_at_the_reference_rank(field, succeeds):
+    # every budget on gl_3, the basis stage's deferred rows and every
+    # closed-form count of candidates included, returns the certificate
+    # or raises at the rank the reference search had reached
+    space = TensorSpace.gl(3, field)
+    mu = build_mu(space, "lie")
+    desc = gl_algebra_descriptor(3)
+    kept = []
+    full = reference_search(mu, desc, observe=lambda i, u, f, w, k:
+                            kept.append(k))
+    assert len(kept) == succeeds
+    for budget in range(succeeds):
+        rank = sum(kept[:budget])
+        with pytest.raises(SearchExhaustedError,
+                           match=rf" at rank {rank} of {mu.kernel_dim}$"):
+            search_spanning(mu, desc, budget=budget)
+    assert search_spanning(mu, desc, budget=succeeds) == full
+
+
+def ad_rows_null_basis(ucoords, mu) -> tuple:
+    """ad_echelon's free columns in A(u), with their null vectors as
+    field scalars, and dim C(u)."""
+    field, d = mu.space.field, mu.space.d
+    ad, active = ad_echelon(ucoords, mu)
+    free = [f for f in sorted(active) if f not in ad.pivot_rows]
+    return ([(f, field_row(w, m, field))
+             for f, (w, m) in zip(free, ad.null_space(free))], d - ad.rank)
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(2), PrimeField(3)])
+def test_two_term_centralizers_in_closed_form(field):
+    # every b_s + b_t of gl_m, m <= 7, and of gl_3 on the indices 2..4
+    # of n = 5: the closed form gives ad_echelon's free columns in A(u),
+    # in order, the same null vectors v = w / m, and dim C(u)
+    spaces = [TensorSpace.gl(m, field) for m in range(1, 8)]
+    spaces.append(TensorSpace(5, [(i, j) for i in range(2, 5)
+                                  for j in range(2, 5)], field))
+    for space in spaces:
+        mu = build_mu(space, "lie")
+        indices = sorted({i for i, _ in space.positions})
+        for s, t in combinations(range(space.d), 2):
+            got = [(f, field_row(w, 1, field)) for f, w in
+                   two_term_centralizer(space, indices, s, t)]
+            dim = two_term_dim(len(indices), space.positions[s],
+                               space.positions[t])
+            assert (got, dim) == ad_rows_null_basis(
+                integer_coords({s: 1, t: 1}, field), mu), \
+                (space, space.positions[s], space.positions[t])
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(2)])
+def test_budgeted_search_builds_no_ad_u_for_a_sum(monkeypatch, field):
+    # under a budget the search counts the candidates of a sum that
+    # Lemma 3 skips from dim C(u), and builds every other sum's in
+    # closed form: ad_echelon never sees a two-term u
+    space = TensorSpace.gl(4, field)
+    mu = build_mu(space, "lie")
+    desc = gl_algebra_descriptor(4)
+    full = search_spanning(mu, desc)
+    seen = []
+
+    def counting(ucoords, mu):
+        seen.append(ucoords)
+        return ad_echelon(ucoords, mu)
+
+    monkeypatch.setattr(certificates, "ad_echelon", counting)
+    assert search_spanning(mu, desc, budget=10 ** 6) == full
+    pool = list(candidate_pool(space))
+    last = pool.index(seen[-1])
+    assert any(i < last for i in lemma3_skips(space))
+    assert len(seen) > space.d
+    assert not [u for u in seen if len(u) == 2]
 
 
 def test_verification_recomputes_kernel_dim():

@@ -14,7 +14,7 @@ from fractions import Fraction
 from hypothesis import given, settings, strategies as st
 
 from ladderzpd.certificates import ad_echelon
-from ladderzpd.elim import IncrementalEchelon, integer_coords
+from ladderzpd.elim import IncrementalEchelon, MaskedSpan, integer_coords
 from ladderzpd.fields import PrimeField, QQ
 from ladderzpd.ladders import Ladder
 from ladderzpd.matrices import SparseMatrix
@@ -119,6 +119,30 @@ def test_insert_matches_mod_p_oracle(case):
         assert ech.rank == rank
         assert inserted == (rank == naive_rank_mod_p(prefix[:-1], p) + 1)
         assert not ech.insert(row)
+
+
+@SETTINGS
+@given(PRIMES.flatmap(lambda p: st.tuples(st.just(p),
+                                          sparse_rows(representatives(p)))),
+       st.data())
+def test_masked_span_matches_mod_p_oracle(case, data):
+    # unit rows marked first, then every row inserted with the marked
+    # columns deleted: rank and each insert's answer are the plain
+    # echelon's on the unit rows followed by the same rows
+    p, (ncols, rows) = case
+    units = data.draw(st.lists(st.integers(0, ncols - 1), max_size=5))
+    span = MaskedSpan(PrimeField(p), ncols)  # rows of b_0 (x) row
+    for c in units:
+        span.marked[c] = 1
+    span.seal()
+    prefix = [densify({c: 1}, ncols, 0) for c in units]
+    assert span.rank == naive_rank_mod_p(prefix, p)
+    for row in rows:
+        before = naive_rank_mod_p(prefix, p)
+        prefix.append(densify(row, ncols, 0))
+        rank = naive_rank_mod_p(prefix, p)
+        assert span.insert(((0, 1),), row.items()) == (rank == before + 1)
+        assert span.rank == rank
 
 
 def engine_rref(rows, field):
