@@ -541,7 +541,7 @@ def test_full_parse_lets_go_of_the_bytes_and_the_text(tmp_path, d168):
     got, _, read_peak = traced(lambda: read_certificate(str(path)))
     assert got == d168
     assert read_peak < loads_peak + len(data) / 2
-    # one label object per family, not one per tensor (27,055 before)
+    # one label object per family, not one per tensor
     assert len({id(t.label) for t in got.tensors}) <= len(got.families)
 
 
