@@ -23,7 +23,7 @@ from typing import (Dict, Iterator, List, NamedTuple, Optional, Sequence,
 from .elim import (IncrementalEchelon, IntRow, MaskedSpan, field_row,
                    integer_coords)
 from .fields import Field, QQ
-from .ladders import Ladder
+from .ladders import MAX_ALGEBRA_SIZE, Ladder
 from .matrices import SparseMatrix
 from .tensors import (MembershipError, MuMap, RankOneTensor, TensorSpace,
                       build_mu)
@@ -114,12 +114,6 @@ def ladder_algebra_descriptor(ladder: Ladder) -> dict:
 
 def gl_algebra_descriptor(m: int) -> dict:
     return {"kind": "gl-lie", "m": m}
-
-
-# Verification takes algebras with n and d up to this size.  mu is built
-# before any tensor is read, with up to 2n nonzero columns per basis
-# element; gl_32 has 64,480, built in 0.3 s (24 MiB peak in a cold run).
-MAX_ALGEBRA_SIZE = 1024
 
 
 def algebra_space(descriptor: dict, field: Field) -> TensorSpace:

@@ -4,28 +4,63 @@ search, and re-verification.
 Exit codes: 0 verified/ok, 1 verification failed, 2 usage error or bad
 input file (a tensor factor outside the named algebra included), 3 search
 budget exhausted.
+
+The certificate pipeline (`elim`, `tensors`, `certificates`, `certio`,
+`onestep`) is loaded lazily: where Python writes no bytecode cache,
+compiling it is most of what a cold ladder command costs.  Importing
+this module puts each of the five in `sys.modules` and on the
+`ladderzpd` package through `importlib.util.LazyLoader`, and a module's
+source is compiled and run at the first use of one of its attributes.
+The commands call through the module (`certificates.verify_certificate`),
+so `ladder-check` and `ladder-enumerate` run only `ladders`, `matrices`
+and `fields`, and `cert-verify` and `zpd-gl` never run `onestep`.  The
+modules are registered here rather than imported inside the commands so
+that code walking the `ladderzpd.*` entries of `sys.modules` after
+importing this module still finds all of them: `perfbench/tracer.py`
+wraps their public functions that way, and reading a lazy module's
+`vars()` runs it.  `LazyLoader` is not thread-safe before Python 3.12
+(nor in its first releases): two threads that first touch a module at
+once may both run it.  The CLI runs in one thread.
 """
 
 from __future__ import annotations
 
 import argparse
+import importlib.util
 import json
 import sys
 from math import comb
-from typing import List, Optional, Tuple
+from types import ModuleType
+from typing import Callable, List, Optional, Tuple
 
-from .certificates import (MAX_ALGEBRA_SIZE, Certificate,
-                           SearchExhaustedError, VerificationReport,
-                           gl_certificate, verify_certificate)
-from .certio import (CertificateFormatError, read_certificate,
-                     write_certificate)
 from .fields import DEFAULT_PRIME, Field, PrimeField, QQ
-from .ladders import Ladder, enumerate_ladders, is_upper_triangular
-from .onestep import assemble_one_step_certificate
+from .ladders import (MAX_ALGEBRA_SIZE, Ladder, enumerate_ladders,
+                      is_upper_triangular)
+
+
+def _lazy(name: str) -> ModuleType:
+    """ladderzpd.<name>, registered now and run at its first attribute
+    use; a module already imported is returned as it is."""
+    full = f"{__package__}.{name}"
+    module = sys.modules.get(full)
+    if module is None:
+        spec = importlib.util.find_spec(full)
+        spec.loader = importlib.util.LazyLoader(spec.loader)
+        module = importlib.util.module_from_spec(spec)
+        sys.modules[full] = module
+        spec.loader.exec_module(module)
+        setattr(sys.modules[__package__], name, module)
+    return module
+
+
+# elim and tensors too: certificates imports them, and all five are in
+# sys.modules from here on
+elim, tensors, certificates, certio, onestep = map(
+    _lazy, ("elim", "tensors", "certificates", "certio", "onestep"))
 
 # ladder-enumerate lists at most this many ladders, on n with n^2 at
 # most MAX_ALGEBRA_SIZE: n = 8 with every k (12,869 ladders) is allowed.
-# The largest run allowed, --n 16 --k 14 --closure --json (14,400
+# The largest run allowed, --n 16 --k 14 --closure lie --json (14,400
 # ladders), takes about 0.6 s and 52 MiB in a cold process.
 MAX_LADDER_COUNT = 16384
 
@@ -58,7 +93,7 @@ def _add_field_options(sub) -> None:
                      help=f"modulus for --field fp (default {DEFAULT_PRIME})")
 
 
-def _print_report(report: VerificationReport, as_json: bool,
+def _print_report(report: certificates.VerificationReport, as_json: bool,
                   extra: Optional[dict] = None) -> None:
     if as_json:
         obj = report._asdict()
@@ -139,15 +174,21 @@ def _cmd_ladder_enumerate(args) -> int:
     return 0
 
 
-def _finish_certificate(cert: Certificate, report: VerificationReport,
-                        args) -> int:
-    out = args.out
+def _finish_certificate(
+        args, build: Callable[[], certificates.Certificate]) -> int:
+    """Build a certificate, verify it, report, and write it to --out
+    when it is proven.  The writer is looked up before build() runs:
+    compiled after a search, certio would add its transient peak to the
+    certificate's memory (0.13 MiB of peak RSS on zpd-gl --m 6)."""
+    write = None if args.out is None else certio.write_certificate
+    cert = build()
+    report = certificates.verify_certificate(cert)
     extra = None
-    if out is not None and report.proven:
-        write_certificate(cert, out, verified=True)
-        extra = {"certificate_path": out}
+    if write is not None and report.proven:
+        write(cert, args.out, verified=True)
+        extra = {"certificate_path": args.out}
     _print_report(report, args.json, extra)
-    if out is not None and not report.proven:
+    if write is not None and not report.proven:
         print("not writing a certificate that failed verification",
               file=sys.stderr)
     return 0 if report.proven else 1
@@ -168,22 +209,23 @@ def _cmd_one_step(args) -> int:
     if args.command == "zpd-assemble" and args.out is None:
         raise ValueError("--out is required for this command")
     (i1, j1), = args.step
-    cert = assemble_one_step_certificate(args.n, i1, j1,
-                                         field=_field_from_args(args),
-                                         budget=_budget(args))
-    return _finish_certificate(cert, verify_certificate(cert), args)
+    field, budget = _field_from_args(args), _budget(args)
+    return _finish_certificate(
+        args, lambda: onestep.assemble_one_step_certificate(
+            args.n, i1, j1, field=field, budget=budget))
 
 
 def _cmd_zpd_gl(args) -> int:
     if args.m < 1:
         raise ValueError(f"--m must be positive, got {args.m}")
-    cert = gl_certificate(args.m, _field_from_args(args), _budget(args))
-    return _finish_certificate(cert, verify_certificate(cert), args)
+    field, budget = _field_from_args(args), _budget(args)
+    return _finish_certificate(
+        args, lambda: certificates.gl_certificate(args.m, field, budget))
 
 
 def _cmd_cert_verify(args) -> int:
-    cert = read_certificate(args.path)
-    report = verify_certificate(cert)
+    cert = certio.read_certificate(args.path)
+    report = certificates.verify_certificate(cert)
     _print_report(report, args.json)
     return 0 if report.proven else 1
 
@@ -249,16 +291,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    # the parser is let go before any command runs, so that it is not
+    # held while the pipeline compiles
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except SearchExhaustedError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except (CertificateFormatError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:  # certio.CertificateFormatError too
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except certificates.SearchExhaustedError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -19,6 +19,13 @@ from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 from .matrices import Position
 
+# Every command takes algebras with n and d up to this size: the
+# verifier and the search check it before building mu (up to 2n nonzero
+# columns per basis element; gl_32 has 64,480, built in 0.3 s and a
+# 24 MiB peak in a cold run), ladder-check checks n and d, and
+# ladder-enumerate checks n^2.
+MAX_ALGEBRA_SIZE = 1024
+
 
 class Ladder:
     """A step set {(i_t, j_t)}, strictly increasing in both coordinates."""

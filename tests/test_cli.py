@@ -226,7 +226,7 @@ def test_assemble_without_out_fails_before_any_work(capsys, monkeypatch):
     def no_assembly(*args, **kwargs):
         raise AssertionError("assembled a certificate it cannot write")
 
-    monkeypatch.setattr("ladderzpd.cli.assemble_one_step_certificate",
+    monkeypatch.setattr("ladderzpd.onestep.assemble_one_step_certificate",
                         no_assembly)
     for json_flag in ((), ("--json",)):
         code, out, err = run(capsys, "zpd-assemble", "--n", "10",
@@ -510,6 +510,79 @@ def test_search_rejects_algebra_over_size_cap(argv):
     assert proc.stdout == ""
     assert proc.stderr.startswith("error: algebra too large to verify: ")
     assert "Traceback" not in proc.stderr
+
+
+# argv: CLI-ARGS...; imports the CLI in a fresh interpreter and runs
+# it (when given arguments), then prints one JSON line: the exit code,
+# the ladderzpd modules in sys.modules and those set on the package,
+# those not yet run, and whether the function that
+# `from ladderzpd.certificates import verify_certificate` gives was the
+# one called.  A module registered by LazyLoader keeps a subclass of
+# ModuleType until its first attribute use; type() reads no attribute.
+LAZY_PIPELINE = """
+import json, sys, types
+import ladderzpd, ladderzpd.cli as cli
+called = set()
+def profile(frame, event, arg):
+    if event == "call":
+        called.add(frame.f_code)
+sys.setprofile(profile)
+rc = cli.main(sys.argv[1:]) if sys.argv[1:] else None
+sys.setprofile(None)
+names = sorted(k for k in sys.modules if k.startswith("ladderzpd."))
+report = {
+    "rc": rc,
+    "registered": names,
+    "on_package": [k for k in names if getattr(
+        ladderzpd, k.split(".")[1], None) is sys.modules[k]],
+    "unexecuted": [k.split(".")[1] for k in names
+                   if type(sys.modules[k]) is not types.ModuleType],
+}
+from ladderzpd.certificates import verify_certificate
+report["verify_called"] = verify_certificate.__code__ in called
+print(json.dumps(report))
+"""
+PIPELINE = ["certificates", "certio", "elim", "onestep", "tensors"]
+
+
+@pytest.mark.parametrize("argv, code, err, unexecuted, verified", [
+    ([], None, "", PIPELINE, False),
+    (["ladder-check", "--n", "6", "--step", "3,2", "--step", "6,5"], 0, "",
+     PIPELINE, False),
+    (["ladder-enumerate", "--n", "6", "--closure", "lie", "--json"], 0, "",
+     PIPELINE, False),
+    (["ladder-enumerate", "--n", "9"], 2,
+     "error: too many ladders to list: 48619 on n = 9 (the limit is "
+     "16384)\n", PIPELINE, False),
+    (["cert-verify", "GL2"], 0, "", ["onestep"], True),
+    (["zpd-gl", "--m", "2"], 0, "", ["certio", "onestep"], True),
+    (["zpd-gl", "--m", "3", "--budget", "340"], 3,
+     "error: search budget exhausted on gl_3 at rank 72 of 73\n",
+     ["certio", "onestep"], False),
+], ids=["import", "ladder-check", "ladder-enumerate", "ladder-enumerate-cap",
+        "cert-verify", "zpd-gl", "zpd-gl-budget"])
+def test_cli_runs_only_the_pipeline_it_uses(capsys, tmp_path, argv, code,
+                                            err, unexecuted, verified):
+    # the CLI registers the pipeline modules without running them; each
+    # command runs only those it uses, and every exit code is kept
+    if "GL2" in argv:
+        path = tmp_path / "gl2.json"
+        assert run(capsys, "zpd-gl", "--m", "2", "--out", str(path))[0] == 0
+        argv = [str(path) if a == "GL2" else a for a in argv]
+    package = os.path.dirname(ladderzpd.__file__)
+    proc = subprocess.run(
+        [sys.executable, "-c", LAZY_PIPELINE, *argv],
+        env=dict(os.environ, PYTHONPATH=os.path.dirname(package)),
+        capture_output=True, text=True, timeout=60)
+    assert proc.stderr == err
+    report = json.loads(proc.stdout.splitlines()[-1])
+    modules = sorted(f"ladderzpd.{name[:-3]}" for name in os.listdir(package)
+                     if name.endswith(".py") and name != "__init__.py")
+    assert len(modules) == 9
+    assert report["registered"] == report["on_package"] == modules
+    assert report["rc"] == code
+    assert report["unexecuted"] == unexecuted
+    assert report["verify_called"] == verified
 
 
 def test_step_syntax_error(capsys):
