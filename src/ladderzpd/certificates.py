@@ -23,7 +23,7 @@ from typing import (Dict, Iterator, List, NamedTuple, Optional, Sequence,
 from .elim import (IncrementalEchelon, IntRow, MaskedSpan, field_row,
                    integer_coords)
 from .fields import Field, QQ
-from .ladders import MAX_ALGEBRA_SIZE, Ladder
+from .ladders import MAX_ALGEBRA_SIZE, Ladder, SearchExhaustedError
 from .matrices import SparseMatrix
 from .tensors import (MembershipError, MuMap, RankOneTensor, TensorSpace,
                       build_mu)
@@ -417,11 +417,6 @@ def candidate_pool(space: TensorSpace) -> Iterator[Dict[int, int]]:
     diagonal = {k: 1 for k, (i, j) in enumerate(space.positions) if i == j}
     if diagonal:
         yield diagonal
-
-
-class SearchExhaustedError(RuntimeError):
-    """The gl search stopped below the kernel dimension, at its budget
-    or at the end of its pool: no certificate, and nothing proven."""
 
 
 def search_spanning(mu: MuMap, descriptor: dict,

@@ -27,6 +27,14 @@ from .matrices import Position
 MAX_ALGEBRA_SIZE = 1024
 
 
+# Raised by the search in `certificates`; defined here so
+# that the CLI can catch it without running the certificate pipeline,
+# even while an unrelated exception unwinds past its handler.
+class SearchExhaustedError(RuntimeError):
+    """The gl search stopped below the kernel dimension, at its budget
+    or at the end of its pool: no certificate, and nothing proven."""
+
+
 class Ladder:
     """A step set {(i_t, j_t)}, strictly increasing in both coordinates."""
 

@@ -585,6 +585,33 @@ def test_cli_runs_only_the_pipeline_it_uses(capsys, tmp_path, argv, code,
     assert report["verify_called"] == verified
 
 
+# main's handlers are tested in order while an exception unwinds, so a
+# handler that named a pipeline class would run the pipeline here
+UNWIND = """
+import sys, types
+import ladderzpd.cli as cli
+def interrupted(ladder):
+    raise KeyboardInterrupt
+cli.is_upper_triangular = interrupted
+try:
+    cli.main(["ladder-check", "--n", "6", "--step", "3,2", "--step", "6,5"])
+except KeyboardInterrupt:
+    pass
+print(sorted(k for k, m in sys.modules.items()
+             if k.startswith("ladderzpd.") and type(m) is not types.ModuleType))
+"""
+
+
+def test_interrupted_ladder_command_runs_no_pipeline():
+    package = os.path.dirname(ladderzpd.__file__)
+    proc = subprocess.run(
+        [sys.executable, "-c", UNWIND],
+        env=dict(os.environ, PYTHONPATH=os.path.dirname(package)),
+        capture_output=True, text=True, timeout=60)
+    assert proc.stderr == ""
+    assert proc.stdout == repr([f"ladderzpd.{k}" for k in PIPELINE]) + "\n"
+
+
 def test_step_syntax_error(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["ladder-check", "--n", "3", "--step", "2;2"])
