@@ -22,17 +22,38 @@ wraps their public functions that way, and reading a lazy module's
 `vars()` runs it.  `LazyLoader` is not thread-safe before Python 3.12
 (nor in its first releases): two threads that first touch a module at
 once may both run it.  The CLI runs in one thread.
+
+A process ends through `run`, the entry of both `ladderzpd` and
+`python -m ladderzpd.cli`; library code and tests call `main`, which
+returns the exit code.  After `main` returns, `run` calls the `atexit`
+handlers (those `site` or a `sitecustomize` registered, such as
+`logging.shutdown` or a coverage hook), flushes `sys.stdout` and
+`sys.stderr`, and ends the process with `os._exit`.  That is the order
+Python's own exit keeps, so a handler's output is written too.  What
+`os._exit` skips changes no output: module teardown, the last cyclic
+collection, and freeing every object still alive, such as the
+certificates `gl_certificate` caches.  Every file a command writes is
+closed before `main` returns.  On a cold `zpd-gl --m 6` that teardown
+took 18.6 ms, about a tenth of the command.  Every other way out keeps
+Python's own exit.  An exception that escapes `main` (a usage error's
+`SystemExit`, `KeyboardInterrupt`, a traceback) never reaches `run`'s
+exit.  When a flush raises, for example on a pipe whose reader has
+closed, or a handler raises (on Python 3.10 `_run_exitfuncs` re-raises
+after running the rest), `run` calls `sys.exit`, and Python reports the
+flush as it always has; the handlers do not run twice.
 """
 
 from __future__ import annotations
 
 import argparse
+import atexit
 import importlib.util
 import json
+import os
 import sys
 from math import comb
 from types import ModuleType
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, List, NoReturn, Optional, Tuple
 
 from .fields import DEFAULT_PRIME, Field, PrimeField, QQ
 from .ladders import (MAX_ALGEBRA_SIZE, Ladder, SearchExhaustedError,
@@ -305,5 +326,18 @@ def main(argv: Optional[List[str]] = None) -> int:
         return 3
 
 
+def run() -> NoReturn:
+    """Run main() on sys.argv and end the process with its exit code,
+    skipping the interpreter's teardown (see the module docstring)."""
+    code = main()
+    try:
+        atexit._run_exitfuncs()
+        sys.stdout.flush()
+        sys.stderr.flush()
+    except Exception:  # a closed pipe, sys.stdout None, a 3.10 handler
+        sys.exit(code)
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

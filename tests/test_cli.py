@@ -612,6 +612,167 @@ def test_interrupted_ladder_command_runs_no_pipeline():
     assert proc.stdout == repr([f"ladderzpd.{k}" for k in PIPELINE]) + "\n"
 
 
+def fresh_env(unbuffered: bool = False) -> dict:
+    """The environment of a fresh interpreter that imports this
+    checkout's package, with stdout buffered as Python's default or
+    unbuffered as PYTHONUNBUFFERED asks."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = os.path.dirname(os.path.dirname(ladderzpd.__file__))
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    return env
+
+
+# argv: ENTRY CLI-ARGS...; ends the process through cli.run() when
+# ENTRY is "run", and through sys.exit(cli.main()), Python's own exit,
+# when it is "main".  An atexit handler registered first prints to
+# stdout; an object that only the interpreter's teardown frees writes
+# to stderr
+TEARDOWN = """
+import atexit, sys
+import ladderzpd.cli as cli
+atexit.register(print, "atexit handler ran")
+class Kept:
+    def __del__(self):
+        sys.stderr.write("torn down\\n")
+kept = Kept()
+cli.run() if sys.argv.pop(1) == "run" else sys.exit(cli.main())
+"""
+
+
+@pytest.mark.parametrize("entry, err", [("run", ""), ("main", "torn down\n")])
+def test_run_skips_teardown_and_runs_atexit_handlers(entry, err):
+    # run() ends the process before module teardown, so the object is
+    # never freed; the handler runs before stdout is flushed, as at
+    # Python's own exit
+    argv = ["ladder-check", "--n", "3", "--step", "2,1", "--step", "3,2"]
+    proc = subprocess.run([sys.executable, "-c", TEARDOWN, entry, *argv],
+                          env=fresh_env(), capture_output=True, text=True,
+                          timeout=60)
+    assert proc.returncode == 0
+    assert proc.stdout == ("ladder n=3 steps=[(2,1), (3,2)] dim=8\n"
+                           "upper-triangular: no; closed (associative): no; "
+                           "closed (lie): no\natexit handler ran\n")
+    assert proc.stderr == err
+
+
+@pytest.mark.parametrize("to", ["file", "pipe"])
+def test_run_writes_every_byte(capsys, tmp_path, to):
+    # 12,869 ladders, about 1 MB of JSON, more than stdout's buffer and
+    # a pipe hold; and a certificate written through --out
+    argv = ["ladder-enumerate", "--n", "8", "--json"]
+    assert main(argv) == 0
+    want = capsys.readouterr().out.encode()
+    cli = [sys.executable, "-m", "ladderzpd.cli"]
+    if to == "file":
+        with open(tmp_path / "out", "wb") as out:
+            proc = subprocess.run([*cli, *argv], env=fresh_env(), stdout=out,
+                                  stderr=subprocess.PIPE, timeout=60)
+        got = (tmp_path / "out").read_bytes()
+    else:
+        proc = subprocess.run([*cli, *argv], env=fresh_env(),
+                              capture_output=True, timeout=60)
+        got = proc.stdout
+    assert (proc.returncode, proc.stderr) == (0, b"")
+    assert got == want
+    path = tmp_path / "gl6.json"
+    proc = subprocess.run([*cli, "zpd-gl", "--m", "6", "--out", str(path)],
+                          env=fresh_env(), capture_output=True, text=True,
+                          timeout=60)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (
+        0, "1261 = 1261 = 1261 proven-zpd\n", "")
+    with open(os.path.join(os.path.dirname(__file__),
+                           "golden_hashes.json")) as fh:
+        golden = json.load(fh)["QQ gl 6"]
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == golden
+
+
+# argv: ENTRY CLI-ARGS...; as TEARDOWN, with an atexit handler that
+# writes to stderr.  CLI-ARGS "raise" makes main raise instead
+EXIT_PATH = """
+import atexit, sys
+import ladderzpd.cli as cli
+atexit.register(sys.stderr.write, "atexit handler ran\\n")
+entry = sys.argv.pop(1)
+if sys.argv[1:] == ["raise"]:
+    def main():
+        raise RuntimeError("main failed")
+    cli.main = main
+cli.run() if entry == "run" else sys.exit(cli.main())
+"""
+
+
+@pytest.mark.parametrize("argv, stdout, code", [
+    (["ladder-check", "--n", "3", "--step", "2,1", "--json"], "pipe", 0),
+    (["ladder-enumerate", "--n", "8", "--json"], "pipe", 0),
+    (["cert-verify", "ONE_TENSOR"], "pipe", 1),
+    (["ladder-enumerate", "--n", "9"], "pipe", 2),
+    (["cert-verify", "MISSING"], "pipe", 2),
+    (["zpd-gl", "--m", "3", "--budget", "340"], "pipe", 3),
+    (["ladder-enumerate", "--k", "2"], "pipe", 2),
+    (["raise"], "pipe", 1),
+    # the reader closed before the first write: a write inside main
+    # fails, or only the flush at exit does
+    (["ladder-enumerate", "--n", "8", "--json"], "closed pipe", 2),
+    (["ladder-check", "--n", "3", "--step", "2,1", "--json"], "closed pipe",
+     None),
+    # no fd 1: sys.stdout is None
+    (["ladder-check", "--n", "3", "--step", "2,1", "--json"], "no stdout",
+     0),
+], ids=["ok", "ok-1MB", "failed", "value-error", "os-error", "exhausted",
+        "usage", "uncaught", "closed-pipe-in-main", "closed-pipe-at-exit",
+        "no-stdout"])
+@pytest.mark.parametrize("unbuffered", [False, True],
+                         ids=["buffered", "unbuffered"])
+def test_run_keeps_every_exit_path(tmp_path, argv, stdout, code,
+                                   unbuffered):
+    # run() gives the stdout, stderr and exit code that Python's own
+    # exit gives after main(), on every way out
+    path = tmp_path / "one.json"
+    path.write_text(json.dumps({
+        "format_version": 1, "algebra": {"kind": "gl-lie", "m": 2},
+        "field": {"kind": "rational"}, "kernel_dim": 13,
+        "families": [{"label": "x", "count": 1}],
+        "tensors": [{"family": "x", "u": [[1, 1, "1"]],
+                     "v": [[1, 1, "1"]]}]}))
+    argv = [{"ONE_TENSOR": str(path),
+             "MISSING": str(tmp_path / "missing.json")}.get(a, a)
+            for a in argv]
+    results = {}
+    for entry in ("main", "run"):
+        cmd = [sys.executable, "-c", EXIT_PATH, entry, *argv]
+        kwargs = dict(env=fresh_env(unbuffered), stderr=subprocess.PIPE,
+                      timeout=60)
+        if stdout == "pipe":
+            proc = subprocess.run(cmd, stdout=subprocess.PIPE, **kwargs)
+        elif stdout == "no stdout":
+            proc = subprocess.run(["sh", "-c", 'exec "$0" "$@" >&-', *cmd],
+                                  **kwargs)
+        else:
+            read, write = os.pipe()
+            os.close(read)
+            try:
+                proc = subprocess.run(cmd, stdout=write, **kwargs)
+            finally:
+                os.close(write)
+        results[entry] = proc
+    parent, got = results["main"], results["run"]
+    assert got.returncode == parent.returncode
+    assert got.stdout == parent.stdout
+    assert b"atexit handler ran\n" in got.stderr
+    if argv == ["raise"]:
+        # the traceback has run's frame as well
+        for proc in (parent, got):
+            assert proc.stderr.startswith(b"Traceback (most recent call last)")
+            assert proc.stderr.endswith(
+                b"\nRuntimeError: main failed\natexit handler ran\n")
+    else:
+        assert got.stderr == parent.stderr
+    if code is None:  # Python's exit status when its last flush fails
+        code = 2 if unbuffered else 120
+    assert got.returncode == code
+
+
 def test_step_syntax_error(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["ladder-check", "--n", "3", "--step", "2;2"])
