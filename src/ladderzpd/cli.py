@@ -23,24 +23,13 @@ wraps their public functions that way, and reading a lazy module's
 (nor in its first releases): two threads that first touch a module at
 once may both run it.  The CLI runs in one thread.
 
-A process ends through `run`, the entry of both `ladderzpd` and
-`python -m ladderzpd.cli`; library code and tests call `main`, which
-returns the exit code.  After `main` returns, `run` calls the `atexit`
-handlers (those `site` or a `sitecustomize` registered, such as
-`logging.shutdown` or a coverage hook), flushes `sys.stdout` and
-`sys.stderr`, and ends the process with `os._exit`.  That is the order
-Python's own exit keeps, so a handler's output is written too.  What
-`os._exit` skips changes no output: module teardown, the last cyclic
-collection, and freeing every object still alive, such as the
-certificates `gl_certificate` caches.  Every file a command writes is
-closed before `main` returns.  On a cold `zpd-gl --m 6` that teardown
-took 18.6 ms, about a tenth of the command.  Every other way out keeps
-Python's own exit.  An exception that escapes `main` (a usage error's
-`SystemExit`, `KeyboardInterrupt`, a traceback) never reaches `run`'s
-exit.  When a flush raises, for example on a pipe whose reader has
-closed, or a handler raises (on Python 3.10 `_run_exitfuncs` re-raises
-after running the rest), `run` calls `sys.exit`, and Python reports the
-flush as it always has; the handlers do not run twice.
+`ladderzpd` and `python -m ladderzpd.cli` end through `run`; library
+code calls `main`, which returns the exit code.  `run` runs the
+`atexit` handlers and flushes stdout and stderr, as Python's exit does,
+then calls `os._exit`.  What that skips changes no output and was about
+a tenth of a cold `zpd-gl --m 6`: module teardown, the last collection,
+freeing what is alive.  An exception from `main`, a failed flush (a
+closed pipe) and a handler that raises (3.10) take Python's own exit.
 """
 
 from __future__ import annotations
@@ -334,7 +323,7 @@ def run() -> NoReturn:
         atexit._run_exitfuncs()
         sys.stdout.flush()
         sys.stderr.flush()
-    except Exception:  # a closed pipe, sys.stdout None, a 3.10 handler
+    except Exception:  # a closed pipe, no sys.stdout, a handler on 3.10
         sys.exit(code)
     os._exit(code)
 
