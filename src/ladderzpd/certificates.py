@@ -17,15 +17,14 @@ from bisect import bisect_left
 from collections import Counter
 from functools import cache
 from operator import itemgetter
-from typing import (Dict, Iterator, List, NamedTuple, Optional, Sequence,
-                    Set, Tuple)
+from typing import (Dict, Iterable, Iterator, List, NamedTuple, Optional,
+                    Sequence, Set, Tuple)
 
 from .elim import (IncrementalEchelon, IntRow, MaskedSpan, field_row,
                    integer_coords)
 from .fields import Field, QQ
 from .ladders import MAX_ALGEBRA_SIZE, Ladder, SearchExhaustedError
-from .matrices import SparseMatrix
-from .tensors import (MembershipError, MuMap, RankOneTensor, TensorSpace,
+from .tensors import (MembershipError, MuMap, Tensors, TensorSpace, Triple,
                       build_mu)
 
 PROVEN_ZPD = "proven-zpd"
@@ -35,7 +34,7 @@ COUNT_MISMATCH = "count-mismatch"
 
 
 class Certificate:
-    """A labeled list of rank-one tensors claimed to span Ker mu.
+    """Labeled rank-one tensors claimed to span Ker mu.
 
     algebra: {"kind": "ladder-lie", "n": n, "steps": [(i,j), ...]}
              or {"kind": "gl-lie", "m": m}
@@ -44,19 +43,20 @@ class Certificate:
     zero counts are allowed.  kernel_dim is the writer's claim;
     verification recomputes it and never trusts this number.
 
-    Tensors may share factor objects, and read or assembled
-    certificates do: one SparseMatrix per distinct factor.  Factors
-    must never be mutated (see SparseMatrix).
+    tensors is a Tensors, by column: a factor table and two arrays of
+    factor numbers.  Given (u, v, label) triples, it makes one.
     """
 
     __slots__ = ("algebra", "field", "kernel_dim", "families", "tensors")
 
     def __init__(self, algebra: dict, field: Field, kernel_dim: int,
                  families: Sequence[Tuple[str, int]],
-                 tensors: Sequence[RankOneTensor]):
+                 tensors: Iterable[Triple]):
         families = [(str(label), int(count)) for label, count in families]
-        tensors = list(tensors)
-        listed, carried = dict(families), Counter(t.label for t in tensors)
+        tensors = tensors if isinstance(tensors, Tensors) else Tensors(tensors)
+        listed, carried = dict(families), Counter()
+        for label, count in tensors.runs:
+            carried[label] += count
         if len(listed) != len(families):
             raise ValueError("a family label is listed more than once")
         for label in sorted(listed.keys() | carried.keys()):
@@ -150,7 +150,7 @@ def verify_certificate(cert: Certificate) -> VerificationReport:
 
     All of it runs on plain ints, in one pass over the tensors and a
     second over the rows that are not unit rows (below), with each
-    factor object prepared once however many tensors share it.
+    factor prepared once however many tensors carry it.
     Its entries are scaled by integer_coords: over Q by the lcm of
     their denominators, over F_p not at all (the residues).  Scaling u
     by a > 0 and v by b > 0 scales u (x) v and [u, v] by ab != 0, so
@@ -199,18 +199,19 @@ def verify_certificate(cert: Certificate) -> VerificationReport:
     p = span.echelon.p
     mod_p = p.__rmod__  # c -> c % p, for p > 0
 
-    # id of a factor -> its scaled entries (i, j, x_ij), the same by row
+    # factor number -> its scaled entries (i, j, x_ij), the same by row
     # i -> [(j, x_ij)], its coordinate pairs (s, a), and (i, j, s) for
-    # a factor with one entry, else None.  The tensors keep every
-    # factor alive, so no id is reused meanwhile.
+    # a factor with one entry, else None
     Pairs = List[Tuple[int, int]]
     Prepared = Tuple[List[Tuple[int, int, int]], Dict[int, Pairs], Pairs,
                      Optional[Tuple[int, int, int]]]
-    prepared: Dict[int, Prepared] = {}
+    tensors = cert.tensors
+    prepared: List[Optional[Prepared]] = [None] * len(tensors.factors)
 
-    def prepare(factor: SparseMatrix, idx: int, name: str) -> Prepared:
+    def prepare(k: int, idx: int, name: str) -> Prepared:
         # the factor's own field: a factor over another field then
         # meets coords_of's MembershipError, not a scalar error
+        factor = tensors.factors[k]
         x = integer_coords(factor.entries, factor.field)
         try:
             coords = space.coords_of(factor, x)
@@ -226,16 +227,14 @@ def verify_certificate(cert: Certificate) -> VerificationReport:
         if len(pairs) == 1:
             (i, j, _), = entries
             unit = i, j, pairs[0][0]
-        got = prepared[id(factor)] = entries, rows, pairs, unit
+        got = prepared[k] = entries, rows, pairs, unit
         return got
 
     dense: List[Tuple[Pairs, Pairs]] = []  # the other rows' coordinates
     first_bad: Optional[int] = None
-    for idx, t in enumerate(cert.tensors):
-        x, x_rows, ucoords, uunit = (prepared.get(id(t.u))
-                                     or prepare(t.u, idx, "u"))
-        y, y_rows, vcoords, vunit = (prepared.get(id(t.v))
-                                     or prepare(t.v, idx, "v"))
+    for idx, (ku, kv) in enumerate(zip(tensors.us, tensors.vs)):
+        x, x_rows, ucoords, uunit = prepared[ku] or prepare(ku, idx, "u")
+        y, y_rows, vcoords, vunit = prepared[kv] or prepare(kv, idx, "v")
         if uunit and vunit:
             i, j, s = uunit
             k, l, q = vunit
@@ -267,14 +266,14 @@ def verify_certificate(cert: Certificate) -> VerificationReport:
         if direct != via_mu:
             raise AssertionError(
                 "mu routes disagree: direct product and coordinate image "
-                f"differ for {t!r}")
+                f"differ for tensor {idx}")
         if not direct and first_bad is None:
             first_bad = idx
     span.seal()
     for ucoords, vcoords in dense:
         span.insert(ucoords, vcoords)
     span_rank = span.rank
-    count = len(cert.tensors)
+    count = len(tensors)
     if first_bad is not None:
         verdict = FAILED_KERNEL_MEMBERSHIP
     elif span_rank < kdim:
@@ -429,8 +428,8 @@ def search_spanning(mu: MuMap, descriptor: dict,
     kept iff it strictly increases the rank of the accumulated rows.
     The engine gets the outer products of the integer coordinates of u
     and of the integer null vectors of ad_u; the field-valued u and v
-    are built only for a kept candidate, with one object per basis
-    element shared by every tensor that has it as a factor.
+    are built only for a kept candidate, with one factor per basis
+    element for every tensor that has it.
     Returns a certificate, every tensor labeled "gl", as soon as the
     rank reaches dim Ker mu; raises SearchExhaustedError, naming the
     rank reached, when the pool runs out first.  The pool is finite and
@@ -630,7 +629,8 @@ def search_spanning(mu: MuMap, descriptor: dict,
             f"search budget exhausted on gl_{descriptor['m']} "
             f"at rank {len(chosen)} of {target}")
 
-    chosen: List[RankOneTensor] = []  # as many as the rank of their rows
+    chosen = Tensors()  # as many as the rank of their rows
+    factors, us, vs = chosen.factors, chosen.us, chosen.vs
     positions, columns = space.positions, mu.columns
     indices = sorted({i for i, _ in positions})
     diagonal = {k for k, (i, j) in enumerate(positions) if i == j}
@@ -648,15 +648,17 @@ def search_spanning(mu: MuMap, descriptor: dict,
             forest[r] = r = forest.get(q, q)  # path halving
         return r
 
-    basis: Dict[int, SparseMatrix] = {}  # one object per basis factor
+    basis: Dict[int, int] = {}  # k -> the number of the one factor b_k
 
-    def factor(coords: IntRow, den: int) -> SparseMatrix:
+    def factor(coords: IntRow, den: int) -> int:
         if len(coords) == 1:  # coords = {k: den}, the factor is b_k
             k, = coords
             if k not in basis:
-                basis[k] = space.basis_matrix(k)
+                basis[k] = len(factors)
+                factors.append(space.basis_matrix(k))
             return basis[k]
-        return space.from_coords(field_row(coords, den, field))
+        factors.append(space.from_coords(field_row(coords, den, field)))
+        return len(factors) - 1
 
     tried = 0  # read only under a budget
     count = 0  # the number of candidates of the last u+ or basis u
@@ -693,7 +695,7 @@ def search_spanning(mu: MuMap, descriptor: dict,
             fcols = [f for f in cols if f not in ad.pivot_rows]
             nulls = zip(fcols, ad.null_space(fcols))
             count = d - ad.rank
-        u = None  # built at u's first kept tensor, shared by the rest
+        u = None  # u's number, from its first kept tensor on
         for f, (w, m) in nulls:
             if budget is not None and \
                     tried + f - bisect_left(pivots, f) >= budget:
@@ -708,10 +710,12 @@ def search_spanning(mu: MuMap, descriptor: dict,
                 deferred.append((index, w))
             if u is None:
                 u = factor(ucoords, 1)
-            chosen.append(RankOneTensor(u, factor(w, m), "gl"))
-            if len(chosen) == target:
+            us.append(u)
+            vs.append(factor(w, m))
+            if len(us) == target:
+                chosen._label("gl", target)
                 return Certificate(descriptor, space.field, target,
-                                   [("gl", len(chosen))], chosen)
+                                   [("gl", target)], chosen)
         tried += count
         if pair:  # u+ (x) C(u+) is spanned now: Lemma 3's edges
             for a in common:
@@ -728,9 +732,9 @@ def abelian_certificate(space: TensorSpace, descriptor: dict) -> Certificate:
     if any(mu.columns):
         raise ValueError("mu is not identically zero on this algebra")
     d = space.d
-    # one object per basis element, shared by every tensor carrying it
     basis = [space.basis_matrix(k) for k in range(d)]
-    tensors = [RankOneTensor(x, y, "abelian") for x in basis for y in basis]
+    tensors = Tensors()
+    tensors._product("abelian", basis, basis)
     return Certificate(descriptor, space.field, d * d,
                        [("abelian", d * d)], tensors)
 

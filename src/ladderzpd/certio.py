@@ -7,31 +7,17 @@ omitted when 1; the reduced representative for prime fields).  Files
 carry format_version 1 and no verdicts: a certificate is a claim, and
 every reader re-verifies from scratch.
 
-Factors are shared.  The reader returns one SparseMatrix per distinct
-entry list of a file, carried by every tensor that lists it, so each
-list is checked and parsed once (and the verifier prepares each
-factor object once); the one writer, _certificate_chunks, formats and
-encodes each factor object once and splices the text into every tensor
-that carries it.
-A one-step certificate with about d^2 tensors has only about d
-distinct factors.  So no caller may mutate a factor: the change would
-show in every tensor that shares it.
-
-Neither direction holds a piece per tensor of a whole file.  The
-writer yields the head, then the tensors a bounded chunk at a time,
-then the list's end; write_certificate writes each chunk as it comes,
-to a new file that replaces the target only once complete, and
-certificate_bytes joins them.  The reader has two paths and one
-result.  A file in the writer's canonical form is read by its text, a
-bounded slice of the tensor list at a time straight from the open
-file, so a canonical file's bytes are never held whole: one pattern
-cuts out each tensor's label and entry-list texts, and each text not
-seen before in the file is decoded and checked once, with no JSON tree
-built (_canonical_certificate proves that this gives what the full
-parse gives, also of a file that changes while it is read).  Any other
-file, and any file whose text path meets an error, is read again from
-its start by json.loads and certificate_from_json, the one source of
-format errors.
+A certificate holds each factor once and its tensors as factor numbers
+(tensors.Tensors), and each direction works once per factor.  Neither
+holds a piece per tensor of a whole file.  The one writer,
+_certificate_chunks, yields the head, then the tensors a bounded chunk
+at a time; write_certificate writes each chunk as it comes, to a new
+file that replaces the target only once complete, and
+certificate_bytes joins them.  read_certificate reads a file in the
+writer's canonical form by its text, a bounded slice at a time from
+the open file and with no JSON tree built, and any other file by
+json.loads and certificate_from_json, the one source of format errors;
+both give the same certificate (_canonical_certificate).
 """
 
 from __future__ import annotations
@@ -42,12 +28,13 @@ import json
 import os
 import re
 import stat
+from itertools import chain, groupby, repeat
 from typing import BinaryIO, Dict, Iterator, List, Optional, Tuple
 
 from .certificates import Certificate
 from .fields import Field, PrimeField, QQ, RationalField
 from .matrices import SparseMatrix
-from .tensors import RankOneTensor
+from .tensors import Tensors
 
 FORMAT_VERSION = 1
 
@@ -202,37 +189,34 @@ def certificate_from_json(obj) -> Certificate:
     tensors_json = obj["tensors"]
     if not isinstance(tensors_json, list):
         raise CertificateFormatError("tensors must be a list")
-    tensors = []
-    # each listed label once: a tensor takes the family's str, not its own
-    listed = {label: label for label, _ in families}
-    # type-exact key of an entry list -> its factor, shared by every
-    # tensor carrying that list.  Every check on an entry list depends
-    # only on the list, n and the field, so a factor that passed once
-    # passes again.  The key holds each row's and column's type: true
-    # and 1.0 equal 1 in Python, but [[true,2,"1"]] is no valid list.
-    factors: Dict[tuple, SparseMatrix] = {}
+    tensors = Tensors()
+    # type-exact key of an entry list -> its factor's number.  Every
+    # check on an entry list depends only on the list, n and the field,
+    # so a factor that passed once passes again.  The key holds each
+    # row's and column's type: true and 1.0 equal 1 in Python, but
+    # [[true,2,"1"]] is no valid list.
+    number: Dict[tuple, int] = {}
     for idx, tj in enumerate(tensors_json):
         if (not isinstance(tj, dict) or tj.keys() != _TENSOR_KEYS
                 or not isinstance(tj["family"], str)):
             raise CertificateFormatError(
                 f"tensor {idx}: must be {{family: str, u: ..., v: ...}}")
-        pair = []
-        for name in "uv":
+        for name, column in (("u", tensors.us), ("v", tensors.vs)):
             obj_f = tj[name]
             try:
                 key = tuple([(type(i), i, type(j), j, text)
                              for i, j, text in obj_f])
-                mat = factors.get(key)
+                k = number.get(key)
             except (TypeError, ValueError):
                 # not a list of triples of hashables, so not a valid
                 # factor: the check below says why
-                key = mat = None
-            if mat is None:
-                mat = factors[key] = _matrix_from_entries(
-                    obj_f, n, field, f"tensor {idx} factor {name}")
-            pair.append(mat)
-        tensors.append(RankOneTensor(*pair, listed.get(tj["family"],
-                                                       tj["family"])))
+                key = k = None
+            if k is None:
+                tensors.factors.append(_matrix_from_entries(
+                    obj_f, n, field, f"tensor {idx} factor {name}"))
+                k = number[key] = len(tensors.factors) - 1
+            column.append(k)
+        tensors._label(tj["family"], 1)
     try:
         return Certificate(algebra, field, kernel_dim, families, tensors)
     except ValueError as exc:
@@ -254,12 +238,10 @@ _WRITE_CHUNK = 512
 def _certificate_chunks(cert: Certificate) -> Iterator[bytes]:
     """The file's canonical bytes, in order: the head, the tensors
     _WRITE_CHUNK at a time, then the list's and the file's end.  Each
-    factor object's entry list is formatted and encoded once and
-    spliced into every tensor that carries it.  A tensor's keys
-    family < u < v are in sorted order, and "tensors" sorts after the
-    other top-level keys, so its list goes in front of the head's
-    closing brace.  Every tensor label is a listed family (Certificate
-    checks it)."""
+    factor's entry list is formatted once and spliced into every tensor
+    that carries it.  A tensor's keys family < u < v are in sorted
+    order, and "tensors" sorts after the other top-level keys, so its
+    list goes in front of the head's closing brace."""
     field = cert.field
     head = _dumps_compact({
         "format_version": FORMAT_VERSION,
@@ -270,22 +252,17 @@ def _certificate_chunks(cert: Certificate) -> Iterator[bytes]:
                      for label, count in cert.families],
     })
     yield f'{head[:-1]},"tensors":['.encode("utf-8")
-    text: Dict[int, str] = {}  # id of a factor object -> its entry list
-
-    def encode(mat: SparseMatrix) -> str:
-        got = text[id(mat)] = _factor_text(mat, field)
-        return got
-
-    opening = {label: f'{{"family":{json.dumps(label)},"u":'
-               for label, _ in cert.families}
     tensors = cert.tensors
-    for at in range(0, len(tensors), _WRITE_CHUNK):
-        # a list's text is never empty, so only a factor not yet in
-        # text is encoded
+    text = [_factor_text(mat, field) for mat in tensors.factors]
+    openings = chain.from_iterable(
+        repeat(f'{{"family":{json.dumps(label)},"u":', count)
+        for label, count in tensors.runs)
+    us, vs = tensors.us, tensors.vs
+    for at in range(0, len(us), _WRITE_CHUNK):
+        # the columns come first, so zip takes no opening past the chunk
         chunk = ",".join([
-            f'{opening[t.label]}{text.get(id(t.u)) or encode(t.u)},'
-            f'"v":{text.get(id(t.v)) or encode(t.v)}}}'
-            for t in tensors[at:at + _WRITE_CHUNK]])
+            f'{o}{text[u]},"v":{text[v]}}}' for u, v, o in zip(
+                us[at:at + _WRITE_CHUNK], vs[at:at + _WRITE_CHUNK], openings)])
         yield (("," if at else "") + chunk).encode("utf-8")
     yield b"]}\n"
 
@@ -396,9 +373,10 @@ def _canonical_certificate(fh: BinaryIO) -> Optional[Certificate]:
     those tensors (H has no "tensors" key, so no key repeats).  The
     head gets the same _head_from_json and every factor the same
     _matrix_from_entries as in certificate_from_json, so the result
-    equals certificate_from_json(json.loads(F)), factor sharing
-    included: equal canonical texts are equal entry lists, and the
-    texts seen so far carry over from slice to slice.
+    equals certificate_from_json(json.loads(F)), factor numbers
+    included: both number entry lists as they first appear, u before
+    v, equal canonical texts are equal entry lists, and the texts seen
+    so far carry over from slice to slice.
 
     The slices are cut as F comes in, and the cuts are the ones above.
     The reader holds F from the current slice's start on.  It looks for
@@ -448,8 +426,8 @@ def _canonical_certificate(fh: BinaryIO) -> Optional[Certificate]:
         algebra, n, field, kernel_dim, families = _head_from_json(head)
         tensor = re.compile(_CANONICAL_TENSOR)
         label_of: Dict[bytes, str] = {}
-        factor_of: Dict[bytes, SparseMatrix] = {}
-        tensors: List[RankOneTensor] = []
+        number: Dict[bytes, int] = {}  # an entry list's text -> its factor's
+        tensors = Tensors()
         del buf[:cut + len(_TENSORS_KEY)]  # from here buf starts a slice
         while True:
             cut = _read_to(fh, buf, _TENSOR_CUT, _READ_SLICE)
@@ -466,15 +444,20 @@ def _canonical_certificate(fh: BinaryIO) -> Optional[Certificate]:
                 label = label_of[quoted] = json.loads(quoted)
                 if json.dumps(label).encode("utf-8") != quoted:
                     return None
-            for entries in set(us).union(vs).difference(factor_of):
+            # in the order they first appear, u before v
+            for entries in dict.fromkeys(chain.from_iterable(zip(us, vs))):
+                if entries in number:
+                    continue
                 mat = _matrix_from_entries(json.loads(entries), n, field,
                                            "factor")
                 if _factor_text(mat, field).encode("utf-8") != entries:
                     return None
-                factor_of[entries] = mat
-            tensors += map(RankOneTensor, map(factor_of.__getitem__, us),
-                           map(factor_of.__getitem__, vs),
-                           map(label_of.__getitem__, labels))
+                number[entries] = len(tensors.factors)
+                tensors.factors.append(mat)
+            tensors.us.extend(map(number.__getitem__, us))
+            tensors.vs.extend(map(number.__getitem__, vs))
+            for quoted, run in groupby(labels):
+                tensors._label(label_of[quoted], len(list(run)))
             if cut < 0:
                 return Certificate(algebra, field, kernel_dim, families,
                                    tensors)
@@ -494,8 +477,8 @@ def read_certificate(path: str) -> Certificate:
     and of the text once it is parsed.  A stream that cannot seek, such
     as a pipe, is read whole, once, and both readers read those bytes.
 
-    The decoded JSON and the certificate built from it hold no
-    reference cycles, yet they are about 10^6 new containers at n = 32.
+    The decoded JSON holds no reference cycles, yet it is about 10^6
+    new containers at n = 32.
     While they are built, the cyclic collector would rescan the growing
     heap several times and free nothing, about 40% of the read at
     n = 32, so it is paused for the read and then left as it was found.

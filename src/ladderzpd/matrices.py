@@ -24,11 +24,10 @@ Entries = Dict[Position, Any]
 class SparseMatrix:
     """n-by-n matrix over an exact field; entries keyed by (row, col), 1-based.
 
-    Treat it as immutable once built.  Certificate tensors share their
-    factors (the reader and the assembler give each distinct factor one
-    object), and the verifier and the writer keep per-object results,
-    so mutating entries would change, or silently not change, every
-    tensor that carries the matrix.
+    Treat it as immutable once built.  A certificate holds each factor
+    once for every tensor that carries it (tensors.Tensors), and the
+    verifier and the writer keep per-factor results, so mutating entries
+    would change, or silently not change, every such tensor.
     """
 
     __slots__ = ("n", "field", "entries")

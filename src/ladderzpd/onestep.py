@@ -22,7 +22,6 @@ trusted.
 
 from __future__ import annotations
 
-from collections import Counter
 from functools import cache
 from typing import Dict, List, Optional, Tuple
 
@@ -31,7 +30,7 @@ from .certificates import (Certificate, abelian_certificate, algebra_space,
 from .fields import Field, QQ
 from .ladders import BlockProfile, Ladder, block_profile
 from .matrices import Position, SparseMatrix, elementary
-from .tensors import RankOneTensor
+from .tensors import Tensors, Triple
 
 FAMILY_ORDER = (
     "pair-h-a", "pair-l-a", "pair-r-a", "pair-a-a", "pair-l-l", "pair-r-r",
@@ -68,31 +67,24 @@ def block_positions(p: BlockProfile) -> Dict[str, List[Position]]:
     }
 
 
-def pairing_families(p: BlockProfile, field: Field = QQ) -> List[RankOneTensor]:
+def pairing_families(p: BlockProfile, field: Field = QQ) -> Tensors:
     """All elementary tensors for the nine zero-bracket block pairings.
 
     Labels cover both directions: pair-h-a holds h (x) a followed by
     a (x) h, and likewise for pair-l-a and pair-r-a; the same-block
     pairings a-a, l-l, r-r already contain every ordered pair once.
     """
-    # the blocks are disjoint: one e_{i,j} per position, shared by
-    # every tensor that carries it
+    # the blocks are disjoint: one e_{i,j} per position
     blocks = {name: [elementary(p.n, i, j, field) for i, j in posns]
               for name, posns in block_positions(p).items()}
 
-    out: List[RankOneTensor] = []
+    out = Tensors()
     for label, b1, b2 in (("pair-h-a", "h", "a"), ("pair-l-a", "l", "a"),
                           ("pair-r-a", "r", "a")):
-        for x in blocks[b1]:
-            for y in blocks[b2]:
-                out.append(RankOneTensor(x, y, label))
-        for y in blocks[b2]:
-            for x in blocks[b1]:
-                out.append(RankOneTensor(y, x, label))
+        out._product(label, blocks[b1], blocks[b2])
+        out._product(label, blocks[b2], blocks[b1])
     for label, b in (("pair-a-a", "a"), ("pair-l-l", "l"), ("pair-r-r", "r")):
-        for x in blocks[b]:
-            for y in blocks[b]:
-                out.append(RankOneTensor(x, y, label))
+        out._product(label, blocks[b], blocks[b])
     return out
 
 
@@ -108,8 +100,7 @@ _EXPLICIT_FAMILIES = (
 )
 
 
-def explicit_families(p: BlockProfile,
-                      field: Field = QQ) -> List[RankOneTensor]:
+def explicit_families(p: BlockProfile, field: Field = QQ) -> Tensors:
     """The T/S/R, mirror and U/V/W families, in that order.
 
     For each group, with r in its row range, c in its column range and
@@ -123,13 +114,13 @@ def explicit_families(p: BlockProfile,
     ranges = dict(zip(("top", "mid", "right"), _ranges(p)))
     mid = ranges["mid"]
 
-    # each factor is built once and shared by every tensor carrying it
+    # each factor is built once
     @cache
     def mat(*terms: Tuple[int, int, int]) -> SparseMatrix:
         return SparseMatrix(p.n, field, {(i, j): field.from_int(c)
                                          for i, j, c in terms})
 
-    out: List[RankOneTensor] = []
+    out: List[Triple] = []
     for labels, row_block, col_block, sign, swap, hinge in _EXPLICIT_FAMILIES:
         t_label, s_label, r_label = labels
         rows, cols = ranges[row_block], ranges[col_block]
@@ -142,41 +133,35 @@ def explicit_families(p: BlockProfile,
                         x, y = mat((r, a, 1)), mat((b, c, 1))
                         if swap:
                             x, y = y, x
-                        out.append(RankOneTensor(x, y, t_label))
-                        out.append(RankOneTensor(y, x, t_label))
+                        out.append((x, y, t_label))
+                        out.append((y, x, t_label))
         for r in rows:
             for a in mid[:-1]:
                 for c in cols:
                     x = mat((r, a, 1), (r, a + 1, sign))
                     y = mat((a, c, 1), (a + 1, c, -sign))
-                    out.append(RankOneTensor(x, y, s_label))
-                    out.append(RankOneTensor(y, x, s_label))
+                    out.append((x, y, s_label))
+                    out.append((y, x, s_label))
         for r in rows:
             for c in cols:
                 k = r if hinge == "row" else c if hinge == "col" \
                     else p.n1 + p.n2
                 x = mat((r, k, 1), (k, c, 1))
-                out.append(RankOneTensor(x, x, r_label))
-    return out
+                out.append((x, x, r_label))
+    return Tensors(out)
 
 
 def gl_block_tensors(p: BlockProfile, field: Field = QQ,
-                     budget: Optional[int] = None) -> List[RankOneTensor]:
+                     budget: Optional[int] = None) -> Tensors:
     """Rank-one spanning tensors for the gl block: a searched
-    certificate for gl_{n2}, translated into the middle index range;
-    raises SearchExhaustedError when the budget runs out first."""
-    cert = gl_certificate(p.n2, field, budget)
-    # the search shares u between tensors; share its shifted copy too
-    shifted: Dict[int, SparseMatrix] = {}
-
-    def shift(factor: SparseMatrix) -> SparseMatrix:
-        got = shifted.get(id(factor))
-        if got is None:
-            got = shifted[id(factor)] = factor.shifted(p.n1, p.n)
-        return got
-
-    return [RankOneTensor(shift(t.u), shift(t.v), "gl-h")
-            for t in cert.tensors]
+    certificate for gl_{n2}, each factor translated into the middle
+    index range; raises SearchExhaustedError when the budget runs out."""
+    found = gl_certificate(p.n2, field, budget).tensors
+    out = Tensors()
+    out.factors = [f.shifted(p.n1, p.n) for f in found.factors]
+    out.us, out.vs = found.us[:], found.vs[:]
+    out._label("gl-h", len(out.us))
+    return out
 
 
 def assemble_one_step_certificate(n: int, i1: int, j1: int,
@@ -199,16 +184,15 @@ def assemble_one_step_certificate(n: int, i1: int, j1: int,
     if profile is None:
         return abelian_certificate(space, descriptor)
 
-    tensors: List[RankOneTensor] = []
-    tensors.extend(pairing_families(profile, field))
-    tensors.extend(gl_block_tensors(profile, field, budget))
-    tensors.extend(explicit_families(profile, field))
+    tensors = pairing_families(profile, field)
+    tensors += gl_block_tensors(profile, field, budget)
+    tensors += explicit_families(profile, field)
 
     kdim = kernel_dim_polynomial(profile)
     if len(tensors) != kdim:
         raise AssertionError(
             f"assembled {len(tensors)} tensors but the kernel dimension "
             f"polynomial gives {kdim} at {tuple(profile)}")
-    carried = Counter(t.label for t in tensors)
-    counts = [(label, carried[label]) for label in FAMILY_ORDER]
+    carried = dict(tensors.runs)  # one run per family label
+    counts = [(label, carried.get(label, 0)) for label in FAMILY_ORDER]
     return Certificate(descriptor, field, kdim, counts, tensors)

@@ -1,5 +1,5 @@
-"""The tensor square of a matrix algebra, its product table, and the
-multiplication map mu.
+"""The tensor square of a matrix algebra, its product table, the
+multiplication map mu, and rank-one tensors stored by column (Tensors).
 
 An algebra here is a span of elementary matrices at a fixed position
 set, with the basis ordered row-major.  How two basis elements multiply
@@ -18,7 +18,11 @@ kernel dimension is the quantity every certificate is measured against.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
+from array import array
+from itertools import chain, repeat
+from operator import eq
+from typing import (Any, Dict, Iterable, Iterator, List, Optional, Sequence,
+                    Tuple)
 
 from .elim import IncrementalEchelon
 from .fields import Field, QQ, Scalar
@@ -28,6 +32,8 @@ PRODUCT_KINDS = ("associative", "lie")
 
 # a stored column of mu: (a, c) pairs, c = +-1 the coefficient of b_a
 Column = Tuple[Tuple[int, int], ...]
+# a rank-one tensor u (x) v and its family label
+Triple = Tuple[SparseMatrix, SparseMatrix, str]
 
 
 class MembershipError(ValueError):
@@ -130,26 +136,68 @@ class TensorSpace:
         return f"TensorSpace(n={self.n}, d={self.d}, field={self.field!r})"
 
 
-class RankOneTensor:
-    """u (x) v with a family tag; factors are matrices in a common algebra."""
+class Tensors:
+    """Labeled rank-one tensors u (x) v, stored by column: each factor
+    object once in factors, numbered as it first appears (u before v),
+    each tensor's two numbers in the arrays us and vs, and the labels as
+    (label, count) runs.  About d^2 one-step tensors over about d
+    factors take 8 bytes each.  Iteration gives (u, v, label); two are
+    equal when their tensors are, however numbered."""
 
-    __slots__ = ("u", "v", "label")
+    __slots__ = ("factors", "us", "vs", "runs", "_ids")
 
-    def __init__(self, u: SparseMatrix, v: SparseMatrix, label: str):
-        self.u = u
-        self.v = v
-        self.label = label
+    def __init__(self, triples: Iterable[Triple] = ()):
+        self.factors: List[SparseMatrix] = []
+        self.us, self.vs = array("I"), array("I")
+        self.runs: List[Tuple[str, int]] = []
+        self._ids: Dict[int, int] = {}  # object id -> number, for _product
+        for u, v, label in triples:
+            self._product(label, (u,), (v,))
+
+    def _product(self, label: str, xs: Sequence[SparseMatrix],
+                 ys: Sequence[SparseMatrix]) -> None:
+        """Append x (x) y for x in xs and y in ys, x outer."""
+        if not (xs and ys):
+            return
+        ids = self._ids
+        for f in (xs[0], *ys, *xs[1:]):  # in the order they first appear
+            if id(f) not in ids:
+                ids[id(f)] = len(self.factors)
+                self.factors.append(f)
+        ks = array("I", [ids[id(y)] for y in ys])
+        for x in xs:
+            self.us.extend(repeat(ids[id(x)], len(ks)))
+            self.vs.extend(ks)
+        self._label(label, len(xs) * len(ks))
+
+    def _label(self, label: str, count: int) -> None:
+        """Label the last count tensors appended, count > 0."""
+        if self.runs and self.runs[-1][0] == label:
+            count += self.runs.pop()[1]
+        self.runs.append((label, count))
+
+    def __iadd__(self, other: Tensors) -> Tensors:
+        """Append other's tensors, its factors numbered after these."""
+        offset = len(self.factors)
+        self.factors += other.factors
+        self.us.extend(map(offset.__add__, other.us))
+        self.vs.extend(map(offset.__add__, other.vs))
+        for label, count in other.runs:
+            self._label(label, count)
+        return self
+
+    def __len__(self) -> int:
+        return len(self.us)
+
+    def __iter__(self) -> Iterator[Triple]:
+        factor = self.factors.__getitem__
+        labels = (repeat(label, count) for label, count in self.runs)
+        return zip(map(factor, self.us), map(factor, self.vs),
+                   chain.from_iterable(labels))
 
     def __eq__(self, other):
-        if not isinstance(other, RankOneTensor):
-            return NotImplemented
-        return (self.u, self.v, self.label) == (other.u, other.v, other.label)
-
-    def __hash__(self):
-        return hash((self.u, self.v, self.label))
-
-    def __repr__(self):
-        return f"RankOneTensor({self.u!r}, {self.v!r}, label={self.label!r})"
+        return (isinstance(other, Tensors) and len(self) == len(other)
+                and all(map(eq, self, other)))
 
 
 class MuMap:

@@ -39,7 +39,7 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Sequence, Tuple
 
 from ladderzpd.certificates import (COUNT_MISMATCH, FAILED_KERNEL_MEMBERSHIP,
                                     FAILED_SPAN, PROVEN_ZPD, Certificate,
@@ -49,10 +49,19 @@ from ladderzpd.elim import IncrementalEchelon, field_row, integer_coords
 from ladderzpd.fields import QQ, FieldMismatchError, PrimeField
 from ladderzpd.matrices import Entries, SparseMatrix, elementary
 from ladderzpd.onestep import block_positions
-from ladderzpd.tensors import (ClosureError, MembershipError, RankOneTensor,
-                               build_mu)
+from ladderzpd.tensors import ClosureError, MembershipError, build_mu
 
 Dense = List[List[Fraction]]
+
+
+class RankOneTensor(NamedTuple):
+    """u (x) v with a family label, as a certificate's tensors give it:
+    indexing and iterating certificate.tensors yield plain (u, v, label)
+    tuples, which compare equal to these."""
+
+    u: SparseMatrix
+    v: SparseMatrix
+    label: str
 
 
 class Fp:
@@ -640,7 +649,7 @@ def tensor_coords(t, space) -> dict:
     column s*d + t.  A factor outside the algebra raises
     MembershipError naming it (u or v)."""
     factors = []
-    for name, factor in (("u", t.u), ("v", t.v)):
+    for name, factor in zip("uv", t):
         try:
             factors.append(space.coords_of(factor))
         except MembershipError as exc:
@@ -673,12 +682,13 @@ def in_kernel(t, mu, tcoords: dict) -> bool:
     tensor_coords(t, mu.space): computed directly as the bracket of the
     factors and through the coordinate matrix of mu; the two routes
     must agree."""
-    direct = not bracket(t.u, t.v).entries
+    u, v, _ = t
+    direct = not bracket(u, v).entries
     via_mu = not apply_to_coords(mu, tcoords)
     if direct != via_mu:
         raise AssertionError(
             "mu routes disagree: direct product and coordinate image "
-            f"differ for {t!r}")
+            f"differ for {RankOneTensor(*t)!r}")
     return direct
 
 
@@ -737,8 +747,8 @@ def reference_certificate_bytes(cert) -> bytes:
         "kernel_dim": cert.kernel_dim,
         "families": [{"label": label, "count": count}
                      for label, count in cert.families],
-        "tensors": [{"family": t.label, "u": entries(t.u),
-                     "v": entries(t.v)} for t in cert.tensors],
+        "tensors": [{"family": label, "u": entries(u), "v": entries(v)}
+                    for u, v, label in cert.tensors],
     }
     text = json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
     return text.encode("utf-8")

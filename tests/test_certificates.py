@@ -23,11 +23,11 @@ from ladderzpd.fields import PrimeField, QQ
 from ladderzpd.ladders import Ladder, enumerate_ladders
 from ladderzpd.matrices import SparseMatrix, elementary
 from ladderzpd.onestep import assemble_one_step_certificate
-from ladderzpd.tensors import (ClosureError, MembershipError, RankOneTensor,
-                               TensorSpace, build_mu)
+from ladderzpd.tensors import (ClosureError, MembershipError, TensorSpace,
+                               build_mu)
 
-from oracles import (bracket, centralizer, in_kernel, lemma3_skips,
-                     reference_search, tensor_coords)
+from oracles import (RankOneTensor, bracket, centralizer, in_kernel,
+                     lemma3_skips, reference_search, tensor_coords)
 
 F = Fraction
 
@@ -154,8 +154,8 @@ def test_gl1_certificate():
     cert = gl_certificate(1)
     assert cert is not None
     assert len(cert.tensors) == 1
-    t = cert.tensors[0]
-    assert t.u == t.v == elementary(1, 1, 1)
+    (u, v, _), = cert.tensors
+    assert u == v == elementary(1, 1, 1)
     assert verify_certificate(cert).proven
 
 
@@ -521,7 +521,8 @@ def test_verification_recomputes_kernel_dim():
 def test_tamper_delete_fails_span():
     base = gl_certificate(2)
     for drop in (0, 6, 12):
-        tensors = base.tensors[:drop] + base.tensors[drop + 1:]
+        tensors = list(base.tensors)
+        del tensors[drop]
         cert = Certificate(base.algebra, base.field, base.kernel_dim,
                            [("gl", 12)], tensors)
         report = verify_certificate(cert)
@@ -545,7 +546,8 @@ def test_tamper_replace_fails_membership():
 
 def test_tamper_duplicate_fails_count():
     base = gl_certificate(2)
-    tensors = list(base.tensors) + [base.tensors[0]]
+    tensors = list(base.tensors)
+    tensors.append(tensors[0])
     cert = Certificate(base.algebra, base.field, base.kernel_dim,
                        [("gl", 14)], tensors)
     report = verify_certificate(cert)
@@ -564,7 +566,8 @@ def unit_column_tampers(cert):
     deleted; (e_11 + e_22) (x) e_12 added, which commutes; and e_12 (x)
     (e_12 + e_13) added last or first, a commuting tensor whose row lies
     on the columns of two elementary pairs of the certificate."""
-    tensors, field = cert.tensors, cert.field
+    tensors = [RankOneTensor(*t) for t in cert.tensors]
+    field = cert.field
     n = cert.algebra.get("m") or cert.algebra["n"]
     pairs = [i for i, t in enumerate(tensors) if is_pair(t)]
     i = pairs[len(pairs) // 2]
@@ -611,7 +614,7 @@ def test_verify_rejects_factor_outside_the_space(factor):
     # message coords_of gives, before any of its scalars is read
     base = gl_certificate(2)
     tensors = list(base.tensors)
-    tensors[3] = RankOneTensor(factor, tensors[3].v, "gl")
+    tensors[3] = RankOneTensor(factor, tensors[3][1], "gl")
     cert = Certificate(base.algebra, base.field, base.kernel_dim,
                        base.families, tensors)
     with pytest.raises(MembershipError,
@@ -632,7 +635,7 @@ def test_abelian_certificate():
     cert = abelian_certificate(space, ladder_algebra_descriptor(ladder))
     assert len(cert.tensors) == 16
     assert cert.families == [("abelian", 16)]
-    assert all(t.label == "abelian" for t in cert.tensors)
+    assert all(label == "abelian" for _, _, label in cert.tensors)
     assert verify_certificate(cert).proven
 
 

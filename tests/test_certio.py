@@ -8,6 +8,7 @@ import json
 import os
 import stat
 import tracemalloc
+from array import array
 from fractions import Fraction
 from unittest import mock
 
@@ -23,11 +24,11 @@ from ladderzpd.certio import (CertificateFormatError, _canonical_certificate,
                               read_certificate, write_certificate)
 from ladderzpd.cli import main
 from ladderzpd.fields import PrimeField, QQ
-from ladderzpd.matrices import SparseMatrix
+from ladderzpd.matrices import SparseMatrix, elementary
 from ladderzpd.onestep import assemble_one_step_certificate
-from ladderzpd.tensors import MembershipError, RankOneTensor
+from ladderzpd.tensors import MembershipError, Tensors
 
-from oracles import reference_certificate_bytes, scaled
+from oracles import RankOneTensor, reference_certificate_bytes, scaled
 
 
 def write_verified(cert, path):
@@ -259,7 +260,6 @@ def test_rational_scalars_survive_round_trip(tmp_path):
 
     from ladderzpd.certificates import Certificate, gl_algebra_descriptor
     from ladderzpd.matrices import SparseMatrix
-    from ladderzpd.tensors import RankOneTensor
 
     u = SparseMatrix(2, QQ, {(1, 1): Fraction(2, 3)})
     cert = Certificate(gl_algebra_descriptor(2), QQ, 1,
@@ -320,9 +320,8 @@ def test_repeated_scalars_round_trip_byte_for_byte(tmp_path, field,
     # the file, and the factors the reader shares between tensors, must
     # write back the same bytes
     cert = assemble_one_step_certificate(4, 3, 2, field=field)
-    tensors = [RankOneTensor(scaled(t.u, scalars[k % len(scalars)]),
-                             t.v, t.label)
-               for k, t in enumerate(cert.tensors)]
+    tensors = [RankOneTensor(scaled(u, scalars[k % len(scalars)]), v, label)
+               for k, (u, v, label) in enumerate(cert.tensors)]
     cert = Certificate(cert.algebra, field, cert.kernel_dim, cert.families,
                        tensors)
     path = tmp_path / "cert.json"
@@ -377,19 +376,99 @@ def test_repeated_factor_outside_the_algebra_names_its_first_tensor():
                               "outside the position set")
 
 
+@pytest.mark.parametrize("indent", [None, 1], ids=["text path", "full parse"])
+@pytest.mark.parametrize("slots, message", [
+    # first met as the second factor of a tensor, then as the first
+    (((2, "v"), (4, "u"), (5, "v")), "tensor 2 factor v"),
+    (((3, "u"), (3, "v"), (1, "v")), "tensor 1 factor v"),
+    (((6, "v"), (6, "u")), "tensor 6 factor u"),
+])
+def test_factor_outside_the_algebra_is_named_on_both_reader_paths(
+        tmp_path, indent, slots, message):
+    # the messages were recorded from the verifier that kept a factor
+    # per object, before factors were numbered: (1,1) is not a position
+    # of the one-step ladder {(2,2)} on 3
+    obj = certificate_json(assemble_one_step_certificate(3, 2, 2))
+    for idx, name in slots:
+        obj["tensors"][idx][name] = [[1, 1, "1"]]
+    path = tmp_path / "cert.json"
+    path.write_text(json.dumps(obj, sort_keys=True, separators=(",", ":"),
+                               indent=indent) + "\n")
+    canonical = _canonical_certificate(io.BytesIO(path.read_bytes()))
+    assert (canonical is not None) == (indent is None)
+    with pytest.raises(MembershipError) as exc:
+        verify_certificate(read_certificate(str(path)))
+    assert str(exc.value) == (f"{message}: support at (1, 1) is outside "
+                              f"the position set")
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(2)])
+def test_interleaved_labels_and_factors_numbered_out_of_order(tmp_path,
+                                                              field):
+    # labels A, B, A, B, A make five runs; the hand-built table numbers
+    # its factors c, b, a, where the tensors first show a, b, c.  Every
+    # reader numbers by first appearance, and equality reads tensors
+    one = field.one
+    a, b = elementary(3, 1, 2, field), elementary(3, 2, 1, field)
+    c = SparseMatrix(3, field, {(1, 1): one, (2, 2): one, (3, 1): one})
+    triples = [(a, b, "A"), (c, a, "B"), (b, c, "A"), (c, c, "B"),
+               (a, a, "A")]
+    number = {id(c): 0, id(b): 1, id(a): 2}
+    hand = Tensors()
+    hand.factors = [c, b, a]
+    hand.us = array("I", [number[id(u)] for u, _, _ in triples])
+    hand.vs = array("I", [number[id(v)] for _, v, _ in triples])
+    hand.runs = [(label, 1) for _, _, label in triples]
+    cert = Certificate({"kind": "gl-lie", "m": 3}, field, 73,
+                       [("A", 3), ("B", 2)], hand)
+    assert cert == Certificate(cert.algebra, field, 73, cert.families,
+                               triples)
+    data = certificate_bytes(cert)
+    assert data == reference_certificate_bytes(cert)
+    path = tmp_path / "cert.json"
+    path.write_bytes(data)
+    fast = _canonical_certificate(io.BytesIO(data))
+    full = certificate_from_json(json.loads(data))
+    got = read_certificate(str(path))
+    for read in (fast, full, got):
+        assert read == cert and list(read.tensors) == triples
+        assert read.tensors.factors == [a, b, c] != hand.factors
+        assert read.tensors.runs == [("A", 1), ("B", 1), ("A", 1),
+                                     ("B", 1), ("A", 1)]
+        assert sharing(read) == sharing(fast)
+        assert certificate_bytes(read) == data
+    # a tensor that differs in one factor, or in its label, is unequal
+    for at, changed in ((2, (b, b, "A")), (4, (a, a, "B"))):
+        other = list(triples)
+        other[at] = changed
+        counts = [(label, sum(t[2] == label for t in other))
+                  for label in "AB"]
+        assert Certificate(cert.algebra, field, 73, counts, other) != cert
+
+
+def test_read_certificate_equals_the_assembled_one(tmp_path):
+    # the assembler numbers each factor object, the reader each distinct
+    # entry list: the gl_2 block's 13 objects hold 8 distinct factors
+    cert = assemble_one_step_certificate(5, 3, 2)
+    path = tmp_path / "cert.json"
+    write_verified(cert, path)
+    got = read_certificate(str(path))
+    assert got == cert
+    assert len(got.tensors.factors) < len(cert.tensors.factors)
+    assert certificate_bytes(got) == path.read_bytes()
+
+
 @pytest.mark.parametrize("field", [QQ, PrimeField(2), PrimeField(101)])
 def test_identical_entry_lists_share_one_factor(field):
     obj = json.loads(certificate_bytes(
         assemble_one_step_certificate(5, 3, 2, field=field)))
-    cert = certificate_from_json(obj)
-    objects_of = {}
-    for tj, t in zip(obj["tensors"], cert.tensors):
-        for name in "uv":
-            key = json.dumps(tj[name])
-            objects_of.setdefault(key, set()).add(id(getattr(t, name)))
-    assert all(len(ids) == 1 for ids in objects_of.values())
-    distinct = {id(x) for t in cert.tensors for x in (t.u, t.v)}
-    assert len(distinct) <= len(objects_of) < len(cert.tensors)
+    tensors = certificate_from_json(obj).tensors
+    numbers_of = {}
+    for tj, numbers in zip(obj["tensors"], zip(tensors.us, tensors.vs)):
+        for name, k in zip("uv", numbers):
+            numbers_of.setdefault(json.dumps(tj[name]), set()).add(k)
+    assert all(len(ks) == 1 for ks in numbers_of.values())
+    assert len(tensors.factors) == len(numbers_of) < len(tensors)
 
 
 @pytest.mark.parametrize("collecting", [True, False])
@@ -447,7 +526,7 @@ def test_writer_splices_the_canonical_bytes_one_step(field):
         for i1 in range(1, n + 1):
             for j1 in range(1, n + 1):
                 cert = assemble_one_step_certificate(n, i1, j1, field=field)
-                labels.update(t.label for t in cert.tensors)
+                labels.update(label for _, _, label in cert.tensors)
                 spliced, plain = spliced_and_plain(cert)
                 assert spliced == plain, (n, i1, j1)
     assert "abelian" in labels  # i1 < j1, the abelian certificate
@@ -514,7 +593,7 @@ def traced(call):
 def test_large_file_is_read_and_written_without_whole_file_pieces(tmp_path,
                                                                   d168):
     # the d = 168 file, 1.59 MB.  Measured with CPython 3.11: the read's
-    # traced peak is 2.22 MiB, 0.32 MiB above the 1.90 MiB certificate
+    # traced peak is 0.57 MiB, 0.23 MiB above the 0.35 MiB certificate
     # it returns; holding the file's bytes took 3.72 MiB, and cutting
     # the whole tensor list at once 9.37 MiB.  The write takes 0.17 MiB
     # above the certificate; formatting it as one string took 4.61 MiB.
@@ -529,6 +608,21 @@ def test_large_file_is_read_and_written_without_whole_file_pieces(tmp_path,
     assert read_peak - held < size / 2
 
 
+def test_read_certificate_holds_two_numbers_per_tensor(tmp_path, d168):
+    # measured with CPython 3.11 on the d = 168 file (28,057 tensors,
+    # 372 factors): the certificate read holds 0.35 MiB, its two arrays
+    # 0.21 of them, where one object per tensor held 1.90 MiB; and
+    # verify_certificate peaks 0.61 MiB above it (0.63 before)
+    path = tmp_path / "cert.json"
+    write_certificate(d168, str(path), mark_unverified=True)
+    got, held, _ = traced(lambda: read_certificate(str(path)))
+    assert len(got.tensors.factors) == 372
+    assert held < 0.5 * 2 ** 20
+    report, _, verify_peak = traced(lambda: verify_certificate(got))
+    assert report.proven
+    assert verify_peak < 0.75 * 2 ** 20
+
+
 def test_full_parse_lets_go_of_the_bytes_and_the_text(tmp_path, d168):
     # the d = 168 file respaced (indent=1, 4.0 MB) takes the full parse.
     # Its peak is json.loads's, the text and the tree (19.96 MiB with
@@ -541,8 +635,8 @@ def test_full_parse_lets_go_of_the_bytes_and_the_text(tmp_path, d168):
     got, _, read_peak = traced(lambda: read_certificate(str(path)))
     assert got == d168
     assert read_peak < loads_peak + len(data) / 2
-    # one label object per family, not one per tensor
-    assert len({id(t.label) for t in got.tensors}) <= len(got.families)
+    # one label run per family, not a label per tensor
+    assert len(got.tensors.runs) <= len(got.families)
 
 
 # The reader reads a file in canonical form by its text and anything
@@ -563,10 +657,9 @@ def full_parse(data: bytes):
 
 
 def sharing(cert):
-    """Which factor slots hold the same object: each slot's first slot."""
-    first = {}
-    return [first.setdefault(id(x), k) for k, x in enumerate(
-        x for t in cert.tensors for x in (t.u, t.v))]
+    """The factor numbers of every tensor, and the label runs."""
+    tensors = cert.tensors
+    return tensors.us, tensors.vs, tensors.runs, len(tensors.factors)
 
 
 def text_path(data: bytes):
@@ -694,11 +787,12 @@ def test_text_reader_shares_factors_across_slices(tmp_path, monkeypatch):
     ends = slice_ends(data)
     assert len(ends) > 10
     assert_readers_agree(tmp_path, data, True)
-    # a factor first seen in slice 1 is the same object in a later one
-    cert = _canonical_certificate(io.BytesIO(data))
+    # a factor first seen in slice 1 has the same number in a later one
+    tensors = _canonical_certificate(io.BytesIO(data)).tensors
     k = data.count(b'{"family":', 0, ends[0])
-    first = {id(x) for t in cert.tensors[:k] for x in (t.u, t.v)}
-    assert any(id(x) in first for t in cert.tensors[k:] for x in (t.u, t.v))
+    first = set(tensors.us[:k]) | set(tensors.vs[:k])
+    assert first.intersection(tensors.us[k:]) and len(first) < len(
+        tensors.factors)
 
 
 @pytest.mark.parametrize("tamper", [
@@ -890,8 +984,8 @@ def mutation_seed(name: str) -> bytes:
     cert = gl_certificate(2)
     return certificate_bytes(Certificate(
         cert.algebra, QQ, cert.kernel_dim, cert.families,
-        [RankOneTensor(scaled(t.u, Fraction(-2, 3)), t.v, t.label)
-         for t in cert.tensors]))
+        [RankOneTensor(scaled(u, Fraction(-2, 3)), v, label)
+         for u, v, label in cert.tensors]))
 
 
 MUTATION_SEEDS = {name: mutation_seed(name)

@@ -212,7 +212,7 @@ def test_prime_field_factors_hold_residues(tmp_path):
                 assert type(c) is int and 0 < c < p, (mat, c)
 
     def factors(cert):
-        return [x for t in cert.tensors for x in (t.u, t.v)]
+        return cert.tensors.factors
 
     f101 = PrimeField(101)
     obj = json.loads(certificate_bytes(gl_certificate(2, f101)))
@@ -221,7 +221,8 @@ def test_prime_field_factors_hold_residues(tmp_path):
     path = tmp_path / "cert.json"
     path.write_text(json.dumps(obj))
     read = read_certificate(str(path))
-    assert read.tensors[0].u.entries == {(1, 1): 100, (1, 2): 1, (2, 1): 3}
+    (u, _, _), *_ = read.tensors
+    assert u.entries == {(1, 1): 100, (1, 2): 1, (2, 1): 3}
     assert_residues(factors(read), 101)
 
     for text in ("101", "0"):
@@ -235,8 +236,7 @@ def test_prime_field_factors_hold_residues(tmp_path):
     for p in (2, 3, 101):
         f = PrimeField(p)
         assert_residues([elementary(3, 2, 1, f)], p)
-        explicit = [x for t in explicit_families(BlockProfile(1, 2, 1), f)
-                    for x in (t.u, t.v)]
+        explicit = explicit_families(BlockProfile(1, 2, 1), f).factors
         assert_residues(explicit, p)
         assert p - 1 in {c for x in explicit for c in x.entries.values()}
         gl = factors(gl_certificate(3, f))

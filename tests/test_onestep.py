@@ -15,7 +15,7 @@ from ladderzpd.onestep import (FAMILY_ORDER, assemble_one_step_certificate,
                                pairing_families)
 from ladderzpd.tensors import TensorSpace, build_mu
 
-from oracles import (bracket, expected_counts, in_kernel,
+from oracles import (RankOneTensor, bracket, expected_counts, in_kernel,
                      multiplication_table_check, naive_mu_kernel_dim,
                      tensor_coords)
 
@@ -38,8 +38,13 @@ def one_step_space(p: BlockProfile) -> TensorSpace:
     return TensorSpace(p.n, ladder.positions())
 
 
+def named(*parts):
+    """The tensors of each part, in order, with named fields."""
+    return [RankOneTensor(*t) for part in parts for t in part]
+
+
 def family_group(p: BlockProfile, labels):
-    return [t for t in explicit_families(p) if t.label in labels]
+    return [t for t in named(explicit_families(p)) if t.label in labels]
 
 
 def test_polynomial_values():
@@ -119,13 +124,13 @@ def test_bracket_h_l_lands_in_l():
 
 def test_pairing_family_counts():
     by_label = {}
-    for t in pairing_families(BlockProfile(1, 2, 1)):
+    for t in named(pairing_families(BlockProfile(1, 2, 1))):
         by_label[t.label] = by_label.get(t.label, 0) + 1
     assert by_label == {"pair-h-a": 8, "pair-l-a": 4, "pair-r-a": 4,
                         "pair-a-a": 1, "pair-l-l": 4, "pair-r-r": 4}
     assert len(pairing_families(BlockProfile(1, 1, 1))) == 9
     only_rr = pairing_families(BlockProfile(0, 2, 3))
-    assert {t.label for t in only_rr} == {"pair-r-r"}
+    assert {label for _, _, label in only_rr} == {"pair-r-r"}
     assert len(only_rr) == 36
 
 
@@ -174,7 +179,7 @@ def test_family_counts_match_closed_forms():
               BlockProfile(1, 3, 2), BlockProfile(0, 2, 2)]:
         want = dict(expected_counts(p))
         got = {label: 0 for label in FAMILY_ORDER}
-        for t in pairing_families(p) + explicit_families(p):
+        for t in named(pairing_families(p), explicit_families(p)):
             got[t.label] += 1
         for label in FAMILY_ORDER:
             if label == "gl-h":
@@ -187,17 +192,16 @@ def test_all_family_tensors_in_kernel():
               BlockProfile(2, 1, 2)]:
         space = one_step_space(p)
         mu = build_mu(space, "lie")
-        tensors = (pairing_families(p) + gl_block_tensors(p)
-                   + explicit_families(p))
+        tensors = named(pairing_families(p), gl_block_tensors(p),
+                        explicit_families(p))
         for t in tensors:
             assert in_kernel(t, mu, tensor_coords(t, space)), (p, t)
 
 
 def test_families_are_pairwise_distinct():
     p = BlockProfile(1, 2, 1)
-    tensors = (pairing_families(p) + gl_block_tensors(p)
-               + explicit_families(p))
-    pairs = [(t.u, t.v) for t in tensors]
+    pairs = [(u, v) for u, v, _ in named(
+        pairing_families(p), gl_block_tensors(p), explicit_families(p))]
     assert len(pairs) == len(set(pairs)) == kernel_dim_polynomial(p)
 
 
@@ -212,11 +216,11 @@ def test_gl_block_matches_embedded_search():
     mu = build_mu(block, "lie")
     found = search_spanning(mu, gl_algebra_descriptor(2))
     translated = gl_block_tensors(p)
-    assert [(t.u, t.v) for t in found.tensors] == \
-        [(t.u, t.v) for t in translated]
+    assert [(u, v) for u, v, _ in found.tensors] == \
+        [(u, v) for u, v, _ in translated]
     base = gl_certificate(2)
-    assert [(t.u.shifted(p.n1, p.n), t.v.shifted(p.n1, p.n))
-            for t in base.tensors] == [(t.u, t.v) for t in translated]
+    assert [(u.shifted(p.n1, p.n), v.shifted(p.n1, p.n))
+            for u, v, _ in base.tensors] == [(u, v) for u, v, _ in translated]
 
 
 def test_assemble_minimal_nonabelian():
@@ -271,17 +275,20 @@ def test_assemble_middle_block_nine():
 
 
 def test_families_share_one_factor_per_entry_map():
-    # each distinct factor is one object, carried by every tensor that
-    # has it, so the writer and the verifier work once per factor
+    # each distinct factor is one entry of the factor table, numbered by
+    # its first appearance, so the writer and the verifier work once per
+    # factor
     p = BlockProfile(2, 3, 2)
     abelian = assemble_one_step_certificate(6, 2, 5).tensors  # d = 4
     for tensors in (pairing_families(p), explicit_families(p), abelian):
-        factors = [x for t in tensors for x in (t.u, t.v)]
-        distinct = {frozenset(x.entries.items()) for x in factors}
-        assert len({id(x) for x in factors}) == len(distinct)
-    # the gl block keeps the search's sharing: one shifted copy per
-    # source factor object
-    sources = [x for t in gl_certificate(p.n2).tensors for x in (t.u, t.v)]
-    shifted = [x for t in gl_block_tensors(p) for x in (t.u, t.v)]
-    assert len({id(x) for x in shifted}) == len({id(x) for x in sources}) \
-        < len(sources)
+        firsts = list(dict.fromkeys(
+            k for pair in zip(tensors.us, tensors.vs) for k in pair))
+        assert firsts == list(range(len(tensors.factors)))
+        distinct = {frozenset(x.entries.items()) for x in tensors.factors}
+        assert len(distinct) == len(tensors.factors)
+    # the gl block keeps the search's table: one shifted copy per factor
+    source = gl_certificate(p.n2).tensors
+    shifted = gl_block_tensors(p)
+    assert shifted.factors == [x.shifted(p.n1, p.n) for x in source.factors]
+    assert (shifted.us, shifted.vs) == (source.us, source.vs)
+    assert len(source.factors) < 2 * len(source)

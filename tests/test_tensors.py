@@ -11,10 +11,10 @@ from ladderzpd.elim import IncrementalEchelon
 from ladderzpd.fields import PrimeField, QQ
 from ladderzpd.ladders import Ladder, enumerate_ladders
 from ladderzpd.matrices import SparseMatrix, elementary
-from ladderzpd.tensors import (ClosureError, MembershipError, RankOneTensor,
-                               TensorSpace, build_mu)
+from ladderzpd.tensors import (ClosureError, MembershipError, TensorSpace,
+                               build_mu)
 
-from oracles import (apply_to_coords, flat_columns, in_kernel,
+from oracles import (RankOneTensor, apply_to_coords, flat_columns, in_kernel,
                      mu_columns_by_products, naive_mu_kernel_dim, reduced,
                      tensor_coords)
 

@@ -33,11 +33,11 @@ from ladderzpd.elim import integer_coords
 from ladderzpd.fields import PrimeField, QQ
 from ladderzpd.matrices import SparseMatrix
 from ladderzpd.onestep import assemble_one_step_certificate
-from ladderzpd.tensors import RankOneTensor, build_mu
+from ladderzpd.tensors import build_mu
 
-from oracles import (apply_to_coords, bracket, entry_product, flat_columns,
-                     lift, naive_rank, rows_of, scaled, tensor_coords,
-                     verify_by_field_coords)
+from oracles import (RankOneTensor, apply_to_coords, bracket, entry_product,
+                     flat_columns, lift, naive_rank, rows_of, scaled,
+                     tensor_coords, verify_by_field_coords)
 
 FIELDS = {"QQ": QQ, "F2": PrimeField(2), "F101": PrimeField(101)}
 ALGEBRAS = ([("gl", 2), ("gl", 3)]
@@ -80,6 +80,11 @@ def random_member(rng, space, least=1):
         pos: nonzero_scalar(rng, space.field) for pos in terms})
 
 
+def tensor_list(cert):
+    """The certificate's tensors, with named fields."""
+    return [RankOneTensor(*t) for t in cert.tensors]
+
+
 def rebuilt(cert, tensors):
     """The certificate with a new tensor list and matching family counts."""
     counts = Counter(t.label for t in tensors)
@@ -95,7 +100,7 @@ def test_integer_verifier_matches_field_route(algebra, field_name, defect,
                                               rng):
     cert = base_certificate(algebra, field_name)
     field = cert.field
-    tensors = list(cert.tensors)
+    tensors = tensor_list(cert)
     idx = rng.randrange(len(tensors))
     label = tensors[idx].label
     pair = noncommuting_pair(algebra, field_name)
@@ -154,7 +159,7 @@ def test_f2_zero_test_is_mod_p():
 
         cert = gl_certificate(2, field)
         for idx in (0, 7, len(cert.tensors) - 1):
-            tensors = list(cert.tensors)
+            tensors = tensor_list(cert)
             tensors[idx] = RankOneTensor(u, v, tensors[idx].label)
             tampered = rebuilt(cert, tensors)
             report = verify_certificate(tampered)
@@ -170,8 +175,8 @@ def unshared(cert):
 
     return Certificate(cert.algebra, cert.field, cert.kernel_dim,
                        cert.families,
-                       [RankOneTensor(fresh(t.u), fresh(t.v), t.label)
-                        for t in cert.tensors])
+                       [RankOneTensor(fresh(u), fresh(v), label)
+                        for u, v, label in cert.tensors])
 
 
 def damaged(obj, defect, idx):
@@ -201,11 +206,10 @@ def test_shared_factors_verify_like_unshared_copies(field_name, defect):
     obj = json.loads(certificate_bytes(
         base_certificate(("one-step", 5, 3, 2), field_name)))
     cert = certificate_from_json(damaged(obj, defect, 17))
-    slots = [x for t in cert.tensors for x in (t.u, t.v)]
-    assert len({id(x) for x in slots}) < len(slots)
+    slots = 2 * len(cert.tensors)
+    assert len(cert.tensors.factors) < slots
     copy = unshared(cert)
-    assert len({id(x) for t in copy.tensors for x in (t.u, t.v)}) \
-        == len(slots)
+    assert len(copy.tensors.factors) == slots
     report = verify_certificate(cert)
     assert report == verify_certificate(copy)
     expected = {"none": PROVEN_ZPD, "deleted": FAILED_SPAN,
@@ -223,14 +227,14 @@ def test_verify_and_write_leave_factors_unchanged(field_name):
     shared = {}
     cert = rebuilt(cert, [
         RankOneTensor(shared.setdefault(id(t.u), scaled(t.u, c)), t.v,
-                      t.label) for t in cert.tensors])
+                      t.label) for t in tensor_list(cert)])
     before = [[(pos, type(v), v) for pos, v in sorted(x.entries.items())]
-              for t in cert.tensors for x in (t.u, t.v)]
+              for t in cert.tensors for x in t[:2]]
     assert verify_certificate(cert).proven
     data = certificate_bytes(cert)
     assert certificate_from_json(json.loads(data)) == cert
     assert [[(pos, type(v), v) for pos, v in sorted(x.entries.items())]
-            for t in cert.tensors for x in (t.u, t.v)] == before
+            for t in cert.tensors for x in t[:2]] == before
 
 
 def gl2_member(field, *positions):
@@ -247,15 +251,15 @@ def test_commuting_pair_whose_products_cancel_everywhere(field_name):
     ints = integer_coords(swap.entries, field)
     assert entry_product(ints, rows_of(ints)) == {(1, 1): 1, (2, 2): 1}
     for idx in (0, 5, len(cert.tensors) - 1):
-        tensors = list(cert.tensors)
+        tensors = tensor_list(cert)
         tensors[idx] = RankOneTensor(swap, swap, tensors[idx].label)
         tampered = rebuilt(cert, tensors)
         report = verify_certificate(tampered)
         assert report == verify_by_field_coords(tampered)
         assert report.first_noncommuting is None
     # a kernel member added to a basis of the kernel is dependent
-    extra = rebuilt(cert, list(cert.tensors)
-                    + [RankOneTensor(swap, swap, cert.tensors[0].label)])
+    extra = rebuilt(cert, tensor_list(cert)
+                    + [RankOneTensor(swap, swap, cert.tensors.runs[0][0])])
     report = verify_certificate(extra)
     assert report == verify_by_field_coords(extra)
     assert report.verdict == COUNT_MISMATCH
@@ -273,7 +277,7 @@ def test_noncommuting_pair_whose_products_cancel_in_part(field_name):
     assert entry_product(x, rows_of(y)) == {(1, 1): 1, (2, 1): 1}
     assert entry_product(y, rows_of(x)) == {(2, 1): 1, (2, 2): 1}
     for idx in (0, 5, len(cert.tensors) - 2):
-        tensors = list(cert.tensors)
+        tensors = tensor_list(cert)
         for at in (idx, idx + 1):
             tensors[at] = RankOneTensor(u, v, tensors[at].label)
         tampered = rebuilt(cert, tensors)
@@ -302,14 +306,14 @@ def test_span_rank_matches_dense_elimination(algebra, field_name, rng):
     cert = base_certificate(algebra, field_name)
     field = cert.field
     space = algebra_space(cert.algebra, field)
-    label = cert.tensors[0].label
+    label = cert.tensors.runs[0][0]
 
     def pair(s, k):
         return RankOneTensor(
             scaled(space.basis_matrix(s), nonzero_scalar(rng, field)),
             scaled(space.basis_matrix(k), nonzero_scalar(rng, field)), label)
 
-    tensors = rng.sample(cert.tensors, min(len(cert.tensors), 6))
+    tensors = rng.sample(tensor_list(cert), min(len(cert.tensors), 6))
     tensors += [RankOneTensor(random_member(rng, space),
                               random_member(rng, space), label)
                 for _ in range(rng.randint(0, 6))]
