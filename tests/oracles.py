@@ -24,7 +24,9 @@ the candidates search_spanning skips; lemma3_skips restates which
 b_s + b_t it skips whole, from dense brackets and graph searches.
 reference_certificate_bytes
 writes a certificate file as one plain json.dumps, the reference for
-the splicing writer.
+the splicing writer.  RankOneTensor names the fields of the (u, v,
+label) triples that certificate.tensors yields, for tests that build
+tensors by hand.
 
 Over F_p the package's scalars are plain int residues with no field
 arithmetic of their own.  The field arithmetic here is Fp's, a scalar

@@ -385,9 +385,8 @@ def test_repeated_factor_outside_the_algebra_names_its_first_tensor():
 ])
 def test_factor_outside_the_algebra_is_named_on_both_reader_paths(
         tmp_path, indent, slots, message):
-    # the messages were recorded from the verifier that kept a factor
-    # per object, before factors were numbered: (1,1) is not a position
-    # of the one-step ladder {(2,2)} on 3
+    # messages recorded from the verifier before factors were numbered;
+    # (1,1) is not a position of the one-step ladder {(2,2)} on 3
     obj = certificate_json(assemble_one_step_certificate(3, 2, 2))
     for idx, name in slots:
         obj["tensors"][idx][name] = [[1, 1, "1"]]
