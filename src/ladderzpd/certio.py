@@ -15,9 +15,9 @@ at a time; write_certificate writes each chunk as it comes, to a new
 file that replaces the target only once complete, and
 certificate_bytes joins them.  read_certificate reads a file in the
 writer's canonical form by its text, a bounded slice at a time from
-the open file and with no JSON tree built, and any other file by
-json.loads and certificate_from_json, the one source of format errors;
-both give the same certificate (_canonical_certificate).
+the open file, cut at fixed separators, with no JSON tree built; and
+any other file by json.loads and certificate_from_json, the one
+source of format errors.  Both give the same certificate.
 """
 
 from __future__ import annotations
@@ -26,9 +26,8 @@ import gc
 import io
 import json
 import os
-import re
 import stat
-from itertools import chain, groupby, repeat
+from itertools import chain, filterfalse, groupby, repeat
 from typing import BinaryIO, Dict, Iterator, List, Optional, Tuple
 
 from .certificates import Certificate
@@ -308,20 +307,15 @@ def write_certificate(cert: Certificate, path: str, *,
         raise
 
 
-# one tensor of a canonical file, then a comma or the slice's end: a
-# JSON string (the label) and two entry lists [[row,col,"scalar"],...],
-# which hold no braces and no "]]" before their end.  It is compiled at
-# its first use (re caches it), so that commands which read no
-# certificate do not pay for it.
-_ENTRY_LIST = rb'\[\[[^{}\]]*(?:\][^{}\]]+)*\]\]'
-_CANONICAL_TENSOR = (
-    rb'\{"family":("[^"\\]*(?:\\.[^"\\]*)*"),"u":(' + _ENTRY_LIST
-    + rb'),"v":(' + _ENTRY_LIST + rb')\}(?:,|\Z)')
 # the first bytes of every canonical file: "algebra" is the least key
 # of the head, and "kind" the least key of every algebra descriptor
 _CANONICAL_START = b'{"algebra":{"kind":'
 _TENSORS_KEY = b',"tensors":['
 _TENSOR_CUT = b'},{"family":'
+# a slice's separators X and Y, and the byte W that marks each X
+_NEXT_TENSOR = b']]},{"family":'
+_V = b']],"v":'
+_MARK = b"\0"
 # bytes of the tensor list past which a slice ends at the next cut, and
 # the size of each read: about 600 tensors of a one-step file, few
 # enough that a slice's bytes and pieces are small beside the
@@ -358,16 +352,17 @@ def _canonical_certificate(fh: BinaryIO) -> Optional[Certificate]:
     "tensors".  B is read in slices, B = S_1,S_2,...,S_r: a slice ends
     at B's end or at the "}" of the first '},{"family":' that starts
     _READ_SLICE bytes or more into it, and the next slice starts after
-    that comma.  Each slice must be tiled by the matches of
-    _CANONICAL_TENSOR in it: they are disjoint, and only one can end at
-    the slice's end without a comma, so their lengths adding up to the
-    slice's length means that it is T_1,...,T_k, each T_i
-    {"family":L,"u":U,"v":V}.  Joined by the commas between slices, the
-    tiled slices tile B: B is T_1,...,T_K over the file's tensors, in
-    order.  Each L not seen before in the file, a JSON string by the
-    pattern, must be json.dumps of its json.loads value; each U and V
-    not seen before must pass _matrix_from_entries and be _factor_text
-    of the matrix it gives.  Then every piece is a JSON text of its
+    that comma.  A slice must be '{"family":' + D + ']]}', D with no
+    NUL byte W.  With Y + W put for each X = ']]},{"family":', W + D
+    split at Y = ']],"v":' must give P_1,V_1,...,P_k,V_k, each P_i
+    W + L + ',"u":' + U, with L json.dumps of the label of a family in
+    H, and U + "]]" and V_i + "]]" passing _matrix_from_entries and
+    _factor_text of the matrix each gives.  These hold no W, so each W
+    past the first is a mark right after its Y, and the slice equals
+    its checked pieces joined by the canonical separators: T_1,...,T_k,
+    each T_i '{"family":' + L + ',"u":' + U + ']],"v":' + V_i + ']]}'.
+    Joined by the commas between slices, B is T_1,...,T_K over the
+    file's tensors, in order.  Then every piece is a JSON text of its
     value, so F is a JSON text, and as JSON's grammar is unambiguous,
     json.loads of F is H's object with "tensors" added, the list of
     those tensors (H has no "tensors" key, so no key repeats).  The
@@ -387,28 +382,28 @@ def _canonical_certificate(fh: BinaryIO) -> Optional[Certificate]:
     F ends in ']}\n', which is checked when F ends: the cut's last
     byte is ':', so it does not reach into those three bytes.
 
-    Slicing turns no canonical file away, since in one a cut falls only
-    between tensors.  Say '},{"family":' starts at p in B.  Its '{"'
-    cannot lie in an entry list, which holds no braces, nor in a label:
-    a canonical label escapes every '"' in its value as '\"', and the
-    '"' that closes it is followed by ',"u"', not 'family'.  So the
-    '{' opens a tensor, and p is the '}' that closes the one before.
+    Slicing and splitting turn no canonical file away.  Its bytes are
+    printable ASCII but the last, so D holds no W, and its tensors
+    carry only its families' labels.  A canonical tensor holds
+    '{"family":', ',"u":' and ',"v":' only as its keys: their '"'
+    follows '{' or ',' and precedes a letter, a '"' in a label's value
+    is written '\"', the label's own '"'s follow ':' or precede ',',
+    and entry lists hold no letters.  So '},{"family":' and X lie in B
+    only between tensors, Y only before a v, and ',"u":' once in a P_i.
 
     Any deviation (whitespace, reordered or repeated keys, a scalar
     such as "+3" or "1/1", an empty list) and any error return None,
     as soon as they are met.  That is sound however little of F was
-    read: the caller then runs the full parse, which decides, and every
-    error message comes from certificate_from_json.  So a file that
-    does not start as every canonical file does, with
-    _CANONICAL_START, is turned away after its first bytes.
+    read: the caller then runs the full parse, which decides and gives
+    every error message.  So a file that does not start with
+    _CANONICAL_START, as every canonical file does, is turned away
+    after its first bytes.
 
-    A file that changes between reads.  The result depends on F alone:
-    each byte is read once, and checked once as above, and the full
-    parse after None uses nothing of F but reads the file afresh.  So F
-    may mix versions of a changing file, yet a certificate returned is
-    certificate_from_json(json.loads(F)), the one in the bytes that
-    were read and checked; after None, the one verified is the one in
-    the bytes the full parse read.
+    A file that changes between reads.  Each byte of F is read once and
+    checked once as above, and the full parse after None reads the file
+    afresh.  So even where F mixes versions, a certificate returned is
+    certificate_from_json(json.loads(F)), and after None the one
+    verified is the one in the bytes the full parse read.
     """
     try:
         buf = bytearray(fh.read(len(_CANONICAL_START)))
@@ -424,8 +419,8 @@ def _canonical_certificate(fh: BinaryIO) -> Optional[Certificate]:
                 or _dumps_compact(head).encode("utf-8") != head_text):
             return None
         algebra, n, field, kernel_dim, families = _head_from_json(head)
-        tensor = re.compile(_CANONICAL_TENSOR)
-        label_of: Dict[bytes, str] = {}
+        label_of = {_MARK + json.dumps(label).encode("utf-8"): label
+                    for label, _ in families}  # W + L -> the label
         number: Dict[bytes, int] = {}  # an entry list's text -> its factor's
         tensors = Tensors()
         del buf[:cut + len(_TENSORS_KEY)]  # from here buf starts a slice
@@ -434,30 +429,35 @@ def _canonical_certificate(fh: BinaryIO) -> Optional[Certificate]:
             if cut < 0 and not buf.endswith(b"]}\n"):
                 return None
             stop = len(buf) - 3 if cut < 0 else cut + 1
-            # a slice with no match, the empty list's among them, makes
-            # this a ValueError
-            labels, us, vs = zip(*tensor.findall(buf, 0, stop))
-            if (22 * len(labels) - 1 + sum(map(len, labels))
-                    + sum(map(len, us)) + sum(map(len, vs))) != stop:
+            marked = _MARK + buf[10:stop - 3]
+            pieces = marked.replace(_NEXT_TENSOR, _V + _MARK).split(_V)
+            openings, vs = pieces[::2], pieces[1::2]
+            if (buf[:10] != b'{"family":' or buf[stop - 3:stop] != b"]]}"
+                    or marked.count(_MARK) > 1 or len(openings) != len(vs)):
                 return None
-            for quoted in set(labels).difference(label_of):
-                label = label_of[quoted] = json.loads(quoted)
-                if json.dumps(label).encode("utf-8") != quoted:
-                    return None
-            # in the order they first appear, u before v
-            for entries in dict.fromkeys(chain.from_iterable(zip(us, vs))):
-                if entries in number:
-                    continue
-                mat = _matrix_from_entries(json.loads(entries), n, field,
-                                           "factor")
-                if _factor_text(mat, field).encode("utf-8") != entries:
-                    return None
-                number[entries] = len(tensors.factors)
-                tensors.factors.append(mat)
-            tensors.us.extend(map(number.__getitem__, us))
+            # this slice's openings -> their labels and U's, each opening
+            # checked once per slice and each entry list once per file
+            label_at, u_at = {}, {}
+            for opening in set(openings):
+                quoted, u_at[opening] = opening.split(b',"u":')
+                label_at[opening] = label_of[quoted]
+            if not number.keys() >= set(vs).union(u_at.values()):
+                # numbered in the order they first appear, u before v
+                firsts = dict.fromkeys(chain.from_iterable(
+                    zip(map(u_at.__getitem__, openings), vs)))
+                for entries in filterfalse(number.__contains__, firsts):
+                    text = entries + b"]]"
+                    mat = _matrix_from_entries(json.loads(text), n, field,
+                                               "factor")
+                    if _factor_text(mat, field).encode("utf-8") != text:
+                        return None
+                    number[entries] = len(tensors.factors)
+                    tensors.factors.append(mat)
+            u_at = {opening: number[u] for opening, u in u_at.items()}
+            tensors.us.extend(map(u_at.__getitem__, openings))
             tensors.vs.extend(map(number.__getitem__, vs))
-            for quoted, run in groupby(labels):
-                tensors._label(label_of[quoted], len(list(run)))
+            for label, run in groupby(map(label_at.__getitem__, openings)):
+                tensors._label(label, len(list(run)))
             if cut < 0:
                 return Certificate(algebra, field, kernel_dim, families,
                                    tensors)
