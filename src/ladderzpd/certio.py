@@ -357,13 +357,13 @@ def _canonical_certificate(fh: BinaryIO) -> Optional[Certificate]:
     split at Y = ']],"v":' must give P_1,V_1,...,P_k,V_k, each P_i
     W + L + ',"u":' + U, with L json.dumps of the label of a family in
     H, and U + "]]" and V_i + "]]" passing _matrix_from_entries and
-    _factor_text of the matrix each gives.  These hold no W, so each W
-    past the first is a mark right after its Y, and the slice equals
-    its checked pieces joined by the canonical separators: T_1,...,T_k,
-    each T_i '{"family":' + L + ',"u":' + U + ']],"v":' + V_i + ']]}'.
-    Joined by the commas between slices, B is T_1,...,T_K over the
-    file's tensors, in order.  Then every piece is a JSON text of its
-    value, so F is a JSON text, and as JSON's grammar is unambiguous,
+    _factor_text of the matrix each gives.  As L, U and V_i hold no W,
+    each W but the first was put in for an X, with the Y before it: the
+    slice equals its checked pieces joined by the canonical separators,
+    T_1,...,T_k, each '{"family":' + L + ',"u":' + U + ']],"v":' + V_i
+    + ']]}'.  Joined by the commas between slices, B is T_1,...,T_K over
+    the file's tensors, in order.  Then every piece is a JSON text of
+    its value, so F is a JSON text, and as JSON's grammar is unambiguous,
     json.loads of F is H's object with "tensors" added, the list of
     those tensors (H has no "tensors" key, so no key repeats).  The
     head gets the same _head_from_json and every factor the same
@@ -421,7 +421,7 @@ def _canonical_certificate(fh: BinaryIO) -> Optional[Certificate]:
         algebra, n, field, kernel_dim, families = _head_from_json(head)
         label_of = {_MARK + json.dumps(label).encode("utf-8"): label
                     for label, _ in families}  # W + L -> the label
-        number: Dict[bytes, int] = {}  # an entry list's text -> its factor's
+        number: Dict[bytes, int] = {}  # a U or V_i -> its factor's number
         tensors = Tensors()
         del buf[:cut + len(_TENSORS_KEY)]  # from here buf starts a slice
         while True:
@@ -435,8 +435,8 @@ def _canonical_certificate(fh: BinaryIO) -> Optional[Certificate]:
             if (buf[:10] != b'{"family":' or buf[stop - 3:stop] != b"]]}"
                     or marked.count(_MARK) > 1 or len(openings) != len(vs)):
                 return None
-            # this slice's openings -> their labels and U's, each opening
-            # checked once per slice and each entry list once per file
+            del marked, pieces  # let go before the slice's tables are made
+            # this slice's openings -> their labels and U's, checked once
             label_at, u_at = {}, {}
             for opening in set(openings):
                 quoted, u_at[opening] = opening.split(b',"u":')

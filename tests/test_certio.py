@@ -13,7 +13,7 @@ from fractions import Fraction
 from unittest import mock
 
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, given, seed, settings, strategies as st
 
 from ladderzpd import certio
 from ladderzpd.certificates import (Certificate, gl_certificate,
@@ -610,16 +610,36 @@ def test_large_file_is_read_and_written_without_whole_file_pieces(tmp_path,
 def test_read_certificate_holds_two_numbers_per_tensor(tmp_path, d168):
     # measured with CPython 3.11 on the d = 168 file (28,057 tensors,
     # 372 factors): the certificate read holds 0.35 MiB, its two arrays
-    # 0.21 of them, where one object per tensor held 1.90 MiB; and
-    # verify_certificate peaks 0.61 MiB above it (0.63 before)
+    # 0.21 of them, where one object per tensor held 1.90 MiB; the read
+    # peaks at 0.58 MiB; and verify_certificate peaks 0.61 MiB above
+    # the certificate (0.63 before)
     path = tmp_path / "cert.json"
     write_certificate(d168, str(path), mark_unverified=True)
-    got, held, _ = traced(lambda: read_certificate(str(path)))
+    got, held, read_peak = traced(lambda: read_certificate(str(path)))
     assert len(got.tensors.factors) == 372
     assert held < 0.5 * 2 ** 20
+    assert read_peak < 0.75 * 2 ** 20
     report, _, verify_peak = traced(lambda: verify_certificate(got))
     assert report.proven
     assert verify_peak < 0.75 * 2 ** 20
+
+
+def test_openings_are_kept_one_slice_at_a_time(tmp_path):
+    # 64 labels x 64 u factors: 4,096 tensors, 232 kB, each with its own
+    # opening '{"family":L,"u":U'.  Measured with CPython 3.11: the read
+    # peaks at 0.38 MiB, as the reader's table of openings lasts one
+    # slice; kept for the whole file, the tables peaked at 0.86 MiB
+    units = [elementary(8, i, j) for i in range(1, 9) for j in range(1, 9)]
+    labels = [f"family {a:02d} " for a in range(64)]
+    cert = Certificate({"kind": "gl-lie", "m": 8}, QQ, 0,
+                       [(label, 64) for label in labels],
+                       [RankOneTensor(u, units[0], label)
+                        for label in labels for u in units])
+    path = tmp_path / "cert.json"
+    write_certificate(cert, str(path), mark_unverified=True)
+    got, _, peak = traced(lambda: read_certificate(str(path)))
+    assert got == cert and len(got.tensors.factors) == 64
+    assert peak < 0.6 * 2 ** 20
 
 
 def test_full_parse_lets_go_of_the_bytes_and_the_text(tmp_path, d168):
@@ -811,6 +831,43 @@ def test_tampers_at_a_slice_boundary(tmp_path, monkeypatch, tamper):
         assert_readers_agree(tmp_path, tamper(data, b), False)
 
 
+@pytest.mark.parametrize("at", [0, 1, 40, 131])
+def test_swapped_separators_take_the_full_parse(tmp_path, at):
+    # in tensor at, its ',"v":' and the '},{"family":' after it change
+    # places.  Cut at both separators alike, the file gives the same
+    # labels and entry lists as before, each valid on its own: only the
+    # separators' order tells the two apart
+    data = certificate_bytes(assemble_one_step_certificate(5, 3, 2))
+    start = data.index(b',"tensors":[') + len(b',"tensors":[')
+    p = start
+    for _ in range(at + 1):
+        p = data.index(b']],"v":', p) + 2
+    q = data.index(b'},{"family":', p)
+    assert data[q - 2:q] == b"]]" and data.count(b'"v":') == 133
+    swapped = (data[:p] + b'},{"family":' + data[p + 5:q] + b',"v":'
+               + data[q + 12:])
+
+    def pieces(data, mark):
+        """data's tensor list cut at both separators, with mark after
+        each ']]},{"family":' (the reader marks them with a NUL)"""
+        return (mark + data[start + 10:-6]).replace(
+            b']]},{"family":', b']],"v":' + mark).split(b']],"v":')
+    assert pieces(swapped, b"") == pieces(data, b"")
+    want = full_parse(swapped)
+    assert want == f"tensor {at}: must be {{family: str, u: ..., v: ...}}"
+    assert text_path(swapped) is None  # at slice sizes 1, 64 and its own
+    path = tmp_path / "cert.json"
+    path.write_bytes(swapped)
+    with pytest.raises(CertificateFormatError) as exc:
+        read_certificate(str(path))
+    assert str(exc.value) == want
+    # the reader's mark spelled out in the file: the same pieces as the
+    # canonical file's, cut and marked as the reader does
+    marked = data[:q - 2] + b']],"v":\0' + data[q + 12:]
+    assert pieces(marked, b"\0") == pieces(data, b"\0")
+    assert_readers_agree(tmp_path, marked, False)
+
+
 def test_labels_with_braces_quotes_and_escapes(tmp_path, monkeypatch):
     shared = SparseMatrix(2, QQ, {(1, 1): Fraction(1)})
     labels = ['"},{"family":', '},{"family":"x","u":[[1,1,"1"]]',
@@ -948,6 +1005,11 @@ def test_empty_list_and_bad_tensor_separators(tmp_path):
     assert_readers_agree(tmp_path, certificate_bytes(empty), False)
     assert_readers_agree(tmp_path, data.replace(b"]]}]}", b"]]},]}"), False)
     assert_readers_agree(tmp_path, data.replace(b"]]}]}", b"]]}}]}"), False)
+    # tensor 1 without its v, its u tensor 0's: at slice size 1, a slice
+    # with an opening and no v
+    at = data.index(b',"v":', data.index(b',"v":') + 1)
+    assert_readers_agree(tmp_path, data[:at] + data[data.index(b"]]", at)
+                                                    + 2:], False)
 
 
 @settings(max_examples=300, deadline=None,
@@ -972,6 +1034,42 @@ def test_byte_mutations_read_like_the_full_parse(tmp_path, name, edits):
             data[at % len(data)] = byte
     data = bytes(data)
     assert_readers_agree(tmp_path, data, text_path(data) is not None)
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@seed(27)
+@given(st.sampled_from(["QQ gl_2", "F2 one-step"]),
+       st.lists(st.text('[]{}",:\\ \t\0a\u00e9\u2203', max_size=5),
+                min_size=1, max_size=4, unique=True),
+       st.sampled_from(["replace", "insert", "delete"]), st.integers(0),
+       st.sampled_from(b'[]{}",:\\ 019-/uv\0\xc3'))
+def test_labelled_byte_mutations_read_like_the_full_parse(
+        tmp_path, name, labels, kind, at, byte):
+    # the 13 tensors of a small certificate, labelled in turn from a
+    # few labels that may hold separators, quotes, escapes, NUL and
+    # non-ASCII text; then one byte replaced, inserted or deleted
+    cert = {"QQ gl_2": gl_certificate(2), "F2 one-step": (
+        assemble_one_step_certificate(3, 2, 2, field=PrimeField(2)))}[name]
+    tensors = [RankOneTensor(u, v, labels[i % len(labels)])
+               for i, (u, v, _) in enumerate(cert.tensors)]
+    cert = Certificate(cert.algebra, cert.field, cert.kernel_dim,
+                       [(label, sum(t.label == label for t in tensors))
+                        for label in labels], tensors)
+    data = bytearray(certificate_bytes(cert))
+    assert text_path(bytes(data)) == cert  # canonical: the text path
+    at %= len(data) + (kind == "insert")
+    if kind == "insert":
+        data.insert(at, byte)
+    elif kind == "delete":
+        del data[at]
+    else:
+        data[at] = byte
+    data = bytes(data)
+    fast = text_path(data)
+    if fast is not None:
+        want = certificate_from_json(json.loads(data))
+        assert fast == want and sharing(fast) == sharing(want)
 
 
 def mutation_seed(name: str) -> bytes:
