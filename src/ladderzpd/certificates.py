@@ -191,7 +191,7 @@ def verify_certificate(cert: Certificate) -> VerificationReport:
     MembershipError naming the tensor index and the factor (u or v).
     """
     space = algebra_space(cert.algebra, cert.field)
-    mu = build_mu(space, "lie")
+    mu = build_mu(space)
     kdim = mu.kernel_dim
     d, columns = space.d, mu.columns
     span = MaskedSpan(space.field, d)
@@ -418,10 +418,26 @@ def candidate_pool(space: TensorSpace) -> Iterator[Dict[int, int]]:
         yield diagonal
 
 
+def _spanned_sum(m: int, s: int, t: int) -> bool:
+    """Lemma 3 of search_spanning: whether b_s + b_t, s < t, on gl_m is
+    spanned when it comes up; b_s = e_ab, b_t = e_ce, indices from 0."""
+    (a, b), (c, e) = divmod(s, m), divmod(t, m)
+    if c == e:  # two diagonal units have c != a == b: built
+        return c in (a, b) and 0 not in (a, b)
+    if a == b or b == e:
+        return a != 0
+    if a == c:
+        return (a, b) != (1, 0)
+    if b == c:  # e == a too: a transpose pair, built
+        return e != a and (a, b) != (0, 1)
+    return a != 0 and (a, b) != (1, 0)
+
+
 def search_spanning(mu: MuMap, descriptor: dict,
                     budget: Optional[int] = None) -> Certificate:
     """Greedy deterministic search for a rank-one spanning set of Ker mu
-    on mu.space, for mu built for the bracket.
+    on mu.space, gl_m on m indices in row-major order, for mu built for
+    the bracket.
 
     Iterates first factors u over candidate_pool; for each u every
     member v of its centralizer basis gives a candidate tensor u (x) v,
@@ -466,17 +482,12 @@ def search_spanning(mu: MuMap, descriptor: dict,
         and each of its candidates was tried or skipped as spanned.  So
         each u- is skipped whole, with no ad_u, null space or row built.
       - Lemma 3: u+ (x) C(u+) is in the span when it comes up, and u+ is
-        skipped whole, if b_s, b_t are neither a transpose pair nor both
-        diagonal units and s ~ t in G_a for every a in E_s & E_t.  Here
-        E_r is the set of a with b_a = +-[b_r, b_k] for some k: the
-        columns of mu for b_r with one entry, each an off-diagonal b_a.
-        G_a is a graph on the basis indices, kept as a union-find forest
-        (Tarjan, JACM 22, 1975).  Once b_r + b_r' is processed, r and r'
-        are joined in G_a for each a in E_r & E_r' such that
-        b_a = +-[b_r, b_k] for some k with [b_r', b_k] = 0 and
-        b_a = +-[b_r', b_k'] for some k' with [b_r, b_k'] = 0.  A pair is
-        joined only after its own candidates, and a skipped pair joins
-        nothing new.
+        skipped whole, if _spanned_sum says so.  With indices from 0,
+        b_s = e_ab and b_t = e_ce: a transpose pair or two diagonal
+        units is built, and else the first rule that applies decides:
+        b_t diagonal: skipped iff c is a or b and 0 is neither; a = b or
+        b = e: iff a != 0; a = c: iff (a, b) != (1, 0); b = c: iff
+        (a, b) != (0, 1); else iff a != 0 and (a, b) != (1, 0).
     Proof of Lemma 2.  If x in C(u-) is y + z with [b_s, y] = 0 and
     [b_t, z] = 0, then [u+, z - y] = [b_s, z] - [b_t, y] = [b_s, x] -
     [b_t, x] = 0, and u- (x) x = 2 b_s (x) y - 2 b_t (x) z + u+ (x) (z - y).
@@ -513,27 +524,45 @@ def search_spanning(mu: MuMap, descriptor: dict,
          uses 2 != 0 only for two diagonal units.
       2. So x in C(u+) is y + z with [b_s, y] = 0 = [b_t, z].  Then
          u+ (x) x = b_s (x) y + b_t (x) z + b_s (x) z + b_t (x) y, the
-         first two terms in the span by Lemma 1, and c = [b_s, z] =
+         first two terms in the span by Lemma 1, and q = [b_s, z] =
          -[b_t, y] lies in Im ad b_s and Im ad b_t.  Im ad e_ij is
-         spanned by the off-diagonal elements of row i and column j,
-         which are the b_a for a in E_s, and by e_ii - e_jj if i != j.
+         spanned by the off-diagonal units of row i and column j, the
+         b_g for g in E_r (b_r = e_ij), and by e_ii - e_jj if i != j.
          Two such images share a diagonal part only for a transpose
-         pair, so c = sum c_a b_a over a in E_s & E_t.  For each such a,
-         take p_r = +-b_k with [b_r, p_r] = b_a, for r = s and r = t.
-         Then z - sum c_a p_s is in C(b_s) and y + sum c_a p_t is in
-         C(b_t).  By Lemma 1 it is enough that b_s (x) p_s - b_t (x) p_t
-         is in the span for each a, whichever p_s and p_t are taken.
-      3. For an edge r - r' of G_a take p = +-b_k and p' = +-b_k' as in
-         its rule, so [b_r, p] = b_a = [b_r', p'] and [b_r', p] = 0 =
-         [b_r, p'].  Then p - p' is in C(b_r + b_r'), and
-         b_r (x) p - b_r' (x) p' = (b_r + b_r') (x) (p - p')
-                                   + b_r (x) p' - b_r' (x) p.
-         The first term is in (b_r + b_r') (x) C(b_r + b_r'), spanned
-         once that earlier pair is processed, and the other two are in
-         the span by Lemma 1.  Sum these along a path from s to t in
-         G_a.  At each inner vertex r two preimages p, p' of b_a may
-         meet, and b_r (x) (p - p') is in the span by Lemma 1, as
-         [b_r, p - p'] = 0.  What is left is b_s (x) p_s - b_t (x) p_t.
+         pair, so q = sum q_g b_g over g in E_s & E_t.  For each such g,
+         take p_r with [b_r, p_r] = b_g, for r = s and r = t.  Then
+         z - sum q_g p_s is in C(b_s) and y + sum q_g p_t is in C(b_t).
+         By Lemma 1 it is enough that b_s (x) p_s - b_t (x) p_t is in the
+         span for each g, whichever p_s and p_t are taken.
+      3. Call r, r' joined for g if [b_r, p] = b_g = [b_r', p'] and
+         [b_r', p] = 0 = [b_r, p'] for some p, p'.  Then p - p' is in
+         C(b_r + b_r'), and b_r (x) p - b_r' (x) p' = (b_r + b_r') (x)
+         (p - p') + b_r (x) p' - b_r' (x) p is in the span if b_r + b_r'
+         comes before u+: it is then spanned (built, or skipped by
+         induction on the pool), and the last two terms are by Lemma 1.
+         So a hub h < s joined to s and to t for g is enough: b_h + b_s
+         and b_h + b_t come before u+, and the preimages p, p' of b_g
+         under ad b_h that the two joins use meet in b_h (x) (p - p'),
+         in the span by Lemma 1.
+      4. For b_g = e_xy (x != y), as [e_ij, e_kl] = [j = k] e_il -
+         [l = i] e_kj, two units in row x are joined (e_xj, e_xl by
+         e_jy, e_ly), and so are two in column y (e_iy, e_ky by -e_xi,
+         -e_xk).  Call a unit of row x or column y plain if it is
+         neither diagonal nor b_g: a plain e_xj and a plain e_ky are
+         joined, by e_jy and -e_xk.
+      5. The hubs.  E_s & E_t is row a if a = c, column b if b = e, and
+         else e_ae if a != e and e_cb if c != b.  For skipped sums:
+           - a = c, b != 0: h = e_a0, in row a with s, t and b_g.
+           - a = c, b = 0, so a >= 2 and e != a: for b_g = e_ay, h = e_ky,
+             k the least index not a or y; h is plain, and s and t are
+             plain or b_g, in column y with h.
+           - b = e, a != 0: h = e_0b, in column b with s, t and b_g.
+           - Else a < c and b_t is off-diagonal and plain.  For b_g =
+             e_cb, so a != 0 and (a, b) != (1, 0), h = e_kb, k the least
+             index but b, is plain and in column b with s.  For b_g =
+             e_ae, h = e_aj, j the least index but a, if j < b: in row a
+             with s, and plain or b_g, in column e with t.  Else b = 0 <
+             a, and s and h = e_0e are plain, h in column e with t.
     Two-term sums in closed form.  For u = b_s + b_t, s < t, b_s = e_ab
     and b_t = e_ce, two_term_centralizer gives the free columns of ad_u
     in A(u) with their null vectors, and two_term_dim gives dim C(u),
@@ -634,20 +663,6 @@ def search_spanning(mu: MuMap, descriptor: dict,
     positions, columns = space.positions, mu.columns
     indices = sorted({i for i, _ in positions})
     diagonal = {k for k, (i, j) in enumerate(positions) if i == j}
-    # E_r as {a: every k with [b_r, b_k] = +-b_a}, from mu's columns
-    # with one entry; and the forest of G_a, as a parent map, for each a
-    images: List[Dict[int, List[int]]] = [{} for _ in range(d)]
-    for r, by_t in enumerate(columns):
-        for k, col in by_t.items():
-            if len(col) == 1:
-                images[r].setdefault(col[0][0], []).append(k)
-    forests: List[Dict[int, int]] = [{} for _ in range(d)]
-
-    def root(forest: Dict[int, int], r: int) -> int:
-        while (q := forest.get(r, r)) != r:
-            forest[r] = r = forest.get(q, q)  # path halving
-        return r
-
     basis: Dict[int, int] = {}  # k -> the number of the one factor b_k
 
     def factor(coords: IntRow, den: int) -> int:
@@ -672,15 +687,10 @@ def search_spanning(mu: MuMap, descriptor: dict,
             both = s in diagonal and t in diagonal
             tried += count - 2 if both and span.echelon.p != 2 else count
             continue
-        pair = len(ucoords) == 2  # u+ = b_s + b_t
-        if pair:
+        if len(ucoords) == 2:  # u+ = b_s + b_t
             s, t = ucoords
             count = two_term_dim(len(indices), positions[s], positions[t])
-            common = [a for a in images[s] if a in images[t]]
-            if (positions[s] != positions[t][::-1]
-                    and not (s in diagonal and t in diagonal)
-                    and all(root(forests[a], s) == root(forests[a], t)
-                            for a in common)):  # by Lemma 3
+            if _spanned_sum(len(indices), s, t):  # by Lemma 3
                 tried += count
                 continue
             free = two_term_centralizer(space, indices, s, t)
@@ -717,18 +727,13 @@ def search_spanning(mu: MuMap, descriptor: dict,
                 return Certificate(descriptor, space.field, target,
                                    [("gl", target)], chosen)
         tried += count
-        if pair:  # u+ (x) C(u+) is spanned now: Lemma 3's edges
-            for a in common:
-                if (any(k not in columns[t] for k in images[s][a])
-                        and any(k not in columns[s] for k in images[t][a])):
-                    forests[a][root(forests[a], s)] = root(forests[a], t)
     raise exhausted()
 
 
 def abelian_certificate(space: TensorSpace, descriptor: dict) -> Certificate:
     """The trivial certificate for an algebra with zero product: all d^2
     elementary tensors b_s (x) b_t.  Requires mu to vanish identically."""
-    mu = build_mu(space, "lie")
+    mu = build_mu(space)
     if any(mu.columns):
         raise ValueError("mu is not identically zero on this algebra")
     d = space.d
@@ -755,4 +760,4 @@ def gl_certificate(m: int, field: Field = QQ,
     """
     descriptor = gl_algebra_descriptor(m)
     space = algebra_space(descriptor, field)
-    return search_spanning(build_mu(space, "lie"), descriptor, budget)
+    return search_spanning(build_mu(space), descriptor, budget)

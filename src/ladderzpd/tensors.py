@@ -2,7 +2,7 @@
 multiplication map mu, and rank-one tensors stored by column (Tensors).
 
 An algebra here is a span of elementary matrices at a fixed position
-set, with the basis ordered row-major.  How two basis elements multiply
+set, with the basis ordered row-major.  How two basis elements bracket
 is worked out in one place, the product table `TensorSpace.products`:
 `build_mu` stores it, once, as mu's nonzero columns, read by the
 verifier and `certificates.ad_echelon`.  (No ladder command reads it:
@@ -12,7 +12,7 @@ square gets the ordered basis b_s (x) b_t indexed by the global column
 rule column(s, t) = s*d + t with s, t 0-based; certificates depend on
 this rule.  It is stated here, and verify_certificate and
 search_spanning apply it as s * d + k.
-mu sends a tensor to the product of its factors, extended linearly; its
+mu sends a tensor to the bracket of its factors, extended linearly; its
 kernel dimension is the quantity every certificate is measured against.
 """
 
@@ -27,8 +27,6 @@ from typing import (Any, Dict, Iterable, Iterator, List, Optional, Sequence,
 from .elim import IncrementalEchelon
 from .fields import Field, QQ, Scalar
 from .matrices import Entries, Position, SparseMatrix, elementary
-
-PRODUCT_KINDS = ("associative", "lie")
 
 # a stored column of mu: (a, c) pairs, c = +-1 the coefficient of b_a
 Column = Tuple[Tuple[int, int], ...]
@@ -81,26 +79,20 @@ class TensorSpace:
         i, j = self.positions[k]
         return elementary(self.n, i, j, self.field)
 
-    def products(self, s: int, kind: str) -> Iterator[Tuple[int, int, int]]:
-        """The product table: the nonzero structure constants of b_s
-        times each basis element, as triples (k, a, c): b_a has
-        coefficient c = +-1 in b_s b_k ("associative") or [b_s, b_k].
-
-        With b_s = e_ij: e_ij e_jq = e_iq, and the bracket adds -e_pj
-        for each e_pi.  Its two terms meet only in [b_s, b_s], where
+    def products(self, s: int) -> Iterator[Tuple[int, int, int]]:
+        """The product table: the nonzero structure constants of [b_s, b_k]
+        for each basis element b_k, as triples (k, a, c): b_a has
+        coefficient c = +-1.  With b_s = e_ij, [e_ij, e_jq] has e_iq and
+        [e_ij, e_pi] has -e_pj.  The two meet only in [b_s, b_s], where
         they cancel; that pair is skipped, so no two triples share
-        (k, a).  A term outside the position set raises ClosureError.
-        """
-        if kind not in PRODUCT_KINDS:
-            raise ValueError(f"unknown product kind: {kind!r}")
+        (k, a).  A term outside the position set raises ClosureError."""
         i, j = self.positions[s]
         span = range(1, self.n + 1)
         terms = [((j, q), (i, q), 1) for q in span]
-        if kind == "lie":
-            terms += [((p, i), (p, j), -1) for p in span]
+        terms += [((p, i), (p, j), -1) for p in span]
         for factor, image, c in terms:
             k = self.index_of.get(factor)
-            if k is None or (k == s and kind == "lie"):
+            if k is None or k == s:
                 continue
             a = self.index_of.get(image)
             if a is None:
@@ -233,12 +225,14 @@ class MuMap:
 
 
 def build_mu(space: TensorSpace, kind: str = "lie") -> MuMap:
-    """Assemble mu for the given product from the product table; a
-    product of basis elements that leaves the span raises ClosureError."""
+    """Assemble mu for the bracket from the product table; a product
+    leaving the span raises ClosureError.  kind must be "lie"."""
+    if kind != "lie":
+        raise ValueError(f"unknown product kind: {kind!r}")
     columns: List[Dict[int, Column]] = []
     for s in range(space.d):
         by_t: Dict[int, Column] = {}
-        for k, a, c in space.products(s, kind):
+        for k, a, c in space.products(s):
             by_t[k] = by_t.get(k, ()) + ((a, c),)
         columns.append(by_t)
     return MuMap(space, columns)

@@ -10,7 +10,8 @@ and bracket multiply package matrices with entry_product, a sparse
 product on entry maps, and mu_columns_by_products multiplies basis
 matrices with them, not with the product table; flat_columns lays the
 package's mu out in the same column order.  closed_by_products reads
-closure off the product table, the reference for
+closure off the product table (the bracket's) or off
+mu_columns_by_products (the associative product's), the reference for
 ladders.is_upper_triangular, whose docstring proves that it decides
 closure.  The exceptions reuse
 package pieces that share no code with what they check: the
@@ -20,8 +21,9 @@ certificates on the field's own scalars, where the package verifier
 works on integer multiples of them; reduced and centralizer read the
 engine's integer null space back as field scalars; and reference_search
 is the package's greedy search with nothing skipped, the reference for
-the candidates search_spanning skips; lemma3_skips restates which
-b_s + b_t it skips whole, from dense brackets and graph searches.
+the candidates search_spanning skips; lemma3_skips decides which
+b_s + b_t it may skip whole by paths in graphs, from dense brackets,
+the reference for the closed-form rule of its Lemma 3.
 reference_certificate_bytes
 writes a certificate file as one plain json.dumps, the reference for
 the splicing writer.  RankOneTensor names the fields of the (u, v,
@@ -324,13 +326,20 @@ def naive_mu_kernel_dim(n: int, positions: Sequence[Tuple[int, int]],
 
 
 def closed_by_products(space, kind: str) -> bool:
-    """Closure read off the product table: True iff products(s, kind)
-    runs to its end for every basis element b_s.  On a ladder's space
-    it is ladders.is_upper_triangular, for both kinds."""
+    """Closure under the bracket ("lie") read off the product table:
+    True iff products(s) runs to its end for every basis element b_s;
+    under the associative product, True iff mu_columns_by_products
+    finds every product in the span.  On a ladder's space it is
+    ladders.is_upper_triangular, for both kinds."""
+    if kind not in ("associative", "lie"):
+        raise ValueError(f"unknown product kind: {kind!r}")
     try:
-        for s in range(space.d):
-            list(space.products(s, kind))
-    except ClosureError:
+        if kind == "lie":
+            for s in range(space.d):
+                list(space.products(s))
+        else:
+            mu_columns_by_products(space, kind)
+    except (ClosureError, MembershipError):
         return False
     return True
 
@@ -491,7 +500,7 @@ def centralizer(u, space) -> list:
     field scalars (1 at each free coordinate, in free-variable order)."""
     field = space.field
     ucoords = integer_coords(space.coords_of(u), field)
-    ad, _ = ad_echelon(ucoords, build_mu(space, "lie"))
+    ad, _ = ad_echelon(ucoords, build_mu(space))
     return [space.from_coords(field_row(w, m, field))
             for w, m in ad.null_space(range(space.d))]
 
@@ -532,10 +541,16 @@ def reference_search(mu, descriptor: dict, budget=None, observe=None):
 
 
 def lemma3_skips(space) -> set:
-    """Pool indices of the u = b_s + b_t that search_spanning skips by
-    its Lemma 3, by the rule in its docstring, with the brackets of
-    basis elements taken densely and G_a kept as adjacency sets,
-    searched from s for t.  Every pair adds its edges, skipped or not."""
+    """Pool indices of the u = b_s + b_t that search_spanning's Lemma 3
+    skips, decided by paths instead of its closed-form rule: the
+    reference that rule is checked against.  u is skipped if b_s, b_t
+    are neither a transpose pair nor both diagonal and s, t are joined
+    in G_a for every a in E_s & E_t (E_r: the a with b_a = +-[b_r, b_k]
+    for some k).  Once b_r + b_r' comes up, G_a gets the edge r - r'
+    for each a in E_r & E_r' with b_a = +-[b_r, b_k] for a k with
+    [b_r', b_k] = 0 and b_a = +-[b_r', b_k'] for a k' with
+    [b_r, b_k'] = 0.  The brackets of basis elements are taken densely,
+    and G_a is kept as adjacency sets, searched from s for t."""
     d = space.d
     basis = [space.basis_matrix(k) for k in range(d)]
     brackets = [[bracket(x, y).entries for y in basis] for x in basis]
@@ -698,7 +713,7 @@ def verify_by_field_coords(cert) -> VerificationReport:
     """verify_certificate on field scalars: the same checks and verdict
     order, with each tensor's coordinates taken unscaled."""
     space = algebra_space(cert.algebra, cert.field)
-    mu = build_mu(space, "lie")
+    mu = build_mu(space)
     kdim = mu.kernel_dim
     first_bad = None
     ech = IncrementalEchelon(space.field)

@@ -52,7 +52,7 @@ def criterion(capsys):
 
 def one_step_mu(n, i1, j1, field=QQ):
     space = TensorSpace(n, Ladder(n, [(i1, j1)]).positions(), field)
-    return space, build_mu(space, "lie")
+    return space, build_mu(space)
 
 
 def test_criterion_1_one_step_sweep(criterion):

@@ -174,7 +174,7 @@ def test_gl3_certificate():
     cert = gl_certificate(3)
     assert cert is not None
     assert len(cert.tensors) == 73
-    mu = build_mu(TensorSpace.gl(3), "lie")
+    mu = build_mu(TensorSpace.gl(3))
     for t in cert.tensors:
         assert in_kernel(t, mu, tensor_coords(t, mu.space))
     assert verify_certificate(cert).proven
@@ -182,7 +182,7 @@ def test_gl3_certificate():
 
 def test_search_is_deterministic():
     space = TensorSpace.gl(2)
-    mu = build_mu(space, "lie")
+    mu = build_mu(space)
     desc = gl_algebra_descriptor(2)
     first = search_spanning(mu, desc)
     second = search_spanning(mu, desc)
@@ -195,7 +195,7 @@ def test_gl_certificate_is_memoized():
 
 def test_search_budget_exhaustion():
     space = TensorSpace.gl(2)
-    mu = build_mu(space, "lie")
+    mu = build_mu(space)
     with pytest.raises(SearchExhaustedError,
                        match=r"^search budget exhausted on gl_2 at rank 3 "
                              r"of 13$"):
@@ -216,14 +216,14 @@ def test_search_raises_at_the_end_of_the_pool(monkeypatch):
     with pytest.raises(SearchExhaustedError,
                        match=r"^search budget exhausted on gl_3 at rank 45 "
                              r"of 73$"):
-        search_spanning(build_mu(space, "lie"), gl_algebra_descriptor(3))
+        search_spanning(build_mu(space), gl_algebra_descriptor(3))
 
 
 @pytest.mark.parametrize("field", [QQ, PrimeField(2), PrimeField(101)])
 @pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
 def test_pruned_search_matches_reference(m, field):
     space = TensorSpace.gl(m, field)
-    mu = build_mu(space, "lie")
+    mu = build_mu(space)
     desc = gl_algebra_descriptor(m)
     found = search_spanning(mu, desc)
     assert found == reference_search(mu, desc)
@@ -252,7 +252,7 @@ def test_skipped_candidates_reduce_to_zero(m, field):
                 assert w == {f: 1}
             skipped.append((index, f))
 
-    mu = build_mu(space, "lie")
+    mu = build_mu(space)
     assert reference_search(mu, gl_algebra_descriptor(m),
                             observe=observe) is not None
     assert len(skipped) > 0
@@ -277,7 +277,7 @@ def test_minus_pair_lies_in_the_plus_pair_span(m, field):
     # s < t, u- (x) C(u-) lies in the span of b_s (x) C(b_s),
     # b_t (x) C(b_t) and u+ (x) C(u+), for u+- = b_s +- b_t
     space = TensorSpace.gl(m, field)
-    mu = build_mu(space, "lie")
+    mu = build_mu(space)
     d = space.d
     own = [centralizer_rows({s: 1}, mu) for s in range(d)]
     for s, t in combinations(range(d), 2):
@@ -308,7 +308,7 @@ def built_members(monkeypatch, m, field) -> tuple:
 
     monkeypatch.setattr(certificates, "ad_echelon", counting)
     monkeypatch.setattr(certificates, "two_term_centralizer", closed)
-    cert = search_spanning(build_mu(space, "lie"), gl_algebra_descriptor(m))
+    cert = search_spanning(build_mu(space), gl_algebra_descriptor(m))
     monkeypatch.undo()
     return built, list(candidate_pool(space)), cert
 
@@ -319,15 +319,21 @@ def test_search_builds_no_minus_pair(monkeypatch, field):
     # b_s - b_t (Lemma 2) and every b_s + b_t that Lemma 3 proves
     # spanned, until the search ends; over F_2 the b_s - b_t are the
     # members equal to the one before them.  gl_2 skips no b_s + b_t.
-    for m, kdim in ((2, 13), (3, 73), (4, 241)):
+    # The skips are those of the path rule in oracles.lemma3_skips.
+    for m in range(2, 11):
         built, pool, cert = built_members(monkeypatch, m, field)
-        assert cert.kernel_dim == kdim
+        assert cert.kernel_dim == m ** 4 - m ** 2 + 1
         skipped = lemma3_skips(TensorSpace.gl(m, field))
         kept = [integer_coords(c, field) for i, c in enumerate(pool)
                 if -1 not in c.values() and i not in skipped]
         assert len(built) > m * m + 1
         assert built == kept[:len(built)]
         assert m == 2 or min(skipped) < pool.index(built[-1])
+
+
+def test_search_builds_2276_sums_on_gl12(monkeypatch):
+    built, _, _ = built_members(monkeypatch, 12, QQ)
+    assert sum(len(u) == 2 for u in built) == 2276
 
 
 @pytest.mark.parametrize("field", [QQ, PrimeField(2), PrimeField(3)])
@@ -349,7 +355,7 @@ def test_skipped_plus_pairs_keep_nothing(monkeypatch, m, field):
             assert not kept, (index, ucoords, f)
             tried.add(index)
 
-    mu = build_mu(TensorSpace.gl(m, field), "lie")
+    mu = build_mu(TensorSpace.gl(m, field))
     assert reference_search(mu, gl_algebra_descriptor(m),
                             observe=observe) is not None
     assert tried == skipped
@@ -365,7 +371,7 @@ def test_skipped_plus_pairs_keep_nothing(monkeypatch, m, field):
     (4, PrimeField(3), 2063)])
 def test_budget_cuts_at_the_same_candidate(m, field, budget):
     space = TensorSpace.gl(m, field)
-    mu = build_mu(space, "lie")
+    mu = build_mu(space)
     desc = gl_algebra_descriptor(m)
     full = search_spanning(mu, desc)
     assert search_spanning(mu, desc, budget=budget) == full
@@ -385,7 +391,7 @@ def test_budget_cut_inside_a_skipped_minus_pair(pair, field):
     # every cut from the first candidate of u- = b_s - b_t to a few past
     # its last raises at the rank the reference search had reached
     space = TensorSpace.gl(3, field)
-    mu = build_mu(space, "lie")
+    mu = build_mu(space)
     desc = gl_algebra_descriptor(3)
     s, t = (space.index_of[pos] for pos in pair)
     index = list(candidate_pool(space)).index({s: 1, t: -1})
@@ -414,7 +420,7 @@ def test_budget_cut_inside_a_skipped_plus_pair(pair, field):
     # of the u- after it, both skipped, raises at the rank the
     # reference search had reached
     space = TensorSpace.gl(3, field)
-    mu = build_mu(space, "lie")
+    mu = build_mu(space)
     desc = gl_algebra_descriptor(3)
     s, t = (space.index_of[pos] for pos in pair)
     index = list(candidate_pool(space)).index({s: 1, t: 1})
@@ -440,7 +446,7 @@ def test_every_budget_cuts_at_the_reference_rank(field, succeeds):
     # closed-form count of candidates included, returns the certificate
     # or raises at the rank the reference search had reached
     space = TensorSpace.gl(3, field)
-    mu = build_mu(space, "lie")
+    mu = build_mu(space)
     desc = gl_algebra_descriptor(3)
     kept = []
     full = reference_search(mu, desc, observe=lambda i, u, f, w, k:
@@ -473,7 +479,7 @@ def test_two_term_centralizers_in_closed_form(field):
     spaces.append(TensorSpace(5, [(i, j) for i in range(2, 5)
                                   for j in range(2, 5)], field))
     for space in spaces:
-        mu = build_mu(space, "lie")
+        mu = build_mu(space)
         indices = sorted({i for i, _ in space.positions})
         for s, t in combinations(range(space.d), 2):
             got = [(f, field_row(w, 1, field)) for f, w in
@@ -491,7 +497,7 @@ def test_budgeted_search_builds_no_ad_u_for_a_sum(monkeypatch, field):
     # Lemma 3 skips from dim C(u), and builds every other sum's in
     # closed form: ad_echelon never sees a two-term u
     space = TensorSpace.gl(4, field)
-    mu = build_mu(space, "lie")
+    mu = build_mu(space)
     desc = gl_algebra_descriptor(4)
     full = search_spanning(mu, desc)
     seen = []

@@ -245,7 +245,7 @@ def test_ad_echelon_active_columns(case):
     # the unit null vector
     space, u = case
     ucoords = integer_coords(space.coords_of(u), QQ)
-    ad, active = ad_echelon(ucoords, build_mu(space, "lie"))
+    ad, active = ad_echelon(ucoords, build_mu(space))
     basis = [space.basis_matrix(k) for k in range(space.d)]
     assert active == {k for s in ucoords for k in range(space.d)
                       if bracket(basis[s], basis[k]).entries}

@@ -64,7 +64,7 @@ def test_polynomial_matches_computed_kernel():
     for p in [BlockProfile(1, 1, 1), BlockProfile(0, 2, 1),
               BlockProfile(2, 1, 0), BlockProfile(1, 2, 1)]:
         space = one_step_space(p)
-        mu = build_mu(space, "lie")
+        mu = build_mu(space)
         assert mu.kernel_dim == kernel_dim_polynomial(p)
         assert naive_mu_kernel_dim(p.n, space.positions) == mu.kernel_dim
 
@@ -191,7 +191,7 @@ def test_all_family_tensors_in_kernel():
     for p in [BlockProfile(1, 1, 1), BlockProfile(1, 2, 1),
               BlockProfile(2, 1, 2)]:
         space = one_step_space(p)
-        mu = build_mu(space, "lie")
+        mu = build_mu(space)
         tensors = named(pairing_families(p), gl_block_tensors(p),
                         explicit_families(p))
         for t in tensors:
@@ -213,7 +213,7 @@ def test_gl_block_matches_embedded_search():
                                         search_spanning)
     p = BlockProfile(1, 2, 1)
     block = TensorSpace(p.n, block_positions(p)["h"])
-    mu = build_mu(block, "lie")
+    mu = build_mu(block)
     found = search_spanning(mu, gl_algebra_descriptor(2))
     translated = gl_block_tensors(p)
     assert [(u, v) for u, v, _ in found.tensors] == \

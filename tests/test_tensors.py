@@ -26,14 +26,14 @@ def space_for(n, i1, j1, field=QQ):
 
 
 def test_gl1_mu_is_zero():
-    mu = build_mu(TensorSpace.gl(1), "lie")
+    mu = build_mu(TensorSpace.gl(1))
     assert mu.rank == 0
     assert mu.kernel_dim == 1
 
 
 def test_gl2_mu_rank_and_kernel():
     space = TensorSpace.gl(2)
-    mu = build_mu(space, "lie")
+    mu = build_mu(space)
     assert mu.rank == 3
     assert mu.kernel_dim == 13
     assert naive_mu_kernel_dim(2, space.positions) == 13
@@ -41,7 +41,7 @@ def test_gl2_mu_rank_and_kernel():
 
 def test_one_step_kernel_dim_matches_oracle():
     space = space_for(3, 2, 2)
-    mu = build_mu(space, "lie")
+    mu = build_mu(space)
     assert mu.kernel_dim == 13
     assert naive_mu_kernel_dim(3, space.positions) == 13
 
@@ -50,7 +50,7 @@ def test_build_mu_rejects_open_space():
     ladder = Ladder(3, [(2, 1), (3, 2)])  # not upper triangular
     space = TensorSpace(3, ladder.positions())
     with pytest.raises(ClosureError):
-        build_mu(space, "associative")
+        build_mu(space)
     with pytest.raises(ValueError):
         build_mu(TensorSpace.gl(2), "jordan")
 
@@ -68,25 +68,24 @@ REFERENCE_SPACES = (
 
 @pytest.mark.parametrize("space", REFERENCE_SPACES)
 def test_build_mu_matches_mat_product_reference(space):
-    # the product table against products of basis matrices; a space
+    # the product table against brackets of basis matrices; a space
     # that is not closed must fail in both
-    for kind in ("associative", "lie"):
-        try:
-            want = mu_columns_by_products(space, kind)
-        except MembershipError:
-            with pytest.raises(ClosureError):
-                build_mu(space, kind)
-            continue
-        # mu stores only its nonzero columns, each a tuple, grouped by
-        # first factor; laid out in s*d + t order, its +-1 structure
-        # constants as field scalars equal the oracle's columns: exact
-        # over Q, residues over F_p
-        mu = build_mu(space, kind)
-        stored = [col for by_t in mu.columns for col in by_t.values()]
-        assert all(type(col) is tuple and col for col in stored)
-        assert len(stored) == sum(1 for col in want if col)
-        assert [{a: space.field.from_int(c) for a, c in col.items()}
-                for col in flat_columns(mu)] == want
+    try:
+        want = mu_columns_by_products(space, "lie")
+    except MembershipError:
+        with pytest.raises(ClosureError):
+            build_mu(space)
+        return
+    # mu stores only its nonzero columns, each a tuple, grouped by
+    # first factor; laid out in s*d + t order, its +-1 structure
+    # constants as field scalars equal the oracle's columns: exact
+    # over Q, residues over F_p
+    mu = build_mu(space)
+    stored = [col for by_t in mu.columns for col in by_t.values()]
+    assert all(type(col) is tuple and col for col in stored)
+    assert len(stored) == sum(1 for col in want if col)
+    assert [{a: space.field.from_int(c) for a, c in col.items()}
+            for col in flat_columns(mu)] == want
 
 
 def test_tensor_coords_elementary_pair():
@@ -127,7 +126,7 @@ def test_tensor_coords_scaled():
 def test_in_kernel_self_tensor():
     rng = random.Random(7)
     space = TensorSpace.gl(3)
-    mu = build_mu(space, "lie")
+    mu = build_mu(space)
     for _ in range(10):
         coords = {rng.randrange(space.d): F(rng.randint(-3, 3))
                   for _ in range(rng.randint(1, 4))}
@@ -141,7 +140,7 @@ def test_in_kernel_self_tensor():
 
 def test_in_kernel_noncommuting_pair():
     space = space_for(3, 2, 2)
-    mu = build_mu(space, "lie")
+    mu = build_mu(space)
     t = RankOneTensor(elementary(3, 2, 2), elementary(3, 2, 3), "x")
     assert not in_kernel(t, mu, tensor_coords(t, space))
 
@@ -149,7 +148,7 @@ def test_in_kernel_noncommuting_pair():
 def test_in_kernel_telescoping_pair():
     # (e_{i,j} - e_{i,j+1}) (x) (e_{j,q} + e_{j+1,q}) brackets to zero
     space = TensorSpace.gl(3)
-    mu = build_mu(space, "lie")
+    mu = build_mu(space)
     u = SparseMatrix(3, QQ, {(1, 1): F(1), (1, 2): F(-1)})
     v = SparseMatrix(3, QQ, {(1, 3): F(1), (2, 3): F(1)})
     t = RankOneTensor(u, v, "x")
@@ -158,7 +157,7 @@ def test_in_kernel_telescoping_pair():
 
 def test_mu_columns_antisymmetric():
     for space in (TensorSpace.gl(2), space_for(3, 2, 2), space_for(4, 3, 2)):
-        columns = flat_columns(build_mu(space, "lie"))
+        columns = flat_columns(build_mu(space))
         d = space.d
         for s in range(d):
             for t in range(d):
@@ -192,7 +191,7 @@ def test_kernel_basis_vectors_in_kernel():
     # the null space of mu: one engine row per algebra coordinate k,
     # holding the k-th entry of every column
     space = TensorSpace.gl(2)
-    mu = build_mu(space, "lie")
+    mu = build_mu(space)
     ech = IncrementalEchelon(space.field)
     for k in range(space.d):
         ech.insert({col: image[k]
@@ -206,7 +205,7 @@ def test_kernel_basis_vectors_in_kernel():
 
 def test_apply_to_coords_is_linear():
     space = space_for(3, 2, 2)
-    mu = build_mu(space, "lie")
+    mu = build_mu(space)
     t1 = tensor_coords(RankOneTensor(elementary(3, 2, 2),
                                      elementary(3, 2, 3), "x"), space)
     t2 = tensor_coords(RankOneTensor(elementary(3, 1, 2),
@@ -225,11 +224,11 @@ def test_apply_to_coords_is_linear():
 
 def test_gl_kernel_dimension_formula():
     for m in (1, 2, 3):
-        mu = build_mu(TensorSpace.gl(m), "lie")
+        mu = build_mu(TensorSpace.gl(m))
         assert mu.kernel_dim == m**4 - m**2 + 1
 
 
 def test_mu_over_prime_field():
     f = PrimeField(101)
-    mu = build_mu(TensorSpace.gl(2, f), "lie")
+    mu = build_mu(TensorSpace.gl(2, f))
     assert mu.kernel_dim == 13

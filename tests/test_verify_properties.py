@@ -60,7 +60,7 @@ def noncommuting_pair(algebra, field_name):
     the algebra is abelian."""
     cert = base_certificate(algebra, field_name)
     space = algebra_space(cert.algebra, cert.field)
-    for col, image in enumerate(flat_columns(build_mu(space, "lie"))):
+    for col, image in enumerate(flat_columns(build_mu(space))):
         if image:
             s, t = divmod(col, space.d)
             return space.basis_matrix(s), space.basis_matrix(t)
@@ -147,7 +147,7 @@ def test_f2_zero_test_is_mod_p():
         assert {pos: xy.get(pos, 0) - yx.get(pos, 0)
                 for pos in xy.keys() | yx.keys()} == {(1, 2): 2}
         space = algebra_space({"kind": "gl-lie", "m": 2}, field)
-        columns = build_mu(space, "lie").columns
+        columns = build_mu(space).columns
         uc, vc = (integer_coords(space.coords_of(x), field) for x in (u, v))
         image = Counter()
         for s, a in uc.items():
@@ -367,7 +367,7 @@ def test_elementary_pairs_every_index_case(algebra, field_name):
     cert = base_certificate(algebra, field_name)
     field = cert.field
     space = algebra_space(cert.algebra, field)
-    mu = build_mu(space, "lie")
+    mu = build_mu(space)
     scalars = ([Fraction(-2, 3), Fraction(5), Fraction(1, 7)] if field == QQ
                else [field.from_int(c) for c in (1, -1, 3) if c % field.p])
     seen = Counter()
