@@ -538,7 +538,7 @@ def search_spanning(mu: MuMap, descriptor: dict,
          [b_r', p] = 0 = [b_r, p'] for some p, p'.  Then p - p' is in
          C(b_r + b_r'), and b_r (x) p - b_r' (x) p' = (b_r + b_r') (x)
          (p - p') + b_r (x) p' - b_r' (x) p is in the span if b_r + b_r'
-         comes before u+: it is then spanned (built, or skipped by
+         comes before u+: it was built, or skipped by this lemma (by
          induction on the pool), and the last two terms are by Lemma 1.
          So a hub h < s joined to s and to t for g is enough: b_h + b_s
          and b_h + b_t come before u+, and the preimages p, p' of b_g
@@ -554,15 +554,16 @@ def search_spanning(mu: MuMap, descriptor: dict,
          else e_ae if a != e and e_cb if c != b.  For skipped sums:
            - a = c, b != 0: h = e_a0, in row a with s, t and b_g.
            - a = c, b = 0, so a >= 2 and e != a: for b_g = e_ay, h = e_ky,
-             k the least index not a or y; h is plain, and s and t are
-             plain or b_g, in column y with h.
+             k the least index not a or y, so k < a; h is plain, and s
+             and t are each plain, or b_g and in column y with h.
            - b = e, a != 0: h = e_0b, in column b with s, t and b_g.
            - Else a < c and b_t is off-diagonal and plain.  For b_g =
-             e_cb, so a != 0 and (a, b) != (1, 0), h = e_kb, k the least
-             index but b, is plain and in column b with s.  For b_g =
-             e_ae, h = e_aj, j the least index but a, if j < b: in row a
-             with s, and plain or b_g, in column e with t.  Else b = 0 <
-             a, and s and h = e_0e are plain, h in column e with t.
+             e_cb, so a != 0 and (a, b) != (1, 0), h = e_kb with k the
+             least index but b, so k < a, is plain and in column b with
+             s.  For b_g = e_ae, h = e_aj, j the least index but a, if
+             j < b: in row a with s, and plain or b_g, in column e with
+             t.  Else the rule leaves b = 0 < a, and s and h = e_0e are
+             plain, h in column e with t.
     Two-term sums in closed form.  For u = b_s + b_t, s < t, b_s = e_ab
     and b_t = e_ce, two_term_centralizer gives the free columns of ad_u
     in A(u) with their null vectors, and two_term_dim gives dim C(u),
