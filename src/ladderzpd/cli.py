@@ -6,15 +6,15 @@ input file (a tensor factor outside the named algebra included), 3 search
 budget exhausted.
 
 The certificate pipeline (`elim`, `tensors`, `certificates`, `certio`,
-`onestep`) is loaded lazily: where Python writes no bytecode cache,
-compiling and running it took about a sixth of a cold
-`ladder-enumerate --n 6`, and where it reads one, about 3%.  Importing
-this module puts each of the five in `sys.modules` and on the
-`ladderzpd` package through `importlib.util.LazyLoader`, and a module's
-source is compiled and run at the first use of one of its attributes.
-The commands call through the module (`certificates.verify_certificate`),
-so `ladder-check` and `ladder-enumerate` run only `ladders`, `matrices`
-and `fields`, and `cert-verify` and `zpd-gl` never run `onestep`.  The
+`onestep`) and the scalar layer under it (`fields`, `matrices`) are
+loaded lazily.  With no bytecode cache, compiling and running the
+pipeline took a sixth of a cold `ladder-enumerate --n 6`, and `fields`
+imports `fractions`, 0.4 MiB of peak RSS.  Importing this module puts
+the seven in `sys.modules` and on the `ladderzpd` package through
+`importlib.util.LazyLoader`; a module is compiled and run at the first
+use of one of its attributes.  The commands call through the module
+(`fields.QQ`), so `ladder-check` and `ladder-enumerate` run only
+`ladders`, and `cert-verify` and `zpd-gl` never run `onestep`.  The
 modules are registered here rather than imported inside the commands so
 that code walking the `ladderzpd.*` entries of `sys.modules` after
 importing this module still finds all of them: `perfbench/tracer.py`
@@ -44,7 +44,6 @@ from math import comb
 from types import ModuleType
 from typing import Callable, List, NoReturn, Optional, Tuple
 
-from .fields import DEFAULT_PRIME, Field, PrimeField, QQ
 from .ladders import (MAX_ALGEBRA_SIZE, Ladder, SearchExhaustedError,
                       enumerate_ladders, is_upper_triangular)
 
@@ -64,10 +63,13 @@ def _lazy(name: str) -> ModuleType:
     return module
 
 
-# elim and tensors too: certificates imports them, and all five are in
-# sys.modules from here on
-elim, tensors, certificates, certio, onestep = map(
-    _lazy, ("elim", "tensors", "certificates", "certio", "onestep"))
+# elim, tensors, fields and matrices too: the pipeline imports them,
+# and all seven are in sys.modules from here on
+elim, tensors, certificates, certio, onestep, fields, matrices = map(
+    _lazy, "elim tensors certificates certio onestep fields matrices".split())
+
+# the modulus of --field fp when --prime is not given
+DEFAULT_PRIME = 101
 
 # ladder-enumerate lists at most this many ladders, on n with n^2 at
 # most MAX_ALGEBRA_SIZE: n = 8 with every k (12,869 ladders) is allowed.
@@ -89,10 +91,10 @@ def _yesno(flag: bool) -> str:
     return "yes" if flag else "no"
 
 
-def _field_from_args(args) -> Field:
+def _field_from_args(args) -> fields.Field:
     if args.field == "rational":
-        return QQ
-    return PrimeField(args.prime)
+        return fields.QQ
+    return fields.PrimeField(args.prime)
 
 
 def _add_field_options(sub) -> None:

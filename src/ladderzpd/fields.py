@@ -11,6 +11,12 @@ A field descriptor (`RationalField` / `PrimeField`) carries the zero and
 one constants and knows how to parse and format canonical scalar text:
 "num/den" with positive denominator (den omitted when 1) for rationals,
 the reduced representative for prime fields.
+
+No ladder command runs this module: it imports `fractions`, which
+imports `decimal` and `numbers`.  The package root gives `QQ`,
+`FieldMismatchError`, `PrimeField` and `RationalField` from here at
+their first use, and the CLI registers this module lazily and keeps
+`--prime`'s default, `cli.DEFAULT_PRIME`.
 """
 
 from __future__ import annotations
@@ -150,6 +156,3 @@ class PrimeField:
 Field = Union[RationalField, PrimeField]
 
 QQ = RationalField()
-
-# default cross-check modulus
-DEFAULT_PRIME = 101

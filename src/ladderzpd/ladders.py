@@ -10,14 +10,15 @@ multiplication, and equally under the bracket (proved in
 `is_upper_triangular`).  One-step ladders with i1 >= j1 carry the block
 profile (n1, n2, n3) = (j1 - 1, i1 - j1 + 1, n - i1) that drives the
 certificate construction; i1 < j1 gives an abelian space.
+
+This module imports nothing else of the package, so the ladder
+commands run it alone: no field, no matrix.  Steps are plain ints.
 """
 
 from __future__ import annotations
 
 from itertools import combinations
-from typing import List, NamedTuple, Optional, Sequence, Tuple
-
-from .matrices import Position
+from typing import List, NamedTuple, NoReturn, Optional, Sequence, Tuple
 
 # Every command takes algebras with n and d up to this size: the
 # verifier and the search check it before building mu (up to 2n nonzero
@@ -35,15 +36,27 @@ class SearchExhaustedError(RuntimeError):
     or at the end of its pool: no certificate, and nothing proven."""
 
 
+def _non_int(what: str, i, j) -> NoReturn:
+    """Refuse a step or position with a coordinate that is not a plain
+    int (a bool is refused, as certio refuses it): int() would read 2.9
+    as 2 and "3" as 3.  Called from the generator that sorts the pairs,
+    so valid input pays two type() calls a pair, less than two int()."""
+    raise ValueError(f"{what} coordinates must be ints, got ({i!r}, {j!r})")
+
+
 class Ladder:
-    """A step set {(i_t, j_t)}, strictly increasing in both coordinates."""
+    """A step set {(i_t, j_t)}, strictly increasing in both coordinates.
+    n and every coordinate must be plain ints (ValueError otherwise)."""
 
     __slots__ = ("n", "steps")
 
     def __init__(self, n: int, steps: Sequence[Tuple[int, int]]):
+        if type(n) is not int:
+            raise ValueError(f"ambient size must be an int, got {n!r}")
         if n < 1:
             raise ValueError(f"ambient size must be positive, got {n}")
-        ordered = tuple(sorted((int(i), int(j)) for i, j in steps))
+        ordered = tuple(sorted((i, j) if type(i) is type(j) is int else
+                               _non_int("step", i, j) for i, j in steps))
         if not ordered:
             raise ValueError("a ladder needs at least one step")
         for i, j in ordered:
@@ -57,7 +70,7 @@ class Ladder:
         self.n = n
         self.steps = ordered
 
-    def positions(self) -> Tuple[Position, ...]:
+    def positions(self) -> Tuple[Tuple[int, int], ...]:
         """The positions of M_L, sorted row-major: (i, j) with
         i <= i_t and j_t <= j <= n for some step (i_t, j_t)."""
         allowed = set()

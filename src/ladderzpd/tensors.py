@@ -26,6 +26,7 @@ from typing import (Any, Dict, Iterable, Iterator, List, Optional, Sequence,
 
 from .elim import IncrementalEchelon
 from .fields import Field, QQ, Scalar
+from .ladders import _non_int
 from .matrices import Entries, Position, SparseMatrix, elementary
 
 # a stored column of mu: (a, c) pairs, c = +-1 the coefficient of b_a
@@ -49,14 +50,18 @@ class TensorSpace:
     TensorSpace(ladder.n, ladder.positions(), field), gl_m is
     TensorSpace.gl(m, field).  The algebra basis is e_{i,j} for (i, j)
     in the sorted position set; coordinates of members are read off
-    entry-by-entry.
+    entry-by-entry.  n and every coordinate must be plain ints
+    (ValueError otherwise).
     """
 
     __slots__ = ("n", "field", "positions", "index_of", "d")
 
     def __init__(self, n: int, positions: Sequence[Position],
                  field: Field = QQ):
-        pos = tuple(sorted(set((int(i), int(j)) for i, j in positions)))
+        if type(n) is not int:
+            raise ValueError(f"ambient size must be an int, got {n!r}")
+        pos = tuple(sorted({(i, j) if type(i) is type(j) is int else
+                            _non_int("position", i, j) for i, j in positions}))
         for i, j in pos:
             if not (1 <= i <= n and 1 <= j <= n):
                 raise ValueError(f"position ({i},{j}) out of range for n={n}")

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import argparse
 import hashlib
 import json
 import os
@@ -15,7 +16,8 @@ import pytest
 
 import ladderzpd
 from ladderzpd.certio import read_certificate
-from ladderzpd.cli import MAX_LADDER_COUNT, main
+from ladderzpd.cli import (DEFAULT_PRIME, MAX_LADDER_COUNT, build_parser,
+                           main)
 from ladderzpd.ladders import enumerate_ladders
 from ladderzpd.tensors import TensorSpace
 
@@ -543,17 +545,19 @@ report["verify_called"] = verify_certificate.__code__ in called
 print(json.dumps(report))
 """
 PIPELINE = ["certificates", "certio", "elim", "onestep", "tensors"]
+# what a ladder command leaves unrun: the pipeline and the scalar layer
+UNRUN = sorted(PIPELINE + ["fields", "matrices"])
 
 
 @pytest.mark.parametrize("argv, code, err, unexecuted, verified", [
-    ([], None, "", PIPELINE, False),
+    ([], None, "", UNRUN, False),
     (["ladder-check", "--n", "6", "--step", "3,2", "--step", "6,5"], 0, "",
-     PIPELINE, False),
+     UNRUN, False),
     (["ladder-enumerate", "--n", "6", "--closure", "lie", "--json"], 0, "",
-     PIPELINE, False),
+     UNRUN, False),
     (["ladder-enumerate", "--n", "9"], 2,
      "error: too many ladders to list: 48619 on n = 9 (the limit is "
-     "16384)\n", PIPELINE, False),
+     "16384)\n", UNRUN, False),
     (["cert-verify", "GL2"], 0, "", ["onestep"], True),
     (["zpd-gl", "--m", "2"], 0, "", ["certio", "onestep"], True),
     (["zpd-gl", "--m", "3", "--budget", "340"], 3,
@@ -609,7 +613,67 @@ def test_interrupted_ladder_command_runs_no_pipeline():
         env=dict(os.environ, PYTHONPATH=os.path.dirname(package)),
         capture_output=True, text=True, timeout=60)
     assert proc.stderr == ""
-    assert proc.stdout == repr([f"ladderzpd.{k}" for k in PIPELINE]) + "\n"
+    assert proc.stdout == repr([f"ladderzpd.{k}" for k in UNRUN]) + "\n"
+
+
+# argv: CLI-ARGS...; imports the package in a fresh interpreter, then
+# the CLI and runs it when given arguments, and prints as its last
+# line the exit code and the scalar modules then in sys.modules.  It
+# then checks that the package still gives the field names
+NO_SCALARS = """
+import sys
+import ladderzpd
+rc = None
+if sys.argv[1:]:
+    import ladderzpd.cli as cli
+    try:
+        rc = cli.main(sys.argv[1:])
+    except SystemExit as exc:  # --help
+        rc = exc.code
+print(rc, [m for m in ("fractions", "decimal", "numbers") if m in sys.modules])
+from ladderzpd import QQ, FieldMismatchError, PrimeField, RationalField
+from ladderzpd import fields
+assert (QQ, FieldMismatchError, PrimeField, RationalField) == (
+    fields.QQ, fields.FieldMismatchError, fields.PrimeField,
+    fields.RationalField)
+assert not hasattr(ladderzpd, "nonexistent")  # an AttributeError
+"""
+COMMANDS = ["ladder-check", "ladder-enumerate", "zpd-assemble", "zpd-verify",
+            "zpd-gl", "cert-verify"]
+
+
+@pytest.mark.parametrize("argv, code", [
+    ([], None),
+    (["ladder-check", "--n", "6", "--step", "3,2", "--step", "6,5"], 0),
+    (["ladder-enumerate", "--n", "6", "--closure", "lie", "--json"], 0),
+    (["ladder-enumerate", "--n", "9"], 2),
+] + [([name, "--help"], 0) for name in COMMANDS],
+    ids=["import", "ladder-check", "ladder-enumerate", "ladder-enumerate-cap"]
+    + [f"{name}-help" for name in COMMANDS])
+def test_ladder_commands_load_no_scalar_module(argv, code):
+    # fields imports fractions, which imports decimal and numbers; the
+    # package resolves its field names at their first use, so neither
+    # the import nor a ladder command nor any --help loads them
+    proc = subprocess.run([sys.executable, "-c", NO_SCALARS, *argv],
+                          env=fresh_env(), capture_output=True, text=True,
+                          timeout=60)
+    assert "Traceback" not in proc.stderr
+    assert proc.returncode == 0
+    assert proc.stdout.splitlines()[-1] == f"{code} []"
+
+
+def test_prime_option_keeps_its_default_and_help():
+    # argparse words --help differently across Python versions, so the
+    # option itself is checked, not the help's bytes
+    parser = build_parser()
+    subs, = (a for a in parser._actions
+             if isinstance(a, argparse._SubParsersAction))
+    primes = {name: action for name, sub in subs.choices.items()
+              for action in sub._actions if "--prime" in action.option_strings}
+    assert sorted(primes) == ["zpd-assemble", "zpd-gl", "zpd-verify"]
+    for action in primes.values():
+        assert action.default == DEFAULT_PRIME == 101
+        assert action.help == "modulus for --field fp (default 101)"
 
 
 def fresh_env(unbuffered: bool = False) -> dict:

@@ -17,8 +17,8 @@ import pytest
 from ladderzpd.certificates import gl_certificate
 from ladderzpd.certio import (CertificateFormatError, certificate_bytes,
                               read_certificate)
-from ladderzpd.fields import (DEFAULT_PRIME, FieldMismatchError, PrimeField,
-                              QQ, RationalField)
+from ladderzpd.cli import DEFAULT_PRIME
+from ladderzpd.fields import FieldMismatchError, PrimeField, QQ, RationalField
 from ladderzpd.ladders import BlockProfile
 from ladderzpd.matrices import SparseMatrix, elementary
 from ladderzpd.onestep import assemble_one_step_certificate, explicit_families

@@ -102,6 +102,26 @@ def test_ladder_validation():
         Ladder(3, [(1, 0)])
 
 
+@pytest.mark.parametrize("n, steps, message", [
+    (4, [(2.9, 1)], "step coordinates must be ints, got (2.9, 1)"),
+    (4, [(2, 1.0)], "step coordinates must be ints, got (2, 1.0)"),
+    (4, [("3", "2")], "step coordinates must be ints, got ('3', '2')"),
+    (4, [(True, 2)], "step coordinates must be ints, got (True, 2)"),
+    (4, [(1, None)], "step coordinates must be ints, got (1, None)"),
+    # refused before sorting, which cannot compare "3" with 1
+    (4, [(1, 2), ("3", 4)], "step coordinates must be ints, got ('3', 4)"),
+    (4.0, [(2, 1)], "ambient size must be an int, got 4.0"),
+    ("4", [(2, 1)], "ambient size must be an int, got '4'"),
+    (True, [(1, 1)], "ambient size must be an int, got True"),
+], ids=["float-row", "float-column", "text", "bool", "none", "mixed",
+        "float-n", "text-n", "bool-n"])
+def test_ladder_refuses_what_is_not_an_int(n, steps, message):
+    # int() once truncated 2.9 to 2 and read "3" as 3
+    with pytest.raises(ValueError) as exc:
+        Ladder(n, steps)
+    assert str(exc.value) == message
+
+
 def test_is_upper_triangular():
     assert is_upper_triangular(Ladder(6, [(3, 2), (6, 5)]))  # 3 < 5
     assert is_upper_triangular(Ladder(5, [(4, 1)]))  # one step, vacuous

@@ -177,6 +177,26 @@ def test_membership_errors():
         space.coords_of(elementary(3, 1, 2, PrimeField(101)))
 
 
+@pytest.mark.parametrize("n, positions, message", [
+    (3, [(1.7, 2)], "position coordinates must be ints, got (1.7, 2)"),
+    (3, [(1, 2.0)], "position coordinates must be ints, got (1, 2.0)"),
+    (3, [("1", "2")], "position coordinates must be ints, got ('1', '2')"),
+    (3, [(1, False)], "position coordinates must be ints, got (1, False)"),
+    (3, [(None, 1)], "position coordinates must be ints, got (None, 1)"),
+    (3, [(1, 1), ("2", 2)],
+     "position coordinates must be ints, got ('2', 2)"),
+    (3.0, [(1, 2)], "ambient size must be an int, got 3.0"),
+    ("3", [(1, 2)], "ambient size must be an int, got '3'"),
+    (True, [(1, 1)], "ambient size must be an int, got True"),
+], ids=["float-row", "float-column", "text", "bool", "none", "mixed",
+        "float-n", "text-n", "bool-n"])
+def test_space_refuses_what_is_not_an_int(n, positions, message):
+    # int() once truncated (1.7, 2) to the position (1, 2)
+    with pytest.raises(ValueError) as exc:
+        TensorSpace(n, positions)
+    assert str(exc.value) == message
+
+
 def test_from_coords_round_trip():
     space = space_for(4, 3, 2)
     rng = random.Random(11)
